@@ -34,8 +34,6 @@ from .experiments import RunConfig, bench, compare, run_experiment
 from .filter_core import (
     GaussianBelief,
     InnovationRecord,
-    MeasurementModel,
-    ProcessModel,
     correntropy_weights,
     kf_update,
     mcckf_update,
@@ -57,12 +55,10 @@ __all__ = [
     "GaussianBelief",
     "ImuSample",
     "InnovationRecord",
-    "MeasurementModel",
     "MeasurementRejected",
     "NoiseSpec",
     "NominalState",
     "OdometrySample",
-    "ProcessModel",
     "PropagationError",
     "ResidualNoiseAdapter",
     "RunConfig",

@@ -42,7 +42,6 @@ class ResidualWindowEntry:
     weighted_yy: np.ndarray   # (L y)(L y)^T
     obs_jacobian: np.ndarray
     cov_post: np.ndarray
-    cov_pred: np.ndarray
     gain: np.ndarray
 
 
@@ -64,7 +63,6 @@ class ResidualWindow:
             weighted_yy=np.outer(wy, wy),
             obs_jacobian=record.obs_jacobian,
             cov_post=record.cov_post,
-            cov_pred=record.cov_pred,
             gain=record.gain,
         ))
 

@@ -14,14 +14,11 @@ with command-line flags taking precedence.  Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import math
 import sys
+import typing
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from .dataset import write_events, write_truth
 from .errors import ConfigError, DataError
@@ -72,19 +69,18 @@ def _coerce(name: str, value: str, target_type) -> object:
         raise ConfigError(f"bad value for '{name}': {exc}") from None
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_SIMPLE_TYPES = {
-    "filter": str, "window": int, "rho": float, "beta": float,
-    "sigma_mode": str, "sigma_static": float, "sigma_min": float,
-    "sigma_max": float, "r0": float, "q0": float, "p0": float,
-    "adapt_q": bool, "seed": int, "scenario": str, "dataset": str,
-    "truth": str, "out": str, "duration": float, "imu_rate": float,
-    "odom_rate": float, "sensors": int, "noise_std": float,
-    "imu_accel_std": float, "imu_gyro_std": float,
-    "jump_probability": float, "jump_magnitude": float,
-    "jump_duration": int, "drift_rate": float, "drift_start": float,
-    "drift_duration": float, "faulty_sensor": str,
-}
+def _unwrap_optional(hint):
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Union and type(None) in args:
+        (hint,) = [arg for arg in args if arg is not type(None)]
+    return hint
+
+
+# Config key -> value type, read off RunConfig's annotations.  Per-sensor
+# noise overrides arrive as "r0.<sensor>" keys instead of r0_overrides.
+_SIMPLE_TYPES = {name: _unwrap_optional(hint)
+                 for name, hint in typing.get_type_hints(RunConfig).items()
+                 if name != "r0_overrides"}
 
 
 def build_run_config(file_entries: dict[str, str],

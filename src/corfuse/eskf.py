@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .errors import AdaptationNotReady, MeasurementRejected
 from .filter_core import (
     GaussianBelief,
     InnovationRecord,
-    MeasurementModel,
-    ProcessModel,
     WindowSnapshot,
     kf_update,
     mcckf_update,
@@ -220,8 +218,6 @@ class _SensorState:
     noise: np.ndarray
     bandwidth: BandwidthState
     adapter: Optional[ResidualNoiseAdapter]
-    steps: float = 0.0
-    intervals: Deque[float] = field(default_factory=lambda: deque(maxlen=32))
 
 
 class FusionEngine:
@@ -277,8 +273,11 @@ class FusionEngine:
         self._last_imu: Optional[ImuSample] = None
         self._imu_period: Optional[float] = None
         self._trans_acc = np.eye(STATE_DIM)
-        self._q_acc = np.zeros((STATE_DIM, STATE_DIM))
         self._steps_acc = 0.0
+        # Predict steps between consecutive corrections from q_sensor, which
+        # spread the residual scheme's per-interval Q back over single steps.
+        self._q_steps = 0.0
+        self._q_intervals: deque[float] = deque(maxlen=32)
         self.dropped = {"out_of_order": 0, "non_finite": 0}
         self.identity_deviation_max = 0.0
 
@@ -317,7 +316,6 @@ class FusionEngine:
         # error-state mean that a filter without injection/reset would carry.
         self._frame_mean = np.zeros(STATE_DIM)
         self._trans_acc = np.eye(STATE_DIM)
-        self._q_acc = np.zeros((STATE_DIM, STATE_DIM))
         self._steps_acc = 0.0
 
     def process(self, event: Event) -> Optional[CorrectionResult]:
@@ -335,20 +333,12 @@ class FusionEngine:
     def _advance(self, dt: float, imu: ImuSample) -> None:
         scale = dt / self._imu_period if self._imu_period else 1.0
         trans = error_transition(self._nominal, imu, dt)
-        q_step = self.process_noise * scale
-        model = ProcessModel(
-            f=lambda x, u, _dt: trans @ x,
-            jacobian=lambda x, u, _dt: trans,
-            noise=q_step,
-        )
-        self._belief = predict(self._belief, model, None, dt)
+        self._belief = predict(self._belief, trans, self.process_noise * scale, dt)
         self._nominal = propagate_nominal(self._nominal, imu, dt, self.config.gravity)
         self._frame_mean = trans @ self._frame_mean
         self._trans_acc = trans @ self._trans_acc
-        self._q_acc = trans @ self._q_acc @ trans.T + q_step
         self._steps_acc += scale
-        for sensor in self._sensors.values():
-            sensor.steps += scale
+        self._q_steps += scale
 
     def _handle_imu(self, sample: ImuSample) -> None:
         if not (np.all(np.isfinite(sample.accel)) and np.all(np.isfinite(sample.gyro))):
@@ -361,8 +351,10 @@ class FusionEngine:
             log.warning("dropped out-of-order IMU sample at t=%.6f", sample.time)
             return None
         if dt > 0.0:
-            if self._imu_period is None:
-                self._imu_period = dt
+            # The nominal IMU period is the spacing of IMU samples, not the
+            # gap to whatever event came last.
+            if self._imu_period is None and self._last_imu is not None:
+                self._imu_period = sample.time - self._last_imu.time
             self._advance(dt, sample)
         self._last_imu = sample
         return None
@@ -396,21 +388,17 @@ class FusionEngine:
         y, obs_jac = observation_residual(self._nominal, sample)
         sigma = sensor.bandwidth.update(y, sensor.noise, obs_jac, self._belief.cov)
         noise_used = sensor.noise
-        model = MeasurementModel(
-            sensor_id=sample.sensor_id,
-            h=lambda dx: obs_jac @ dx,
-            jacobian=lambda dx: obs_jac,
-            noise=noise_used,
-            bandwidth=sigma,
-        )
-        update = mcckf_update if self._uses_kernel else kf_update
-        posterior, record = update(self._belief, y, model)
+        if self._uses_kernel:
+            posterior, record = mcckf_update(self._belief, y, obs_jac, noise_used, sigma,
+                                             sample.sensor_id)
+        else:
+            posterior, record = kf_update(self._belief, y, obs_jac, noise_used,
+                                          sample.sensor_id)
         delta = posterior.mean
         self._nominal = inject_and_reset(self._nominal, delta)
         self._belief = GaussianBelief(np.zeros(STATE_DIM), posterior.cov, sample.time)
         prior_frame = self._frame_mean
         self._frame_mean = prior_frame + delta
-        record.transition = self._trans_acc
 
         identity_dev: Optional[float] = None
         if self.config.self_check and not self._uses_kernel:
@@ -419,17 +407,15 @@ class FusionEngine:
 
         snapshot = WindowSnapshot(
             time=sample.time, state=self._frame_mean.copy(), prior_mean=prior_frame,
-            cov=record.cov_post, transition=self._trans_acc,
-            process_noise=self._q_acc, obs_jacobian=obs_jac, innovation=y,
+            cov=record.cov_post, transition=self._trans_acc, obs_jacobian=obs_jac,
             residual=record.residual, weights=record.weights,
-            cov_pred=record.cov_pred, gain=record.gain,
-            steps=self._steps_acc, sensor_id=sample.sensor_id,
+            cov_pred=record.cov_pred, steps=self._steps_acc, sensor_id=sample.sensor_id,
         )
         self._trans_acc = np.eye(STATE_DIM)
-        self._q_acc = np.zeros((STATE_DIM, STATE_DIM))
         self._steps_acc = 0.0
-        sensor.intervals.append(max(sensor.steps, 1.0))
-        sensor.steps = 0.0
+        if sample.sensor_id == self.q_sensor:
+            self._q_intervals.append(max(self._q_steps, 1.0))
+            self._q_steps = 0.0
 
         self._refresh_noise(sample.sensor_id, sensor, snapshot, record)
 
@@ -463,8 +449,7 @@ class FusionEngine:
                 return
             sensor.noise = noise
             if self.config.adapt_q and sensor_id == self.q_sensor:
-                steps = float(np.mean(sensor.intervals)) if sensor.intervals else 1.0
-                self._set_process_noise(q_interval, steps)
+                self._set_process_noise(q_interval, float(np.mean(self._q_intervals)))
 
     def _set_process_noise(self, q_interval: np.ndarray, interval_steps: float) -> None:
         # The window statistics measure process noise accumulated over one

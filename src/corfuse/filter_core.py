@@ -1,5 +1,10 @@
 """Prediction and correction primitives with correntropy-weighted gains.
 
+The primitives act on a linear(ized) error state and take the model as
+plain matrices: ``predict`` a transition F and process noise Q,
+``mcckf_update`` and ``kf_update`` an observation matrix H and
+measurement noise R.
+
 The correction gain is computed in information form,
 
     K = (P^-1 + H^T C R^-1 H)^-1 H^T C R^-1
@@ -21,8 +26,7 @@ which stays positive semidefinite for any gain, weighted or not.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,38 +54,6 @@ class GaussianBelief:
 
 
 @dataclass
-class ProcessModel:
-    """Discrete process model.
-
-    Attributes:
-        f: transition function ``f(x, u, dt) -> x_next``.
-        jacobian: transition Jacobian ``F(x, u, dt)``.
-        noise: per-step process noise covariance Q (mutable; adaptation
-            schemes overwrite it between steps).
-    """
-
-    f: Callable[[np.ndarray, Optional[np.ndarray], float], np.ndarray]
-    jacobian: Callable[[np.ndarray, Optional[np.ndarray], float], np.ndarray]
-    noise: np.ndarray
-
-
-@dataclass
-class MeasurementModel:
-    """Observation model for one sensor.
-
-    ``bandwidth`` holds the per-dimension kernel sizes used by the
-    correntropy weights; it is refreshed by the bandwidth adaptation before
-    each correction when that feature is enabled.
-    """
-
-    sensor_id: str
-    h: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-    noise: np.ndarray
-    bandwidth: np.ndarray
-
-
-@dataclass
 class CorrentropyWeights:
     """Per-dimension Gaussian kernel weights for one innovation vector.
 
@@ -101,14 +73,13 @@ class InnovationRecord:
     """Everything a noise-adaptation scheme needs from one correction."""
 
     time: float
-    innovation: np.ndarray          # y = z - h(x_prior)
-    residual: np.ndarray            # r = z - h(x_posterior)
-    obs_jacobian: np.ndarray        # H at the prior mean
+    innovation: np.ndarray          # y = z - H x_prior
+    residual: np.ndarray            # r = z - H x_posterior
+    obs_jacobian: np.ndarray        # H
     cov_pred: np.ndarray            # P before the correction
     cov_post: np.ndarray            # P after the correction
     gain: np.ndarray                # K actually applied
     weights: CorrentropyWeights
-    transition: Optional[np.ndarray] = None  # composed F since the previous correction
     regularized: bool = False
 
 
@@ -119,9 +90,9 @@ class WindowSnapshot:
     ``state`` and ``prior_mean`` are the filtered mean after and before the
     correction, expressed in one shared frame across the whole window (for
     an error-state filter with resets the caller reconstructs the no-reset
-    sequence).  ``transition`` and ``process_noise`` describe the composed
-    dynamics between this snapshot and the previous one of the same sensor;
-    ``steps`` counts how many predict steps that interval contained.
+    sequence).  ``transition`` is the composed dynamics between this
+    snapshot and the previous one in the window; ``steps`` counts how many
+    predict steps that interval contained.
     """
 
     time: float
@@ -129,34 +100,31 @@ class WindowSnapshot:
     prior_mean: np.ndarray          # filtered mean just before the correction
     cov: np.ndarray                 # posterior covariance
     transition: np.ndarray
-    process_noise: np.ndarray
     obs_jacobian: np.ndarray
-    innovation: np.ndarray
     residual: np.ndarray
     weights: CorrentropyWeights
     cov_pred: np.ndarray
-    gain: np.ndarray
     steps: float = 1.0
     sensor_id: str = ""
 
 
-def predict(belief: GaussianBelief, model: ProcessModel,
-            u: Optional[np.ndarray] = None, dt: float = 1.0) -> GaussianBelief:
-    """Propagate a belief through the process model.
+def predict(belief: GaussianBelief, trans: np.ndarray, noise: np.ndarray,
+            dt: float) -> GaussianBelief:
+    """Propagate a belief over ``dt`` through the transition ``trans``.
 
-    Mean goes through ``model.f``; covariance through F P F^T + Q with the
-    result re-symmetrized.  Raises PropagationError naming the first state
-    index that came back non-finite.
+    Mean goes to F x; covariance to F P F^T + Q with the result
+    re-symmetrized.  Raises PropagationError naming the first state index
+    that came back non-finite.
     """
     if dt <= 0.0:
         raise ValueError(f"predict requires dt > 0, got {dt}")
-    mean = np.asarray(model.f(belief.mean, u, dt), dtype=float)
+    trans = np.asarray(trans, dtype=float)
+    mean = trans @ belief.mean
     finite = np.isfinite(mean)
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise PropagationError(f"non-finite state after propagation at index {bad}")
-    trans = np.asarray(model.jacobian(belief.mean, u, dt), dtype=float)
-    cov = symmetrize(trans @ belief.cov @ trans.T + model.noise)
+    cov = symmetrize(trans @ belief.cov @ trans.T + noise)
     return GaussianBelief(mean, cov, belief.time + dt)
 
 
@@ -177,8 +145,7 @@ def correntropy_weights(innovation: np.ndarray, noise: np.ndarray,
 
 
 def _apply_correction(belief: GaussianBelief, z: np.ndarray, y: np.ndarray,
-                      h_fn: Callable[[np.ndarray], np.ndarray], obs_jac: np.ndarray,
-                      noise: np.ndarray, weights: CorrentropyWeights
+                      obs_jac: np.ndarray, noise: np.ndarray, weights: CorrentropyWeights
                       ) -> tuple[GaussianBelief, InnovationRecord]:
     n = belief.mean.shape[0]
     cov_pred = symmetrize(belief.cov)
@@ -201,7 +168,7 @@ def _apply_correction(belief: GaussianBelief, z: np.ndarray, y: np.ndarray,
     ikh = np.eye(n) - gain @ obs_jac
     cov = symmetrize(ikh @ cov_pred @ ikh.T + gain @ noise @ gain.T)
     posterior = GaussianBelief(mean, cov, belief.time)
-    residual = z - np.asarray(h_fn(mean), dtype=float)
+    residual = z - obs_jac @ mean
     record = InnovationRecord(
         time=belief.time, innovation=y, residual=residual, obs_jacobian=obs_jac,
         cov_pred=cov_pred, cov_post=cov, gain=gain, weights=weights,
@@ -217,22 +184,28 @@ def _check_measurement(z: np.ndarray, sensor_id: str) -> np.ndarray:
     return z
 
 
-def mcckf_update(belief: GaussianBelief, z: np.ndarray,
-                 model: MeasurementModel) -> tuple[GaussianBelief, InnovationRecord]:
-    """Correntropy-weighted correction using the model's current bandwidth."""
-    z = _check_measurement(z, model.sensor_id)
-    obs_jac = np.asarray(model.jacobian(belief.mean), dtype=float)
-    y = z - np.asarray(model.h(belief.mean), dtype=float)
-    weights = correntropy_weights(y, model.noise, model.bandwidth)
-    return _apply_correction(belief, z, y, model.h, obs_jac, model.noise, weights)
+def mcckf_update(belief: GaussianBelief, z: np.ndarray, obs_jac: np.ndarray,
+                 noise: np.ndarray, bandwidth: np.ndarray, sensor_id: str = ""
+                 ) -> tuple[GaussianBelief, InnovationRecord]:
+    """Correntropy-weighted correction of ``z = H x + v`` with kernel sizes ``bandwidth``.
+
+    ``sensor_id`` only names the source in the rejection of a non-finite
+    measurement.
+    """
+    z = _check_measurement(z, sensor_id)
+    obs_jac = np.asarray(obs_jac, dtype=float)
+    y = z - obs_jac @ belief.mean
+    weights = correntropy_weights(y, noise, bandwidth)
+    return _apply_correction(belief, z, y, obs_jac, noise, weights)
 
 
-def kf_update(belief: GaussianBelief, z: np.ndarray,
-              model: MeasurementModel) -> tuple[GaussianBelief, InnovationRecord]:
+def kf_update(belief: GaussianBelief, z: np.ndarray, obs_jac: np.ndarray,
+              noise: np.ndarray, sensor_id: str = ""
+              ) -> tuple[GaussianBelief, InnovationRecord]:
     """Plain Kalman correction: identical code path with unit kernel weights."""
-    z = _check_measurement(z, model.sensor_id)
-    obs_jac = np.asarray(model.jacobian(belief.mean), dtype=float)
-    y = z - np.asarray(model.h(belief.mean), dtype=float)
+    z = _check_measurement(z, sensor_id)
+    obs_jac = np.asarray(obs_jac, dtype=float)
+    y = z - obs_jac @ belief.mean
     ones = np.ones(y.shape[0])
     weights = CorrentropyWeights(unweighted=ones, weighted=ones.copy())
-    return _apply_correction(belief, z, y, model.h, obs_jac, model.noise, weights)
+    return _apply_correction(belief, z, y, obs_jac, noise, weights)

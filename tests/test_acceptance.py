@@ -23,8 +23,7 @@ from corfuse.eskf import (EngineConfig, FusionEngine, ImuSample, NominalState,
                           OdometrySample, propagate_nominal, error_transition)
 from corfuse.experiments import RunConfig, run_experiment
 from corfuse.filter_core import (CorrentropyWeights, GaussianBelief,
-                                 MeasurementModel, WindowSnapshot, kf_update,
-                                 mcckf_update)
+                                 WindowSnapshot, kf_update, mcckf_update)
 from corfuse.kernel_bandwidth import adapt_bandwidth
 from corfuse.sim import (NoiseSpec, ScenarioSpec, SensorSpec, generate_truth,
                          sample_sensors)
@@ -148,21 +147,16 @@ def _run_scalar_identification(scheme: str, seed: int, steps: int = 2000):
         m_prior, p_prior = m, p + q_true
         belief = GaussianBelief(np.array([m_prior]), np.array([[p_prior]]),
                                 float(k))
-        model = MeasurementModel(
-            h=lambda s: s, jacobian=lambda s: np.eye(1),
-            noise=np.array([[r_hat]]), bandwidth=np.array([1e12]),
-            sensor_id="z")
         z = np.array([x + rng.normal(0.0, np.sqrt(r_true))])
-        posterior, record = kf_update(belief, z, model)
+        posterior, record = kf_update(belief, z, np.eye(1), np.array([[r_hat]]),
+                                      sensor_id="z")
         m, p = float(posterior.mean[0]), float(posterior.cov[0, 0])
         if scheme == "vb":
             adapter.push(WindowSnapshot(
                 time=float(k), state=posterior.mean, prior_mean=belief.mean,
-                cov=posterior.cov, transition=np.eye(1),
-                process_noise=np.array([[q_true]]), obs_jacobian=np.eye(1),
-                innovation=record.innovation, residual=record.residual,
-                weights=record.weights, cov_pred=record.cov_pred,
-                gain=record.gain, steps=1.0, sensor_id="z"))
+                cov=posterior.cov, transition=np.eye(1), obs_jacobian=np.eye(1),
+                residual=record.residual, weights=record.weights,
+                cov_pred=record.cov_pred, steps=1.0, sensor_id="z"))
             try:
                 _, _, by_sensor = adapter.refresh()
                 r_hat = float(by_sensor["z"][0, 0])
@@ -255,11 +249,8 @@ def test_acceptance_07_innovation_residual_identity():
         belief = GaussianBelief(rng.standard_normal(n), random_spd(rng, n), 0.0)
         h = rng.standard_normal((m, n))
         noise = random_spd(rng, m, scale=0.5)
-        model = MeasurementModel(
-            h=lambda x, h=h: h @ x, jacobian=lambda x, h=h: h,
-            noise=noise, bandwidth=np.full(m, 1e12), sensor_id="fuzz")
         z = h @ belief.mean + rng.standard_normal(m)
-        _, record = kf_update(belief, z, model)
+        _, record = kf_update(belief, z, h, noise, sensor_id="fuzz")
         worst = max(worst, check_identity_gamma(record, noise))
     ok = worst < 1e-8
     report("gain-identity", ok,
@@ -281,11 +272,9 @@ def test_acceptance_08_numerical_hygiene():
                                 scale * random_spd(rng, n), 0.0)
         h = rng.standard_normal((m, n))
         noise = scale * random_spd(rng, m, scale=0.5)
-        model = MeasurementModel(
-            h=lambda x, h=h: h @ x, jacobian=lambda x, h=h: h, noise=noise,
-            bandwidth=10.0 ** rng.uniform(-2, 6, size=m), sensor_id="fuzz")
+        bandwidth = 10.0 ** rng.uniform(-2, 6, size=m)
         z = h @ belief.mean + scale * rng.standard_normal(m)
-        posterior, _ = mcckf_update(belief, z, model)
+        posterior, _ = mcckf_update(belief, z, h, noise, bandwidth, sensor_id="fuzz")
         eig = float(np.min(np.linalg.eigvalsh(posterior.cov))
                     / max(np.max(np.abs(posterior.cov)), 1.0))
         min_eig = min(min_eig, eig)
@@ -427,11 +416,8 @@ def test_acceptance_10_unit_weight_reductions_are_exact():
     noise = random_spd(rng, m, scale=0.5)
     bitwise_ok = True
     for k in range(30):
-        model = MeasurementModel(
-            h=lambda x, h=h: h @ x, jacobian=lambda x, h=h: h, noise=noise,
-            bandwidth=np.full(m, 1e12), sensor_id="z")
         z = h @ belief.mean + rng.standard_normal(m)
-        posterior, record = kf_update(belief, z, model)
+        posterior, record = kf_update(belief, z, h, noise, sensor_id="z")
         belief = GaussianBelief(posterior.mean, posterior.cov + 0.05 * np.eye(n),
                                 posterior.time + 1.0)
         assert np.all(record.weights.weighted == 1.0)
@@ -460,20 +446,15 @@ def test_acceptance_10_unit_weight_reductions_are_exact():
         m_prior, p_prior = mm, p + q_true
         belief1 = GaussianBelief(np.array([m_prior]), np.array([[p_prior]]),
                                  float(k))
-        model1 = MeasurementModel(
-            h=lambda s: s, jacobian=lambda s: np.eye(1),
-            noise=np.array([[r_true]]), bandwidth=np.array([1e12]),
-            sensor_id="z")
         z = np.array([x + rng.normal(0.0, np.sqrt(r_true))])
-        posterior, record = kf_update(belief1, z, model1)
+        posterior, record = kf_update(belief1, z, np.eye(1), np.array([[r_true]]),
+                                      sensor_id="z")
         mm, p = float(posterior.mean[0]), float(posterior.cov[0, 0])
         window.push(WindowSnapshot(
             time=float(k), state=posterior.mean, prior_mean=belief1.mean,
-            cov=posterior.cov, transition=np.eye(1),
-            process_noise=np.array([[q_true]]), obs_jacobian=np.eye(1),
-            innovation=record.innovation, residual=record.residual,
-            weights=record.weights, cov_pred=record.cov_pred,
-            gain=record.gain, steps=1.0, sensor_id="z"))
+            cov=posterior.cov, transition=np.eye(1), obs_jacobian=np.eye(1),
+            residual=record.residual, weights=record.weights,
+            cov_pred=record.cov_pred, steps=1.0, sensor_id="z"))
     smoothed = backward_smooth(window)
     ours_sum, count = measurement_statistic(window, smoothed, "z")
     total = np.zeros((1, 1))

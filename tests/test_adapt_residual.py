@@ -10,8 +10,7 @@ from corfuse.adapt_residual import (ResidualNoiseAdapter, ResidualWindow,
                                     gamma_residual)
 from corfuse.errors import AdaptationNotReady
 from corfuse.filter_core import (CorrentropyWeights, GaussianBelief,
-                                 InnovationRecord, MeasurementModel,
-                                 kf_update, mcckf_update)
+                                 InnovationRecord, kf_update, mcckf_update)
 
 
 def make_record(residual, innovation, h, p_post, p_pred=None, gain=None,
@@ -135,11 +134,8 @@ def test_identity_holds_for_plain_kalman_corrections():
                                 cov=random_spd(rng, n), time=0.0)
         h = rng.standard_normal((m, n))
         noise = random_spd(rng, m, scale=0.5)
-        model = MeasurementModel(
-            h=lambda x, h=h: h @ x, jacobian=lambda x, h=h: h,
-            noise=noise, bandwidth=np.full(m, 1e12), sensor_id="fuzz")
         z = h @ belief.mean + rng.standard_normal(m)
-        _, record = kf_update(belief, z, model)
+        _, record = kf_update(belief, z, h, noise, sensor_id="fuzz")
         worst = max(worst, check_identity_gamma(record, noise))
     assert worst < 1e-8
 
@@ -148,10 +144,8 @@ def test_identity_detects_downweighted_gain():
     rng = np.random.default_rng(22)
     belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2), time=0.0)
     noise = 0.01 * np.eye(2)
-    model = MeasurementModel(
-        h=lambda x: x, jacobian=lambda x: np.eye(2), noise=noise,
-        bandwidth=np.full(2, 0.5), sensor_id="ctl")
-    _, record = mcckf_update(belief, np.array([3.0, -2.5]), model)
+    _, record = mcckf_update(belief, np.array([3.0, -2.5]), np.eye(2), noise,
+                             np.full(2, 0.5), sensor_id="ctl")
     assert check_identity_gamma(record, noise) > 1e-3
     del rng
 
@@ -198,12 +192,9 @@ def test_closed_loop_recovers_inflated_measurement_noise():
         x += rng.normal(0.0, np.sqrt(q_true))
         belief = GaussianBelief(mean=np.array([m]),
                                 cov=np.array([[p + q_true]]), time=float(k))
-        model = MeasurementModel(
-            h=lambda s: s, jacobian=lambda s: np.eye(1),
-            noise=np.array([[r_hat]]), bandwidth=np.array([1e12]),
-            sensor_id="z")
         z = np.array([x + rng.normal(0.0, np.sqrt(r_true))])
-        posterior, record = kf_update(belief, z, model)
+        posterior, record = kf_update(belief, z, np.eye(1), np.array([[r_hat]]),
+                                      sensor_id="z")
         m, p = posterior.mean[0], posterior.cov[0, 0]
         adapter.push(record)
         _, fresh = adapter.refresh()

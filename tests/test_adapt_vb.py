@@ -20,15 +20,13 @@ UNIT = CorrentropyWeights(unweighted=np.array([1.0]), weighted=np.array([1.0]))
 
 
 def scalar_snapshot(time, state, prior_mean, cov, cov_pred, residual,
-                    innovation=0.0, trans=1.0, steps=1.0, sensor="s",
-                    weights=UNIT):
+                    trans=1.0, steps=1.0, sensor="s", weights=UNIT):
     return WindowSnapshot(
         time=time, state=np.array([state]), prior_mean=np.array([prior_mean]),
         cov=np.array([[cov]]), transition=np.array([[trans]]),
-        process_noise=np.array([[0.5]]), obs_jacobian=np.eye(1),
-        innovation=np.array([innovation]), residual=np.array([residual]),
+        obs_jacobian=np.eye(1), residual=np.array([residual]),
         weights=weights, cov_pred=np.array([[cov_pred]]),
-        gain=np.array([[0.5]]), steps=steps, sensor_id=sensor)
+        steps=steps, sensor_id=sensor)
 
 
 def hand_filtered_window():
@@ -154,8 +152,7 @@ def run_matched_scalar_filter(rng, steps, q_true, r_true):
         gain = p_prior / (p_prior + r_true)
         m = m_prior + gain * (z - m_prior)
         p = (1.0 - gain) ** 2 * p_prior + gain * r_true * gain
-        window.push(scalar_snapshot(float(k), m, m_prior, p, p_prior,
-                                    residual=z - m, innovation=z - m_prior))
+        window.push(scalar_snapshot(float(k), m, m_prior, p, p_prior, residual=z - m))
     return window
 
 
@@ -272,8 +269,7 @@ def test_closed_loop_measurement_noise_identification():
         gain = p_prior / (p_prior + r_hat)
         m = m_prior + gain * (z - m_prior)
         p = (1.0 - gain) ** 2 * p_prior + gain * r_hat * gain
-        adapter.push(scalar_snapshot(float(k), m, m_prior, p, p_prior,
-                                     residual=z - m, innovation=z - m_prior))
+        adapter.push(scalar_snapshot(float(k), m, m_prior, p, p_prior, residual=z - m))
         try:
             _, _, by_sensor = adapter.refresh()
             r_hat = by_sensor["s"][0, 0]

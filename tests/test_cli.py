@@ -1,11 +1,13 @@
 """Command-line interface: config parsing, subcommands, exit codes."""
 
 import json
+import typing
 
 import pytest
 
 from corfuse.cli import _coerce, build_run_config, load_config_file, main
 from corfuse.errors import ConfigError
+from corfuse.experiments import RunConfig
 
 
 def test_load_config_file_parses_keys_comments_and_blanks(tmp_path):
@@ -55,6 +57,24 @@ def test_build_run_config_merges_sources():
     assert config.seed == 7
     assert config.scenario == "hover"
     assert config.out is None  # None overrides are skipped
+
+
+def test_every_run_config_field_is_read_from_a_config_file(tmp_path):
+    samples = {bool: ("yes", True), int: ("7", 7), float: ("0.25", 0.25),
+               str: ("abc", "abc")}
+    hints = typing.get_type_hints(RunConfig)
+    del hints["r0_overrides"]  # set through "r0.<sensor>" keys instead
+    lines, expected = [], {}
+    for name, hint in hints.items():
+        (declared,) = set(typing.get_args(hint) or (hint,)) - {type(None)}
+        raw, expected[name] = samples[declared]
+        lines.append(f"{name} = {raw}")
+    path = tmp_path / "all.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    config = build_run_config(load_config_file(str(path)), {})
+    for name, value in expected.items():
+        got = getattr(config, name)
+        assert type(got) is type(value) and got == value, name
 
 
 def test_build_run_config_rejects_unknown_keys():

@@ -311,3 +311,52 @@ def test_two_sensor_noise_is_tracked_separately():
     # the biased sensor must end up with the larger estimated noise
     assert (np.trace(engine.measurement_noise("odo1"))
             > np.trace(engine.measurement_noise("odo0")))
+
+
+def test_imu_period_is_measured_between_imu_samples():
+    """Odometry at 3 ms before IMU at 10 ms, 20 ms, ...: each IMU step gets one Q.
+
+    Measuring the period from the odometry sample would read 7 ms and
+    inflate every later step's process noise by 10/7.
+    """
+    q0 = 1e-5
+    config = EngineConfig(variant="ekf", adapt_q=False,
+                          process_noise=q0 * np.eye(STATE_DIM))
+    engine = FusionEngine(config, {"odo0": 0.01})
+    engine.initialize(make_state(), 1e-4)
+    engine.process(OdometrySample("odo0", np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]),
+                                  np.zeros(3), 0.003))
+    for t in (0.01, 0.02):
+        engine.process(hover_imu(t))
+    before, cov = engine.state.copy(), engine.covariance.copy()
+    imu = hover_imu(0.03)
+    engine.process(imu)
+    trans = error_transition(before, imu, imu.time - before.time)
+    expected = trans @ cov @ trans.T + q0 * np.eye(STATE_DIM)
+    np.testing.assert_allclose(engine.covariance, 0.5 * (expected + expected.T),
+                               rtol=1e-9, atol=0.0)
+
+
+def test_residual_q_split_uses_the_q_sensor_interval():
+    """Q per interval is divided by q_sensor's 20 IMU steps, not another sensor's 5."""
+    events = hover_events(duration=2.0, imu_rate=100.0, odom_rate=20.0, noise=0.005,
+                          seed=4, sensors=("fast",))
+    events += [e for e in hover_events(duration=2.0, imu_rate=100.0, odom_rate=5.0,
+                                       noise=0.005, seed=6, sensors=("slow",))
+               if isinstance(e, OdometrySample)]
+    events.sort(key=lambda e: e.time)
+    config = EngineConfig(variant="r-amcckf", q_sensor="slow")
+    engine = FusionEngine(config, {"fast": 0.01, "slow": 0.01})
+    engine.initialize(make_state(), 1e-4)
+    interval_steps = []
+    set_process_noise = engine._set_process_noise
+
+    def spy(q_interval, steps):
+        interval_steps.append(steps)
+        set_process_noise(q_interval, steps)
+
+    engine._set_process_noise = spy
+    for event in events:
+        engine.process(event)
+    assert len(interval_steps) == 10
+    assert interval_steps == pytest.approx([20.0] * 10)

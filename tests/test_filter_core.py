@@ -10,26 +10,8 @@ import pytest
 
 from corfuse.errors import MeasurementRejected, PropagationError
 from corfuse.filter_core import (CorrentropyWeights, GaussianBelief,
-                                 MeasurementModel, ProcessModel,
                                  correntropy_weights, kf_update, mcckf_update,
                                  predict)
-
-
-def linear_process(f_mat, q):
-    return ProcessModel(f=lambda x, u, dt: f_mat @ x,
-                        jacobian=lambda x, u, dt: f_mat,
-                        noise=q)
-
-
-def linear_measurement(h_mat, r, bandwidth=None, sensor_id="s"):
-    m = h_mat.shape[0]
-    if bandwidth is None:
-        bandwidth = np.full(m, 1e12)
-    return MeasurementModel(sensor_id=sensor_id,
-                            h=lambda x: h_mat @ x,
-                            jacobian=lambda x: h_mat,
-                            noise=r,
-                            bandwidth=np.asarray(bandwidth, dtype=float))
 
 
 def random_spd(rng, n, scale=1.0):
@@ -62,16 +44,14 @@ def textbook_weighted_update(mean, cov, z, h_mat, r, c_diag):
 
 def test_predict_identity_transition_adds_noise():
     belief = GaussianBelief(mean=np.array([1.0]), cov=np.array([[1.0]]), time=0.0)
-    model = linear_process(np.eye(1), np.array([[0.5]]))
-    out = predict(belief, model, None, 1.0)
+    out = predict(belief, np.eye(1), np.array([[0.5]]), 1.0)
     assert out.cov[0, 0] == pytest.approx(1.5)
     assert out.time == pytest.approx(1.0)
 
 
 def test_predict_zero_covariance_zero_noise_stays_zero():
     belief = GaussianBelief(mean=np.zeros(2), cov=np.zeros((2, 2)))
-    model = linear_process(np.eye(2), np.zeros((2, 2)))
-    out = predict(belief, model, None, 0.1)
+    out = predict(belief, np.eye(2), np.zeros((2, 2)), 0.1)
     np.testing.assert_array_equal(out.cov, np.zeros((2, 2)))
 
 
@@ -82,7 +62,7 @@ def test_predict_constant_velocity_matches_dense_oracle():
     p = np.eye(2)
     oracle = f @ p @ f.T + q
     belief = GaussianBelief(mean=np.array([1.0, -2.0]), cov=p)
-    out = predict(belief, linear_process(f, q), None, dt)
+    out = predict(belief, f, q, dt)
     np.testing.assert_allclose(out.cov, oracle, rtol=0, atol=1e-14)
     np.testing.assert_allclose(out.mean, f @ belief.mean)
 
@@ -94,24 +74,21 @@ def test_predict_trace_never_shrinks_under_identity_dynamics():
         p = random_spd(rng, n)
         q = random_spd(rng, n, 0.1)
         belief = GaussianBelief(mean=rng.standard_normal(n), cov=p)
-        out = predict(belief, linear_process(np.eye(n), q), None, 1.0)
+        out = predict(belief, np.eye(n), q, 1.0)
         assert np.trace(out.cov) >= np.trace(p)
 
 
 def test_predict_rejects_non_finite_propagation():
     belief = GaussianBelief(mean=np.array([0.0, 1.0]), cov=np.eye(2))
-    model = ProcessModel(f=lambda x, u, dt: np.array([x[0], np.inf]),
-                         jacobian=lambda x, u, dt: np.eye(2),
-                         noise=np.zeros((2, 2)))
     with pytest.raises(PropagationError) as err:
-        predict(belief, model, None, 1.0)
+        predict(belief, np.diag([1.0, np.inf]), np.zeros((2, 2)), 1.0)
     assert "index 1" in str(err.value)
 
 
 def test_predict_rejects_nonpositive_dt():
     belief = GaussianBelief(mean=np.zeros(1), cov=np.eye(1))
     with pytest.raises(ValueError):
-        predict(belief, linear_process(np.eye(1), np.zeros((1, 1))), None, 0.0)
+        predict(belief, np.eye(1), np.zeros((1, 1)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +135,16 @@ def test_weights_always_in_unit_interval():
 
 def test_scalar_gain_with_unit_weights_is_half():
     belief = GaussianBelief(mean=np.zeros(1), cov=np.eye(1))
-    model = linear_measurement(np.eye(1), np.eye(1))
-    out, record = mcckf_update(belief, np.array([1.0]), model)
+    out, record = mcckf_update(belief, np.array([1.0]), np.eye(1), np.eye(1),
+                               np.full(1, 1e12))
     assert record.gain[0, 0] == pytest.approx(0.5)
     assert out.mean[0] == pytest.approx(0.5)
 
 
 def test_zero_innovation_keeps_mean_but_contracts_covariance():
     belief = GaussianBelief(mean=np.array([2.0, -1.0]), cov=np.eye(2))
-    model = linear_measurement(np.eye(2), 0.5 * np.eye(2))
-    out, _ = mcckf_update(belief, belief.mean.copy(), model)
+    out, _ = mcckf_update(belief, belief.mean.copy(), np.eye(2), 0.5 * np.eye(2),
+                          np.full(2, 1e12))
     np.testing.assert_allclose(out.mean, belief.mean)
     assert np.trace(out.cov) < np.trace(belief.cov)
 
@@ -187,7 +164,7 @@ def test_zeroed_weight_column_removes_that_channel():
 
     belief = GaussianBelief(mean=mean, cov=cov)
     bandwidth = np.array([1e-3, 1e6])
-    out, record = mcckf_update(belief, z, linear_measurement(h, r, bandwidth))
+    out, record = mcckf_update(belief, z, h, r, bandwidth)
     assert record.weights.weighted[0] < 1e-290
     np.testing.assert_allclose(record.gain[:, 0], 0.0, atol=1e-290)
     assert out.mean[0] == pytest.approx(0.0, abs=1e-12)
@@ -203,8 +180,8 @@ def test_unit_weight_update_matches_kf_update_exactly():
         h = rng.standard_normal((m, n))
         r = random_spd(rng, m)
         z = rng.standard_normal(m)
-        a, _ = mcckf_update(belief, z, linear_measurement(h, r, np.full(m, 1e12)))
-        b, _ = kf_update(belief, z, linear_measurement(h, r))
+        a, _ = mcckf_update(belief, z, h, r, np.full(m, 1e12))
+        b, _ = kf_update(belief, z, h, r)
         np.testing.assert_allclose(a.mean, b.mean, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(a.cov, b.cov, rtol=1e-10, atol=1e-12)
 
@@ -221,7 +198,7 @@ def test_weighted_update_matches_dense_oracle():
         z = rng.standard_normal(m)
         sigma = 10.0 ** rng.uniform(-0.5, 1.0, size=m)
         belief = GaussianBelief(mean=mean, cov=cov)
-        out, record = mcckf_update(belief, z, linear_measurement(h, r, sigma))
+        out, record = mcckf_update(belief, z, h, r, sigma)
         c = record.weights.weighted
         want_mean, want_cov, _ = textbook_weighted_update(mean, cov, z, h, r, c)
         np.testing.assert_allclose(out.mean, want_mean, rtol=1e-8, atol=1e-10)
@@ -237,7 +214,7 @@ def test_joseph_form_agrees_with_short_form_at_optimal_gain():
         h = rng.standard_normal((m, n))
         r = random_spd(rng, m)
         belief = GaussianBelief(mean=rng.standard_normal(n), cov=cov)
-        out, record = kf_update(belief, rng.standard_normal(m), linear_measurement(h, r))
+        out, record = kf_update(belief, rng.standard_normal(m), h, r)
         k = record.gain
         short = (np.eye(n) - k @ h) @ cov
         np.testing.assert_allclose(out.cov, 0.5 * (short + short.T),
@@ -256,7 +233,7 @@ def test_posterior_covariance_stays_psd_under_fuzz(trials=2000, seed=47):
         r = random_spd(rng, m, scale)
         sigma = 10.0 ** rng.uniform(-2, 3, size=m)
         z = rng.standard_normal(m) * np.sqrt(scale)
-        out, _ = mcckf_update(belief, z, linear_measurement(h, r, sigma))
+        out, _ = mcckf_update(belief, z, h, r, sigma)
         w = np.linalg.eigvalsh(out.cov)
         assert w.min() >= -1e-9 * max(1.0, w.max())
 
@@ -275,31 +252,29 @@ def test_monotone_damping_of_outlier_corrections():
     norms = []
     for mag in (3.0, 10.0, 30.0):
         z = np.array([mag, 0.0, 0.0])
-        out, _ = mcckf_update(belief, z, linear_measurement(h, r, sigma))
+        out, _ = mcckf_update(belief, z, h, r, sigma)
         norms.append(np.linalg.norm(out.mean))
     assert norms[0] > norms[1] > norms[2]
     for mag in (1e2, 1e4, 1e6):
         z = np.array([mag, 0.1, -0.1])
-        out, _ = mcckf_update(belief, z, linear_measurement(h, r, sigma))
-        reference, _ = mcckf_update(belief, np.array([0.0, 0.1, -0.1]),
-                                    linear_measurement(h, r, sigma))
+        out, _ = mcckf_update(belief, z, h, r, sigma)
+        reference, _ = mcckf_update(belief, np.array([0.0, 0.1, -0.1]), h, r, sigma)
         assert abs(out.mean[0]) < 1e-290
         np.testing.assert_allclose(out.mean[1:], reference.mean[1:], atol=1e-9)
 
 
 def test_non_finite_measurement_is_rejected_with_sensor_name():
     belief = GaussianBelief(mean=np.zeros(1), cov=np.eye(1))
-    model = linear_measurement(np.eye(1), np.eye(1), sensor_id="odomX")
     with pytest.raises(MeasurementRejected) as err:
-        mcckf_update(belief, np.array([np.nan]), model)
+        mcckf_update(belief, np.array([np.nan]), np.eye(1), np.eye(1), np.full(1, 1e12),
+                     sensor_id="odomX")
     assert "odomX" in str(err.value)
 
 
 def test_record_snapshot_fields_are_consistent():
     belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2), time=3.5)
-    model = linear_measurement(np.eye(2), np.eye(2))
     z = np.array([1.0, -1.0])
-    out, record = mcckf_update(belief, z, model)
+    out, record = mcckf_update(belief, z, np.eye(2), np.eye(2), np.full(2, 1e12))
     np.testing.assert_allclose(record.innovation, z)
     np.testing.assert_allclose(record.residual, z - out.mean)
     np.testing.assert_allclose(record.cov_pred, np.eye(2))
