@@ -12,7 +12,7 @@ See :mod:`corfuse.eskf` for the fusion engine and :mod:`corfuse.cli`
 for the command-line interface.
 """
 from .adapt_residual import ResidualNoiseAdapter, check_identity_gamma
-from .adapt_vb import VbNoiseAdapter, WishartNoiseState, backward_smooth
+from .adapt_vb import VbNoiseAdapter, backward_smooth
 from .dataset import ingest_dataset, read_truth, write_events, write_truth
 from .errors import (
     AdaptationNotReady,
@@ -66,7 +66,6 @@ __all__ = [
     "SensorSpec",
     "VARIANTS",
     "VbNoiseAdapter",
-    "WishartNoiseState",
     "adapt_bandwidth",
     "backward_smooth",
     "bench",

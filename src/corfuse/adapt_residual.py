@@ -36,23 +36,25 @@ DIAG_FLOOR = 1e-12
 
 @dataclass
 class ResidualWindowEntry:
-    """Weighted outer products and solver snapshots for one correction."""
+    """Weighted outer products for one correction."""
 
     weighted_rr: np.ndarray   # (L r)(L r)^T
     weighted_yy: np.ndarray   # (L y)(L y)^T
-    obs_jacobian: np.ndarray
-    cov_post: np.ndarray
-    gain: np.ndarray
 
 
 class ResidualWindow:
-    """Ring buffer of per-correction entries for one sensor."""
+    """Ring buffer of per-correction entries for one sensor.
+
+    Only the newest correction's H, P+ and K enter the estimates, so its
+    record is kept once in ``latest``.
+    """
 
     def __init__(self, length: int) -> None:
         if length < 1:
             raise ValueError("window length must be at least 1")
         self.length = length
         self.entries: Deque[ResidualWindowEntry] = deque(maxlen=length)
+        self.latest: Optional[InnovationRecord] = None
 
     def push(self, record: InnovationRecord) -> None:
         weights = record.weights.unweighted
@@ -61,10 +63,8 @@ class ResidualWindow:
         self.entries.append(ResidualWindowEntry(
             weighted_rr=np.outer(wr, wr),
             weighted_yy=np.outer(wy, wy),
-            obs_jacobian=record.obs_jacobian,
-            cov_post=record.cov_post,
-            gain=record.gain,
         ))
+        self.latest = record
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -94,21 +94,18 @@ def estimate_measurement_noise(gamma: np.ndarray, window: ResidualWindow) -> np.
     """R = Gamma_res + H P+ H^T using the newest entry's H and P+."""
     if len(window) == 0:
         raise AdaptationNotReady("residual window is empty")
-    latest = window.entries[-1]
+    latest = window.latest
     h = latest.obs_jacobian
     estimate = symmetrize(gamma + h @ latest.cov_post @ h.T)
     return floor_diagonal(estimate, DIAG_FLOOR)
 
 
-def estimate_process_noise(gamma_inn: np.ndarray, window: ResidualWindow,
-                           diagonal_only: bool = False) -> np.ndarray:
+def estimate_process_noise(gamma_inn: np.ndarray, window: ResidualWindow) -> np.ndarray:
     """Q = K Gamma_inn K^T with the newest gain, projected to be PSD."""
     if len(window) == 0:
         raise AdaptationNotReady("residual window is empty")
-    gain = window.entries[-1].gain
+    gain = window.latest.gain
     estimate = psd_project(gain @ gamma_inn @ gain.T)
-    if diagonal_only:
-        estimate = np.diag(np.diag(estimate))
     return floor_diagonal(estimate, DIAG_FLOOR)
 
 
@@ -132,13 +129,11 @@ class ResidualNoiseAdapter:
     estimate (1.0 replaces it outright, smaller values low-pass it).
     """
 
-    def __init__(self, window: int = 10, smoothing: float = 1.0,
-                 diagonal_process: bool = False) -> None:
+    def __init__(self, window: int = 10, smoothing: float = 1.0) -> None:
         if not 0.0 < smoothing <= 1.0:
             raise ValueError("smoothing must lie in (0, 1]")
         self.window = ResidualWindow(window)
         self.smoothing = smoothing
-        self.diagonal_process = diagonal_process
         self._noise_prev: Optional[np.ndarray] = None
 
     def push(self, record: InnovationRecord) -> None:
@@ -152,6 +147,5 @@ class ResidualNoiseAdapter:
         if self._noise_prev is not None and self.smoothing < 1.0:
             fresh = (1.0 - self.smoothing) * self._noise_prev + self.smoothing * fresh
         self._noise_prev = fresh
-        process = estimate_process_noise(gamma_y, self.window,
-                                         diagonal_only=self.diagonal_process)
+        process = estimate_process_noise(gamma_y, self.window)
         return process, fresh

@@ -1,8 +1,9 @@
-"""Variational sliding-window noise adaptation with inverse-Wishart states.
+"""Variational sliding-window noise adaptation.
 
 The scheme keeps a window of recent correction snapshots, runs a
 Rauch-Tung-Striebel backward pass over it, and folds the resulting
-smoothed statistics into inverse-Wishart hyperparameters:
+smoothed statistics into inverse-Wishart hyperparameters with a
+forgetting factor rho (after Huang et al., IEEE TAC 2018):
 
     t <- rho t + n,   T <- rho T + sum_j O_j      (process noise)
     b <- rho b + n,   B <- rho B + sum_j M_j      (measurement noise)
@@ -17,6 +18,12 @@ residual outer product plus the smoothed observation covariance,
 With unit weights (L = I) the recursions match the classical
 sliding-window variational adaptive filter, which is also how the plain
 adaptive variant is obtained.
+
+An error-state filter zeroes its mean after every correction, so the
+adapter also keeps the no-reset frame the smoother works in: the
+error-state mean a filter without injection/reset would carry, and the
+dynamics composed since the last correction (``advance`` and
+``correct``).
 """
 from __future__ import annotations
 
@@ -27,26 +34,35 @@ from typing import Optional
 import numpy as np
 
 from .errors import AdaptationNotReady
-from .filter_core import WindowSnapshot
+from .filter_core import CorrentropyWeights, InnovationRecord
 from .linalg import psd_project, spd_solve, symmetrize
 
 log = logging.getLogger(__name__)
 
 
 @dataclass
-class WishartNoiseState:
-    """Inverse-Wishart hyperparameters for process and measurement noise."""
+class WindowSnapshot:
+    """Per-correction record buffered by the sliding-window smoother.
 
-    t: float
-    T: np.ndarray
-    b: float
-    B: np.ndarray
+    ``state`` and ``prior_mean`` are the filtered mean after and before the
+    correction, expressed in one shared frame across the whole window (for
+    an error-state filter with resets, the adapter's no-reset frame).
+    ``transition`` is the composed dynamics between this snapshot and the
+    previous one in the window; ``steps`` counts how many predict steps
+    that interval contained.
+    """
 
-    @classmethod
-    def initial(cls, state_dim: int, obs_dim: int) -> "WishartNoiseState":
-        """Flat prior: zero degrees of freedom, zero scale matrices."""
-        return cls(t=0.0, T=np.zeros((state_dim, state_dim)),
-                   b=0.0, B=np.zeros((obs_dim, obs_dim)))
+    time: float
+    state: np.ndarray               # filtered mean after the correction
+    prior_mean: np.ndarray          # filtered mean just before the correction
+    cov: np.ndarray                 # posterior covariance
+    transition: np.ndarray
+    obs_jacobian: np.ndarray
+    residual: np.ndarray
+    weights: CorrentropyWeights
+    cov_pred: np.ndarray
+    steps: float = 1.0
+    sensor_id: str = ""
 
 
 @dataclass
@@ -160,61 +176,35 @@ def process_statistic(window: SmootherWindow, smoothed: SmoothedWindow) -> tuple
     return psd_project(total), count
 
 
-def measurement_statistic(window: SmootherWindow, smoothed: SmoothedWindow,
-                          sensor_id: Optional[str] = None) -> tuple[np.ndarray, int]:
-    """Kernel-weighted residual statistic summed over matching snapshots.
+def measurement_statistic(window: SmootherWindow, smoothed: SmoothedWindow
+                          ) -> dict[str, tuple[np.ndarray, int]]:
+    """Kernel-weighted residual statistic per sensor, in one pass.
 
     The buffered residual is taken against the filtered mean; re-anchoring
     it to the smoothed mean gives r_j|k = r_j + H_j (x_j|j - x_j|k).  Each
     snapshot then contributes L r_j|k r_j|k^T L + H P_j|k H^T, so a
     dimension the kernel has suppressed adds only the smoothed-covariance
-    floor.  With ``sensor_id`` given, only that sensor's snapshots count
-    (the window may interleave several sources); returns the sum and the
-    number of contributing snapshots.
+    floor.  The window may interleave several sources; returns, per sensor
+    id in order of first appearance, the sum over that sensor's snapshots
+    and their number.
     """
     snaps = window.snapshots
     if not snaps:
         raise AdaptationNotReady("measurement statistic needs a non-empty window")
     obs_dim = snaps[0].residual.shape[0]
-    total = np.zeros((obs_dim, obs_dim))
-    count = 0
+    totals: dict[str, np.ndarray] = {}
+    counts: dict[str, int] = {}
     for j, snap in enumerate(snaps):
-        if sensor_id is not None and snap.sensor_id != sensor_id:
-            continue
+        sid = snap.sensor_id
+        if sid not in totals:
+            totals[sid] = np.zeros((obs_dim, obs_dim))
+            counts[sid] = 0
         h = snap.obs_jacobian
         residual = snap.residual + h @ (snap.state - smoothed.means[j])
         weighted = snap.weights.unweighted * residual
-        total += np.outer(weighted, weighted) + h @ smoothed.covs[j] @ h.T
-        count += 1
-    return symmetrize(total), count
-
-
-def wishart_update(state: WishartNoiseState, o_sum: np.ndarray, m_sum: np.ndarray,
-                   rho: float, count: int) -> WishartNoiseState:
-    """One forgetting-factor recursion of the inverse-Wishart hyperparameters.
-
-    ``count`` is the number of transitions the statistics cover; during
-    warm-up it is smaller than the configured window length.  The degrees
-    of freedom converge to count / (1 - rho) when count is constant.
-    """
-    return WishartNoiseState(
-        t=rho * state.t + count,
-        T=rho * state.T + o_sum,
-        b=rho * state.b + count,
-        B=rho * state.B + m_sum,
-    )
-
-
-def extract_noise(state: WishartNoiseState) -> tuple[np.ndarray, np.ndarray]:
-    """Point estimates (Q, R) = (T / t, B / b).
-
-    Raises AdaptationNotReady while either degree-of-freedom count is still
-    non-positive; callers keep their previous estimates in that case.
-    """
-    if state.t <= 0.0 or state.b <= 0.0:
-        raise AdaptationNotReady(
-            f"degrees of freedom not positive yet (t={state.t}, b={state.b})")
-    return symmetrize(state.T / state.t), symmetrize(state.B / state.b)
+        totals[sid] += np.outer(weighted, weighted) + h @ smoothed.covs[j] @ h.T
+        counts[sid] += 1
+    return {sid: (symmetrize(total), counts[sid]) for sid, total in totals.items()}
 
 
 class VbNoiseAdapter:
@@ -226,10 +216,13 @@ class VbNoiseAdapter:
     process-noise hyperparameters (t, T) are shared; each sensor keeps its
     own measurement pair (b, B), as snapshots carry their sensor id.
 
-    ``refresh`` is called after each pushed correction and returns the
-    per-transition process noise estimate, the mean predict-step count per
-    transition (for rescaling Q to a per-step value), and a mapping of
-    sensor id to updated measurement noise.
+    An error-state engine reports each predict step through ``advance`` and
+    each correction through ``correct``, which builds and pushes the
+    snapshot in the no-reset frame.  ``refresh`` is called after each
+    pushed correction and returns the per-transition process noise
+    estimate, the mean predict-step count per transition (for rescaling Q
+    to a per-step value), and a mapping of sensor id to updated
+    measurement noise.
     """
 
     def __init__(self, state_dim: int, obs_dim: int, window: int = 10,
@@ -244,6 +237,31 @@ class VbNoiseAdapter:
         self.T = np.zeros((state_dim, state_dim))
         self.measurement: dict[str, tuple[float, np.ndarray]] = {}
         self._obs_dim = obs_dim
+        # No-reset filtered mean, and the transition and predict-step count
+        # pending since the last correction.
+        self._frame_mean = np.zeros(state_dim)
+        self._trans = np.eye(state_dim)
+        self._steps = 0.0
+
+    def advance(self, trans: np.ndarray, steps: float) -> None:
+        """Fold one predict step (transition ``trans``, ``steps`` nominal steps) in."""
+        self._frame_mean = trans @ self._frame_mean
+        self._trans = trans @ self._trans
+        self._steps += steps
+
+    def correct(self, sensor_id: str, time: float, record: InnovationRecord,
+                delta: np.ndarray) -> None:
+        """Push the snapshot of a correction that moved the error mean by ``delta``."""
+        prior = self._frame_mean
+        self._frame_mean = prior + delta
+        self.push(WindowSnapshot(
+            time=time, state=self._frame_mean, prior_mean=prior,
+            cov=record.cov_post, transition=self._trans,
+            obs_jacobian=record.obs_jacobian, residual=record.residual,
+            weights=record.weights, cov_pred=record.cov_pred, steps=self._steps,
+            sensor_id=sensor_id))
+        self._trans = np.eye(self._trans.shape[0])
+        self._steps = 0.0
 
     def push(self, snapshot: WindowSnapshot) -> None:
         self.window.push(snapshot)
@@ -273,12 +291,7 @@ class VbNoiseAdapter:
             self.T = rho * self.T + o_sum
 
         noise_by_sensor: dict[str, np.ndarray] = {}
-        seen: list[str] = []
-        for snap in self.window.snapshots:
-            if snap.sensor_id not in seen:
-                seen.append(snap.sensor_id)
-        for sensor_id in seen:
-            m_sum, m_count = measurement_statistic(self.window, smoothed, sensor_id)
+        for sensor_id, (m_sum, m_count) in measurement_statistic(self.window, smoothed).items():
             b_prev, big_b_prev = self.measurement.get(
                 sensor_id, (0.0, np.zeros((self._obs_dim, self._obs_dim))))
             b = rho * b_prev + m_count

@@ -14,6 +14,7 @@ with command-line flags taking precedence.  Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import typing
@@ -183,7 +184,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         vel = f"{m.rmse_velocity_total:.4f}" if m.rmse_velocity_total is not None else "n/a"
         nees = f"{m.nees_mean:.2f}" if m.nees_mean is not None else "n/a"
         print(f"{variant:<12}{pos:>12}{vel:>12}{nees:>10}{sum(m.dropped.values()):>9}")
-        summary[variant] = m.to_dict(include_timing=False)
+        summary[variant] = dataclasses.asdict(m)
     if config.out:
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -25,7 +25,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import DataError
-from .eskf import Event, ImuSample, OdometrySample
+from .eskf import TIME_TOLERANCE, Event, ImuSample, OdometrySample
 from .sim import TruthTrajectory
 
 log = logging.getLogger(__name__)
@@ -33,8 +33,6 @@ log = logging.getLogger(__name__)
 EVENT_HEADER = ["time_s", "kind", "sensor_id",
                 "d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8"]
 TRUTH_HEADER = ["time_s", "px", "py", "pz", "qw", "qx", "qy", "qz", "vx", "vy", "vz"]
-
-TIME_TOLERANCE = 1e-3
 
 
 def _fmt(x: float) -> str:
@@ -75,9 +73,10 @@ def _parse_floats(cells: list[str], row_num: int) -> list[float]:
 def ingest_dataset(path: Union[str, Path]) -> list[Event]:
     """Read an event stream, validating schema and time ordering.
 
-    Raises DataError for a missing file, bad header, malformed rows, or
-    timestamps that run backwards by more than the 1 ms tolerance.  An
-    empty body yields an empty stream with a warning.
+    Raises DataError for a missing file, bad header, malformed rows,
+    non-finite timestamps, or timestamps that run backwards by more than
+    the 1 ms tolerance.  An empty body yields an empty stream with a
+    warning.
     """
     path = Path(path)
     if not path.exists():
@@ -99,6 +98,8 @@ def ingest_dataset(path: Union[str, Path]) -> list[Event]:
                 raise DataError(f"row {row_num} has {len(row)} fields, expected "
                                 f"{len(EVENT_HEADER)}")
             time = _parse_floats(row[0:1], row_num)[0]
+            if not math.isfinite(time):
+                raise DataError(f"non-finite timestamp on row {row_num}: {time}")
             if time < last_time - TIME_TOLERANCE:
                 raise DataError(
                     f"timestamps run backwards at row {row_num}: {time} after {last_time}")
@@ -140,6 +141,7 @@ def write_truth(path: Union[str, Path], truth: TruthTrajectory) -> None:
 
 
 def read_truth(path: Union[str, Path]) -> TruthTrajectory:
+    """Read a truth file; raises DataError unless it holds at least two rows."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"truth file not found: {path}")
@@ -158,7 +160,9 @@ def read_truth(path: Union[str, Path]) -> TruthTrajectory:
             orientations.append(vals[4:8])
             velocities.append(vals[8:11])
     n = len(times)
+    if n < 2:
+        raise DataError(f"truth file {path} has {n} data rows, at least two are needed")
     return TruthTrajectory(
         times=np.array(times), positions=np.array(positions),
         velocities=np.array(velocities), orientations=np.array(orientations),
-        accel_body=np.zeros((max(n - 1, 0), 3)), gyro_body=np.zeros((max(n - 1, 0), 3)))
+        accel_body=np.zeros((n - 1, 3)), gyro_body=np.zeros((n - 1, 3)))

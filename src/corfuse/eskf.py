@@ -22,6 +22,7 @@ thread in timestamp order.
 from __future__ import annotations
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -34,7 +35,6 @@ from .errors import AdaptationNotReady, MeasurementRejected
 from .filter_core import (
     GaussianBelief,
     InnovationRecord,
-    WindowSnapshot,
     kf_update,
     mcckf_update,
     predict,
@@ -58,6 +58,9 @@ log = logging.getLogger(__name__)
 GRAVITY = np.array([0.0, 0.0, -9.81])
 STATE_DIM = 9
 OBS_DIM = 9
+# Seconds an event may lag the filter clock and still be fused (without
+# propagation); larger lags are dropped as out of order.
+TIME_TOLERANCE = 1e-3
 
 VARIANTS = ("ekf", "akf", "mcckf", "r-amcckf", "vb-amcckf")
 _KERNEL_VARIANTS = ("mcckf", "r-amcckf", "vb-amcckf")
@@ -101,8 +104,7 @@ class OdometrySample:
 Event = Union[ImuSample, OdometrySample]
 
 
-def propagate_nominal(state: NominalState, imu: ImuSample, dt: float,
-                      gravity: np.ndarray = GRAVITY) -> NominalState:
+def propagate_nominal(state: NominalState, imu: ImuSample, dt: float) -> NominalState:
     """First-order nominal propagation over one IMU interval.
 
         p += v dt
@@ -113,7 +115,7 @@ def propagate_nominal(state: NominalState, imu: ImuSample, dt: float,
         raise MeasurementRejected("non-finite IMU sample")
     rot = quat_to_rotmat(state.orientation)
     position = state.position + state.velocity * dt
-    velocity = state.velocity + (rot @ imu.accel + gravity) * dt
+    velocity = state.velocity + (rot @ imu.accel + GRAVITY) * dt
     orientation = quat_normalize(
         quat_multiply(state.orientation, quat_from_rotvec(imu.gyro * dt)))
     return NominalState(position, velocity, orientation, state.time + dt)
@@ -179,7 +181,6 @@ class EngineConfig:
     """Tunables for a fusion run.  Defaults mirror the intended field setup."""
 
     variant: str = "vb-amcckf"
-    gravity: np.ndarray = field(default_factory=lambda: GRAVITY.copy())
     process_noise: np.ndarray = field(
         default_factory=lambda: 1e-5 * np.eye(STATE_DIM))
     window: int = 10
@@ -196,7 +197,6 @@ class EngineConfig:
     sigma_max: float = 1e6
     adapt_q: bool = True
     q_sensor: Optional[str] = None
-    time_tolerance: float = 1e-3
     self_check: bool = False
 
 
@@ -272,8 +272,6 @@ class FusionEngine:
         self._belief: Optional[GaussianBelief] = None
         self._last_imu: Optional[ImuSample] = None
         self._imu_period: Optional[float] = None
-        self._trans_acc = np.eye(STATE_DIM)
-        self._steps_acc = 0.0
         # Predict steps between consecutive corrections from q_sensor, which
         # spread the residual scheme's per-interval Q back over single steps.
         self._q_steps = 0.0
@@ -293,11 +291,6 @@ class FusionEngine:
         assert self._belief is not None, "engine not initialized"
         return self._belief.cov
 
-    @property
-    def error_mean(self) -> np.ndarray:
-        assert self._belief is not None, "engine not initialized"
-        return self._belief.mean
-
     def measurement_noise(self, sensor_id: str) -> np.ndarray:
         return self._sensors[sensor_id].noise
 
@@ -312,11 +305,6 @@ class FusionEngine:
                    if np.isscalar(cov) else np.asarray(cov, dtype=float).copy())
         self._nominal = state.copy()
         self._belief = GaussianBelief(np.zeros(STATE_DIM), cov_mat, state.time)
-        # Running no-reset filtered mean shared by the smoother window: the
-        # error-state mean that a filter without injection/reset would carry.
-        self._frame_mean = np.zeros(STATE_DIM)
-        self._trans_acc = np.eye(STATE_DIM)
-        self._steps_acc = 0.0
 
     def process(self, event: Event) -> Optional[CorrectionResult]:
         """Advance the filter by one event; odometry returns a correction record."""
@@ -334,19 +322,19 @@ class FusionEngine:
         scale = dt / self._imu_period if self._imu_period else 1.0
         trans = error_transition(self._nominal, imu, dt)
         self._belief = predict(self._belief, trans, self.process_noise * scale, dt)
-        self._nominal = propagate_nominal(self._nominal, imu, dt, self.config.gravity)
-        self._frame_mean = trans @ self._frame_mean
-        self._trans_acc = trans @ self._trans_acc
-        self._steps_acc += scale
+        self._nominal = propagate_nominal(self._nominal, imu, dt)
+        if self._vb_adapter is not None:
+            self._vb_adapter.advance(trans, scale)
         self._q_steps += scale
 
     def _handle_imu(self, sample: ImuSample) -> None:
-        if not (np.all(np.isfinite(sample.accel)) and np.all(np.isfinite(sample.gyro))):
+        if not (math.isfinite(sample.time) and np.all(np.isfinite(sample.accel))
+                and np.all(np.isfinite(sample.gyro))):
             self.dropped["non_finite"] += 1
             log.warning("dropped non-finite IMU sample at t=%.6f", sample.time)
             return None
         dt = sample.time - self._belief.time
-        if dt < -self.config.time_tolerance:
+        if dt < -TIME_TOLERANCE:
             self.dropped["out_of_order"] += 1
             log.warning("dropped out-of-order IMU sample at t=%.6f", sample.time)
             return None
@@ -362,7 +350,8 @@ class FusionEngine:
     def _handle_odometry(self, sample: OdometrySample) -> Optional[CorrectionResult]:
         if sample.sensor_id not in self._sensors:
             raise ValueError(f"unknown sensor id '{sample.sensor_id}'")
-        finite = (np.all(np.isfinite(sample.position))
+        finite = (math.isfinite(sample.time)
+                  and np.all(np.isfinite(sample.position))
                   and np.all(np.isfinite(sample.orientation))
                   and np.all(np.isfinite(sample.velocity)))
         if not finite:
@@ -371,7 +360,7 @@ class FusionEngine:
                         sample.sensor_id, sample.time)
             return None
         dt = sample.time - self._belief.time
-        if dt < -self.config.time_tolerance:
+        if dt < -TIME_TOLERANCE:
             self.dropped["out_of_order"] += 1
             log.warning("dropped out-of-order odometry from '%s' at t=%.6f",
                         sample.sensor_id, sample.time)
@@ -397,27 +386,19 @@ class FusionEngine:
         delta = posterior.mean
         self._nominal = inject_and_reset(self._nominal, delta)
         self._belief = GaussianBelief(np.zeros(STATE_DIM), posterior.cov, sample.time)
-        prior_frame = self._frame_mean
-        self._frame_mean = prior_frame + delta
 
         identity_dev: Optional[float] = None
         if self.config.self_check and not self._uses_kernel:
             identity_dev = check_identity_gamma(record, noise_used)
             self.identity_deviation_max = max(self.identity_deviation_max, identity_dev)
 
-        snapshot = WindowSnapshot(
-            time=sample.time, state=self._frame_mean.copy(), prior_mean=prior_frame,
-            cov=record.cov_post, transition=self._trans_acc, obs_jacobian=obs_jac,
-            residual=record.residual, weights=record.weights,
-            cov_pred=record.cov_pred, steps=self._steps_acc, sensor_id=sample.sensor_id,
-        )
-        self._trans_acc = np.eye(STATE_DIM)
-        self._steps_acc = 0.0
         if sample.sensor_id == self.q_sensor:
             self._q_intervals.append(max(self._q_steps, 1.0))
             self._q_steps = 0.0
+        if self._vb_adapter is not None:
+            self._vb_adapter.correct(sample.sensor_id, sample.time, record, delta)
 
-        self._refresh_noise(sample.sensor_id, sensor, snapshot, record)
+        self._refresh_noise(sample.sensor_id, sensor, record)
 
         return CorrectionResult(
             sensor_id=sample.sensor_id, time=sample.time, record=record,
@@ -427,11 +408,10 @@ class FusionEngine:
         )
 
     def _refresh_noise(self, sensor_id: str, sensor: _SensorState,
-                       snapshot: WindowSnapshot, record: InnovationRecord) -> None:
+                       record: InnovationRecord) -> None:
         if self._scheme is None:
             return
-        if self._scheme == "vb":
-            self._vb_adapter.push(snapshot)
+        if self._vb_adapter is not None:
             try:
                 q_interval, mean_steps, noise_by_sensor = self._vb_adapter.refresh()
             except AdaptationNotReady:

@@ -143,7 +143,7 @@ def build_engine(config: RunConfig, sensor_ids: list[str]) -> FusionEngine:
 
 @dataclass
 class MetricsReport:
-    """Aggregated accuracy, consistency, adaptation, and timing figures."""
+    """Aggregated accuracy, consistency, and adaptation figures."""
 
     variant: str
     seed: int
@@ -159,15 +159,6 @@ class MetricsReport:
     r_trace: dict[str, list[float]] = field(default_factory=dict)
     kb_inverse: dict[str, list[float]] = field(default_factory=dict)
     dropped: dict[str, int] = field(default_factory=dict)
-    timing_ns: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = dataclasses.asdict(self)
-        if not include_timing:
-            # Wall-clock figures vary run to run; keeping them out of the
-            # metrics file makes repeated runs bitwise identical.
-            del out["timing_ns"]
-        return out
 
 
 @dataclass
@@ -283,19 +274,13 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
         metrics.nees_mean = float(np.mean(nees_vals))
 
     metrics.dropped = dict(engine.dropped)
-    metrics.timing_ns = {
-        "mean": float(np.mean(timings)) if len(timings) else 0.0,
-        "min": float(np.min(timings)) if len(timings) else 0.0,
-        "max": float(np.max(timings)) if len(timings) else 0.0,
-        "std": float(np.std(timings)) if len(timings) else 0.0,
-    }
 
     if config.out:
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_estimates(out_dir / "estimates.csv", estimates)
         with open(out_dir / "metrics.json", "w") as fh:
-            json.dump(metrics.to_dict(include_timing=False), fh, indent=2, sort_keys=True)
+            json.dump(dataclasses.asdict(metrics), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     return ExperimentResult(config=config, metrics=metrics, estimates=estimates,

@@ -83,31 +83,6 @@ class InnovationRecord:
     regularized: bool = False
 
 
-@dataclass
-class WindowSnapshot:
-    """Per-correction record buffered by the sliding-window smoothers.
-
-    ``state`` and ``prior_mean`` are the filtered mean after and before the
-    correction, expressed in one shared frame across the whole window (for
-    an error-state filter with resets the caller reconstructs the no-reset
-    sequence).  ``transition`` is the composed dynamics between this
-    snapshot and the previous one in the window; ``steps`` counts how many
-    predict steps that interval contained.
-    """
-
-    time: float
-    state: np.ndarray               # filtered mean after the correction
-    prior_mean: np.ndarray          # filtered mean just before the correction
-    cov: np.ndarray                 # posterior covariance
-    transition: np.ndarray
-    obs_jacobian: np.ndarray
-    residual: np.ndarray
-    weights: CorrentropyWeights
-    cov_pred: np.ndarray
-    steps: float = 1.0
-    sensor_id: str = ""
-
-
 def predict(belief: GaussianBelief, trans: np.ndarray, noise: np.ndarray,
             dt: float) -> GaussianBelief:
     """Propagate a belief over ``dt`` through the transition ``trans``.

@@ -206,7 +206,7 @@ _TRAJECTORIES = {
 }
 
 
-def generate_truth(spec: ScenarioSpec, gravity: np.ndarray = GRAVITY) -> TruthTrajectory:
+def generate_truth(spec: ScenarioSpec) -> TruthTrajectory:
     """Evaluate the scenario's analytic trajectory on the IMU grid."""
     if spec.kind not in _TRAJECTORIES:
         raise ValueError(
@@ -227,7 +227,7 @@ def generate_truth(spec: ScenarioSpec, gravity: np.ndarray = GRAVITY) -> TruthTr
         delta = quat_multiply(quat_conjugate(q_prev), orientations[k + 1])
         gyro_body[k] = quat_to_rotvec(delta) / dt
         mid_acc = traj.acc(times[k] + 0.5 * dt)
-        accel_body[k] = quat_to_rotmat(q_prev).T @ (mid_acc - gravity)
+        accel_body[k] = quat_to_rotmat(q_prev).T @ (mid_acc - GRAVITY)
     return TruthTrajectory(times, positions, velocities, orientations,
                            accel_body, gyro_body)
 

@@ -15,15 +15,14 @@ from corfuse.adapt_residual import (ResidualNoiseAdapter, ResidualWindow,
                                     check_identity_gamma,
                                     estimate_measurement_noise,
                                     gamma_residual)
-from corfuse.adapt_vb import (SmootherWindow, VbNoiseAdapter,
-                              WishartNoiseState, backward_smooth,
-                              measurement_statistic, wishart_update)
+from corfuse.adapt_vb import (SmootherWindow, VbNoiseAdapter, WindowSnapshot,
+                              backward_smooth, measurement_statistic)
 from corfuse.errors import AdaptationNotReady
 from corfuse.eskf import (EngineConfig, FusionEngine, ImuSample, NominalState,
                           OdometrySample, propagate_nominal, error_transition)
 from corfuse.experiments import RunConfig, run_experiment
 from corfuse.filter_core import (CorrentropyWeights, GaussianBelief,
-                                 WindowSnapshot, kf_update, mcckf_update)
+                                 kf_update, mcckf_update)
 from corfuse.kernel_bandwidth import adapt_bandwidth
 from corfuse.sim import (NoiseSpec, ScenarioSpec, SensorSpec, generate_truth,
                          sample_sensors)
@@ -188,14 +187,22 @@ def test_acceptance_04_scalar_noise_identification_converges():
 
 
 def test_acceptance_05_dof_recursion_fixed_point():
-    state = WishartNoiseState.initial(1, 1)
-    zero = np.zeros((1, 1))
+    # 11 snapshots one predict step apart: every refresh covers 10 transitions.
+    adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=10, forgetting=0.97)
+    belief = GaussianBelief(np.zeros(1), np.eye(1), 0.0)
+    for k in range(11):
+        if k:
+            adapter.advance(np.eye(1), 1.0)
+        posterior, record = kf_update(belief, np.array([0.1 * k]), np.eye(1),
+                                      np.eye(1), sensor_id="z")
+        adapter.correct("z", float(k), record, posterior.mean)
+        belief = GaussianBelief(np.zeros(1), posterior.cov + 0.1, float(k + 1))
     for _ in range(500):
-        state = wishart_update(state, zero, zero, rho=0.97, count=10)
-    deviation = abs(state.t - 333.33)
+        adapter.refresh()
+    deviation = abs(adapter.t - 333.33)
     ok = deviation <= 0.01
     report("dof-fixed-point", ok,
-           f"t = {state.t:.5f} after 500 updates, |t - 333.33| = {deviation:.5f}")
+           f"t = {adapter.t:.5f} after 500 updates, |t - 333.33| = {deviation:.5f}")
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +463,7 @@ def test_acceptance_10_unit_weight_reductions_are_exact():
             residual=record.residual, weights=record.weights,
             cov_pred=record.cov_pred, steps=1.0, sensor_id="z"))
     smoothed = backward_smooth(window)
-    ours_sum, count = measurement_statistic(window, smoothed, "z")
+    ours_sum, count = measurement_statistic(window, smoothed)["z"]
     total = np.zeros((1, 1))
     for j, snap in enumerate(window.snapshots):
         h_j = snap.obs_jacobian

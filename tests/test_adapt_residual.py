@@ -93,17 +93,6 @@ def test_process_estimate_is_psd_and_uses_newest_gain():
     assert np.allclose(np.triu(process, 1), np.triu(expected, 1), atol=1e-12)
 
 
-def test_process_estimate_diagonal_option():
-    window = ResidualWindow(length=3)
-    rng = np.random.default_rng(4)
-    window.push(make_record(rng.standard_normal(3), rng.standard_normal(3),
-                            np.eye(3), np.eye(3), gain=rng.standard_normal((3, 3))))
-    process = estimate_process_noise(gamma_innovation(window), window,
-                                     diagonal_only=True)
-    off = process - np.diag(np.diag(process))
-    assert np.all(off == 0.0)
-
-
 def test_empty_window_raises_everywhere():
     window = ResidualWindow(length=2)
     with pytest.raises(AdaptationNotReady):

@@ -1,4 +1,4 @@
-"""Sliding-window smoother and inverse-Wishart noise recursions.
+"""Sliding-window smoother, noise recursions and the no-reset frame.
 
 The backward pass and both window statistics are checked against a fully
 hand-computed three-step scalar filter, then against Monte Carlo
@@ -9,12 +9,11 @@ must average to the true noise values.
 import numpy as np
 import pytest
 
-from corfuse.adapt_vb import (SmootherWindow, VbNoiseAdapter,
-                              WishartNoiseState, backward_smooth,
-                              extract_noise, measurement_statistic,
-                              process_statistic, wishart_update)
+from corfuse.adapt_vb import (SmootherWindow, VbNoiseAdapter, WindowSnapshot,
+                              backward_smooth, measurement_statistic,
+                              process_statistic)
 from corfuse.errors import AdaptationNotReady
-from corfuse.filter_core import CorrentropyWeights, WindowSnapshot
+from corfuse.filter_core import CorrentropyWeights, InnovationRecord
 
 UNIT = CorrentropyWeights(unweighted=np.array([1.0]), weighted=np.array([1.0]))
 
@@ -62,7 +61,7 @@ def test_process_statistic_matches_hand_computation():
 
 def test_measurement_statistic_matches_hand_computation():
     window = hand_filtered_window()
-    total, count = measurement_statistic(window, backward_smooth(window), "s")
+    total, count = measurement_statistic(window, backward_smooth(window))["s"]
     assert count == 3
     assert total[0, 0] == pytest.approx(1.671875)
 
@@ -119,11 +118,13 @@ def test_measurement_statistic_filters_by_sensor():
     window.push(scalar_snapshot(0.0, 0.5, 0.0, 0.5, 1.0, residual=0.5, sensor="a"))
     window.push(scalar_snapshot(1.0, 0.25, 0.5, 0.5, 1.0, residual=-0.25, sensor="b"))
     window.push(scalar_snapshot(2.0, 0.25, 0.25, 0.5, 1.0, residual=0.0, sensor="a"))
-    smoothed = backward_smooth(window)
-    _, count_a = measurement_statistic(window, smoothed, "a")
-    _, count_b = measurement_statistic(window, smoothed, "b")
-    _, count_all = measurement_statistic(window, smoothed, None)
-    assert (count_a, count_b, count_all) == (2, 1, 3)
+    by_sensor = measurement_statistic(window, backward_smooth(window))
+    assert list(by_sensor) == ["a", "b"]  # order of first appearance
+    assert [count for _, count in by_sensor.values()] == [2, 1]
+    # the same snapshots under one sensor id give the summed statistic
+    merged = hand_filtered_window()
+    total, _ = measurement_statistic(merged, backward_smooth(merged))["s"]
+    assert by_sensor["a"][0][0, 0] + by_sensor["b"][0][0, 0] == pytest.approx(total[0, 0])
 
 
 def test_suppressed_channel_contributes_only_covariance_floor():
@@ -133,7 +134,7 @@ def test_suppressed_channel_contributes_only_covariance_floor():
     window.push(scalar_snapshot(0.0, 0.5, 0.0, 0.5, 1.0, residual=7.0,
                                 weights=weights))
     smoothed = backward_smooth(window)
-    total, count = measurement_statistic(window, smoothed, "s")
+    total, count = measurement_statistic(window, smoothed)["s"]
     assert count == 1
     assert total[0, 0] == pytest.approx(0.5)  # H P H^T alone, residual gated
 
@@ -164,7 +165,7 @@ def test_statistics_average_to_true_noise_on_matched_filter():
         window = run_matched_scalar_filter(rng, 60, q_true, r_true)
         smoothed = backward_smooth(window)
         o_sum, o_count = process_statistic(window, smoothed)
-        m_sum, m_count = measurement_statistic(window, smoothed, "s")
+        m_sum, m_count = measurement_statistic(window, smoothed)["s"]
         o_vals.append(o_sum[0, 0] / o_count)
         m_vals.append(m_sum[0, 0] / m_count)
     assert np.mean(o_vals) == pytest.approx(q_true, rel=0.05)
@@ -175,39 +176,85 @@ def test_statistics_average_to_true_noise_on_matched_filter():
 # hyperparameter recursions
 
 
-def test_wishart_update_accumulates_and_discounts():
-    state = WishartNoiseState.initial(1, 1)
-    state = wishart_update(state, np.array([[2.0]]), np.array([[6.0]]),
-                           rho=0.5, count=2)
-    state = wishart_update(state, np.array([[4.0]]), np.array([[2.0]]),
-                           rho=0.5, count=2)
-    assert state.t == pytest.approx(3.0)       # 0.5 * 2 + 2
-    assert state.T[0, 0] == pytest.approx(5.0)  # 0.5 * 2 + 4
-    assert state.b == pytest.approx(3.0)
-    assert state.B[0, 0] == pytest.approx(5.0)  # 0.5 * 6 + 2
+def full_window_adapter(window, forgetting):
+    """Adapter holding ``window + 1`` snapshots, so ``window`` real transitions."""
+    adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=window,
+                             forgetting=forgetting)
+    for k in range(window + 1):
+        adapter.push(scalar_snapshot(float(k), 0.1 * k, 0.1 * k - 0.05, 0.5, 1.0,
+                                     residual=0.2 * (-1) ** k))
+    return adapter
+
+
+def test_adapter_accumulates_and_discounts():
+    n = 4
+    adapter = full_window_adapter(n, forgetting=0.5)
+    smoothed = backward_smooth(adapter.window)
+    o_sum, o_count = process_statistic(adapter.window, smoothed)
+    m_sum, m_count = measurement_statistic(adapter.window, smoothed)["s"]
+    assert (o_count, m_count) == (n, n + 1)
+    adapter.refresh()
+    q, _, by_sensor = adapter.refresh()
+    assert adapter.t == pytest.approx(0.5 * n + n)
+    assert adapter.T[0, 0] == pytest.approx(0.5 * o_sum[0, 0] + o_sum[0, 0])
+    b, big_b = adapter.measurement["s"]
+    assert b == pytest.approx(0.5 * (n + 1) + (n + 1))
+    assert big_b[0, 0] == pytest.approx(0.5 * m_sum[0, 0] + m_sum[0, 0])
+    # point estimates Q = T / t and R = B / b
+    assert q[0, 0] == pytest.approx(adapter.T[0, 0] / adapter.t)
+    assert by_sensor["s"][0, 0] == pytest.approx(big_b[0, 0] / b)
 
 
 def test_degrees_of_freedom_converge_to_geometric_limit():
-    rho, count = 0.97, 10
-    state = WishartNoiseState.initial(2, 2)
+    rho, n = 0.97, 10
+    adapter = full_window_adapter(n, forgetting=rho)
+    o_sum, _ = process_statistic(adapter.window, backward_smooth(adapter.window))
     for _ in range(500):
-        state = wishart_update(state, np.eye(2), np.eye(2), rho, count)
-    limit = count / (1.0 - rho)
-    assert state.t == pytest.approx(limit, abs=0.01)
-    assert state.b == pytest.approx(limit, abs=0.01)
-    # scale matrices converge to S / (1 - rho) for a constant summand
-    np.testing.assert_allclose(state.T, np.eye(2) / (1.0 - rho), atol=0.04)
+        adapter.refresh()
+    assert adapter.t == pytest.approx(n / (1.0 - rho), abs=0.01)
+    b, _ = adapter.measurement["s"]
+    assert b == pytest.approx((n + 1) / (1.0 - rho), abs=0.01)
+    # the scale matrix converges to O / (1 - rho) for a constant summand
+    np.testing.assert_allclose(adapter.T, o_sum / (1.0 - rho), rtol=1e-6)
 
 
-def test_extract_noise_point_estimates_and_guard():
-    fresh = WishartNoiseState.initial(1, 1)
-    with pytest.raises(AdaptationNotReady):
-        extract_noise(fresh)
-    state = WishartNoiseState(t=4.0, T=np.array([[2.0]]),
-                              b=8.0, B=np.array([[4.0]]))
-    q, r = extract_noise(state)
-    assert q[0, 0] == pytest.approx(0.5)
-    assert r[0, 0] == pytest.approx(0.5)
+# ---------------------------------------------------------------------------
+# no-reset frame
+
+
+def scalar_record(residual=0.0):
+    return InnovationRecord(
+        time=0.0, innovation=np.array([residual]), residual=np.array([residual]),
+        obs_jacobian=np.eye(1), cov_pred=np.eye(1), cov_post=0.5 * np.eye(1),
+        gain=0.5 * np.eye(1), weights=UNIT)
+
+
+def test_adapter_keeps_the_no_reset_frame_between_corrections():
+    """Scalar frame worked by hand: corrections add, transitions compose."""
+    adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
+    record = scalar_record(residual=0.3)
+    adapter.correct("a", 0.0, record, np.array([1.0]))
+    first = adapter.window.snapshots[-1]
+    assert (first.prior_mean[0], first.state[0]) == (0.0, 1.0)
+    assert (first.transition[0, 0], first.steps) == (1.0, 0.0)
+
+    adapter.advance(np.array([[2.0]]), 1.0)
+    adapter.advance(np.array([[2.0]]), 1.0)
+    adapter.correct("b", 1.0, record, np.array([0.5]))
+    second = adapter.window.snapshots[-1]
+    assert second.prior_mean[0] == 4.0
+    assert second.transition[0, 0] == 4.0
+    assert second.steps == 2.0
+    assert second.state[0] == 4.5
+    assert (second.time, second.sensor_id) == (1.0, "b")
+    assert second.residual is record.residual and second.cov is record.cov_post
+    assert second.cov_pred is record.cov_pred and second.weights is record.weights
+
+    # the pending transition and step count restart after each correction
+    adapter.correct("b", 1.0, record, np.array([0.0]))
+    third = adapter.window.snapshots[-1]
+    assert (third.transition[0, 0], third.steps) == (1.0, 0.0)
+    assert third.prior_mean[0] == third.state[0] == 4.5
 
 
 # ---------------------------------------------------------------------------

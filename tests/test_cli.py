@@ -1,10 +1,15 @@
 """Command-line interface: config parsing, subcommands, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import pytest
 
+import corfuse
 from corfuse.cli import _coerce, build_run_config, load_config_file, main
 from corfuse.errors import ConfigError
 from corfuse.experiments import RunConfig
@@ -144,6 +149,21 @@ def test_exit_code_3_on_data_problems(tmp_path, capsys):
     assert main(["fuse", "--dataset", str(mangled)]) == 3
 
 
+def test_exit_code_3_on_truth_files_shorter_than_two_rows(tmp_path, capsys):
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", "hover", "--seed", "1",
+                 "--out", str(sim_out), "--set", "duration=1.0",
+                 "--set", "sensors=1"]) == 0
+    lines = (sim_out / "truth.csv").read_text().splitlines(keepends=True)
+    for rows in (0, 1):
+        short = tmp_path / f"truth_{rows}.csv"
+        short.write_text("".join(lines[:1 + rows]))
+        capsys.readouterr()
+        assert main(["fuse", "--dataset", str(sim_out / "dataset.csv"),
+                     "--truth", str(short), "--filter", "ekf"]) == 3
+        assert "at least two" in capsys.readouterr().err
+
+
 def test_compare_writes_summary_json(tmp_path, capsys):
     out = tmp_path / "cmp"
     rc = main(["compare", "--scenario", "hover", "--seed", "2",
@@ -187,10 +207,12 @@ def test_simulate_outputs_are_deterministic(tmp_path):
 
 
 def test_module_entry_point_runs():
-    import subprocess
-    import sys
-
+    # The child imports the same corfuse package as this test, installed or not.
+    package_root = str(Path(corfuse.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root, inherited] if inherited else [package_root]))
     proc = subprocess.run([sys.executable, "-m", "corfuse", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "bench" in proc.stdout

@@ -266,6 +266,23 @@ def test_engine_drops_bad_events_and_counts_them():
                                       np.array([1.0, 0, 0, 0]), np.zeros(3), 0.04))
 
 
+def test_engine_drops_non_finite_timestamps_and_counts_them():
+    engine = FusionEngine(EngineConfig(variant="ekf"), {"odo0": 0.01})
+    engine.initialize(make_state())
+    engine.process(hover_imu(0.01))
+    for time in (np.nan, np.inf):
+        assert engine.process(OdometrySample(
+            "odo0", np.zeros(3), np.array([1.0, 0, 0, 0]), np.zeros(3), time)) is None
+        assert engine.process(hover_imu(time)) is None
+    assert engine.dropped == {"out_of_order": 0, "non_finite": 4}
+    # the clock is untouched, so later events still propagate the filter
+    engine.process(hover_imu(0.02))
+    assert engine.state.time == pytest.approx(0.02)
+    result = engine.process(OdometrySample(
+        "odo0", np.zeros(3), np.array([1.0, 0, 0, 0]), np.zeros(3), 0.03))
+    assert result is not None and result.time == 0.03
+
+
 def test_engine_scalar_noise_becomes_diagonal_matrix():
     engine = FusionEngine(EngineConfig(variant="ekf"), {"odo0": 0.04})
     np.testing.assert_allclose(engine.measurement_noise("odo0"),

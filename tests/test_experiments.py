@@ -233,6 +233,14 @@ def test_ingest_rejects_malformed_files(tmp_path):
     with pytest.raises(DataError, match="backwards"):
         dataset_io.ingest_dataset(backwards)
 
+    for name in ("nan", "inf"):
+        non_finite = tmp_path / f"{name}_time.csv"
+        non_finite.write_text(header + "\n"
+                              "0.1,imu,imu,0,0,0,0,0,0,,,\n"
+                              f"{name},imu,imu,0,0,0,0,0,0,,,\n")
+        with pytest.raises(DataError, match="non-finite timestamp on row 3"):
+            dataset_io.ingest_dataset(non_finite)
+
     bad_quat = tmp_path / "bad_quat.csv"
     bad_quat.write_text(header + "\n0.1,odom,odo0,0,0,0,1.5,0,0,0,0,0\n")
     with pytest.raises(DataError, match="quaternion"):
