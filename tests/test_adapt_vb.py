@@ -186,7 +186,7 @@ def full_window_adapter(window, forgetting):
     return adapter
 
 
-def test_adapter_accumulates_and_discounts():
+def test_wishart_update_accumulates_and_discounts():
     n = 4
     adapter = full_window_adapter(n, forgetting=0.5)
     smoothed = backward_smooth(adapter.window)
@@ -194,13 +194,23 @@ def test_adapter_accumulates_and_discounts():
     m_sum, m_count = measurement_statistic(adapter.window, smoothed)["s"]
     assert (o_count, m_count) == (n, n + 1)
     adapter.refresh()
-    q, _, by_sensor = adapter.refresh()
+    adapter.refresh()
     assert adapter.t == pytest.approx(0.5 * n + n)
     assert adapter.T[0, 0] == pytest.approx(0.5 * o_sum[0, 0] + o_sum[0, 0])
     b, big_b = adapter.measurement["s"]
     assert b == pytest.approx(0.5 * (n + 1) + (n + 1))
     assert big_b[0, 0] == pytest.approx(0.5 * m_sum[0, 0] + m_sum[0, 0])
+
+
+def test_extract_noise_point_estimates_and_guard():
+    fresh = VbNoiseAdapter(state_dim=1, obs_dim=1, window=4)
+    with pytest.raises(AdaptationNotReady):
+        fresh.refresh()
+    adapter = full_window_adapter(4, forgetting=0.5)
+    adapter.refresh()
+    q, _, by_sensor = adapter.refresh()
     # point estimates Q = T / t and R = B / b
+    b, big_b = adapter.measurement["s"]
     assert q[0, 0] == pytest.approx(adapter.T[0, 0] / adapter.t)
     assert by_sensor["s"][0, 0] == pytest.approx(big_b[0, 0] / b)
 
