@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import typing
 from pathlib import Path
@@ -30,6 +29,7 @@ from .experiments import (
     build_scenario,
     compare,
     run_experiment,
+    write_json,
 )
 from .sim import generate_truth, sample_sensors
 
@@ -168,13 +168,18 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    variants = [v.strip() for v in args.filters.split(",") if v.strip()]
+def _variants(text: str) -> list[str]:
+    """Parse a comma-separated variant list, rejecting unknown names."""
+    variants = [v.strip() for v in text.split(",") if v.strip()]
     for variant in variants:
         if variant not in VARIANTS:
             raise ConfigError(f"unknown filter variant '{variant}'")
-    results = compare(config, variants)
+    return variants
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    config = _config_from_args(args)
+    results = compare(config, _variants(args.filters))
     header = f"{'variant':<12}{'rmse_pos':>12}{'rmse_vel':>12}{'nees':>10}{'dropped':>9}"
     print(header)
     summary = {}
@@ -186,20 +191,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(f"{variant:<12}{pos:>12}{vel:>12}{nees:>10}{sum(m.dropped.values()):>9}")
         summary[variant] = dataclasses.asdict(m)
     if config.out:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "comparison.json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(Path(config.out) / "comparison.json", summary)
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    variants = [v.strip() for v in args.filters.split(",") if v.strip()]
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown filter variant '{variant}'")
+    variants = _variants(args.filters)
     windows = [int(w) for w in args.windows.split(",") if w.strip()]
     rows = bench(config, variants, windows, repeats=args.repeats)
     print(f"{'variant':<12}{'window':>7}{'repeat':>7}{'mean_us':>10}{'max_us':>10}")
@@ -207,11 +205,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"{row['variant']:<12}{row['window']:>7}{row['repeat']:>7}"
               f"{row['mean_ns'] / 1e3:>10.1f}{row['max_ns'] / 1e3:>10.1f}")
     if config.out:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "bench.json", "w") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(Path(config.out) / "bench.json", rows)
     return 0
 
 

@@ -141,7 +141,7 @@ def write_truth(path: Union[str, Path], truth: TruthTrajectory) -> None:
 
 
 def read_truth(path: Union[str, Path]) -> TruthTrajectory:
-    """Read a truth file; raises DataError unless it holds at least two rows."""
+    """Read a truth file; DataError unless it has two or more rows and rising times."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"truth file not found: {path}")
@@ -155,6 +155,9 @@ def read_truth(path: Union[str, Path]) -> TruthTrajectory:
             if not row:
                 continue
             vals = _parse_floats(row, row_num)
+            if times and not vals[0] > times[-1]:
+                raise DataError(f"truth time {vals[0]} on row {row_num} does not follow "
+                                f"{times[-1]}; truth times must strictly increase")
             times.append(vals[0])
             positions.append(vals[1:4])
             orientations.append(vals[4:8])

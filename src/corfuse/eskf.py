@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .adapt_residual import ResidualNoiseAdapter, check_identity_gamma
+from .adapt_residual import ResidualNoiseAdapter
 from .adapt_vb import VbNoiseAdapter
 from .errors import AdaptationNotReady, MeasurementRejected
 from .filter_core import (
@@ -58,8 +58,8 @@ log = logging.getLogger(__name__)
 GRAVITY = np.array([0.0, 0.0, -9.81])
 STATE_DIM = 9
 OBS_DIM = 9
-# Seconds an event may lag the filter clock and still be fused (without
-# propagation); larger lags are dropped as out of order.
+# Seconds an event may lag the filter clock and still be fused at the clock's
+# time; larger lags are dropped as out of order.
 TIME_TOLERANCE = 1e-3
 
 VARIANTS = ("ekf", "akf", "mcckf", "r-amcckf", "vb-amcckf")
@@ -196,8 +196,6 @@ class EngineConfig:
     sigma_min: float = 0.5
     sigma_max: float = 1e6
     adapt_q: bool = True
-    q_sensor: Optional[str] = None
-    self_check: bool = False
 
 
 @dataclass
@@ -210,7 +208,6 @@ class CorrectionResult:
     bandwidth: np.ndarray
     noise_trace: float
     state: NominalState
-    identity_deviation: Optional[float] = None
 
 
 @dataclass
@@ -225,8 +222,9 @@ class FusionEngine:
 
     Construct with a configuration and a mapping of sensor id to initial
     measurement-noise covariance (a scalar means that value times the
-    identity).  Call :meth:`initialize` once, then feed events in time
-    order through :meth:`process`.
+    identity); the residual scheme estimates process noise from the first
+    sensor.  Call :meth:`initialize` once, then feed events in time order
+    through :meth:`process`.
     """
 
     def __init__(self, config: EngineConfig,
@@ -237,7 +235,6 @@ class FusionEngine:
         if not sensor_noise:
             raise ValueError("at least one odometry sensor is required")
         self.config = config
-        self.variant = config.variant
         self._uses_kernel = config.variant in _KERNEL_VARIANTS
         self._scheme = _SCHEMES.get(config.variant)
         self.process_noise = np.asarray(config.process_noise, dtype=float).copy()
@@ -264,20 +261,19 @@ class FusionEngine:
             self._vb_adapter = VbNoiseAdapter(STATE_DIM, OBS_DIM, window=config.window,
                                               forgetting=config.forgetting)
 
-        self.q_sensor = config.q_sensor or next(iter(self._sensors))
-        if self.q_sensor not in self._sensors:
-            raise ValueError(f"q_sensor '{self.q_sensor}' is not a configured sensor")
+        self._q_sensor = next(iter(self._sensors))
 
+        # _nominal.time is the engine's one clock: every dt is measured from
+        # it, and the engine never reads the belief's time.
         self._nominal: Optional[NominalState] = None
         self._belief: Optional[GaussianBelief] = None
         self._last_imu: Optional[ImuSample] = None
         self._imu_period: Optional[float] = None
-        # Predict steps between consecutive corrections from q_sensor, which
+        # Predict steps between consecutive corrections from _q_sensor, which
         # spread the residual scheme's per-interval Q back over single steps.
         self._q_steps = 0.0
         self._q_intervals: deque[float] = deque(maxlen=32)
         self.dropped = {"out_of_order": 0, "non_finite": 0}
-        self.identity_deviation_max = 0.0
 
     # -- accessors -------------------------------------------------------
 
@@ -327,16 +323,26 @@ class FusionEngine:
             self._vb_adapter.advance(trans, scale)
         self._q_steps += scale
 
+    def _accept(self, event: Event, values: tuple[np.ndarray, ...]) -> Optional[float]:
+        """Gap from the clock to an event, or None after counting and dropping it.
+
+        A lag within TIME_TOLERANCE gives a gap of zero: the clock never goes back.
+        """
+        if not (math.isfinite(event.time) and all(np.isfinite(v).all() for v in values)):
+            reason = "non_finite"
+        elif event.time - self._nominal.time < -TIME_TOLERANCE:
+            reason = "out_of_order"
+        else:
+            return max(event.time - self._nominal.time, 0.0)
+        self.dropped[reason] += 1
+        source = ("IMU sample" if isinstance(event, ImuSample)
+                  else f"odometry from '{event.sensor_id}'")
+        log.warning("dropped %s %s at t=%.6f", reason.replace("_", "-"), source, event.time)
+        return None
+
     def _handle_imu(self, sample: ImuSample) -> None:
-        if not (math.isfinite(sample.time) and np.all(np.isfinite(sample.accel))
-                and np.all(np.isfinite(sample.gyro))):
-            self.dropped["non_finite"] += 1
-            log.warning("dropped non-finite IMU sample at t=%.6f", sample.time)
-            return None
-        dt = sample.time - self._belief.time
-        if dt < -TIME_TOLERANCE:
-            self.dropped["out_of_order"] += 1
-            log.warning("dropped out-of-order IMU sample at t=%.6f", sample.time)
+        dt = self._accept(sample, (sample.accel, sample.gyro))
+        if dt is None:
             return None
         if dt > 0.0:
             # The nominal IMU period is the spacing of IMU samples, not the
@@ -350,61 +356,43 @@ class FusionEngine:
     def _handle_odometry(self, sample: OdometrySample) -> Optional[CorrectionResult]:
         if sample.sensor_id not in self._sensors:
             raise ValueError(f"unknown sensor id '{sample.sensor_id}'")
-        finite = (math.isfinite(sample.time)
-                  and np.all(np.isfinite(sample.position))
-                  and np.all(np.isfinite(sample.orientation))
-                  and np.all(np.isfinite(sample.velocity)))
-        if not finite:
-            self.dropped["non_finite"] += 1
-            log.warning("dropped non-finite odometry from '%s' at t=%.6f",
-                        sample.sensor_id, sample.time)
-            return None
-        dt = sample.time - self._belief.time
-        if dt < -TIME_TOLERANCE:
-            self.dropped["out_of_order"] += 1
-            log.warning("dropped out-of-order odometry from '%s' at t=%.6f",
-                        sample.sensor_id, sample.time)
+        dt = self._accept(sample, (sample.position, sample.orientation, sample.velocity))
+        if dt is None:
             return None
         if dt > 0.0:
             if self._last_imu is not None:
                 self._advance(dt, self._last_imu)
             else:
                 # No inertial data yet: slide the clock without propagation.
-                self._belief.time = sample.time
                 self._nominal.time = sample.time
+        now = self._nominal.time
 
         sensor = self._sensors[sample.sensor_id]
         y, obs_jac = observation_residual(self._nominal, sample)
         sigma = sensor.bandwidth.update(y, sensor.noise, obs_jac, self._belief.cov)
-        noise_used = sensor.noise
         if self._uses_kernel:
-            posterior, record = mcckf_update(self._belief, y, obs_jac, noise_used, sigma,
+            posterior, record = mcckf_update(self._belief, y, obs_jac, sensor.noise, sigma,
                                              sample.sensor_id)
         else:
-            posterior, record = kf_update(self._belief, y, obs_jac, noise_used,
+            posterior, record = kf_update(self._belief, y, obs_jac, sensor.noise,
                                           sample.sensor_id)
         delta = posterior.mean
         self._nominal = inject_and_reset(self._nominal, delta)
-        self._belief = GaussianBelief(np.zeros(STATE_DIM), posterior.cov, sample.time)
+        self._belief = GaussianBelief(np.zeros(STATE_DIM), posterior.cov, now)
 
-        identity_dev: Optional[float] = None
-        if self.config.self_check and not self._uses_kernel:
-            identity_dev = check_identity_gamma(record, noise_used)
-            self.identity_deviation_max = max(self.identity_deviation_max, identity_dev)
-
-        if sample.sensor_id == self.q_sensor:
+        if sample.sensor_id == self._q_sensor:
             self._q_intervals.append(max(self._q_steps, 1.0))
             self._q_steps = 0.0
         if self._vb_adapter is not None:
-            self._vb_adapter.correct(sample.sensor_id, sample.time, record, delta)
+            self._vb_adapter.correct(sample.sensor_id, now, record, delta)
 
         self._refresh_noise(sample.sensor_id, sensor, record)
 
         return CorrectionResult(
-            sensor_id=sample.sensor_id, time=sample.time, record=record,
+            sensor_id=sample.sensor_id, time=now, record=record,
             bandwidth=np.asarray(sigma, dtype=float).copy(),
             noise_trace=float(np.trace(sensor.noise)),
-            state=self._nominal.copy(), identity_deviation=identity_dev,
+            state=self._nominal.copy(),
         )
 
     def _refresh_noise(self, sensor_id: str, sensor: _SensorState,
@@ -428,7 +416,7 @@ class FusionEngine:
             except AdaptationNotReady:
                 return
             sensor.noise = noise
-            if self.config.adapt_q and sensor_id == self.q_sensor:
+            if self.config.adapt_q and sensor_id == self._q_sensor:
                 self._set_process_noise(q_interval, float(np.mean(self._q_intervals)))
 
     def _set_process_noise(self, q_interval: np.ndarray, interval_steps: float) -> None:

@@ -98,6 +98,9 @@ class RunConfig:
                 problems.append("duration and rates must be positive")
             if self.sensors < 1:
                 problems.append("at least one odometry sensor is required")
+            elif self.faulty_sensor not in (None, *(f"odom{i}" for i in range(self.sensors))):
+                problems.append(f"faulty_sensor must name a sensor odom0 to "
+                                f"odom{self.sensors - 1}, got '{self.faulty_sensor}'")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -137,6 +140,9 @@ def build_engine(config: RunConfig, sensor_ids: list[str]) -> FusionEngine:
         sigma_max=config.sigma_max,
         adapt_q=config.adapt_q,
     )
+    unknown = sorted(set(config.r0_overrides) - set(sensor_ids))
+    if unknown:
+        raise ConfigError(f"r0 override for unknown sensor(s): {', '.join(unknown)}")
     noise = {sid: config.r0_overrides.get(sid, config.r0) for sid in sensor_ids}
     return FusionEngine(engine_config, noise)
 
@@ -279,9 +285,7 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_estimates(out_dir / "estimates.csv", estimates)
-        with open(out_dir / "metrics.json", "w") as fh:
-            json.dump(dataclasses.asdict(metrics), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out_dir / "metrics.json", dataclasses.asdict(metrics))
 
     return ExperimentResult(config=config, metrics=metrics, estimates=estimates,
                             timings_ns=timings, engine=engine)
@@ -289,6 +293,14 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
 
 _ESTIMATE_HEADER = ["time_s", "px", "py", "pz", "qw", "qx", "qy", "qz",
                     "vx", "vy", "vz"] + [f"c{i}" for i in range(9)]
+
+
+def write_json(path: Path, data: object) -> None:
+    """Write ``data`` as indented, key-sorted JSON ending in a newline."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_estimates(path: Path, estimates: list[list[float]]) -> None:

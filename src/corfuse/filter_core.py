@@ -72,7 +72,6 @@ class CorrentropyWeights:
 class InnovationRecord:
     """Everything a noise-adaptation scheme needs from one correction."""
 
-    time: float
     innovation: np.ndarray          # y = z - H x_prior
     residual: np.ndarray            # r = z - H x_posterior
     obs_jacobian: np.ndarray        # H
@@ -145,9 +144,8 @@ def _apply_correction(belief: GaussianBelief, z: np.ndarray, y: np.ndarray,
     posterior = GaussianBelief(mean, cov, belief.time)
     residual = z - obs_jac @ mean
     record = InnovationRecord(
-        time=belief.time, innovation=y, residual=residual, obs_jacobian=obs_jac,
-        cov_pred=cov_pred, cov_post=cov, gain=gain, weights=weights,
-        regularized=regularized,
+        innovation=y, residual=residual, obs_jacobian=obs_jac, cov_pred=cov_pred,
+        cov_post=cov, gain=gain, weights=weights, regularized=regularized,
     )
     return posterior, record
 

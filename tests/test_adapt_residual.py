@@ -14,7 +14,7 @@ from corfuse.filter_core import (CorrentropyWeights, GaussianBelief,
 
 
 def make_record(residual, innovation, h, p_post, p_pred=None, gain=None,
-                weight=1.0, time=0.0):
+                weight=1.0):
     residual = np.atleast_1d(np.asarray(residual, dtype=float))
     innovation = np.atleast_1d(np.asarray(innovation, dtype=float))
     m = residual.shape[0]
@@ -22,7 +22,7 @@ def make_record(residual, innovation, h, p_post, p_pred=None, gain=None,
     n = h.shape[1]
     w = np.full(m, weight, dtype=float)
     return InnovationRecord(
-        time=time, innovation=innovation, residual=residual, obs_jacobian=h,
+        innovation=innovation, residual=residual, obs_jacobian=h,
         cov_pred=np.atleast_2d(p_pred) if p_pred is not None else np.eye(n),
         cov_post=np.atleast_2d(np.asarray(p_post, dtype=float)),
         gain=np.atleast_2d(gain) if gain is not None else np.eye(n, m),
@@ -40,7 +40,7 @@ def test_window_mean_matches_sequential_loop_bitwise():
     outers = []
     for k in range(8):
         r = rng.standard_normal(3)
-        window.push(make_record(r, r + 0.1, np.eye(3), np.eye(3), time=float(k)))
+        window.push(make_record(r, r + 0.1, np.eye(3), np.eye(3)))
         outers.append(np.outer(r, r))
     total = outers[0].copy()
     for value in outers[1:]:
@@ -85,7 +85,7 @@ def test_process_estimate_is_psd_and_uses_newest_gain():
         gain = rng.standard_normal((4, 2))
         window.push(make_record(rng.standard_normal(2), rng.standard_normal(2),
                                 rng.standard_normal((2, 4)), np.eye(2),
-                                gain=gain, time=float(k)))
+                                gain=gain))
     gamma = gamma_innovation(window)
     process = estimate_process_noise(gamma, window)
     assert np.min(np.linalg.eigvalsh(process)) >= -1e-12

@@ -234,7 +234,7 @@ def test_degrees_of_freedom_converge_to_geometric_limit():
 
 def scalar_record(residual=0.0):
     return InnovationRecord(
-        time=0.0, innovation=np.array([residual]), residual=np.array([residual]),
+        innovation=np.array([residual]), residual=np.array([residual]),
         obs_jacobian=np.eye(1), cov_pred=np.eye(1), cov_post=0.5 * np.eye(1),
         gain=0.5 * np.eye(1), weights=UNIT)
 

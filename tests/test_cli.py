@@ -155,13 +155,24 @@ def test_exit_code_3_on_truth_files_shorter_than_two_rows(tmp_path, capsys):
                  "--out", str(sim_out), "--set", "duration=1.0",
                  "--set", "sensors=1"]) == 0
     lines = (sim_out / "truth.csv").read_text().splitlines(keepends=True)
-    for rows in (0, 1):
-        short = tmp_path / f"truth_{rows}.csv"
-        short.write_text("".join(lines[:1 + rows]))
+    cases = {"rows_0": (lines[:1], "at least two"),
+             "rows_1": (lines[:2], "at least two"),
+             # the third data row repeats the second one's time
+             "repeated_time": (lines[:3] + lines[2:], "row 4")}
+    for name, (kept, message) in cases.items():
+        truth = tmp_path / f"truth_{name}.csv"
+        truth.write_text("".join(kept))
         capsys.readouterr()
         assert main(["fuse", "--dataset", str(sim_out / "dataset.csv"),
-                     "--truth", str(short), "--filter", "ekf"]) == 3
-        assert "at least two" in capsys.readouterr().err
+                     "--truth", str(truth), "--filter", "ekf"]) == 3, name
+        assert message in capsys.readouterr().err, name
+
+
+def test_exit_code_2_on_r0_override_for_an_unknown_sensor(capsys):
+    assert main(["fuse", "--scenario", "hover", "--filter", "ekf",
+                 "--set", "duration=1.0", "--set", "sensors=1",
+                 "--set", "r0.odmo0=5"]) == 2
+    assert "odmo0" in capsys.readouterr().err
 
 
 def test_compare_writes_summary_json(tmp_path, capsys):

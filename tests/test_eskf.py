@@ -10,6 +10,7 @@ is tight.
 import numpy as np
 import pytest
 
+from corfuse.adapt_residual import check_identity_gamma
 from corfuse.errors import MeasurementRejected
 from corfuse.eskf import (GRAVITY, STATE_DIM, EngineConfig, FusionEngine,
                           ImuSample, NominalState, OdometrySample,
@@ -222,8 +223,6 @@ def test_engine_validates_construction():
         FusionEngine(EngineConfig(variant="ukf"), {"odo0": 0.01})
     with pytest.raises(ValueError, match="sensor"):
         FusionEngine(EngineConfig(), {})
-    with pytest.raises(ValueError, match="q_sensor"):
-        FusionEngine(EngineConfig(q_sensor="ghost"), {"odo0": 0.01})
 
 
 def test_engine_requires_initialization():
@@ -299,10 +298,11 @@ def test_static_bandwidth_is_reported_constant():
 
 
 def test_self_check_identity_on_plain_corrections():
-    config = EngineConfig(variant="ekf", adapt_q=False, self_check=True)
+    config = EngineConfig(variant="ekf", adapt_q=False)
     engine, results = run_engine(config, hover_events(noise=0.005, seed=2))
-    assert all(r.identity_deviation is not None for r in results)
-    assert engine.identity_deviation_max < 1e-8
+    assert results
+    for result in results:
+        assert check_identity_gamma(result.record, engine.measurement_noise("odo0")) < 1e-8
 
 
 def test_adaptive_noise_grows_under_inflated_residuals():
@@ -354,16 +354,38 @@ def test_imu_period_is_measured_between_imu_samples():
                                rtol=1e-9, atol=0.0)
 
 
+def test_slightly_late_odometry_is_fused_at_the_current_time():
+    """Odometry 0.5 ms behind the clock neither moves it back nor stretches the next step."""
+    q0 = 1e-5
+    config = EngineConfig(variant="ekf", process_noise=q0 * np.eye(STATE_DIM))
+    engine = FusionEngine(config, {"odo0": 0.01})
+    engine.initialize(make_state(), 1e-4)
+    for t in (0.01, 0.02):
+        engine.process(hover_imu(t))
+    result = engine.process(OdometrySample("odo0", np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]),
+                                           np.zeros(3), 0.0195))
+    assert result is not None and result.time == engine.state.time == pytest.approx(0.02)
+    assert engine.dropped == {"out_of_order": 0, "non_finite": 0}
+    before, cov = engine.state.copy(), engine.covariance.copy()
+    imu = hover_imu(0.03)
+    engine.process(imu)
+    assert engine.state.time == pytest.approx(0.03, abs=1e-15)
+    trans = error_transition(before, imu, 0.01)
+    expected = trans @ cov @ trans.T + q0 * np.eye(STATE_DIM)
+    np.testing.assert_allclose(engine.covariance, 0.5 * (expected + expected.T),
+                               rtol=1e-9, atol=0.0)
+
+
 def test_residual_q_split_uses_the_q_sensor_interval():
-    """Q per interval is divided by q_sensor's 20 IMU steps, not another sensor's 5."""
+    """Q per interval is divided by the first sensor's 20 IMU steps, not another's 5."""
     events = hover_events(duration=2.0, imu_rate=100.0, odom_rate=20.0, noise=0.005,
                           seed=4, sensors=("fast",))
     events += [e for e in hover_events(duration=2.0, imu_rate=100.0, odom_rate=5.0,
                                        noise=0.005, seed=6, sensors=("slow",))
                if isinstance(e, OdometrySample)]
     events.sort(key=lambda e: e.time)
-    config = EngineConfig(variant="r-amcckf", q_sensor="slow")
-    engine = FusionEngine(config, {"fast": 0.01, "slow": 0.01})
+    config = EngineConfig(variant="r-amcckf")
+    engine = FusionEngine(config, {"slow": 0.01, "fast": 0.01})
     engine.initialize(make_state(), 1e-4)
     interval_steps = []
     set_process_noise = engine._set_process_noise

@@ -3,14 +3,16 @@
 import dataclasses
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
 
 from corfuse import dataset as dataset_io
 from corfuse.errors import ConfigError, DataError
-from corfuse.experiments import (RunConfig, bench, build_scenario, compare,
-                                 run_experiment)
+from corfuse.eskf import EngineConfig
+from corfuse.experiments import (RunConfig, bench, build_engine, build_scenario,
+                                 compare, run_experiment)
 from corfuse.sim import generate_truth, sample_sensors
 
 
@@ -41,6 +43,7 @@ def test_validate_accepts_reasonable_config():
     ("duration", -1.0, "positive"),
     ("sensors", 0, "sensor"),
     ("scenario", "spiral", "scenario"),
+    ("faulty_sensor", "odom7", "faulty_sensor"),
 ])
 def test_validate_rejects_bad_values(field, value, fragment):
     config = quick_config(**{field: value})
@@ -76,6 +79,31 @@ def test_build_scenario_applies_faults_everywhere_by_default():
     scenario = build_scenario(quick_config(sensors=2, jump_probability=0.1,
                                            jump_magnitude=10.0))
     assert all(s.noise.jump_probability == 0.1 for s in scenario.sensors)
+
+
+def test_every_engine_config_field_is_set_from_a_run_config_key():
+    """A knob only tests could set would leave some EngineConfig field unchanged."""
+    alternatives = {"filter": "ekf", "sigma_mode": "static"}
+    hints = typing.get_type_hints(RunConfig)
+    base = build_engine(RunConfig(), ["odom0"]).config
+    reached = set()
+    for name, hint in hints.items():
+        value = getattr(RunConfig(), name)
+        if name in alternatives:
+            other = alternatives[name]
+        elif hint is bool:
+            other = not value
+        elif hint is int:
+            other = value + 1
+        elif hint is float:
+            other = 0.5 * value + 0.125 if math.isfinite(value) else 1.0
+        else:
+            continue
+        engine = build_engine(RunConfig(**{name: other}), ["odom0"])
+        reached |= {f.name for f in dataclasses.fields(EngineConfig)
+                    if not np.array_equal(getattr(engine.config, f.name),
+                                          getattr(base, f.name))}
+    assert reached == {f.name for f in dataclasses.fields(EngineConfig)}
 
 
 # ---------------------------------------------------------------------------

@@ -279,4 +279,4 @@ def test_record_snapshot_fields_are_consistent():
     np.testing.assert_allclose(record.residual, z - out.mean)
     np.testing.assert_allclose(record.cov_pred, np.eye(2))
     np.testing.assert_allclose(record.cov_post, out.cov)
-    assert record.time == pytest.approx(3.5)
+    assert out.time == 3.5
