@@ -1,16 +1,18 @@
 """Residual-based noise adaptation over a fixed-length window.
 
-A cheaper alternative to the variational scheme: buffer kernel-weighted
-outer products of the post-fit residual r and the innovation y, average
-them over the window, and read the noise estimates directly:
+A cheaper alternative to the variational scheme (after Akhlaghi, Zhou &
+Huang, IEEE PES GM 2017): buffer kernel-weighted outer products of the
+post-fit residual r and the innovation y, average them over the window,
+and read the noise estimates directly:
 
     R = mean(L r r^T L) + H P+ H^T
     Q = K mean(L y y^T L) K^T
 
-The innovation form for Q is a deliberate approximation (it measures the
-state correction rather than the process noise itself) but it is O(window)
-per step with no backward pass.  With unit weights the window average of
-r r^T reduces to the classical residual-based adaptive update.
+with H, P+ and K from the newest correction.  The innovation form for Q is
+a deliberate approximation (it measures the state correction rather than
+the process noise itself) but it is O(window) per step with no backward
+pass.  With unit weights the window average of r r^T reduces to the
+classical residual-based adaptive update.
 
 ``check_identity_gamma`` verifies the algebraic identity
 
@@ -22,8 +24,8 @@ as a self-test of a correction implementation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Optional
+from itertools import islice
+from typing import Deque, Iterable, Optional
 
 import numpy as np
 
@@ -34,79 +36,12 @@ from .linalg import floor_diagonal, psd_project, spd_solve, symmetrize
 DIAG_FLOOR = 1e-12
 
 
-@dataclass
-class ResidualWindowEntry:
-    """Weighted outer products for one correction."""
-
-    weighted_rr: np.ndarray   # (L r)(L r)^T
-    weighted_yy: np.ndarray   # (L y)(L y)^T
-
-
-class ResidualWindow:
-    """Ring buffer of per-correction entries for one sensor.
-
-    Only the newest correction's H, P+ and K enter the estimates, so its
-    record is kept once in ``latest``.
-    """
-
-    def __init__(self, length: int) -> None:
-        if length < 1:
-            raise ValueError("window length must be at least 1")
-        self.length = length
-        self.entries: Deque[ResidualWindowEntry] = deque(maxlen=length)
-        self.latest: Optional[InnovationRecord] = None
-
-    def push(self, record: InnovationRecord) -> None:
-        weights = record.weights.unweighted
-        wr = weights * record.residual
-        wy = weights * record.innovation
-        self.entries.append(ResidualWindowEntry(
-            weighted_rr=np.outer(wr, wr),
-            weighted_yy=np.outer(wy, wy),
-        ))
-        self.latest = record
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def _window_mean(window: ResidualWindow, attr: str) -> np.ndarray:
-    if len(window) == 0:
-        raise AdaptationNotReady("residual window is empty")
-    total = None
-    for entry in window.entries:
-        value = getattr(entry, attr)
-        total = value.copy() if total is None else total + value
-    return total / len(window)
-
-
-def gamma_residual(window: ResidualWindow) -> np.ndarray:
-    """Window mean of the weighted residual outer products."""
-    return _window_mean(window, "weighted_rr")
-
-
-def gamma_innovation(window: ResidualWindow) -> np.ndarray:
-    """Window mean of the weighted innovation outer products."""
-    return _window_mean(window, "weighted_yy")
-
-
-def estimate_measurement_noise(gamma: np.ndarray, window: ResidualWindow) -> np.ndarray:
-    """R = Gamma_res + H P+ H^T using the newest entry's H and P+."""
-    if len(window) == 0:
-        raise AdaptationNotReady("residual window is empty")
-    latest = window.latest
-    h = latest.obs_jacobian
-    estimate = symmetrize(gamma + h @ latest.cov_post @ h.T)
-    return floor_diagonal(estimate, DIAG_FLOOR)
-
-
-def estimate_process_noise(gamma_inn: np.ndarray, window: ResidualWindow) -> np.ndarray:
-    """Q = K Gamma_inn K^T with the newest gain, projected to be PSD."""
-    if len(window) == 0:
-        raise AdaptationNotReady("residual window is empty")
-    gain = window.latest.gain
-    estimate = psd_project(gain @ gamma_inn @ gain.T)
-    return floor_diagonal(estimate, DIAG_FLOOR)
+def _mean(values: Deque[np.ndarray]) -> np.ndarray:
+    """Sequential sum over the window, oldest first, divided by its length."""
+    total = values[0]
+    for value in islice(values, 1, None):
+        total = total + value
+    return total / len(values)
 
 
 def check_identity_gamma(record: InnovationRecord, noise: np.ndarray) -> float:
@@ -123,29 +58,84 @@ def check_identity_gamma(record: InnovationRecord, noise: np.ndarray) -> float:
 
 
 class ResidualNoiseAdapter:
-    """Engine-facing wrapper: window, optional smoothing, paired estimates.
+    """Residual-window noise adaptation for a whole filter.
 
-    ``smoothing`` is the blend factor applied to the measurement-noise
+    Each sensor keeps a window of its weighted residual outer products, and
+    its R is read from that window and its newest correction alone.  Q is
+    read from the first sensor in ``sensor_ids``: from the window of its
+    weighted innovation products and its newest gain, so Q is only computed
+    right after that sensor's corrections.  Such a Q covers one of its
+    inter-correction intervals; ``advance`` counts the predict steps in
+    each interval so that the caller can spread Q back over single steps.
+
+    The engine-facing calls match ``VbNoiseAdapter``: ``advance`` per
+    predict step, ``correct`` per correction and then ``refresh``.
+    ``smoothing`` is the blend factor applied to each measurement-noise
     estimate (1.0 replaces it outright, smaller values low-pass it).
     """
 
-    def __init__(self, window: int = 10, smoothing: float = 1.0) -> None:
+    def __init__(self, sensor_ids: Iterable[str], window: int = 10,
+                 smoothing: float = 1.0) -> None:
+        sensor_ids = list(sensor_ids)
+        if not sensor_ids:
+            raise ValueError("at least one sensor is required")
+        if window < 1:
+            raise ValueError("window length must be at least 1")
         if not 0.0 < smoothing <= 1.0:
             raise ValueError("smoothing must lie in (0, 1]")
-        self.window = ResidualWindow(window)
         self.smoothing = smoothing
-        self._noise_prev: Optional[np.ndarray] = None
+        self._q_sensor = sensor_ids[0]
+        self._rr: dict[str, Deque[np.ndarray]] = {
+            sid: deque(maxlen=window) for sid in sensor_ids}
+        self._yy: Deque[np.ndarray] = deque(maxlen=window)
+        self._noise: dict[str, np.ndarray] = {}
+        self._newest: Optional[tuple[str, InnovationRecord]] = None
+        # Predict steps since the first sensor's last correction, and the
+        # step counts of its recent intervals.
+        self._steps = 0.0
+        self._intervals: Deque[float] = deque(maxlen=32)
 
-    def push(self, record: InnovationRecord) -> None:
-        self.window.push(record)
+    def advance(self, trans: np.ndarray, steps: float) -> None:
+        """Count one predict step worth ``steps`` nominal steps; ``trans`` is unused."""
+        self._steps += steps
 
-    def refresh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (Q, R); Q covers one inter-correction interval."""
-        gamma_r = gamma_residual(self.window)
-        gamma_y = gamma_innovation(self.window)
-        fresh = estimate_measurement_noise(gamma_r, self.window)
-        if self._noise_prev is not None and self.smoothing < 1.0:
-            fresh = (1.0 - self.smoothing) * self._noise_prev + self.smoothing * fresh
-        self._noise_prev = fresh
-        process = estimate_process_noise(gamma_y, self.window)
-        return process, fresh
+    def correct(self, sensor_id: str, time: float, record: InnovationRecord,
+                delta: np.ndarray) -> None:
+        """Fold in one correction; only ``sensor_id`` and ``record`` are read."""
+        self.push(sensor_id, record)
+
+    def push(self, sensor_id: str, record: InnovationRecord) -> None:
+        """Buffer one correction of ``sensor_id``; the first sensor's also closes an interval."""
+        weights = record.weights.unweighted
+        wr = weights * record.residual
+        self._rr[sensor_id].append(np.outer(wr, wr))
+        if sensor_id == self._q_sensor:
+            wy = weights * record.innovation
+            self._yy.append(np.outer(wy, wy))
+            self._intervals.append(max(self._steps, 1.0))
+            self._steps = 0.0
+        self._newest = (sensor_id, record)
+
+    def refresh(self) -> tuple[Optional[np.ndarray], float, dict[str, np.ndarray]]:
+        """Estimates after the newest correction: (Q, interval steps, {sensor: R}).
+
+        Only the newest correction's sensor gets a new R.  Q is None unless
+        that sensor is the first one; the interval step count is then the
+        mean over its recent intervals (1.0 otherwise).  Raises
+        AdaptationNotReady before the first correction.
+        """
+        if self._newest is None:
+            raise AdaptationNotReady("no correction has been pushed")
+        sensor_id, latest = self._newest
+        h = latest.obs_jacobian
+        fresh = floor_diagonal(symmetrize(_mean(self._rr[sensor_id])
+                                          + h @ latest.cov_post @ h.T), DIAG_FLOOR)
+        previous = self._noise.get(sensor_id)
+        if previous is not None and self.smoothing < 1.0:
+            fresh = (1.0 - self.smoothing) * previous + self.smoothing * fresh
+        self._noise[sensor_id] = fresh
+        if sensor_id != self._q_sensor:
+            return None, 1.0, {sensor_id: fresh}
+        gain = latest.gain
+        process = floor_diagonal(psd_project(gain @ _mean(self._yy) @ gain.T), DIAG_FLOOR)
+        return process, float(np.mean(self._intervals)), {sensor_id: fresh}

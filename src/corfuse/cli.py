@@ -158,6 +158,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     metrics = result.metrics
     line = (f"{metrics.variant}: {metrics.correction_count} corrections, "
             f"dropped={sum(metrics.dropped.values())}")
+    if metrics.unscored_corrections:
+        line += f", unscored={metrics.unscored_corrections} (no truth row at their times)"
     if metrics.rmse_position_total is not None:
         line += (f", rmse_pos={metrics.rmse_position_total:.4f} m"
                  f", rmse_vel={metrics.rmse_velocity_total:.4f} m/s"

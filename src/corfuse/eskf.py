@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -64,7 +63,6 @@ TIME_TOLERANCE = 1e-3
 
 VARIANTS = ("ekf", "akf", "mcckf", "r-amcckf", "vb-amcckf")
 _KERNEL_VARIANTS = ("mcckf", "r-amcckf", "vb-amcckf")
-_SCHEMES = {"akf": "vb", "vb-amcckf": "vb", "r-amcckf": "residual"}
 
 
 @dataclass
@@ -111,7 +109,7 @@ def propagate_nominal(state: NominalState, imu: ImuSample, dt: float) -> Nominal
         v += (R(q) a + g) dt
         q  = q * exp(w dt), renormalized
     """
-    if not (np.all(np.isfinite(imu.accel)) and np.all(np.isfinite(imu.gyro))):
+    if not (np.isfinite(imu.accel).all() and np.isfinite(imu.gyro).all()):
         raise MeasurementRejected("non-finite IMU sample")
     rot = quat_to_rotmat(state.orientation)
     position = state.position + state.velocity * dt
@@ -214,7 +212,6 @@ class CorrectionResult:
 class _SensorState:
     noise: np.ndarray
     bandwidth: BandwidthState
-    adapter: Optional[ResidualNoiseAdapter]
 
 
 class FusionEngine:
@@ -236,7 +233,6 @@ class FusionEngine:
             raise ValueError("at least one odometry sensor is required")
         self.config = config
         self._uses_kernel = config.variant in _KERNEL_VARIANTS
-        self._scheme = _SCHEMES.get(config.variant)
         self.process_noise = np.asarray(config.process_noise, dtype=float).copy()
 
         self._sensors: dict[str, _SensorState] = {}
@@ -247,21 +243,16 @@ class FusionEngine:
             bandwidth = BandwidthState(
                 dim=OBS_DIM, adaptive=adaptive_kb, sigma_static=config.sigma_static,
                 sigma_min=config.sigma_min, sigma_max=config.sigma_max)
-            adapter = None
-            if self._scheme == "residual":
-                adapter = ResidualNoiseAdapter(window=config.window,
-                                               smoothing=config.smoothing)
-            self._sensors[sensor_id] = _SensorState(
-                noise=noise_mat, bandwidth=bandwidth, adapter=adapter)
+            self._sensors[sensor_id] = _SensorState(noise=noise_mat, bandwidth=bandwidth)
 
-        # The variational scheme smooths one interleaved window covering all
-        # sensors, so its adapter lives on the engine rather than per sensor.
-        self._vb_adapter: Optional[VbNoiseAdapter] = None
-        if self._scheme == "vb":
-            self._vb_adapter = VbNoiseAdapter(STATE_DIM, OBS_DIM, window=config.window,
-                                              forgetting=config.forgetting)
-
-        self._q_sensor = next(iter(self._sensors))
+        # One noise adapter serves all sensors; ekf and mcckf adapt nothing.
+        self._adapter: Optional[Union[VbNoiseAdapter, ResidualNoiseAdapter]] = None
+        if config.variant in ("akf", "vb-amcckf"):
+            self._adapter = VbNoiseAdapter(STATE_DIM, OBS_DIM, window=config.window,
+                                           forgetting=config.forgetting)
+        elif config.variant == "r-amcckf":
+            self._adapter = ResidualNoiseAdapter(self._sensors, window=config.window,
+                                                 smoothing=config.smoothing)
 
         # _nominal.time is the engine's one clock: every dt is measured from
         # it, and the engine never reads the belief's time.
@@ -269,11 +260,7 @@ class FusionEngine:
         self._belief: Optional[GaussianBelief] = None
         self._last_imu: Optional[ImuSample] = None
         self._imu_period: Optional[float] = None
-        # Predict steps between consecutive corrections from _q_sensor, which
-        # spread the residual scheme's per-interval Q back over single steps.
-        self._q_steps = 0.0
-        self._q_intervals: deque[float] = deque(maxlen=32)
-        self.dropped = {"out_of_order": 0, "non_finite": 0}
+        self.dropped = {"out_of_order": 0, "non_finite": 0, "rejected": 0}
 
     # -- accessors -------------------------------------------------------
 
@@ -319,9 +306,8 @@ class FusionEngine:
         trans = error_transition(self._nominal, imu, dt)
         self._belief = predict(self._belief, trans, self.process_noise * scale, dt)
         self._nominal = propagate_nominal(self._nominal, imu, dt)
-        if self._vb_adapter is not None:
-            self._vb_adapter.advance(trans, scale)
-        self._q_steps += scale
+        if self._adapter is not None:
+            self._adapter.advance(trans, scale)
 
     def _accept(self, event: Event, values: tuple[np.ndarray, ...]) -> Optional[float]:
         """Gap from the clock to an event, or None after counting and dropping it.
@@ -370,23 +356,24 @@ class FusionEngine:
         sensor = self._sensors[sample.sensor_id]
         y, obs_jac = observation_residual(self._nominal, sample)
         sigma = sensor.bandwidth.update(y, sensor.noise, obs_jac, self._belief.cov)
-        if self._uses_kernel:
-            posterior, record = mcckf_update(self._belief, y, obs_jac, sensor.noise, sigma,
-                                             sample.sensor_id)
-        else:
-            posterior, record = kf_update(self._belief, y, obs_jac, sensor.noise,
-                                          sample.sensor_id)
-        delta = posterior.mean
-        self._nominal = inject_and_reset(self._nominal, delta)
+        # A refused correction leaves the state, belief and adapter as they were.
+        try:
+            if self._uses_kernel:
+                posterior, record = mcckf_update(self._belief, y, obs_jac, sensor.noise,
+                                                 sigma, sample.sensor_id)
+            else:
+                posterior, record = kf_update(self._belief, y, obs_jac, sensor.noise,
+                                              sample.sensor_id)
+        except MeasurementRejected as exc:
+            return self._reject(sample, exc)
+        try:
+            self._nominal = inject_and_reset(self._nominal, posterior.mean)
+        except ValueError as exc:
+            return self._reject(sample, exc)
         self._belief = GaussianBelief(np.zeros(STATE_DIM), posterior.cov, now)
-
-        if sample.sensor_id == self._q_sensor:
-            self._q_intervals.append(max(self._q_steps, 1.0))
-            self._q_steps = 0.0
-        if self._vb_adapter is not None:
-            self._vb_adapter.correct(sample.sensor_id, now, record, delta)
-
-        self._refresh_noise(sample.sensor_id, sensor, record)
+        if self._adapter is not None:
+            self._adapter.correct(sample.sensor_id, now, record, posterior.mean)
+            self._refresh_noise()
 
         return CorrectionResult(
             sensor_id=sample.sensor_id, time=now, record=record,
@@ -395,29 +382,20 @@ class FusionEngine:
             state=self._nominal.copy(),
         )
 
-    def _refresh_noise(self, sensor_id: str, sensor: _SensorState,
-                       record: InnovationRecord) -> None:
-        if self._scheme is None:
+    def _reject(self, sample: OdometrySample, exc: Exception) -> None:
+        self.dropped["rejected"] += 1
+        log.warning("rejected odometry from '%s' at t=%.6f: %s",
+                    sample.sensor_id, sample.time, exc)
+
+    def _refresh_noise(self) -> None:
+        try:
+            q_interval, interval_steps, noise_by_sensor = self._adapter.refresh()
+        except AdaptationNotReady:
             return
-        if self._vb_adapter is not None:
-            try:
-                q_interval, mean_steps, noise_by_sensor = self._vb_adapter.refresh()
-            except AdaptationNotReady:
-                return
-            for sid, noise in noise_by_sensor.items():
-                self._sensors[sid].noise = noise
-            if self.config.adapt_q and q_interval is not None:
-                self._set_process_noise(q_interval, mean_steps)
-        else:
-            adapter = sensor.adapter
-            adapter.push(record)
-            try:
-                q_interval, noise = adapter.refresh()
-            except AdaptationNotReady:
-                return
-            sensor.noise = noise
-            if self.config.adapt_q and sensor_id == self._q_sensor:
-                self._set_process_noise(q_interval, float(np.mean(self._q_intervals)))
+        for sid, noise in noise_by_sensor.items():
+            self._sensors[sid].noise = noise
+        if self.config.adapt_q and q_interval is not None:
+            self._set_process_noise(q_interval, interval_steps)
 
     def _set_process_noise(self, q_interval: np.ndarray, interval_steps: float) -> None:
         # The window statistics measure process noise accumulated over one

@@ -154,6 +154,8 @@ class MetricsReport:
     variant: str
     seed: int
     correction_count: int = 0
+    # Corrections at times the truth file has no row for (within 1 us).
+    unscored_corrections: int = 0
     rmse_position: Optional[list[float]] = None
     rmse_position_total: Optional[float] = None
     rmse_velocity: Optional[list[float]] = None
@@ -258,6 +260,7 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
             try:
                 idx = truth.index_at(result.time)
             except ValueError:
+                metrics.unscored_corrections += 1
                 continue
             e_p = truth.positions[idx] - result.state.position
             e_v = truth.velocities[idx] - result.state.velocity

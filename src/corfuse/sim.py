@@ -103,8 +103,11 @@ class TruthTrajectory:
         )
 
     def index_at(self, time: float, tol: float = 1e-6) -> int:
-        index = int(round((time - self.times[0]) / self.dt))
-        index = min(max(index, 0), len(self.times) - 1)
+        """Row of the grid time nearest ``time``; ValueError if none lies within ``tol``."""
+        index = int(np.searchsorted(self.times, time))
+        if index == len(self.times) or (
+                index > 0 and time - self.times[index - 1] <= self.times[index] - time):
+            index -= 1
         if abs(self.times[index] - time) > tol:
             raise ValueError(f"time {time} is not on the truth grid")
         return index

@@ -11,10 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from corfuse.adapt_residual import (ResidualNoiseAdapter, ResidualWindow,
-                                    check_identity_gamma,
-                                    estimate_measurement_noise,
-                                    gamma_residual)
+from corfuse.adapt_residual import ResidualNoiseAdapter, check_identity_gamma
 from corfuse.adapt_vb import (SmootherWindow, VbNoiseAdapter, WindowSnapshot,
                               backward_smooth, measurement_statistic)
 from corfuse.errors import AdaptationNotReady
@@ -139,7 +136,7 @@ def _run_scalar_identification(scheme: str, seed: int, steps: int = 2000):
         adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=10,
                                  forgetting=0.97)
     else:
-        adapter = ResidualNoiseAdapter(window=10)
+        adapter = ResidualNoiseAdapter(["z"], window=10)
     history = []
     for k in range(steps):
         x += rng.normal(0.0, np.sqrt(q_true))
@@ -162,9 +159,9 @@ def _run_scalar_identification(scheme: str, seed: int, steps: int = 2000):
             except AdaptationNotReady:
                 pass
         else:
-            adapter.push(record)
-            _, fresh = adapter.refresh()
-            r_hat = float(fresh[0, 0])
+            adapter.push("z", record)
+            _, _, by_sensor = adapter.refresh()
+            r_hat = float(by_sensor["z"][0, 0])
         history.append(r_hat)
     return float(np.mean(history[-200:]))
 
@@ -416,7 +413,7 @@ def test_acceptance_10_unit_weight_reductions_are_exact():
     m, n = 2, 2
 
     # residual scheme vs a classical windowed residual estimator, bitwise
-    library = ResidualWindow(length=10)
+    library = ResidualNoiseAdapter(["z"], window=10)
     classical: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     belief = GaussianBelief(np.zeros(n), np.eye(n), 0.0)
     h = rng.standard_normal((m, n))
@@ -428,10 +425,10 @@ def test_acceptance_10_unit_weight_reductions_are_exact():
         belief = GaussianBelief(posterior.mean, posterior.cov + 0.05 * np.eye(n),
                                 posterior.time + 1.0)
         assert np.all(record.weights.weighted == 1.0)
-        library.push(record)
+        library.push("z", record)
         classical.append((record.residual, record.obs_jacobian, record.cov_post))
-        if len(library) >= 3:
-            window_slice = classical[-len(library):]
+        if len(classical) >= 3:
+            window_slice = classical[-10:]
             total = np.outer(window_slice[0][0], window_slice[0][0])
             for res, _, _ in window_slice[1:]:
                 total = total + np.outer(res, res)
@@ -441,7 +438,7 @@ def test_acceptance_10_unit_weight_reductions_are_exact():
             est = (est + est.T) / 2.0
             diag = np.diag(est).copy()
             est[np.diag_indices_from(est)] = np.maximum(diag, 1e-12)
-            ours = estimate_measurement_noise(gamma_residual(library), library)
+            ours = library.refresh()[2]["z"]
             bitwise_ok = bitwise_ok and np.array_equal(ours, est)
 
     # smoothing scheme's measurement statistic vs the unweighted original

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from corfuse.adapt_residual import (ResidualNoiseAdapter, ResidualWindow,
-                                    check_identity_gamma,
-                                    estimate_measurement_noise,
-                                    estimate_process_noise, gamma_innovation,
-                                    gamma_residual)
+from corfuse.adapt_residual import ResidualNoiseAdapter, check_identity_gamma
 from corfuse.errors import AdaptationNotReady
 from corfuse.filter_core import (CorrentropyWeights, GaussianBelief,
                                  InnovationRecord, kf_update, mcckf_update)
@@ -34,78 +30,125 @@ def random_spd(rng, n, scale=1.0):
     return a @ a.T + scale * n * np.eye(n)
 
 
+def measurement_noise(adapter, sensor_id="z"):
+    _, _, by_sensor = adapter.refresh()
+    assert list(by_sensor) == [sensor_id]
+    return by_sensor[sensor_id]
+
+
 def test_window_mean_matches_sequential_loop_bitwise():
     rng = np.random.default_rng(3)
-    window = ResidualWindow(length=8)
+    adapter = ResidualNoiseAdapter(["z"], window=8)
     outers = []
     for k in range(8):
         r = rng.standard_normal(3)
-        window.push(make_record(r, r + 0.1, np.eye(3), np.eye(3)))
+        adapter.push("z", make_record(r, r + 0.1, np.eye(3), np.zeros((3, 3))))
         outers.append(np.outer(r, r))
     total = outers[0].copy()
     for value in outers[1:]:
         total = total + value
     expected = total / len(outers)
-    assert np.array_equal(gamma_residual(window), expected)
+    assert np.array_equal(measurement_noise(adapter), expected)
 
 
 def test_ring_buffer_keeps_newest_entries():
-    window = ResidualWindow(length=3)
+    adapter = ResidualNoiseAdapter(["z"], window=3)
     for k in range(6):
-        window.push(make_record([float(k)], [0.0], [[1.0]], [[0.0]]))
-    assert len(window) == 3
-    assert gamma_residual(window)[0, 0] == pytest.approx((9.0 + 16.0 + 25.0) / 3.0)
+        adapter.push("z", make_record([float(k)], [0.0], [[1.0]], [[0.0]]))
+    assert measurement_noise(adapter)[0, 0] == pytest.approx((9.0 + 16.0 + 25.0) / 3.0)
 
 
 def test_measurement_noise_adds_posterior_projection():
-    window = ResidualWindow(length=4)
-    window.push(make_record([2.0], [2.0], [[1.0]], [[0.5]]))
-    noise = estimate_measurement_noise(gamma_residual(window), window)
-    assert noise[0, 0] == pytest.approx(4.5)
+    adapter = ResidualNoiseAdapter(["z"], window=4)
+    adapter.push("z", make_record([2.0], [2.0], [[1.0]], [[0.5]]))
+    assert measurement_noise(adapter)[0, 0] == pytest.approx(4.5)
 
 
 def test_zero_weight_gates_residual_out_of_estimate():
-    window = ResidualWindow(length=4)
-    window.push(make_record([50.0], [50.0], [[1.0]], [[0.25]], weight=0.0))
-    noise = estimate_measurement_noise(gamma_residual(window), window)
-    assert noise[0, 0] == pytest.approx(0.25)
+    adapter = ResidualNoiseAdapter(["z"], window=4)
+    adapter.push("z", make_record([50.0], [50.0], [[1.0]], [[0.25]], weight=0.0))
+    assert measurement_noise(adapter)[0, 0] == pytest.approx(0.25)
 
 
 def test_noise_floor_keeps_estimate_invertible():
-    window = ResidualWindow(length=4)
-    window.push(make_record([0.0, 0.0], [0.0, 0.0], np.eye(2), np.zeros((2, 2))))
-    noise = estimate_measurement_noise(gamma_residual(window), window)
-    assert np.all(np.diag(noise) >= 1e-12)
+    adapter = ResidualNoiseAdapter(["z"], window=4)
+    adapter.push("z", make_record([0.0, 0.0], [0.0, 0.0], np.eye(2), np.zeros((2, 2))))
+    process, _, by_sensor = adapter.refresh()
+    assert np.all(np.diag(by_sensor["z"]) == 1e-12)
+    assert np.all(np.diag(process) == 1e-12)
 
 
 def test_process_estimate_is_psd_and_uses_newest_gain():
     rng = np.random.default_rng(11)
-    window = ResidualWindow(length=6)
+    adapter = ResidualNoiseAdapter(["z"], window=6)
+    outers = []
     for k in range(6):
         gain = rng.standard_normal((4, 2))
-        window.push(make_record(rng.standard_normal(2), rng.standard_normal(2),
-                                rng.standard_normal((2, 4)), np.eye(2),
-                                gain=gain))
-    gamma = gamma_innovation(window)
-    process = estimate_process_noise(gamma, window)
+        innovation = rng.standard_normal(2)
+        adapter.push("z", make_record(rng.standard_normal(2), innovation,
+                                      rng.standard_normal((2, 4)), np.eye(4), gain=gain))
+        outers.append(np.outer(innovation, innovation))
+    process, _, _ = adapter.refresh()
     assert np.min(np.linalg.eigvalsh(process)) >= -1e-12
+    gamma = sum(outers[1:], outers[0]) / len(outers)
     expected = gain @ gamma @ gain.T  # newest gain from the loop above
     assert np.allclose(np.triu(process, 1), np.triu(expected, 1), atol=1e-12)
 
 
 def test_empty_window_raises_everywhere():
-    window = ResidualWindow(length=2)
+    adapter = ResidualNoiseAdapter(["z"], window=2)
+    adapter.advance(np.eye(1), 1.0)
     with pytest.raises(AdaptationNotReady):
-        gamma_residual(window)
-    with pytest.raises(AdaptationNotReady):
-        estimate_measurement_noise(np.eye(1), window)
-    with pytest.raises(AdaptationNotReady):
-        estimate_process_noise(np.eye(1), window)
+        adapter.refresh()
 
 
 def test_window_length_validation():
     with pytest.raises(ValueError):
-        ResidualWindow(length=0)
+        ResidualNoiseAdapter(["z"], window=0)
+    with pytest.raises(ValueError):
+        ResidualNoiseAdapter([])
+
+
+# ---------------------------------------------------------------------------
+# several sensors
+
+
+def two_sensor_record(value):
+    return make_record([value], [value], [[1.0]], [[0.0]], gain=[[1.0]])
+
+
+def test_process_noise_follows_the_first_sensor_only():
+    adapter = ResidualNoiseAdapter(["a", "b"], window=4)
+    adapter.correct("b", 0.0, two_sensor_record(5.0), np.zeros(1))
+    q, steps, by_sensor = adapter.refresh()
+    assert q is None and steps == 1.0 and list(by_sensor) == ["b"]
+    adapter.correct("a", 0.1, two_sensor_record(2.0), np.zeros(1))
+    q, _, by_sensor = adapter.refresh()
+    assert q[0, 0] == pytest.approx(4.0) and list(by_sensor) == ["a"]
+    adapter.correct("b", 0.2, two_sensor_record(7.0), np.zeros(1))
+    q, _, _ = adapter.refresh()
+    assert q is None
+
+
+def test_each_measurement_noise_comes_from_its_own_window():
+    adapter = ResidualNoiseAdapter(["a", "b"], window=2)
+    for k in range(3):
+        adapter.correct("a", float(k), two_sensor_record(1.0 + k), np.zeros(1))
+        assert measurement_noise(adapter, "a")[0, 0] == pytest.approx(
+            np.mean([(1.0 + j) ** 2 for j in range(max(k - 1, 0), k + 1)]))
+        adapter.correct("b", float(k), two_sensor_record(10.0), np.zeros(1))
+        assert measurement_noise(adapter, "b")[0, 0] == pytest.approx(100.0)
+
+
+def test_interval_steps_average_the_first_sensors_intervals():
+    adapter = ResidualNoiseAdapter(["a", "b"], window=4)
+    for steps, sensor_id in ((4, "a"), (2, "b"), (6, "a"), (0, "a")):
+        for _ in range(steps):
+            adapter.advance(np.eye(1), 1.0)
+        adapter.correct(sensor_id, 0.0, two_sensor_record(1.0), np.zeros(1))
+        _, interval_steps, _ = adapter.refresh()
+    # Intervals of 4, 8 and a same-instant correction counted as one step.
+    assert interval_steps == pytest.approx((4.0 + 8.0 + 1.0) / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,35 +188,32 @@ def test_identity_detects_downweighted_gain():
 
 def test_adapter_validates_smoothing():
     with pytest.raises(ValueError):
-        ResidualNoiseAdapter(smoothing=0.0)
+        ResidualNoiseAdapter(["z"], smoothing=0.0)
     with pytest.raises(ValueError):
-        ResidualNoiseAdapter(smoothing=1.5)
+        ResidualNoiseAdapter(["z"], smoothing=1.5)
 
 
 def test_adapter_smoothing_blends_measurement_noise():
-    adapter = ResidualNoiseAdapter(window=1, smoothing=0.5)
-    adapter.push(make_record([2.0], [2.0], [[1.0]], [[0.0]]))
-    _, first = adapter.refresh()
-    assert first[0, 0] == pytest.approx(4.0)
-    adapter.push(make_record([0.0], [0.0], [[1.0]], [[0.0]]))
-    _, second = adapter.refresh()
-    assert second[0, 0] == pytest.approx(2.0)  # halfway toward the new 0
+    adapter = ResidualNoiseAdapter(["z"], window=1, smoothing=0.5)
+    adapter.push("z", make_record([2.0], [2.0], [[1.0]], [[0.0]]))
+    assert measurement_noise(adapter)[0, 0] == pytest.approx(4.0)
+    adapter.push("z", make_record([0.0], [0.0], [[1.0]], [[0.0]]))
+    assert measurement_noise(adapter)[0, 0] == pytest.approx(2.0)  # halfway toward the new 0
 
 
 def test_adapter_full_replacement_by_default():
-    adapter = ResidualNoiseAdapter(window=1)
-    adapter.push(make_record([2.0], [2.0], [[1.0]], [[0.0]]))
+    adapter = ResidualNoiseAdapter(["z"], window=1)
+    adapter.push("z", make_record([2.0], [2.0], [[1.0]], [[0.0]]))
     adapter.refresh()
-    adapter.push(make_record([1.0], [1.0], [[1.0]], [[0.0]]))
-    _, second = adapter.refresh()
-    assert second[0, 0] == pytest.approx(1.0)
+    adapter.push("z", make_record([1.0], [1.0], [[1.0]], [[0.0]]))
+    assert measurement_noise(adapter)[0, 0] == pytest.approx(1.0)
 
 
 def test_closed_loop_recovers_inflated_measurement_noise():
     """Scalar loop: R starts at 0.01 against a true value of 4.0."""
     rng = np.random.default_rng(17)
     q_true, r_true = 0.1, 4.0
-    adapter = ResidualNoiseAdapter(window=10)
+    adapter = ResidualNoiseAdapter(["z"], window=10)
     x, m, p = 0.0, 0.0, 1.0
     r_hat = 0.01
     history = []
@@ -185,8 +225,7 @@ def test_closed_loop_recovers_inflated_measurement_noise():
         posterior, record = kf_update(belief, z, np.eye(1), np.array([[r_hat]]),
                                       sensor_id="z")
         m, p = posterior.mean[0], posterior.cov[0, 0]
-        adapter.push(record)
-        _, fresh = adapter.refresh()
-        r_hat = fresh[0, 0]
+        adapter.push("z", record)
+        r_hat = measurement_noise(adapter)[0, 0]
         history.append(r_hat)
     assert 3.0 < np.mean(history[-200:]) < 5.0

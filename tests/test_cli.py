@@ -175,6 +175,68 @@ def test_exit_code_2_on_r0_override_for_an_unknown_sensor(capsys):
     assert "odmo0" in capsys.readouterr().err
 
 
+def simulate_hover(out, duration, sensors):
+    assert main(["simulate", "--scenario", "hover", "--seed", "1", "--out", str(out),
+                 "--set", f"duration={duration}", "--set", f"sensors={sensors}"]) == 0
+    return out / "dataset.csv", out / "truth.csv"
+
+
+def fuse_metrics(dataset, truth, out, variant):
+    assert main(["fuse", "--dataset", str(dataset), "--truth", str(truth),
+                 "--filter", variant, "--out", str(out)]) == 0
+    return json.loads((out / "metrics.json").read_text())
+
+
+def test_fuse_counts_a_refused_correction_and_exits_0(tmp_path, capsys):
+    dataset, truth = simulate_hover(tmp_path / "sim", duration=6.0, sensors=2)
+    rows = dataset.read_text().splitlines(keepends=True)
+    odom = [i for i, row in enumerate(rows) if ",odom," in row]
+    fields = rows[odom[len(odom) // 2]].split(",")
+    fields[3] = repr(float(fields[3]) + 1000.0)  # move one position by 1 km
+    rows[odom[len(odom) // 2]] = ",".join(fields)
+    jumped = tmp_path / "jumped.csv"
+    jumped.write_text("".join(rows))
+    metrics = fuse_metrics(jumped, truth, tmp_path / "fused", "akf")
+    assert metrics["dropped"] == {"non_finite": 0, "out_of_order": 0, "rejected": 1}
+    assert metrics["correction_count"] == len(odom) - 1
+    assert metrics["rmse_position_total"] < 0.05
+    assert "dropped=1" in capsys.readouterr().out
+
+
+def test_fuse_reports_corrections_the_truth_file_cannot_score(tmp_path, capsys):
+    dataset, truth = simulate_hover(tmp_path / "sim", duration=2.0, sensors=1)
+    lines = truth.read_text().splitlines(keepends=True)
+    shifted = [lines[0]]
+    for i, line in enumerate(lines[1:]):
+        time, rest = line.split(",", 1)
+        shifted.append(f"{float(time) + 1e-4 * i!r},{rest}")
+    truth.write_text("".join(shifted))
+    capsys.readouterr()
+    metrics = fuse_metrics(dataset, truth, tmp_path / "fused", "ekf")
+    assert metrics["correction_count"] == 20
+    assert metrics["unscored_corrections"] == 20
+    assert metrics["rmse_position_total"] is None
+    assert "unscored=20" in capsys.readouterr().out
+
+
+def test_fuse_scores_every_correction_on_an_uneven_truth_grid(tmp_path, capsys):
+    dataset, truth = simulate_hover(tmp_path / "sim", duration=2.0, sensors=1)
+    full = fuse_metrics(dataset, truth, tmp_path / "full", "ekf")
+    odom_times = {row.split(",", 1)[0] for row in dataset.read_text().splitlines()
+                  if ",odom," in row}
+    lines = truth.read_text().splitlines(keepends=True)
+    # Keep the header, every odometry time and an uneven pattern of the rest.
+    kept = [line for i, line in enumerate(lines)
+            if i < 2 or line.split(",", 1)[0] in odom_times or i % 3 == 0 or i % 7 == 0]
+    uneven = tmp_path / "uneven.csv"
+    uneven.write_text("".join(kept))
+    metrics = fuse_metrics(dataset, uneven, tmp_path / "uneven", "ekf")
+    assert metrics["unscored_corrections"] == full["unscored_corrections"] == 0
+    assert metrics["rmse_position_total"] == full["rmse_position_total"]
+    assert metrics["nees_mean"] == full["nees_mean"]
+    assert "unscored" not in capsys.readouterr().out
+
+
 def test_compare_writes_summary_json(tmp_path, capsys):
     out = tmp_path / "cmp"
     rc = main(["compare", "--scenario", "hover", "--seed", "2",

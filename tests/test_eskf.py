@@ -12,7 +12,7 @@ import pytest
 
 from corfuse.adapt_residual import check_identity_gamma
 from corfuse.errors import MeasurementRejected
-from corfuse.eskf import (GRAVITY, STATE_DIM, EngineConfig, FusionEngine,
+from corfuse.eskf import (GRAVITY, STATE_DIM, VARIANTS, EngineConfig, FusionEngine,
                           ImuSample, NominalState, OdometrySample,
                           error_transition, inject_and_reset,
                           observation_residual, propagate_nominal)
@@ -259,7 +259,7 @@ def test_engine_drops_bad_events_and_counts_them():
         "odo0", np.array([np.inf, 0, 0]), np.array([1.0, 0, 0, 0]),
         np.zeros(3), 0.03)) is None
     assert engine.process(hover_imu(-5.0)) is None
-    assert engine.dropped == {"out_of_order": 1, "non_finite": 2}
+    assert engine.dropped == {"out_of_order": 1, "non_finite": 2, "rejected": 0}
     with pytest.raises(ValueError, match="unknown sensor"):
         engine.process(OdometrySample("ghost", np.zeros(3),
                                       np.array([1.0, 0, 0, 0]), np.zeros(3), 0.04))
@@ -273,13 +273,45 @@ def test_engine_drops_non_finite_timestamps_and_counts_them():
         assert engine.process(OdometrySample(
             "odo0", np.zeros(3), np.array([1.0, 0, 0, 0]), np.zeros(3), time)) is None
         assert engine.process(hover_imu(time)) is None
-    assert engine.dropped == {"out_of_order": 0, "non_finite": 4}
+    assert engine.dropped == {"out_of_order": 0, "non_finite": 4, "rejected": 0}
     # the clock is untouched, so later events still propagate the filter
     engine.process(hover_imu(0.02))
     assert engine.state.time == pytest.approx(0.02)
     result = engine.process(OdometrySample(
         "odo0", np.zeros(3), np.array([1.0, 0, 0, 0]), np.zeros(3), 0.03))
     assert result is not None and result.time == 0.03
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("variant,position,orientation", [
+    # The update refuses the NaN residual of a zero quaternion.
+    *[pytest.param(v, 0.0, np.zeros(4), id=f"{v}-zero-quaternion") for v in VARIANTS],
+    # The reset refuses the half-turn attitude correction of a 1 km jump.
+    pytest.param("akf", 1000.0, np.array([1.0, 0.0, 0.0, 0.0]), id="akf-1km-jump"),
+])
+def test_refused_correction_is_counted_and_leaves_the_filter_untouched(
+        variant, position, orientation):
+    events = hover_events(duration=2.0, noise=0.005, seed=5, sensors=("odo0", "odo1"))
+    cut = max(k for k, e in enumerate(events) if e.time <= 1.0) + 1
+    bad = OdometrySample("odo0", np.array([position, 0.0, 0.0]), orientation,
+                         np.zeros(3), 1.0)
+    finals = []
+    for stream in (events, events[:cut] + [bad] + events[cut:]):
+        engine = FusionEngine(EngineConfig(variant=variant), {"odo0": 0.01, "odo1": 0.01})
+        engine.initialize(make_state(), 1e-4)
+        results = [engine.process(event) for event in stream]
+        finals.append((engine, results))
+    (clean, clean_results), (engine, results) = finals
+    assert results[cut] is None
+    assert engine.dropped == {"out_of_order": 0, "non_finite": 0, "rejected": 1}
+    # Every later output matches the stream without the refused sample, bit for bit.
+    assert [r is None for r in results[cut + 1:]] == [r is None for r in clean_results[cut:]]
+    for ours, theirs in zip(results[cut + 1:], clean_results[cut:]):
+        if ours is not None:
+            assert np.array_equal(ours.state.position, theirs.state.position)
+            assert ours.noise_trace == theirs.noise_trace
+    assert np.array_equal(engine.covariance, clean.covariance)
+    assert np.array_equal(engine.process_noise, clean.process_noise)
 
 
 def test_engine_scalar_noise_becomes_diagonal_matrix():
@@ -365,7 +397,7 @@ def test_slightly_late_odometry_is_fused_at_the_current_time():
     result = engine.process(OdometrySample("odo0", np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]),
                                            np.zeros(3), 0.0195))
     assert result is not None and result.time == engine.state.time == pytest.approx(0.02)
-    assert engine.dropped == {"out_of_order": 0, "non_finite": 0}
+    assert engine.dropped == {"out_of_order": 0, "non_finite": 0, "rejected": 0}
     before, cov = engine.state.copy(), engine.covariance.copy()
     imu = hover_imu(0.03)
     engine.process(imu)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from corfuse.eskf import GRAVITY, ImuSample, NominalState, OdometrySample, propagate_nominal
-from corfuse.sim import (NoiseSpec, ScenarioSpec, SensorSpec, generate_truth,
-                         sample_sensors)
+from corfuse.sim import (NoiseSpec, ScenarioSpec, SensorSpec, TruthTrajectory,
+                         generate_truth, sample_sensors)
 from corfuse.so3 import quat_conjugate, quat_multiply, rotation_angle
 
 
@@ -24,6 +24,19 @@ def test_truth_grid_shape_and_spacing():
     assert truth.index_at(1.0) == 50
     with pytest.raises(ValueError):
         truth.index_at(1.004)
+
+
+def test_index_at_finds_the_nearest_row_on_an_uneven_grid():
+    times = np.array([0.0, 0.1, 0.25, 0.3, 1.0])
+    truth = TruthTrajectory(times, np.zeros((5, 3)), np.zeros((5, 3)),
+                            np.tile([1.0, 0.0, 0.0, 0.0], (5, 1)),
+                            np.zeros((4, 3)), np.zeros((4, 3)))
+    assert [truth.index_at(t) for t in times] == [0, 1, 2, 3, 4]
+    assert truth.index_at(0.25 + 5e-7) == 2
+    assert truth.index_at(1.0 - 5e-7) == 4
+    for time in (-0.01, 0.2, 0.5, 1.01):
+        with pytest.raises(ValueError, match="not on the truth grid"):
+            truth.index_at(time)
 
 
 def test_unknown_trajectory_kind_rejected():
