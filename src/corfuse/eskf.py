@@ -354,6 +354,8 @@ class FusionEngine:
         now = self._nominal.time
 
         sensor = self._sensors[sample.sensor_id]
+        if np.linalg.norm(sample.orientation) == 0.0:
+            return self._reject(sample, MeasurementRejected("zero-norm quaternion"))
         y, obs_jac = observation_residual(self._nominal, sample)
         sigma = sensor.bandwidth.update(y, sensor.noise, obs_jac, self._belief.cov)
         # A refused correction leaves the state, belief and adapter as they were.

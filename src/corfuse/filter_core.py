@@ -5,16 +5,22 @@ plain matrices: ``predict`` a transition F and process noise Q,
 ``mcckf_update`` and ``kf_update`` an observation matrix H and
 measurement noise R.
 
-The correction gain is computed in information form,
+The correction gain is computed in covariance form (Chen et al., "Maximum
+correntropy Kalman filter", Automatica 2017),
 
-    K = (P^-1 + H^T C R^-1 H)^-1 H^T C R^-1
+    K = P H^T sqrt(C) (sqrt(C) H P H^T sqrt(C) + R)^-1 sqrt(C)
 
 where ``C`` is a diagonal matrix of Gaussian-kernel weights evaluated per
 measurement dimension.  A dimension whose innovation is implausibly large
-gets a weight near zero and stops influencing the state.  With ``C = I``
-the expression collapses to the ordinary Kalman gain, so the robust and
-the plain correction share a single code path (``kf_update`` simply forces
-identity weights).
+gets a weight near zero and stops influencing the state; a weight of
+exactly zero zeroes its gain column.  By the matrix inversion lemma this
+is the information-form gain (P^-1 + H^T C R^-1 H)^-1 H^T C R^-1 of the
+MCC-KF, but it needs one Cholesky factorization, of the innovation
+covariance S, instead of three.  Neither P, R nor C is inverted, so a prior
+with an exactly known state needs no ridge and weights down to exp(-700)
+cannot overflow.  With ``C = I`` the expression collapses to the ordinary
+Kalman gain, so the robust and the plain correction share a single code
+path (``kf_update`` simply forces identity weights).
 
 The posterior covariance always uses the Joseph form with the unmodified
 measurement noise,
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeasurementRejected, PropagationError
-from .linalg import spd_inverse, spd_solve, symmetrize
+from .linalg import spd_solve, symmetrize
 
 log = logging.getLogger(__name__)
 
@@ -79,7 +85,7 @@ class InnovationRecord:
     cov_post: np.ndarray            # P after the correction
     gain: np.ndarray                # K actually applied
     weights: CorrentropyWeights
-    regularized: bool = False
+    regularized: bool = False       # S needed a ridge
 
 
 def predict(belief: GaussianBelief, trans: np.ndarray, noise: np.ndarray,
@@ -124,19 +130,15 @@ def _apply_correction(belief: GaussianBelief, z: np.ndarray, y: np.ndarray,
     n = belief.mean.shape[0]
     cov_pred = symmetrize(belief.cov)
 
-    p_inv, reg_p = spd_inverse(cov_pred)
-    r_inv, reg_r = spd_inverse(noise)
-    # The weighting C R^-1 is applied as the symmetric split sqrt(C) R^-1
-    # sqrt(C), which is the same matrix whenever R is diagonal but stays
-    # symmetric PSD when an adapted R carries off-diagonal structure.  A
-    # zero weight still zeroes the matching gain column exactly.
+    # The weights enter as the symmetric split sqrt(C) (.) sqrt(C), which
+    # keeps S symmetric PSD when an adapted R carries off-diagonal structure.
     root_c = np.sqrt(weights.weighted)
-    cr_inv = root_c[:, None] * r_inv * root_c[None, :]
-    info = symmetrize(p_inv + obs_jac.T @ cr_inv @ obs_jac)
-    gain, reg_i = spd_solve(info, obs_jac.T @ cr_inv)
-    regularized = reg_p or reg_r or reg_i
+    ph = (cov_pred @ obs_jac.T) * root_c            # P H^T sqrt(C)
+    innov_cov = symmetrize(root_c[:, None] * (obs_jac @ ph) + noise)
+    sol, regularized = spd_solve(innov_cov, ph.T)   # S^-1 sqrt(C) H P
+    gain = sol.T * root_c
     if regularized:
-        log.warning("correction solver regularized with 1e-12 ridge at t=%.6f", belief.time)
+        log.warning("innovation covariance needed a ridge at t=%.6f", belief.time)
 
     mean = belief.mean + gain @ y
     ikh = np.eye(n) - gain @ obs_jac

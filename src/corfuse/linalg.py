@@ -38,12 +38,6 @@ def spd_solve(a: np.ndarray, b: np.ndarray, ridge: float = 1e-12) -> tuple[np.nd
             bump = max(bump * 1e3, 1e-15 * scale)
 
 
-def spd_inverse(a: np.ndarray, ridge: float = 1e-12) -> tuple[np.ndarray, bool]:
-    """Invert a symmetric positive-definite matrix with the same fallback as spd_solve."""
-    x, regularized = spd_solve(a, np.eye(a.shape[0]), ridge=ridge)
-    return symmetrize(x), regularized
-
-
 def psd_project(a: np.ndarray) -> np.ndarray:
     """Project a symmetric matrix onto the positive-semidefinite cone.
 

@@ -282,9 +282,8 @@ def test_engine_drops_non_finite_timestamps_and_counts_them():
     assert result is not None and result.time == 0.03
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("variant,position,orientation", [
-    # The update refuses the NaN residual of a zero quaternion.
+    # The engine refuses a zero quaternion before it computes a residual.
     *[pytest.param(v, 0.0, np.zeros(4), id=f"{v}-zero-quaternion") for v in VARIANTS],
     # The reset refuses the half-turn attitude correction of a 1 km jump.
     pytest.param("akf", 1000.0, np.array([1.0, 0.0, 0.0, 0.0]), id="akf-1km-jump"),

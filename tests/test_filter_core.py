@@ -2,7 +2,10 @@
 
 The correction tests lean on two independent oracles: a dense textbook
 implementation of the information-form gain written with plain numpy
-inverses, and hand-evaluated scalar cases.
+inverses, and hand-evaluated scalar cases.  The library computes the gain
+in covariance form with one Cholesky solve, so the information-form oracle
+shares no code path with it: agreement checks the matrix inversion lemma
+as well as the implementation.
 """
 
 import numpy as np
@@ -169,6 +172,25 @@ def test_zeroed_weight_column_removes_that_channel():
     np.testing.assert_allclose(record.gain[:, 0], 0.0, atol=1e-290)
     assert out.mean[0] == pytest.approx(0.0, abs=1e-12)
     assert out.mean[1] == pytest.approx(0.15, abs=1e-6)
+
+
+@pytest.mark.parametrize("update", ["kf", "mcckf"])
+def test_singular_prior_is_corrected_without_a_ridge(update, caplog):
+    """A state known exactly stays exactly known; no factor of P is needed."""
+    belief = GaussianBelief(mean=np.zeros(3), cov=np.diag([1.0, 0.0, 2.0]))
+    z = np.array([0.3, -0.2, 0.5])
+    h, r = np.eye(3), 0.1 * np.eye(3)
+    if update == "kf":
+        out, record = kf_update(belief, z, h, r)
+    else:
+        out, record = mcckf_update(belief, z, h, r, np.ones(3))
+    assert not record.regularized
+    assert not caplog.records
+    np.testing.assert_array_equal(record.gain[1], 0.0)
+    assert out.mean[1] == 0.0
+    np.testing.assert_array_equal(out.cov[1], 0.0)
+    np.testing.assert_array_equal(out.cov[:, 1], 0.0)
+    assert out.mean[0] > 0.0 and out.mean[2] > 0.0
 
 
 def test_unit_weight_update_matches_kf_update_exactly():
