@@ -24,6 +24,9 @@ adapter also keeps the no-reset frame the smoother works in: the
 error-state mean a filter without injection/reset would carry, and the
 dynamics composed since the last correction (``advance`` and
 ``correct``).
+
+Each smoother gain is solved once, when its snapshot is pushed; a refresh
+then does O(W) matrix products and no solves.
 """
 from __future__ import annotations
 
@@ -63,6 +66,10 @@ class WindowSnapshot:
     cov_pred: np.ndarray
     steps: float = 1.0
     sensor_id: str = ""
+    # Set by SmootherWindow.push: symmetrized cov and cov_pred, and gain G_j-1.
+    cov_sym: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    cov_pred_sym: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    gain: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
 
 @dataclass
@@ -77,6 +84,15 @@ class SmootherWindow:
     snapshots: list[WindowSnapshot] = field(default_factory=list)
 
     def push(self, snapshot: WindowSnapshot) -> None:
+        """Buffer ``snapshot``, solving G_j-1 = P_j-1|j-1 F_j^T (P_j|j-1)^-1 once."""
+        snapshot.cov_sym = symmetrize(snapshot.cov)
+        snapshot.cov_pred_sym = symmetrize(snapshot.cov_pred)
+        if self.snapshots:
+            gain_t, regularized = spd_solve(
+                snapshot.cov_pred_sym, snapshot.transition @ self.snapshots[-1].cov_sym)
+            if regularized:
+                log.warning("smoother regularized a singular predicted covariance")
+            snapshot.gain = gain_t.T
         self.snapshots.append(snapshot)
         if len(self.snapshots) > self.length + 1:
             del self.snapshots[0]
@@ -106,7 +122,7 @@ def backward_smooth(window: SmootherWindow) -> SmoothedWindow:
     For each transition, with F_j the composed dynamics of snapshot j and
     (x_j|j-1, P_j|j-1) the buffered pre-correction mean and covariance:
 
-        G_j-1   = P_j-1|j-1 F_j^T (P_j|j-1)^-1
+        G_j-1   = P_j-1|j-1 F_j^T (P_j|j-1)^-1      (solved once, at push)
         x_j-1|k = x_j-1|j-1 + G_j-1 (x_j|k - x_j|j-1)
         P_j-1|k = P_j-1|j-1 + G_j-1 (P_j|k - P_j|j-1) G_j-1^T
         P_j-1,j|k = G_j-1 P_j|k
@@ -126,18 +142,12 @@ def backward_smooth(window: SmootherWindow) -> SmoothedWindow:
     crosses: list[Optional[np.ndarray]] = [None] * (count - 1)
 
     means[-1] = snaps[-1].state.copy()
-    covs[-1] = symmetrize(snaps[-1].cov)
+    covs[-1] = snaps[-1].cov_sym.copy()
     for j in range(count - 1, 0, -1):
-        prev = snaps[j - 1]
-        cur = snaps[j]
-        cov_prev = symmetrize(prev.cov)
-        cov_pred = symmetrize(cur.cov_pred)
-        gain_t, regularized = spd_solve(cov_pred, cur.transition @ cov_prev)
-        if regularized:
-            log.warning("smoother regularized a singular predicted covariance")
-        gain = gain_t.T
+        prev, cur = snaps[j - 1], snaps[j]
+        gain = cur.gain
         means[j - 1] = prev.state + gain @ (means[j] - cur.prior_mean)
-        covs[j - 1] = symmetrize(cov_prev + gain @ (covs[j] - cov_pred) @ gain.T)
+        covs[j - 1] = symmetrize(prev.cov_sym + gain @ (covs[j] - cur.cov_pred_sym) @ gain.T)
         gains[j - 1] = gain
         crosses[j - 1] = gain @ covs[j]
     return SmoothedWindow(means=means, covs=covs, gains=gains, crosses=crosses)  # type: ignore[arg-type]

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -13,29 +13,29 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 def spd_solve(a: np.ndarray, b: np.ndarray, ridge: float = 1e-12) -> tuple[np.ndarray, bool]:
     """Solve ``a @ x = b`` for symmetric positive-definite ``a`` via Cholesky.
 
+    LAPACK ``potrf``/``potrs`` are called directly: SciPy's ``cho_factor``
+    and ``cho_solve`` wrappers cost about four times a 9x9 solve itself.
+
     If the factorization fails, ``ridge`` is added to the diagonal and the
     solve is retried; should the fixed ridge be too small relative to the
     matrix scale, it is escalated until the factorization goes through.
     Returns ``(x, regularized)`` where the flag says whether any fallback
-    was taken.
+    was taken; raises LinAlgError once the ridge passes 1e3 times that scale.
     """
     a = np.asarray(a, dtype=float)
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info == 0:
+        return dpotrs(factor, b, lower=1)[0], False
     eye = np.eye(a.shape[0])
-    try:
-        factor = cho_factor(a, lower=True, check_finite=False)
-        return cho_solve(factor, b, check_finite=False), False
-    except np.linalg.LinAlgError:
-        pass
     bump = ridge
     scale = max(float(np.abs(np.diag(a)).max()), 1.0)
     while True:
-        try:
-            factor = cho_factor(a + bump * eye, lower=True, check_finite=False)
-            return cho_solve(factor, b, check_finite=False), True
-        except np.linalg.LinAlgError:
-            if bump > 1e3 * scale:
-                raise
-            bump = max(bump * 1e3, 1e-15 * scale)
+        factor, info = dpotrf(a + bump * eye, lower=1, clean=0)
+        if info == 0:
+            return dpotrs(factor, b, lower=1)[0], True
+        if bump > 1e3 * scale:
+            raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+        bump = max(bump * 1e3, 1e-15 * scale)
 
 
 def psd_project(a: np.ndarray) -> np.ndarray:

@@ -6,14 +6,18 @@ expectations on a matched linear-Gaussian system where the statistics
 must average to the true noise values.
 """
 
+import logging
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from corfuse.adapt_vb import (SmootherWindow, VbNoiseAdapter, WindowSnapshot,
                               backward_smooth, measurement_statistic,
                               process_statistic)
 from corfuse.errors import AdaptationNotReady
 from corfuse.filter_core import CorrentropyWeights, InnovationRecord
+from corfuse.linalg import symmetrize
 
 UNIT = CorrentropyWeights(unweighted=np.array([1.0]), weighted=np.array([1.0]))
 
@@ -111,6 +115,68 @@ def test_window_length_bounds_buffer():
         window.push(scalar_snapshot(float(k), 0.0, 0.0, 0.5, 1.0, residual=0.0))
     assert len(window) == 4  # length transitions need length + 1 snapshots
     assert window.snapshots[0].time == 6.0
+
+
+def re_solving_smoother(snaps):
+    """The RTS pass solving every gain afresh from the buffered snapshots."""
+    count = len(snaps)
+    means, covs = [None] * count, [None] * count
+    gains, crosses = [None] * (count - 1), [None] * (count - 1)
+    means[-1] = snaps[-1].state.copy()
+    covs[-1] = symmetrize(snaps[-1].cov)
+    for j in range(count - 1, 0, -1):
+        prev, cur = snaps[j - 1], snaps[j]
+        cov_prev = symmetrize(prev.cov)
+        cov_pred = symmetrize(cur.cov_pred)
+        factor = cho_factor(cov_pred, lower=True, check_finite=False)
+        gain = cho_solve(factor, cur.transition @ cov_prev, check_finite=False).T
+        means[j - 1] = prev.state + gain @ (means[j] - cur.prior_mean)
+        covs[j - 1] = symmetrize(cov_prev + gain @ (covs[j] - cov_pred) @ gain.T)
+        gains[j - 1] = gain
+        crosses[j - 1] = gain @ covs[j]
+    return means, covs, gains, crosses
+
+
+def random_spd9(rng):
+    a = rng.standard_normal((9, 9))
+    # a slightly asymmetric input, so that the cached symmetrization matters
+    return a @ a.T + 9.0 * np.eye(9) + 1e-9 * rng.standard_normal((9, 9))
+
+
+def test_gains_cached_at_push_match_re_solving_smoother_bitwise():
+    rng = np.random.default_rng(41)
+    window = SmootherWindow(length=4)
+    for k in range(9):  # evicts from the sixth push on
+        instant = k == 5  # a second correction at the same instant
+        window.push(WindowSnapshot(
+            time=float(k - instant), state=rng.standard_normal(9),
+            prior_mean=rng.standard_normal(9), cov=random_spd9(rng),
+            transition=np.eye(9) if instant else np.eye(9) + 0.1 * rng.standard_normal((9, 9)),
+            obs_jacobian=np.eye(3, 9), residual=rng.standard_normal(3),
+            weights=CorrentropyWeights(unweighted=np.ones(3), weighted=np.ones(3)),
+            cov_pred=random_spd9(rng), steps=0.0 if instant else 1.0,
+            sensor_id="ab"[k % 2]))
+        if len(window) < 2:
+            continue
+        smoothed = backward_smooth(window)
+        reference = re_solving_smoother(window.snapshots)
+        for got, want in zip((smoothed.means, smoothed.covs, smoothed.gains,
+                              smoothed.crosses), reference):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+    assert len(window) == 5
+
+
+def test_smoother_ridge_warning_is_logged_once_per_snapshot(caplog):
+    adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
+    with caplog.at_level(logging.WARNING, logger="corfuse.adapt_vb"):
+        adapter.push(scalar_snapshot(0.0, 0.5, 0.0, 0.5, 1.0, residual=0.1))
+        adapter.push(scalar_snapshot(1.0, 0.25, 0.5, 0.5, 0.0, residual=0.0))
+        for _ in range(3):
+            adapter.refresh()
+    assert [r.getMessage() for r in caplog.records] == [
+        "smoother regularized a singular predicted covariance"]
 
 
 def test_measurement_statistic_filters_by_sensor():

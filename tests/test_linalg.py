@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from corfuse.linalg import floor_diagonal, psd_project, spd_solve, symmetrize
 
@@ -46,6 +47,51 @@ def test_spd_solve_handles_large_scale_near_singular_matrices():
     x, regularized = spd_solve(a, np.ones(4))
     assert regularized
     assert np.all(np.isfinite(x))
+
+
+def wrapper_spd_solve(a, b, ridge=1e-12):
+    """The same solve and ridge escalation through SciPy's Cholesky wrappers."""
+    a = np.asarray(a, dtype=float)
+    eye = np.eye(a.shape[0])
+    try:
+        return cho_solve(cho_factor(a, lower=True, check_finite=False), b,
+                         check_finite=False), False
+    except np.linalg.LinAlgError:
+        pass
+    bump = ridge
+    scale = max(float(np.abs(np.diag(a)).max()), 1.0)
+    while True:
+        try:
+            return cho_solve(cho_factor(a + bump * eye, lower=True, check_finite=False), b,
+                             check_finite=False), True
+        except np.linalg.LinAlgError:
+            if bump > 1e3 * scale:
+                raise
+            bump = max(bump * 1e3, 1e-15 * scale)
+
+
+def test_spd_solve_matches_scipy_wrappers_bitwise(trials=3200):
+    rng = np.random.default_rng(23)
+    ridged = 0
+    for trial in range(trials):
+        n = int(rng.integers(1, 10))
+        if trial % 2:
+            a = random_spd(rng, n, scale=10.0 ** rng.uniform(-6, 12))
+        else:  # rank-deficient, so that the ridge path runs
+            v = rng.standard_normal((n, int(rng.integers(0, n))))
+            a = 10.0 ** rng.uniform(-6, 12) * (v @ v.T)
+        b = rng.standard_normal(n) if trial % 3 else rng.standard_normal((n, n))
+        want, want_ridged = wrapper_spd_solve(a, b)
+        got, got_ridged = spd_solve(a, b)
+        assert got_ridged == want_ridged
+        np.testing.assert_array_equal(got, want)
+        ridged += got_ridged
+    assert ridged > trials // 4
+
+
+def test_spd_solve_raises_when_ridge_escalation_gives_up():
+    with pytest.raises(np.linalg.LinAlgError):
+        spd_solve(np.array([[1.0, np.inf], [np.inf, 1.0]]), np.ones(2))
 
 
 def test_psd_project_clips_negative_eigenvalues():

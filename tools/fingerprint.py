@@ -1,4 +1,4 @@
-"""Print one SHA-256 per (benchmark workload settings, filter variant, seed 1-3).
+"""Print one SHA-256 per (benchmark workload settings, filter variant, seed).
 
 Each digest covers a run's full output in memory: every row of
 ``estimates`` (time, pose, velocity, covariance diagonal), the final error
@@ -10,23 +10,30 @@ the outputs of
 
 run in each are identical (``diff`` them).  Runs use the workload settings
 of ``perfbench/workloads.py`` in scenario mode, so no files are written.
+
+As in ``tools/sweep.py``, ``--seeds A-B`` picks the seeds (default 1-3),
+``--workload`` may be repeated and defaults to every workload, and
+``--duration`` shortens the streams (seconds):
+
+    python tools/fingerprint.py --seeds 4-6 --workload vb_outliers
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
 from corfuse.eskf import VARIANTS  # noqa: E402
 from corfuse.experiments import RunConfig, run_experiment  # noqa: E402
+from sweep import parse_seeds  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
-
-SEEDS = (1, 2, 3)
 
 
 def fingerprint(settings: dict, duration: float, variant: str, seed: int) -> str:
@@ -42,11 +49,19 @@ def fingerprint(settings: dict, duration: float, variant: str, seed: int) -> str
     return digest.hexdigest()
 
 
-def main() -> int:
-    for name, workload in WORKLOADS.items():
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", action="append", choices=list(WORKLOADS))
+    parser.add_argument("--seeds", type=parse_seeds, default=[1, 2, 3],
+                        help="A-B, inclusive (default 1-3)")
+    parser.add_argument("--duration", type=float, help="stream length in seconds")
+    args = parser.parse_args(argv)
+    for name in args.workload or list(WORKLOADS):
+        workload = WORKLOADS[name]
+        duration = args.duration or workload.duration
         for variant in VARIANTS:
-            for seed in SEEDS:
-                digest = fingerprint(workload.settings, workload.duration, variant, seed)
+            for seed in args.seeds:
+                digest = fingerprint(workload.settings, duration, variant, seed)
                 print(f"{name} {variant} seed={seed} {digest}", flush=True)
     return 0
 
