@@ -48,7 +48,6 @@ from .so3 import (
     quat_to_rotmat,
     quat_to_rotvec,
     rotation_angle,
-    rotvec_to_rotmat,
     skew,
 )
 
@@ -102,37 +101,40 @@ class OdometrySample:
 Event = Union[ImuSample, OdometrySample]
 
 
-def propagate_nominal(state: NominalState, imu: ImuSample, dt: float) -> NominalState:
-    """First-order nominal propagation over one IMU interval.
+def imu_step(state: NominalState, imu: ImuSample, dt: float) -> tuple[NominalState, np.ndarray]:
+    """One IMU interval: the first-order nominal propagation and its error transition F.
 
         p += v dt
         v += (R(q) a + g) dt
         q  = q * exp(w dt), renormalized
-    """
-    if not (np.isfinite(imu.accel).all() and np.isfinite(imu.gyro).all()):
-        raise MeasurementRejected("non-finite IMU sample")
-    rot = quat_to_rotmat(state.orientation)
-    position = state.position + state.velocity * dt
-    velocity = state.velocity + (rot @ imu.accel + GRAVITY) * dt
-    orientation = quat_normalize(
-        quat_multiply(state.orientation, quat_from_rotvec(imu.gyro * dt)))
-    return NominalState(position, velocity, orientation, state.time + dt)
 
-
-def error_transition(state: NominalState, imu: ImuSample, dt: float) -> np.ndarray:
-    """Discrete error-state transition Jacobian for one IMU interval.
-
-    Evaluated at the pre-propagation nominal state.  The velocity error
+    F is evaluated at the pre-propagation nominal state.  The velocity error
     couples to the attitude error through -R(q) [a]x dt (body-side error
     convention) and the attitude block is the exact adjoint R(w dt)^T,
     which is the identity to first order.
     """
-    trans = np.eye(STATE_DIM)
-    trans[0:3, 3:6] = dt * np.eye(3)
+    if not all(map(math.isfinite, imu.accel.tolist() + imu.gyro.tolist())):
+        raise MeasurementRejected("non-finite IMU sample")
     rot = quat_to_rotmat(state.orientation)
-    trans[3:6, 6:9] = -(rot @ skew(imu.accel)) * dt
-    trans[6:9, 6:9] = rotvec_to_rotmat(imu.gyro * dt).T
-    return trans
+    delta = quat_from_rotvec(imu.gyro * dt)
+    position = state.position + state.velocity * dt
+    velocity = state.velocity + (rot @ imu.accel + GRAVITY) * dt
+    orientation = quat_normalize(quat_multiply(state.orientation, delta))
+    trans = np.eye(STATE_DIM)
+    trans[0, 3] = trans[1, 4] = trans[2, 5] = dt
+    trans[3:6, 6:9] = (rot @ skew(imu.accel)) * -dt
+    trans[6:9, 6:9] = quat_to_rotmat(delta).T
+    return NominalState(position, velocity, orientation, state.time + dt), trans
+
+
+def propagate_nominal(state: NominalState, imu: ImuSample, dt: float) -> NominalState:
+    """The nominal half of :func:`imu_step`."""
+    return imu_step(state, imu, dt)[0]
+
+
+def error_transition(state: NominalState, imu: ImuSample, dt: float) -> np.ndarray:
+    """The transition half of :func:`imu_step`."""
+    return imu_step(state, imu, dt)[1]
 
 
 def observation_residual(state: NominalState,
@@ -303,9 +305,9 @@ class FusionEngine:
 
     def _advance(self, dt: float, imu: ImuSample) -> None:
         scale = dt / self._imu_period if self._imu_period else 1.0
-        trans = error_transition(self._nominal, imu, dt)
+        nominal, trans = imu_step(self._nominal, imu, dt)
         self._belief = predict(self._belief, trans, self.process_noise * scale, dt)
-        self._nominal = propagate_nominal(self._nominal, imu, dt)
+        self._nominal = nominal
         if self._adapter is not None:
             self._adapter.advance(trans, scale)
 
@@ -314,7 +316,7 @@ class FusionEngine:
 
         A lag within TIME_TOLERANCE gives a gap of zero: the clock never goes back.
         """
-        if not (math.isfinite(event.time) and all(np.isfinite(v).all() for v in values)):
+        if not all(map(math.isfinite, np.concatenate(values).tolist() + [event.time])):
             reason = "non_finite"
         elif event.time - self._nominal.time < -TIME_TOLERANCE:
             reason = "out_of_order"

@@ -282,6 +282,32 @@ def test_engine_drops_non_finite_timestamps_and_counts_them():
     assert result is not None and result.time == 0.03
 
 
+NON_FINITE_SLOTS = ([("imu", name, i) for name in ("accel", "gyro") for i in range(3)]
+                    + [("odometry", name, i) for name, size in
+                       (("position", 3), ("orientation", 4), ("velocity", 3))
+                       for i in range(size)])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind,name,index", NON_FINITE_SLOTS)
+def test_every_non_finite_slot_is_dropped(kind, name, index, value):
+    engine, _ = run_engine(EngineConfig(variant="mcckf"),
+                           hover_events(duration=0.5, noise=0.005, seed=11))
+    before, cov = engine.state.copy(), engine.covariance.copy()
+    if kind == "imu":
+        event = hover_imu(0.51)
+    else:
+        event = OdometrySample("odo0", np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]),
+                               np.zeros(3), 0.51)
+    getattr(event, name)[index] = value
+    assert engine.process(event) is None
+    assert engine.dropped == {"out_of_order": 0, "non_finite": 1, "rejected": 0}
+    assert engine.state.time == before.time
+    for field in ("position", "velocity", "orientation"):
+        np.testing.assert_array_equal(getattr(engine.state, field), getattr(before, field))
+    np.testing.assert_array_equal(engine.covariance, cov)
+
+
 @pytest.mark.parametrize("variant,position,orientation", [
     # The engine refuses a zero quaternion before it computes a residual.
     *[pytest.param(v, 0.0, np.zeros(4), id=f"{v}-zero-quaternion") for v in VARIANTS],
