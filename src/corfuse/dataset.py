@@ -35,8 +35,9 @@ EVENT_HEADER = ["time_s", "kind", "sensor_id",
 TRUTH_HEADER = ["time_s", "px", "py", "pz", "qw", "qx", "qy", "qz", "vx", "vy", "vz"]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(values) -> list[str]:
+    """Shortest round-trip text of each float in ``values``."""
+    return [repr(v) for v in np.asarray(values, dtype=float).tolist()]
 
 
 def write_events(path: Union[str, Path], events: Iterable[Event]) -> None:
@@ -46,18 +47,14 @@ def write_events(path: Union[str, Path], events: Iterable[Event]) -> None:
         writer.writerow(EVENT_HEADER)
         for event in events:
             if isinstance(event, ImuSample):
-                row = [_fmt(event.time), "imu", "imu"]
-                row += [_fmt(v) for v in event.accel]
-                row += [_fmt(v) for v in event.gyro]
-                row += ["", "", ""]
+                row = [repr(float(event.time)), "imu", "imu"] + _fmt(event.accel)
+                row += _fmt(event.gyro) + ["", "", ""]
             elif isinstance(event, OdometrySample):
                 q = np.asarray(event.orientation, dtype=float)
                 if q[0] < 0.0:
                     q = -q
-                row = [_fmt(event.time), "odom", event.sensor_id]
-                row += [_fmt(v) for v in event.position]
-                row += [_fmt(v) for v in q[1:]]
-                row += [_fmt(v) for v in event.velocity]
+                row = [repr(float(event.time)), "odom", event.sensor_id] + _fmt(event.position)
+                row += _fmt(q[1:]) + _fmt(event.velocity)
             else:
                 raise TypeError(f"unsupported event type {type(event)!r}")
             writer.writerow(row)
@@ -129,15 +126,13 @@ def ingest_dataset(path: Union[str, Path]) -> list[Event]:
 
 
 def write_truth(path: Union[str, Path], truth: TruthTrajectory) -> None:
+    columns = np.column_stack([truth.times, truth.positions, truth.orientations,
+                               truth.velocities])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRUTH_HEADER)
-        for i in range(len(truth)):
-            row = [_fmt(truth.times[i])]
-            row += [_fmt(v) for v in truth.positions[i]]
-            row += [_fmt(v) for v in truth.orientations[i]]
-            row += [_fmt(v) for v in truth.velocities[i]]
-            writer.writerow(row)
+        for row in columns:
+            writer.writerow(map(repr, row.tolist()))
 
 
 def read_truth(path: Union[str, Path]) -> TruthTrajectory:

@@ -59,6 +59,9 @@ OBS_DIM = 9
 # Seconds an event may lag the filter clock and still be fused at the clock's
 # time; larger lags are dropped as out of order.
 TIME_TOLERANCE = 1e-3
+# An odometry quaternion whose norm is further than this from 1 is refused,
+# not fused as if it were a unit quaternion.
+QUAT_NORM_TOLERANCE = 1e-3
 
 VARIANTS = ("ekf", "akf", "mcckf", "r-amcckf", "vb-amcckf")
 _KERNEL_VARIANTS = ("mcckf", "r-amcckf", "vb-amcckf")
@@ -78,7 +81,7 @@ class NominalState:
                             self.orientation.copy(), self.time)
 
 
-@dataclass
+@dataclass(slots=True)
 class ImuSample:
     """Specific force and angular rate in the body frame."""
 
@@ -87,7 +90,7 @@ class ImuSample:
     time: float
 
 
-@dataclass
+@dataclass(slots=True)
 class OdometrySample:
     """Pose-plus-velocity report from one odometry source."""
 
@@ -356,8 +359,9 @@ class FusionEngine:
         now = self._nominal.time
 
         sensor = self._sensors[sample.sensor_id]
-        if np.linalg.norm(sample.orientation) == 0.0:
-            return self._reject(sample, MeasurementRejected("zero-norm quaternion"))
+        norm = math.sqrt(sample.orientation.dot(sample.orientation))
+        if abs(norm - 1.0) > QUAT_NORM_TOLERANCE:
+            return self._reject(sample, MeasurementRejected(f"quaternion norm {norm:.6g}, not 1"))
         y, obs_jac = observation_residual(self._nominal, sample)
         sigma = sensor.bandwidth.update(y, sensor.noise, obs_jac, self._belief.cov)
         # A refused correction leaves the state, belief and adapter as they were.

@@ -246,8 +246,9 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
         timings[i] = _time.perf_counter_ns() - start
 
         state = engine.state
-        estimates.append([state.time, *state.position, *state.orientation,
-                          *state.velocity, *np.diag(engine.covariance)])
+        estimates.append([float(state.time)] + state.position.tolist()
+                         + state.orientation.tolist() + state.velocity.tolist()
+                         + engine.covariance.diagonal().tolist())
 
         if result is None:
             continue
@@ -313,7 +314,7 @@ def _write_estimates(path: Path, estimates: list[list[float]]) -> None:
         writer = csv.writer(fh)
         writer.writerow(_ESTIMATE_HEADER)
         for row in estimates:
-            writer.writerow([repr(float(v)) for v in row])
+            writer.writerow(map(repr, row))
 
 
 def compare(config: RunConfig, variants: list[str]) -> dict[str, ExperimentResult]:

@@ -8,6 +8,20 @@ midpoint rotated into the body frame with gravity removed.  A noise-free
 stream therefore closes the loop with the filter's first-order integrator
 to well under a centimeter over a minute.
 
+Truth is evaluated on the whole time grid at once, and the IMU noise is one
+``(N, 2, 3)`` draw, the same generator sequence as a per-step accel(3) then
+gyro(3) draw.  Every array and event is bitwise equal to evaluating point by
+point with ``math`` and the ``so3`` helpers.  NumPy's elementwise
+``+ - * /`` and ``sqrt`` round as Python floats do.  With NumPy 2.4 on
+x86-64 with AVX-512, array ``np.sin``, ``np.cos`` and ``np.arctan2`` equal
+``math.sin``/``cos`` and scalar ``np.arctan2``, and a stacked ``np.matmul``
+equals a per-matrix ``@``.  Two forms are not equal.  ``np.power`` on arrays
+differs from ``**`` in the last ulp, so the waypoint polynomials run on
+Python floats.  ``x*x + y*y + z*z`` differs from the BLAS ``v.dot(v)`` of
+the ``so3`` norms unless two of the three components are zero, as they are
+for every rotation here (yaw only).  ``tests/test_sim.py`` keeps the
+per-point loops and checks the bits.
+
 Odometry corruption is layered: Gaussian noise per channel, optional
 Bernoulli-triggered jump offsets held for a fixed number of steps, and an
 optional linear position drift confined to a time window (a cheap model
@@ -17,12 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .eskf import GRAVITY, Event, ImuSample, NominalState, OdometrySample
-from .so3 import quat_conjugate, quat_from_rotvec, quat_multiply, quat_to_rotmat, quat_to_rotvec
+from .so3 import SMALL_ANGLE, quat_from_rotvec, quat_multiply
 
 # Odometry noise channels: position(3), orientation(3), velocity(3).
 ODOM_CHANNELS = 9
@@ -113,54 +127,42 @@ class TruthTrajectory:
         return index
 
 
-@dataclass
-class _Trajectory:
-    pos: Callable[[float], np.ndarray]
-    vel: Callable[[float], np.ndarray]
-    acc: Callable[[float], np.ndarray]
-    quat: Callable[[float], np.ndarray]
+# Each trajectory kind maps the grid times and the interval midpoints to the
+# grid's positions, velocities and orientations and the world acceleration
+# at the midpoints, all as row arrays.
+
+def _hover_trajectory(spec: ScenarioSpec, times: np.ndarray,
+                      mid_times: np.ndarray) -> tuple[np.ndarray, ...]:
+    n = len(times)
+    return (np.tile([0.0, 0.0, 1.0], (n, 1)), np.zeros((n, 3)),
+            np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), np.zeros((len(mid_times), 3)))
 
 
-def _hover_trajectory(spec: ScenarioSpec) -> _Trajectory:
-    origin = np.array([0.0, 0.0, 1.0])
-    zero = np.zeros(3)
-    identity = np.array([1.0, 0.0, 0.0, 0.0])
-    return _Trajectory(
-        pos=lambda t: origin,
-        vel=lambda t: zero,
-        acc=lambda t: zero,
-        quat=lambda t: identity,
-    )
-
-
-def _figure8_trajectory(spec: ScenarioSpec) -> _Trajectory:
+def _figure8_trajectory(spec: ScenarioSpec, times: np.ndarray,
+                        mid_times: np.ndarray) -> tuple[np.ndarray, ...]:
     amp = np.array([1.0, 0.5, 0.2])
     center = np.array([0.0, 0.0, 1.0])
     omega = 2.0 * math.pi / 20.0
     yaw_amp = 0.5
 
-    def pos(t: float) -> np.ndarray:
-        return center + amp * np.array(
-            [math.sin(omega * t), math.sin(2 * omega * t), math.sin(omega * t)])
+    sin_wt = np.sin(omega * times)
+    positions = np.stack([sin_wt, np.sin(2 * omega * times), sin_wt], axis=1)
+    positions *= amp
+    positions += center
 
-    def vel(t: float) -> np.ndarray:
-        return amp * np.array([
-            omega * math.cos(omega * t),
-            2 * omega * math.cos(2 * omega * t),
-            omega * math.cos(omega * t),
-        ])
+    cos_wt = np.cos(omega * times)
+    velocities = np.stack(
+        [omega * cos_wt, 2 * omega * np.cos(2 * omega * times), omega * cos_wt], axis=1)
+    velocities *= amp
 
-    def acc(t: float) -> np.ndarray:
-        return -amp * np.array([
-            omega ** 2 * math.sin(omega * t),
-            4 * omega ** 2 * math.sin(2 * omega * t),
-            omega ** 2 * math.sin(omega * t),
-        ])
+    sin_mid = np.sin(omega * mid_times)
+    acc = np.stack([omega ** 2 * sin_mid, 4 * omega ** 2 * np.sin(2 * omega * mid_times),
+                    omega ** 2 * sin_mid], axis=1)
+    acc *= -amp
 
-    def quat(t: float) -> np.ndarray:
-        return quat_from_rotvec(np.array([0.0, 0.0, yaw_amp * math.sin(omega * t)]))
-
-    return _Trajectory(pos=pos, vel=vel, acc=acc, quat=quat)
+    yaw = np.zeros((len(times), 3))
+    yaw[:, 2] = yaw_amp * sin_wt
+    return positions, velocities, _quats_from_rotvecs(yaw), acc
 
 
 _DEFAULT_WAYPOINTS = np.array([
@@ -171,35 +173,34 @@ _DEFAULT_WAYPOINTS = np.array([
 ])
 
 
-def _waypoint_trajectory(spec: ScenarioSpec) -> _Trajectory:
+def _waypoint_trajectory(spec: ScenarioSpec, times: np.ndarray,
+                         mid_times: np.ndarray) -> tuple[np.ndarray, ...]:
     points = np.asarray(
         spec.waypoints if spec.waypoints is not None else _DEFAULT_WAYPOINTS, dtype=float)
     if points.shape[0] < 2:
         raise ValueError("waypoint trajectory needs at least two waypoints")
     segments = points.shape[0] - 1
     seg_time = spec.duration / segments
-    identity = np.array([1.0, 0.0, 0.0, 0.0])
+    seg_time_sq = seg_time ** 2
 
-    def _locate(t: float) -> tuple[int, float]:
-        idx = min(int(t / seg_time), segments - 1)
-        return idx, (t - idx * seg_time) / seg_time
+    def locate(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
+        """Segment start and span at each time, and the segment phase as Python floats."""
+        idx = np.minimum((t / seg_time).astype(np.intp), segments - 1)
+        start = points[idx]
+        return start, points[idx + 1] - start, ((t - idx * seg_time) / seg_time).tolist()
 
-    def pos(t: float) -> np.ndarray:
-        idx, tau = _locate(t)
-        s = 10 * tau ** 3 - 15 * tau ** 4 + 6 * tau ** 5
-        return points[idx] + (points[idx + 1] - points[idx]) * s
+    # Quintic smoothstep s(tau) and its derivatives, in Python floats: ``**``
+    # on arrays is not bitwise equal to the scalar power.
+    start, span, tau = locate(times)
+    s = np.array([10 * u ** 3 - 15 * u ** 4 + 6 * u ** 5 for u in tau])
+    ds = np.array([(30 * u ** 2 - 60 * u ** 3 + 30 * u ** 4) / seg_time for u in tau])
+    positions = start + span * s[:, None]
+    velocities = span * ds[:, None]
 
-    def vel(t: float) -> np.ndarray:
-        idx, tau = _locate(t)
-        ds = (30 * tau ** 2 - 60 * tau ** 3 + 30 * tau ** 4) / seg_time
-        return (points[idx + 1] - points[idx]) * ds
-
-    def acc(t: float) -> np.ndarray:
-        idx, tau = _locate(t)
-        dds = (60 * tau - 180 * tau ** 2 + 120 * tau ** 3) / seg_time ** 2
-        return (points[idx + 1] - points[idx]) * dds
-
-    return _Trajectory(pos=pos, vel=vel, acc=acc, quat=lambda t: identity)
+    _, span, tau = locate(mid_times)
+    dds = np.array([(60 * u - 180 * u ** 2 + 120 * u ** 3) / seg_time_sq for u in tau])
+    acc = span * dds[:, None]
+    return positions, velocities, np.tile([1.0, 0.0, 0.0, 0.0], (len(times), 1)), acc
 
 
 _TRAJECTORIES = {
@@ -209,28 +210,87 @@ _TRAJECTORIES = {
 }
 
 
+# Row forms of the so3 helpers, bitwise equal to them row by row; see the
+# module docstring for the rules.
+
+def _quats_from_rotvecs(v: np.ndarray) -> np.ndarray:
+    """``quat_from_rotvec`` on each row of an (N, 3) array."""
+    x, y, z = v.T
+    angle = np.sqrt(x * x + y * y + z * z)
+    out = np.empty((len(v), 4))
+    big = angle >= SMALL_ANGLE
+    half_angle = 0.5 * angle[big]
+    out[big, 0] = np.cos(half_angle)
+    out[big, 1:] = np.sin(half_angle)[:, None] * (v[big] / angle[big, None])
+    # Series branch.  Below SMALL_ANGLE the series quaternion's norm rounds
+    # to exactly 1, so quat_normalize leaves it as it is.
+    small = ~big
+    angle_sq = angle[small] * angle[small]
+    out[small, 0] = 1.0 - angle_sq / 8.0
+    out[small, 1:] = (0.5 - angle_sq / 48.0)[:, None] * v[small]
+    return out
+
+
+def _relative_quats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``quat_multiply(quat_conjugate(a), b)`` on each row pair of (N, 4) arrays."""
+    aw, ax, ay, az = a[:, 0], -a[:, 1], -a[:, 2], -a[:, 3]
+    bw, bx, by, bz = b.T
+    out = np.empty(b.shape)
+    out[:, 0] = aw * bw - ax * bx - ay * by - az * bz
+    out[:, 1] = aw * bx + ax * bw + ay * bz - az * by
+    out[:, 2] = aw * by - ax * bz + ay * bw + az * bx
+    out[:, 3] = aw * bz + ax * by - ay * bx + az * bw
+    return out
+
+
+def _rotvecs_from_quats(q: np.ndarray) -> np.ndarray:
+    """``quat_to_rotvec`` on each row of an (N, 4) array."""
+    x, y, z = q[:, 1:].T
+    s = np.sqrt(x * x + y * y + z * z)
+    flip = q[:, 0] < 0.0
+    w = np.minimum(np.where(flip, -q[:, 0], q[:, 0]), 1.0)
+    vec = np.where(flip[:, None], -q[:, 1:], q[:, 1:])
+    scale = np.empty_like(s)
+    small = s < SMALL_ANGLE
+    scale[small] = 2.0 / w[small]
+    big = ~small
+    scale[big] = 2.0 * np.arctan2(s[big], w[big]) / s[big]
+    vec *= scale[:, None]
+    return vec
+
+
+def _rotmats(q: np.ndarray) -> np.ndarray:
+    """``quat_to_rotmat`` on each row of an (N, 4) array, as (N, 3, 3)."""
+    w, x, y, z = q.T
+    rot = np.empty((len(q), 3, 3))
+    rot[:, 0, 0] = 1 - 2 * (y * y + z * z)
+    rot[:, 0, 1] = 2 * (x * y - w * z)
+    rot[:, 0, 2] = 2 * (x * z + w * y)
+    rot[:, 1, 0] = 2 * (x * y + w * z)
+    rot[:, 1, 1] = 1 - 2 * (x * x + z * z)
+    rot[:, 1, 2] = 2 * (y * z - w * x)
+    rot[:, 2, 0] = 2 * (x * z - w * y)
+    rot[:, 2, 1] = 2 * (y * z + w * x)
+    rot[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    return rot
+
+
 def generate_truth(spec: ScenarioSpec) -> TruthTrajectory:
-    """Evaluate the scenario's analytic trajectory on the IMU grid."""
+    """Evaluate the scenario's analytic trajectory on the IMU grid, all rows at once."""
     if spec.kind not in _TRAJECTORIES:
         raise ValueError(
             f"unknown trajectory kind '{spec.kind}'; expected one of {sorted(_TRAJECTORIES)}")
-    traj = _TRAJECTORIES[spec.kind](spec)
     dt = 1.0 / spec.imu_rate
     steps = int(round(spec.duration * spec.imu_rate))
     times = np.arange(steps + 1) * dt
+    positions, velocities, orientations, mid_acc = _TRAJECTORIES[spec.kind](
+        spec, times, times[:-1] + 0.5 * dt)
 
-    positions = np.stack([traj.pos(t) for t in times])
-    velocities = np.stack([traj.vel(t) for t in times])
-    orientations = np.stack([traj.quat(t) for t in times])
-
-    accel_body = np.zeros((steps, 3))
-    gyro_body = np.zeros((steps, 3))
-    for k in range(steps):
-        q_prev = orientations[k]
-        delta = quat_multiply(quat_conjugate(q_prev), orientations[k + 1])
-        gyro_body[k] = quat_to_rotvec(delta) / dt
-        mid_acc = traj.acc(times[k] + 0.5 * dt)
-        accel_body[k] = quat_to_rotmat(q_prev).T @ (mid_acc - GRAVITY)
+    gyro_body = _rotvecs_from_quats(_relative_quats(orientations[:-1], orientations[1:]))
+    gyro_body /= dt
+    mid_acc -= GRAVITY
+    accel_body = np.matmul(_rotmats(orientations[:-1]).transpose(0, 2, 1),
+                           mid_acc[:, :, None])[:, :, 0]
     return TruthTrajectory(times, positions, velocities, orientations,
                            accel_body, gyro_body)
 
@@ -279,12 +339,15 @@ def sample_sensors(truth: TruthTrajectory, spec: ScenarioSpec) -> list[Event]:
     seed, or derived from the scenario seed and the sensor's position in
     the list.
     """
-    imu_rng = np.random.default_rng([spec.seed, 0])
-    events: list[Event] = []
-    for k in range(len(truth) - 1):
-        accel = truth.accel_body[k] + imu_rng.standard_normal(3) * spec.imu_accel_std
-        gyro = truth.gyro_body[k] + imu_rng.standard_normal(3) * spec.imu_gyro_std
-        events.append(ImuSample(accel=accel, gyro=gyro, time=float(truth.times[k + 1])))
+    # One draw in the order of a per-step accel(3) then gyro(3) draw.  Each
+    # sample's vectors are rows of one array per channel.
+    noise = np.random.default_rng([spec.seed, 0]).standard_normal((len(truth) - 1, 2, 3))
+    accel = noise[:, 0] * spec.imu_accel_std
+    accel += truth.accel_body
+    gyro = noise[:, 1] * spec.imu_gyro_std
+    gyro += truth.gyro_body
+    del noise
+    events: list[Event] = list(map(ImuSample, accel, gyro, truth.times[1:].tolist()))
 
     for index, sensor in enumerate(spec.sensors):
         seed = sensor.noise.seed if sensor.noise.seed is not None else spec.seed

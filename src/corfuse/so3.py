@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-_SMALL_ANGLE = 1e-8
+SMALL_ANGLE = 1e-8
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -65,7 +65,7 @@ def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
 def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
     """Exponential map: rotation vector to unit quaternion."""
     angle = math.sqrt(v.dot(v))
-    if angle < _SMALL_ANGLE:
+    if angle < SMALL_ANGLE:
         # Second-order series keeps the map smooth through zero.
         half = 0.5 - angle * angle / 48.0
         return quat_normalize(np.concatenate(([1.0 - angle * angle / 8.0], half * v)))
@@ -86,7 +86,7 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     w = np.float64(min(w, 1.0))  # w == 0 divides to inf, as in NumPy
     vec = q[1:]
     s = math.sqrt(vec.dot(vec))
-    scale = 2.0 / w if s < _SMALL_ANGLE else 2.0 * np.arctan2(s, w) / s
+    scale = 2.0 / w if s < SMALL_ANGLE else 2.0 * np.arctan2(s, w) / s
     return np.array([x * scale, y * scale, z * scale])
 
 

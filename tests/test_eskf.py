@@ -12,8 +12,8 @@ import pytest
 
 from corfuse.adapt_residual import check_identity_gamma
 from corfuse.errors import MeasurementRejected
-from corfuse.eskf import (GRAVITY, STATE_DIM, VARIANTS, EngineConfig, FusionEngine,
-                          ImuSample, NominalState, OdometrySample,
+from corfuse.eskf import (GRAVITY, QUAT_NORM_TOLERANCE, STATE_DIM, VARIANTS, EngineConfig,
+                          FusionEngine, ImuSample, NominalState, OdometrySample,
                           error_transition, inject_and_reset,
                           observation_residual, propagate_nominal)
 from corfuse.so3 import (quat_conjugate, quat_from_rotvec, quat_multiply,
@@ -309,8 +309,12 @@ def test_every_non_finite_slot_is_dropped(kind, name, index, value):
 
 
 @pytest.mark.parametrize("variant,position,orientation", [
-    # The engine refuses a zero quaternion before it computes a residual.
-    *[pytest.param(v, 0.0, np.zeros(4), id=f"{v}-zero-quaternion") for v in VARIANTS],
+    # The engine refuses a quaternion whose norm is far from 1 before it
+    # computes a residual: a zero one, a tiny one (which would reach the log
+    # map with w = 0) and one of norm 2 (which would be fused as a unit one).
+    *[pytest.param(v, 0.0, q, id=f"{v}-{name}-quaternion") for v in VARIANTS
+      for name, q in (("zero", np.zeros(4)), ("tiny", np.array([0.0, 1e-9, 0.0, 0.0])),
+                      ("norm-2", np.array([2.0, 0.0, 0.0, 0.0])))],
     # The reset refuses the half-turn attitude correction of a 1 km jump.
     pytest.param("akf", 1000.0, np.array([1.0, 0.0, 0.0, 0.0]), id="akf-1km-jump"),
 ])
@@ -337,6 +341,17 @@ def test_refused_correction_is_counted_and_leaves_the_filter_untouched(
             assert ours.noise_trace == theirs.noise_trace
     assert np.array_equal(engine.covariance, clean.covariance)
     assert np.array_equal(engine.process_noise, clean.process_noise)
+
+
+@pytest.mark.parametrize("scale", [1.0 - 0.9 * QUAT_NORM_TOLERANCE,
+                                   1.0 + 0.9 * QUAT_NORM_TOLERANCE])
+def test_near_unit_quaternion_is_fused(scale):
+    engine, _ = run_engine(EngineConfig(variant="mcckf"),
+                           hover_events(duration=0.5, noise=0.005, seed=11))
+    result = engine.process(OdometrySample("odo0", np.zeros(3),
+                                           np.array([scale, 0.0, 0.0, 0.0]), np.zeros(3), 0.51))
+    assert result is not None
+    assert engine.dropped == {"out_of_order": 0, "non_finite": 0, "rejected": 0}
 
 
 def test_engine_scalar_noise_becomes_diagonal_matrix():

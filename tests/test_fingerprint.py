@@ -1,4 +1,4 @@
-"""tools/fingerprint.py: the seed, workload and duration flags, and determinism."""
+"""tools/fingerprint.py: the seed, workload and duration flags, the stream line, and determinism."""
 
 import importlib.util
 from pathlib import Path
@@ -18,8 +18,8 @@ def test_fingerprint_flags_select_runs_and_output_is_deterministic(capsys):
                             "--duration", "2"]) == 0
         outputs.append(capsys.readouterr().out.splitlines())
     assert outputs[0] == outputs[1]
-    assert len(outputs[0]) == len(VARIANTS) == 5
-    for line, variant in zip(outputs[0], VARIANTS):
+    assert len(outputs[0]) == 1 + len(VARIANTS) == 6
+    for line, variant in zip(outputs[0], ("stream",) + VARIANTS):
         name, got_variant, seed, digest = line.split()
         assert (name, got_variant, seed) == ("replay_csv", variant, "seed=4")
         assert len(digest) == 64 and int(digest, 16) >= 0

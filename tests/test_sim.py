@@ -1,12 +1,15 @@
 """Synthetic truth generation and sensor corruption."""
 
+import math
+
 import numpy as np
 import pytest
 
-from corfuse.eskf import GRAVITY, ImuSample, NominalState, OdometrySample, propagate_nominal
+from corfuse.eskf import GRAVITY, ImuSample, OdometrySample, propagate_nominal
 from corfuse.sim import (NoiseSpec, ScenarioSpec, SensorSpec, TruthTrajectory,
-                         generate_truth, sample_sensors)
-from corfuse.so3 import quat_conjugate, quat_multiply, rotation_angle
+                         _sample_odometry, generate_truth, sample_sensors)
+from corfuse.so3 import (quat_conjugate, quat_from_rotvec, quat_multiply, quat_to_rotmat,
+                         quat_to_rotvec, rotation_angle)
 
 
 def scenario(kind="hover", duration=5.0, imu_rate=100.0, sensors=None, **noise):
@@ -173,3 +176,124 @@ def test_noise_spec_validation():
         NoiseSpec(drift_rate=np.ones(2)).drift_vector()
     np.testing.assert_allclose(NoiseSpec(gaussian_std=0.2).std_vector(),
                                np.full(9, 0.2))
+
+
+# -- reference: the per-point evaluation that generate_truth and sample_sensors
+#    replaced by whole-grid arrays, kept here to pin their output bit for bit --
+
+def reference_trajectory(spec):
+    """(pos, vel, acc, quat) functions of one time point, for each kind."""
+    if spec.kind == "hover":
+        origin, zero, identity = np.array([0.0, 0.0, 1.0]), np.zeros(3), np.array([1.0, 0, 0, 0])
+        return lambda t: origin, lambda t: zero, lambda t: zero, lambda t: identity
+    if spec.kind == "figure8":
+        amp, center = np.array([1.0, 0.5, 0.2]), np.array([0.0, 0.0, 1.0])
+        omega = 2.0 * math.pi / 20.0
+        return (
+            lambda t: center + amp * np.array(
+                [math.sin(omega * t), math.sin(2 * omega * t), math.sin(omega * t)]),
+            lambda t: amp * np.array([omega * math.cos(omega * t),
+                                      2 * omega * math.cos(2 * omega * t),
+                                      omega * math.cos(omega * t)]),
+            lambda t: -amp * np.array([omega ** 2 * math.sin(omega * t),
+                                       4 * omega ** 2 * math.sin(2 * omega * t),
+                                       omega ** 2 * math.sin(omega * t)]),
+            lambda t: quat_from_rotvec(np.array([0.0, 0.0, 0.5 * math.sin(omega * t)])))
+    points = np.asarray(spec.waypoints if spec.waypoints is not None else
+                        [[0.0, 0.0, 1.0], [2.0, 0.0, 1.5], [2.0, 2.0, 1.0], [0.0, 2.0, 1.5]],
+                        dtype=float)
+    segments = points.shape[0] - 1
+    seg_time = spec.duration / segments
+
+    def locate(t):
+        idx = min(int(t / seg_time), segments - 1)
+        return idx, (t - idx * seg_time) / seg_time, points[idx + 1] - points[idx]
+
+    def pos(t):
+        idx, tau, span = locate(t)
+        return points[idx] + span * (10 * tau ** 3 - 15 * tau ** 4 + 6 * tau ** 5)
+
+    def vel(t):
+        _, tau, span = locate(t)
+        return span * ((30 * tau ** 2 - 60 * tau ** 3 + 30 * tau ** 4) / seg_time)
+
+    def acc(t):
+        _, tau, span = locate(t)
+        return span * ((60 * tau - 180 * tau ** 2 + 120 * tau ** 3) / seg_time ** 2)
+
+    identity = np.array([1.0, 0.0, 0.0, 0.0])
+    return pos, vel, acc, lambda t: identity
+
+
+def reference_truth(spec):
+    pos, vel, acc, quat = reference_trajectory(spec)
+    dt = 1.0 / spec.imu_rate
+    steps = int(round(spec.duration * spec.imu_rate))
+    times = np.arange(steps + 1) * dt
+    orientations = np.stack([quat(t) for t in times])
+    accel_body, gyro_body = np.zeros((steps, 3)), np.zeros((steps, 3))
+    for k in range(steps):
+        delta = quat_multiply(quat_conjugate(orientations[k]), orientations[k + 1])
+        gyro_body[k] = quat_to_rotvec(delta) / dt
+        accel_body[k] = quat_to_rotmat(orientations[k]).T @ (acc(times[k] + 0.5 * dt) - GRAVITY)
+    return TruthTrajectory(times, np.stack([pos(t) for t in times]),
+                           np.stack([vel(t) for t in times]), orientations,
+                           accel_body, gyro_body)
+
+
+def reference_events(truth, spec):
+    rng = np.random.default_rng([spec.seed, 0])
+    events = []
+    for k in range(len(truth) - 1):
+        accel = truth.accel_body[k] + rng.standard_normal(3) * spec.imu_accel_std
+        gyro = truth.gyro_body[k] + rng.standard_normal(3) * spec.imu_gyro_std
+        events.append(ImuSample(accel=accel, gyro=gyro, time=float(truth.times[k + 1])))
+    for index, sensor in enumerate(spec.sensors):
+        events += _sample_odometry(truth, sensor, spec.imu_rate,
+                                   np.random.default_rng([spec.seed, index + 1]))
+    events.sort(key=lambda e: (e.time, isinstance(e, OdometrySample),
+                               getattr(e, "sensor_id", "")))
+    return events
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert actual.tobytes() == expected.tobytes()  # signed zeros too
+
+
+THREE_WAYPOINTS = np.array([[0.0, 0.0, 1.0], [1.5, -2.0, 0.5], [3.0, 1.0, 2.0]])
+
+
+@pytest.mark.parametrize("kind,waypoints", [("hover", None), ("figure8", None),
+                                            ("waypoints", None),
+                                            ("waypoints", THREE_WAYPOINTS)],
+                         ids=["hover", "figure8", "waypoints", "three-waypoints"])
+@pytest.mark.parametrize("imu_rate", [50.0, 400.0])
+def test_grid_evaluation_is_bitwise_equal_to_the_per_point_loop(kind, waypoints, imu_rate):
+    spec = ScenarioSpec(kind=kind, duration=7.3, imu_rate=imu_rate, seed=4,
+                        waypoints=waypoints, sensors=[
+                            SensorSpec("odo0", rate=10.0, noise=NoiseSpec(gaussian_std=0.05)),
+                            SensorSpec("odo1", rate=20.0, noise=NoiseSpec(
+                                gaussian_std=0.02, jump_probability=0.1, jump_magnitude=10.0,
+                                drift_rate=0.05, drift_start=2.0)),
+                        ])
+    truth, expected = generate_truth(spec), reference_truth(spec)
+    for name in ("times", "positions", "velocities", "orientations", "accel_body",
+                 "gyro_body"):
+        assert_same_bits(getattr(truth, name), getattr(expected, name))
+
+    events, expected_events = sample_sensors(truth, spec), reference_events(expected, spec)
+    assert len(events) == len(expected_events)
+    assert sum(isinstance(e, ImuSample) for e in events) == len(truth) - 1
+    for event, reference in zip(events, expected_events):
+        assert type(event) is type(reference)
+        assert_same_bits(event.time, reference.time)
+        if isinstance(event, OdometrySample):
+            assert event.sensor_id == reference.sensor_id
+            fields = ("position", "orientation", "velocity")
+        else:
+            fields = ("accel", "gyro")
+        for name in fields:
+            assert_same_bits(getattr(event, name), getattr(reference, name))

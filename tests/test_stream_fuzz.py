@@ -1,10 +1,11 @@
 """Seeded stream fuzz: no corrupted event ends a run, and each drop is counted.
 
-Clean simulated streams get zero quaternions, 1e2-1e6 m position offsets,
-NaN fields, duplicated samples and samples 5 ms late injected at random.
-Every variant must fuse the whole stream without raising, count exactly
-the injected non-finite and late samples under their reasons, refuse at
-least every zero quaternion, and keep its state and covariance finite.
+Clean simulated streams get quaternions scaled to norm 0, 1e-9 and 2,
+1e2-1e6 m position offsets, NaN fields, duplicated samples and samples 5 ms
+late injected at random.  Every variant must fuse the whole stream without
+raising, count exactly the injected non-finite and late samples under their
+reasons, refuse at least every quaternion whose norm is not 1, and keep its
+state and covariance finite.
 """
 
 import dataclasses
@@ -15,7 +16,10 @@ import pytest
 from corfuse import experiments, sim
 from corfuse.eskf import VARIANTS, OdometrySample
 
-ODOM_FAULTS = ("zero_quaternion", "offset", "non_finite", "duplicate", "late")
+# A bad-quaternion fault puts in a copy of the event with its quaternion
+# scaled by each of these factors.
+QUATERNION_SCALES = (0.0, 1e-9, 2.0)
+ODOM_FAULTS = ("bad_quaternion", "offset", "non_finite", "duplicate", "late")
 IMU_FAULTS = ("non_finite", "duplicate", "late")
 
 
@@ -41,8 +45,9 @@ def corrupt(events, rng, odom_rate=0.15, imu_rate=0.02):
             continue
         kind = str(rng.choice(ODOM_FAULTS if is_odom else IMU_FAULTS))
         counts[kind] += 1
-        if kind == "zero_quaternion":
-            out.append(dataclasses.replace(event, orientation=np.zeros(4)))
+        if kind == "bad_quaternion":
+            out += [dataclasses.replace(event, orientation=scale * event.orientation)
+                    for scale in QUATERNION_SCALES]
         elif kind == "offset":
             direction = rng.standard_normal(3)
             offset = 10.0 ** rng.uniform(2, 6) * direction / np.linalg.norm(direction)
@@ -66,7 +71,7 @@ def test_corrupted_stream_never_raises_and_every_drop_is_counted(variant, scenar
     spec = experiments.build_scenario(config)
     truth = sim.generate_truth(spec)
     events, counts = corrupt(sim.sample_sensors(truth, spec), np.random.default_rng(seed))
-    assert counts["zero_quaternion"] and counts["late"] and counts["non_finite"]
+    assert counts["bad_quaternion"] and counts["late"] and counts["non_finite"]
     engine = experiments.build_engine(config, [s.sensor_id for s in spec.sensors])
     engine.initialize(truth.state(0), config.p0)
     for event in events:
@@ -77,4 +82,4 @@ def test_corrupted_stream_never_raises_and_every_drop_is_counted(variant, scenar
         assert np.isfinite(engine.covariance).all()
     assert engine.dropped["non_finite"] == counts["non_finite"]
     assert engine.dropped["out_of_order"] == counts["late"]
-    assert engine.dropped["rejected"] >= counts["zero_quaternion"]
+    assert engine.dropped["rejected"] >= len(QUATERNION_SCALES) * counts["bad_quaternion"]

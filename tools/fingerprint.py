@@ -3,8 +3,10 @@
 Each digest covers a run's full output in memory: every row of
 ``estimates`` (time, pose, velocity, covariance diagonal), the final error
 covariance, the final process noise Q and every sensor's final measurement
-noise R, as raw float64 bytes.  Two checkouts fuse bitwise-identically when
-the outputs of
+noise R, as raw float64 bytes.  Per (workload, seed) one more line, with
+``stream`` in the variant column, digests the synthesized input: every
+``TruthTrajectory`` array and every event's time, sensor id and vectors.
+Two checkouts synthesize and fuse bitwise-identically when the outputs of
 
     python tools/fingerprint.py > fingerprints.txt
 
@@ -30,8 +32,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
-from corfuse.eskf import VARIANTS  # noqa: E402
-from corfuse.experiments import RunConfig, run_experiment  # noqa: E402
+from corfuse.eskf import VARIANTS, OdometrySample  # noqa: E402
+from corfuse.experiments import RunConfig, build_scenario, run_experiment  # noqa: E402
+from corfuse.sim import generate_truth, sample_sensors  # noqa: E402
 from sweep import parse_seeds  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -49,6 +52,24 @@ def fingerprint(settings: dict, duration: float, variant: str, seed: int) -> str
     return digest.hexdigest()
 
 
+def stream_fingerprint(settings: dict, duration: float, seed: int) -> str:
+    scenario = build_scenario(RunConfig(**{**settings, "seed": seed, "duration": duration}))
+    truth = generate_truth(scenario)
+    digest = hashlib.sha256()
+    for array in (truth.times, truth.positions, truth.velocities, truth.orientations,
+                  truth.accel_body, truth.gyro_body):
+        digest.update(array.tobytes())
+    for event in sample_sensors(truth, scenario):
+        if isinstance(event, OdometrySample):
+            digest.update(event.sensor_id.encode())
+            vectors = (event.position, event.orientation, event.velocity)
+        else:
+            digest.update(b"imu")
+            vectors = (event.accel, event.gyro)
+        digest.update(np.concatenate([[event.time], *vectors]).tobytes())
+    return digest.hexdigest()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", action="append", choices=list(WORKLOADS))
@@ -59,6 +80,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     for name in args.workload or list(WORKLOADS):
         workload = WORKLOADS[name]
         duration = args.duration or workload.duration
+        for seed in args.seeds:
+            digest = stream_fingerprint(workload.settings, duration, seed)
+            print(f"{name} stream seed={seed} {digest}", flush=True)
         for variant in VARIANTS:
             for seed in args.seeds:
                 digest = fingerprint(workload.settings, duration, variant, seed)
