@@ -99,9 +99,8 @@ class ResidualNoiseAdapter:
         """Count one predict step worth ``steps`` nominal steps; ``trans`` is unused."""
         self._steps += steps
 
-    def correct(self, sensor_id: str, time: float, record: InnovationRecord,
-                delta: np.ndarray) -> None:
-        """Fold in one correction; only ``sensor_id`` and ``record`` are read."""
+    def correct(self, sensor_id: str, record: InnovationRecord, delta: np.ndarray) -> None:
+        """Fold in one correction; ``delta`` is unused."""
         self.push(sensor_id, record)
 
     def push(self, sensor_id: str, record: InnovationRecord) -> None:

@@ -53,9 +53,12 @@ class WindowSnapshot:
     ``transition`` is the composed dynamics between this snapshot and the
     previous one in the window; ``steps`` counts how many predict steps
     that interval contained.
+
+    ``SmootherWindow.push`` rebinds ``cov`` and ``cov_pred`` to their
+    symmetric parts and sets ``gain``, the smoother gain G_j-1 from the
+    previous snapshot to this one (None for the first snapshot pushed).
     """
 
-    time: float
     state: np.ndarray               # filtered mean after the correction
     prior_mean: np.ndarray          # filtered mean just before the correction
     cov: np.ndarray                 # posterior covariance
@@ -66,9 +69,6 @@ class WindowSnapshot:
     cov_pred: np.ndarray
     steps: float = 1.0
     sensor_id: str = ""
-    # Set by SmootherWindow.push: symmetrized cov and cov_pred, and gain G_j-1.
-    cov_sym: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    cov_pred_sym: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     gain: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
 
@@ -85,11 +85,11 @@ class SmootherWindow:
 
     def push(self, snapshot: WindowSnapshot) -> None:
         """Buffer ``snapshot``, solving G_j-1 = P_j-1|j-1 F_j^T (P_j|j-1)^-1 once."""
-        snapshot.cov_sym = symmetrize(snapshot.cov)
-        snapshot.cov_pred_sym = symmetrize(snapshot.cov_pred)
+        snapshot.cov = symmetrize(snapshot.cov)
+        snapshot.cov_pred = symmetrize(snapshot.cov_pred)
         if self.snapshots:
             gain_t, regularized = spd_solve(
-                snapshot.cov_pred_sym, snapshot.transition @ self.snapshots[-1].cov_sym)
+                snapshot.cov_pred, snapshot.transition @ self.snapshots[-1].cov)
             if regularized:
                 log.warning("smoother regularized a singular predicted covariance")
             snapshot.gain = gain_t.T
@@ -106,13 +106,12 @@ class SmoothedWindow:
     """Backward-pass output aligned with the window's snapshots.
 
     ``means[j]`` and ``covs[j]`` are the smoothed estimates for snapshot j;
-    ``gains[j-1]`` and ``crosses[j-1]`` hold the smoother gain G_{j-1} and
-    the lag-one cross-covariance P_{j-1,j|k} for each transition.
+    ``crosses[j-1]`` holds the lag-one cross-covariance P_{j-1,j|k} for
+    each transition.  The smoother gains stay on the snapshots.
     """
 
     means: list[np.ndarray]
     covs: list[np.ndarray]
-    gains: list[np.ndarray]
     crosses: list[np.ndarray]
 
 
@@ -138,19 +137,17 @@ def backward_smooth(window: SmootherWindow) -> SmoothedWindow:
     count = len(snaps)
     means: list[Optional[np.ndarray]] = [None] * count
     covs: list[Optional[np.ndarray]] = [None] * count
-    gains: list[Optional[np.ndarray]] = [None] * (count - 1)
     crosses: list[Optional[np.ndarray]] = [None] * (count - 1)
 
     means[-1] = snaps[-1].state.copy()
-    covs[-1] = snaps[-1].cov_sym.copy()
+    covs[-1] = snaps[-1].cov.copy()
     for j in range(count - 1, 0, -1):
         prev, cur = snaps[j - 1], snaps[j]
         gain = cur.gain
         means[j - 1] = prev.state + gain @ (means[j] - cur.prior_mean)
-        covs[j - 1] = symmetrize(prev.cov_sym + gain @ (covs[j] - cur.cov_pred_sym) @ gain.T)
-        gains[j - 1] = gain
+        covs[j - 1] = symmetrize(prev.cov + gain @ (covs[j] - cur.cov_pred) @ gain.T)
         crosses[j - 1] = gain @ covs[j]
-    return SmoothedWindow(means=means, covs=covs, gains=gains, crosses=crosses)  # type: ignore[arg-type]
+    return SmoothedWindow(means=means, covs=covs, crosses=crosses)  # type: ignore[arg-type]
 
 
 def process_statistic(window: SmootherWindow, smoothed: SmoothedWindow) -> tuple[np.ndarray, int]:
@@ -259,13 +256,12 @@ class VbNoiseAdapter:
         self._trans = trans @ self._trans
         self._steps += steps
 
-    def correct(self, sensor_id: str, time: float, record: InnovationRecord,
-                delta: np.ndarray) -> None:
+    def correct(self, sensor_id: str, record: InnovationRecord, delta: np.ndarray) -> None:
         """Push the snapshot of a correction that moved the error mean by ``delta``."""
         prior = self._frame_mean
         self._frame_mean = prior + delta
         self.push(WindowSnapshot(
-            time=time, state=self._frame_mean, prior_mean=prior,
+            state=self._frame_mean, prior_mean=prior,
             cov=record.cov_post, transition=self._trans,
             obs_jacobian=record.obs_jacobian, residual=record.residual,
             weights=record.weights, cov_pred=record.cov_pred, steps=self._steps,

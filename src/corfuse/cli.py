@@ -200,7 +200,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     variants = _variants(args.filters)
-    windows = [int(w) for w in args.windows.split(",") if w.strip()]
+    try:
+        windows = [int(w) for w in args.windows.split(",") if w.strip()]
+    except ValueError:
+        raise ConfigError(f"window lengths must be integers, got '{args.windows}'") from None
     rows = bench(config, variants, windows, repeats=args.repeats)
     print(f"{'variant':<12}{'window':>7}{'repeat':>7}{'mean_us':>10}{'max_us':>10}")
     for row in rows:

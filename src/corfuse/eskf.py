@@ -62,6 +62,11 @@ TIME_TOLERANCE = 1e-3
 # An odometry quaternion whose norm is further than this from 1 is refused,
 # not fused as if it were a unit quaternion.
 QUAT_NORM_TOLERANCE = 1e-3
+# The observation Jacobian of every odometry correction.  It is read-only, so
+# a write through a correction record or an adapter raises instead of
+# corrupting the corrections that follow.
+_OBS_JACOBIAN = np.eye(OBS_DIM)
+_OBS_JACOBIAN.setflags(write=False)
 
 VARIANTS = ("ekf", "akf", "mcckf", "r-amcckf", "vb-amcckf")
 _KERNEL_VARIANTS = ("mcckf", "r-amcckf", "vb-amcckf")
@@ -159,7 +164,7 @@ def observation_residual(state: NominalState,
         z.velocity - state.velocity,
         quat_to_rotvec(q_rel),
     ])
-    return y, np.eye(OBS_DIM)
+    return y, _OBS_JACOBIAN
 
 
 def inject_and_reset(state: NominalState, delta: np.ndarray) -> NominalState:
@@ -203,20 +208,13 @@ class EngineConfig:
 
 @dataclass
 class CorrectionResult:
-    """Per-correction outputs collected by experiment runners."""
+    """Per-correction outputs; ``state.time`` is when the correction was fused."""
 
     sensor_id: str
-    time: float
     record: InnovationRecord
     bandwidth: np.ndarray
     noise_trace: float
     state: NominalState
-
-
-@dataclass
-class _SensorState:
-    noise: np.ndarray
-    bandwidth: BandwidthState
 
 
 class FusionEngine:
@@ -240,15 +238,14 @@ class FusionEngine:
         self._uses_kernel = config.variant in _KERNEL_VARIANTS
         self.process_noise = np.asarray(config.process_noise, dtype=float).copy()
 
-        self._sensors: dict[str, _SensorState] = {}
-        for sensor_id, noise in sensor_noise.items():
-            noise_mat = (float(noise) * np.eye(OBS_DIM)
-                         if np.isscalar(noise) else np.asarray(noise, dtype=float).copy())
-            adaptive_kb = self._uses_kernel and config.sigma_mode == "adaptive"
-            bandwidth = BandwidthState(
-                dim=OBS_DIM, adaptive=adaptive_kb, sigma_static=config.sigma_static,
-                sigma_min=config.sigma_min, sigma_max=config.sigma_max)
-            self._sensors[sensor_id] = _SensorState(noise=noise_mat, bandwidth=bandwidth)
+        self._noise: dict[str, np.ndarray] = {
+            sensor_id: (float(noise) * np.eye(OBS_DIM) if np.isscalar(noise)
+                        else np.asarray(noise, dtype=float).copy())
+            for sensor_id, noise in sensor_noise.items()}
+        self._bandwidth = BandwidthState(
+            adaptive=self._uses_kernel and config.sigma_mode == "adaptive",
+            sigma_static=config.sigma_static, sigma_min=config.sigma_min,
+            sigma_max=config.sigma_max)
 
         # One noise adapter serves all sensors; ekf and mcckf adapt nothing.
         self._adapter: Optional[Union[VbNoiseAdapter, ResidualNoiseAdapter]] = None
@@ -256,11 +253,10 @@ class FusionEngine:
             self._adapter = VbNoiseAdapter(STATE_DIM, OBS_DIM, window=config.window,
                                            forgetting=config.forgetting)
         elif config.variant == "r-amcckf":
-            self._adapter = ResidualNoiseAdapter(self._sensors, window=config.window,
+            self._adapter = ResidualNoiseAdapter(self._noise, window=config.window,
                                                  smoothing=config.smoothing)
 
-        # _nominal.time is the engine's one clock: every dt is measured from
-        # it, and the engine never reads the belief's time.
+        # _nominal.time is the engine's one clock: every dt is measured from it.
         self._nominal: Optional[NominalState] = None
         self._belief: Optional[GaussianBelief] = None
         self._last_imu: Optional[ImuSample] = None
@@ -280,10 +276,10 @@ class FusionEngine:
         return self._belief.cov
 
     def measurement_noise(self, sensor_id: str) -> np.ndarray:
-        return self._sensors[sensor_id].noise
+        return self._noise[sensor_id]
 
     def sensor_ids(self) -> list[str]:
-        return list(self._sensors)
+        return list(self._noise)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -292,7 +288,7 @@ class FusionEngine:
         cov_mat = (float(cov) * np.eye(STATE_DIM)
                    if np.isscalar(cov) else np.asarray(cov, dtype=float).copy())
         self._nominal = state.copy()
-        self._belief = GaussianBelief(np.zeros(STATE_DIM), cov_mat, state.time)
+        self._belief = GaussianBelief(np.zeros(STATE_DIM), cov_mat)
 
     def process(self, event: Event) -> Optional[CorrectionResult]:
         """Advance the filter by one event; odometry returns a correction record."""
@@ -309,7 +305,7 @@ class FusionEngine:
     def _advance(self, dt: float, imu: ImuSample) -> None:
         scale = dt / self._imu_period if self._imu_period else 1.0
         nominal, trans = imu_step(self._nominal, imu, dt)
-        self._belief = predict(self._belief, trans, self.process_noise * scale, dt)
+        self._belief = predict(self._belief, trans, self.process_noise * scale)
         self._nominal = nominal
         if self._adapter is not None:
             self._adapter.advance(trans, scale)
@@ -345,7 +341,7 @@ class FusionEngine:
         return None
 
     def _handle_odometry(self, sample: OdometrySample) -> Optional[CorrectionResult]:
-        if sample.sensor_id not in self._sensors:
+        if sample.sensor_id not in self._noise:
             raise ValueError(f"unknown sensor id '{sample.sensor_id}'")
         dt = self._accept(sample, (sample.position, sample.orientation, sample.velocity))
         if dt is None:
@@ -356,37 +352,35 @@ class FusionEngine:
             else:
                 # No inertial data yet: slide the clock without propagation.
                 self._nominal.time = sample.time
-        now = self._nominal.time
 
-        sensor = self._sensors[sample.sensor_id]
+        sensor_id = sample.sensor_id
+        noise = self._noise[sensor_id]
         norm = math.sqrt(sample.orientation.dot(sample.orientation))
         if abs(norm - 1.0) > QUAT_NORM_TOLERANCE:
             return self._reject(sample, MeasurementRejected(f"quaternion norm {norm:.6g}, not 1"))
         y, obs_jac = observation_residual(self._nominal, sample)
-        sigma = sensor.bandwidth.update(y, sensor.noise, obs_jac, self._belief.cov)
+        sigma = self._bandwidth.update(y, noise, obs_jac, self._belief.cov)
         # A refused correction leaves the state, belief and adapter as they were.
         try:
             if self._uses_kernel:
-                posterior, record = mcckf_update(self._belief, y, obs_jac, sensor.noise,
-                                                 sigma, sample.sensor_id)
+                posterior, record = mcckf_update(self._belief, y, obs_jac, noise, sigma,
+                                                 sensor_id)
             else:
-                posterior, record = kf_update(self._belief, y, obs_jac, sensor.noise,
-                                              sample.sensor_id)
+                posterior, record = kf_update(self._belief, y, obs_jac, noise, sensor_id)
         except MeasurementRejected as exc:
             return self._reject(sample, exc)
         try:
             self._nominal = inject_and_reset(self._nominal, posterior.mean)
         except ValueError as exc:
             return self._reject(sample, exc)
-        self._belief = GaussianBelief(np.zeros(STATE_DIM), posterior.cov, now)
+        self._belief = GaussianBelief(np.zeros(STATE_DIM), posterior.cov)
         if self._adapter is not None:
-            self._adapter.correct(sample.sensor_id, now, record, posterior.mean)
+            self._adapter.correct(sensor_id, record, posterior.mean)
             self._refresh_noise()
 
         return CorrectionResult(
-            sensor_id=sample.sensor_id, time=now, record=record,
-            bandwidth=np.asarray(sigma, dtype=float).copy(),
-            noise_trace=float(np.trace(sensor.noise)),
+            sensor_id=sensor_id, record=record, bandwidth=sigma,
+            noise_trace=float(np.trace(self._noise[sensor_id])),
             state=self._nominal.copy(),
         )
 
@@ -400,8 +394,7 @@ class FusionEngine:
             q_interval, interval_steps, noise_by_sensor = self._adapter.refresh()
         except AdaptationNotReady:
             return
-        for sid, noise in noise_by_sensor.items():
-            self._sensors[sid].noise = noise
+        self._noise.update(noise_by_sensor)
         if self.config.adapt_q and q_interval is not None:
             self._set_process_noise(q_interval, interval_steps)
 

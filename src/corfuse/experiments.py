@@ -1,6 +1,7 @@
 """Experiment configuration, execution, metrics, and benchmarking."""
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -96,6 +97,14 @@ class RunConfig:
         if self.scenario is not None:
             if self.duration <= 0 or self.imu_rate <= 0 or self.odom_rate <= 0:
                 problems.append("duration and rates must be positive")
+            if not 0.0 <= self.jump_probability <= 1.0:
+                problems.append(f"jump_probability must lie in [0, 1], "
+                                f"got {self.jump_probability}")
+            if self.jump_duration < 1:
+                problems.append(f"jump_duration must be >= 1, got {self.jump_duration}")
+            for name in ("noise_std", "imu_accel_std", "imu_gyro_std"):
+                if not getattr(self, name) >= 0.0:  # NaN fails too
+                    problems.append(f"{name} must be non-negative, got {getattr(self, name)}")
             if self.sensors < 1:
                 problems.append("at least one odometry sensor is required")
             elif self.faulty_sensor not in (None, *(f"odom{i}" for i in range(self.sensors))):
@@ -201,6 +210,13 @@ def _orientation_error(q_est: np.ndarray, q_true: np.ndarray) -> np.ndarray:
     return quat_to_rotvec(quat_multiply(quat_conjugate(q_est), q_true))
 
 
+def _rmse(errors: list[np.ndarray]) -> tuple[list[float], float]:
+    """Per-axis and total RMSE of a list of error vectors."""
+    squared = np.asarray(errors) ** 2
+    return (list(np.sqrt(np.mean(squared, axis=0))),
+            float(np.sqrt(np.mean(np.sum(squared, axis=1)))))
+
+
 def run_experiment(config: RunConfig) -> ExperimentResult:
     """Run one configuration end to end and aggregate metrics.
 
@@ -253,13 +269,13 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
         if result is None:
             continue
         metrics.correction_count += 1
-        metrics.correction_times[result.sensor_id].append(result.time)
+        metrics.correction_times[result.sensor_id].append(result.state.time)
         metrics.r_trace[result.sensor_id].append(result.noise_trace)
         metrics.kb_inverse[result.sensor_id].append(float(np.mean(1.0 / result.bandwidth)))
 
         if truth is not None:
             try:
-                idx = truth.index_at(result.time)
+                idx = truth.index_at(result.state.time)
             except ValueError:
                 metrics.unscored_corrections += 1
                 continue
@@ -274,13 +290,9 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
             nees_vals.append(float(e9 @ sol))
 
     if pos_err:
-        pos_arr, vel_arr, ori_arr = map(np.asarray, (pos_err, vel_err, ori_err))
-        metrics.rmse_position = list(np.sqrt(np.mean(pos_arr ** 2, axis=0)))
-        metrics.rmse_position_total = float(np.sqrt(np.mean(np.sum(pos_arr ** 2, axis=1))))
-        metrics.rmse_velocity = list(np.sqrt(np.mean(vel_arr ** 2, axis=0)))
-        metrics.rmse_velocity_total = float(np.sqrt(np.mean(np.sum(vel_arr ** 2, axis=1))))
-        metrics.rmse_orientation = list(np.sqrt(np.mean(ori_arr ** 2, axis=0)))
-        metrics.rmse_orientation_total = float(np.sqrt(np.mean(np.sum(ori_arr ** 2, axis=1))))
+        metrics.rmse_position, metrics.rmse_position_total = _rmse(pos_err)
+        metrics.rmse_velocity, metrics.rmse_velocity_total = _rmse(vel_err)
+        metrics.rmse_orientation, metrics.rmse_orientation_total = _rmse(ori_err)
         metrics.nees_mean = float(np.mean(nees_vals))
 
     metrics.dropped = dict(engine.dropped)
@@ -308,8 +320,6 @@ def write_json(path: Path, data: object) -> None:
 
 
 def _write_estimates(path: Path, estimates: list[list[float]]) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_ESTIMATE_HEADER)
@@ -331,6 +341,9 @@ def compare(config: RunConfig, variants: list[str]) -> dict[str, ExperimentResul
 def bench(config: RunConfig, variants: list[str], windows: list[int],
           repeats: int = 1) -> list[dict]:
     """Measure per-event processing time across variants and window lengths."""
+    if repeats < 1 or not variants or not windows:
+        raise ConfigError(f"bench needs variants, window lengths and repeats >= 1, "
+                          f"got {variants}, {windows} and repeats={repeats}")
     rows = []
     for variant in variants:
         for window in windows:

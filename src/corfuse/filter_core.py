@@ -48,11 +48,10 @@ EXP_FLOOR = -700.0
 
 @dataclass
 class GaussianBelief:
-    """Gaussian state belief: mean vector, covariance, and a timestamp."""
+    """Gaussian state belief: mean vector and covariance."""
 
     mean: np.ndarray
     cov: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self) -> None:
         self.mean = np.asarray(self.mean, dtype=float)
@@ -88,16 +87,13 @@ class InnovationRecord:
     regularized: bool = False       # S needed a ridge
 
 
-def predict(belief: GaussianBelief, trans: np.ndarray, noise: np.ndarray,
-            dt: float) -> GaussianBelief:
-    """Propagate a belief over ``dt`` through the transition ``trans``.
+def predict(belief: GaussianBelief, trans: np.ndarray, noise: np.ndarray) -> GaussianBelief:
+    """Propagate a belief through the transition ``trans``.
 
     Mean goes to F x; covariance to F P F^T + Q with the result
     re-symmetrized.  Raises PropagationError naming the first state index
     that came back non-finite.
     """
-    if dt <= 0.0:
-        raise ValueError(f"predict requires dt > 0, got {dt}")
     trans = np.asarray(trans, dtype=float)
     mean = trans @ belief.mean
     finite = np.isfinite(mean)
@@ -105,7 +101,7 @@ def predict(belief: GaussianBelief, trans: np.ndarray, noise: np.ndarray,
         bad = int(np.flatnonzero(~finite)[0])
         raise PropagationError(f"non-finite state after propagation at index {bad}")
     cov = symmetrize(trans @ belief.cov @ trans.T + noise)
-    return GaussianBelief(mean, cov, belief.time + dt)
+    return GaussianBelief(mean, cov)
 
 
 def correntropy_weights(innovation: np.ndarray, noise: np.ndarray,
@@ -138,12 +134,12 @@ def _apply_correction(belief: GaussianBelief, z: np.ndarray, y: np.ndarray,
     sol, regularized = spd_solve(innov_cov, ph.T)   # S^-1 sqrt(C) H P
     gain = sol.T * root_c
     if regularized:
-        log.warning("innovation covariance needed a ridge at t=%.6f", belief.time)
+        log.warning("innovation covariance needed a ridge")
 
     mean = belief.mean + gain @ y
     ikh = np.eye(n) - gain @ obs_jac
     cov = symmetrize(ikh @ cov_pred @ ikh.T + gain @ noise @ gain.T)
-    posterior = GaussianBelief(mean, cov, belief.time)
+    posterior = GaussianBelief(mean, cov)
     residual = z - obs_jac @ mean
     record = InnovationRecord(
         innovation=y, residual=residual, obs_jacobian=obs_jac, cov_pred=cov_pred,

@@ -12,8 +12,7 @@ offending dimension is smoothly rejected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,29 +42,23 @@ def adapt_bandwidth(innovation: np.ndarray, noise_prev: np.ndarray,
 
 @dataclass
 class BandwidthState:
-    """Current bandwidth vector for one sensor plus its update policy.
+    """Kernel bandwidth policy, shared by every sensor of an engine.
 
-    In static mode ``update`` always returns the fixed vector; in adaptive
-    mode it recomputes the bandwidth from the incoming innovation before
-    the correction runs.
+    In static mode ``update`` returns a fresh vector of ``sigma_static``,
+    one entry per innovation dimension; in adaptive mode it computes the
+    bandwidth from the incoming innovation before the correction runs.
     """
 
-    dim: int
     adaptive: bool = True
     sigma_static: float = SIGMA_MAX_DEFAULT
     sigma_min: float = SIGMA_MIN_DEFAULT
     sigma_max: float = SIGMA_MAX_DEFAULT
-    sigma: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.sigma is None:
-            self.sigma = np.full(self.dim, float(self.sigma_static))
 
     def update(self, innovation: np.ndarray, noise_prev: np.ndarray,
                obs_jacobian: np.ndarray, cov_pred: np.ndarray) -> np.ndarray:
         if self.adaptive:
-            self.sigma = adapt_bandwidth(
+            return adapt_bandwidth(
                 innovation, noise_prev, obs_jacobian, cov_pred,
                 sigma_min=self.sigma_min, sigma_max=self.sigma_max,
             )
-        return self.sigma
+        return np.full(len(innovation), float(self.sigma_static))

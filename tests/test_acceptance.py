@@ -141,15 +141,14 @@ def _run_scalar_identification(scheme: str, seed: int, steps: int = 2000):
     for k in range(steps):
         x += rng.normal(0.0, np.sqrt(q_true))
         m_prior, p_prior = m, p + q_true
-        belief = GaussianBelief(np.array([m_prior]), np.array([[p_prior]]),
-                                float(k))
+        belief = GaussianBelief(np.array([m_prior]), np.array([[p_prior]]))
         z = np.array([x + rng.normal(0.0, np.sqrt(r_true))])
         posterior, record = kf_update(belief, z, np.eye(1), np.array([[r_hat]]),
                                       sensor_id="z")
         m, p = float(posterior.mean[0]), float(posterior.cov[0, 0])
         if scheme == "vb":
             adapter.push(WindowSnapshot(
-                time=float(k), state=posterior.mean, prior_mean=belief.mean,
+                state=posterior.mean, prior_mean=belief.mean,
                 cov=posterior.cov, transition=np.eye(1), obs_jacobian=np.eye(1),
                 residual=record.residual, weights=record.weights,
                 cov_pred=record.cov_pred, steps=1.0, sensor_id="z"))
@@ -186,14 +185,14 @@ def test_acceptance_04_scalar_noise_identification_converges():
 def test_acceptance_05_dof_recursion_fixed_point():
     # 11 snapshots one predict step apart: every refresh covers 10 transitions.
     adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=10, forgetting=0.97)
-    belief = GaussianBelief(np.zeros(1), np.eye(1), 0.0)
+    belief = GaussianBelief(np.zeros(1), np.eye(1))
     for k in range(11):
         if k:
             adapter.advance(np.eye(1), 1.0)
         posterior, record = kf_update(belief, np.array([0.1 * k]), np.eye(1),
                                       np.eye(1), sensor_id="z")
-        adapter.correct("z", float(k), record, posterior.mean)
-        belief = GaussianBelief(np.zeros(1), posterior.cov + 0.1, float(k + 1))
+        adapter.correct("z", record, posterior.mean)
+        belief = GaussianBelief(np.zeros(1), posterior.cov + 0.1)
     for _ in range(500):
         adapter.refresh()
     deviation = abs(adapter.t - 333.33)
@@ -250,7 +249,7 @@ def test_acceptance_07_innovation_residual_identity():
     for _ in range(1000):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 5))
-        belief = GaussianBelief(rng.standard_normal(n), random_spd(rng, n), 0.0)
+        belief = GaussianBelief(rng.standard_normal(n), random_spd(rng, n))
         h = rng.standard_normal((m, n))
         noise = random_spd(rng, m, scale=0.5)
         z = h @ belief.mean + rng.standard_normal(m)
@@ -272,8 +271,7 @@ def test_acceptance_08_numerical_hygiene():
         n = int(rng.integers(1, 13))
         m = int(rng.integers(1, 10))
         scale = 10.0 ** rng.uniform(-4, 4)
-        belief = GaussianBelief(rng.standard_normal(n),
-                                scale * random_spd(rng, n), 0.0)
+        belief = GaussianBelief(rng.standard_normal(n), scale * random_spd(rng, n))
         h = rng.standard_normal((m, n))
         noise = scale * random_spd(rng, m, scale=0.5)
         bandwidth = 10.0 ** rng.uniform(-2, 6, size=m)
@@ -415,15 +413,14 @@ def test_acceptance_10_unit_weight_reductions_are_exact():
     # residual scheme vs a classical windowed residual estimator, bitwise
     library = ResidualNoiseAdapter(["z"], window=10)
     classical: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    belief = GaussianBelief(np.zeros(n), np.eye(n), 0.0)
+    belief = GaussianBelief(np.zeros(n), np.eye(n))
     h = rng.standard_normal((m, n))
     noise = random_spd(rng, m, scale=0.5)
     bitwise_ok = True
     for k in range(30):
         z = h @ belief.mean + rng.standard_normal(m)
         posterior, record = kf_update(belief, z, h, noise, sensor_id="z")
-        belief = GaussianBelief(posterior.mean, posterior.cov + 0.05 * np.eye(n),
-                                posterior.time + 1.0)
+        belief = GaussianBelief(posterior.mean, posterior.cov + 0.05 * np.eye(n))
         assert np.all(record.weights.weighted == 1.0)
         library.push("z", record)
         classical.append((record.residual, record.obs_jacobian, record.cov_post))
@@ -448,14 +445,13 @@ def test_acceptance_10_unit_weight_reductions_are_exact():
     for k in range(12):
         x += rng.normal(0.0, np.sqrt(q_true))
         m_prior, p_prior = mm, p + q_true
-        belief1 = GaussianBelief(np.array([m_prior]), np.array([[p_prior]]),
-                                 float(k))
+        belief1 = GaussianBelief(np.array([m_prior]), np.array([[p_prior]]))
         z = np.array([x + rng.normal(0.0, np.sqrt(r_true))])
         posterior, record = kf_update(belief1, z, np.eye(1), np.array([[r_true]]),
                                       sensor_id="z")
         mm, p = float(posterior.mean[0]), float(posterior.cov[0, 0])
         window.push(WindowSnapshot(
-            time=float(k), state=posterior.mean, prior_mean=belief1.mean,
+            state=posterior.mean, prior_mean=belief1.mean,
             cov=posterior.cov, transition=np.eye(1), obs_jacobian=np.eye(1),
             residual=record.residual, weights=record.weights,
             cov_pred=record.cov_pred, steps=1.0, sensor_id="z"))

@@ -119,13 +119,13 @@ def two_sensor_record(value):
 
 def test_process_noise_follows_the_first_sensor_only():
     adapter = ResidualNoiseAdapter(["a", "b"], window=4)
-    adapter.correct("b", 0.0, two_sensor_record(5.0), np.zeros(1))
+    adapter.correct("b", two_sensor_record(5.0), np.zeros(1))
     q, steps, by_sensor = adapter.refresh()
     assert q is None and steps == 1.0 and list(by_sensor) == ["b"]
-    adapter.correct("a", 0.1, two_sensor_record(2.0), np.zeros(1))
+    adapter.correct("a", two_sensor_record(2.0), np.zeros(1))
     q, _, by_sensor = adapter.refresh()
     assert q[0, 0] == pytest.approx(4.0) and list(by_sensor) == ["a"]
-    adapter.correct("b", 0.2, two_sensor_record(7.0), np.zeros(1))
+    adapter.correct("b", two_sensor_record(7.0), np.zeros(1))
     q, _, _ = adapter.refresh()
     assert q is None
 
@@ -133,10 +133,10 @@ def test_process_noise_follows_the_first_sensor_only():
 def test_each_measurement_noise_comes_from_its_own_window():
     adapter = ResidualNoiseAdapter(["a", "b"], window=2)
     for k in range(3):
-        adapter.correct("a", float(k), two_sensor_record(1.0 + k), np.zeros(1))
+        adapter.correct("a", two_sensor_record(1.0 + k), np.zeros(1))
         assert measurement_noise(adapter, "a")[0, 0] == pytest.approx(
             np.mean([(1.0 + j) ** 2 for j in range(max(k - 1, 0), k + 1)]))
-        adapter.correct("b", float(k), two_sensor_record(10.0), np.zeros(1))
+        adapter.correct("b", two_sensor_record(10.0), np.zeros(1))
         assert measurement_noise(adapter, "b")[0, 0] == pytest.approx(100.0)
 
 
@@ -145,7 +145,7 @@ def test_interval_steps_average_the_first_sensors_intervals():
     for steps, sensor_id in ((4, "a"), (2, "b"), (6, "a"), (0, "a")):
         for _ in range(steps):
             adapter.advance(np.eye(1), 1.0)
-        adapter.correct(sensor_id, 0.0, two_sensor_record(1.0), np.zeros(1))
+        adapter.correct(sensor_id, two_sensor_record(1.0), np.zeros(1))
         _, interval_steps, _ = adapter.refresh()
     # Intervals of 4, 8 and a same-instant correction counted as one step.
     assert interval_steps == pytest.approx((4.0 + 8.0 + 1.0) / 3.0)
@@ -163,7 +163,7 @@ def test_identity_holds_for_plain_kalman_corrections():
         n = rng.integers(1, 7)
         m = rng.integers(1, 5)
         belief = GaussianBelief(mean=rng.standard_normal(n),
-                                cov=random_spd(rng, n), time=0.0)
+                                cov=random_spd(rng, n))
         h = rng.standard_normal((m, n))
         noise = random_spd(rng, m, scale=0.5)
         z = h @ belief.mean + rng.standard_normal(m)
@@ -174,7 +174,7 @@ def test_identity_holds_for_plain_kalman_corrections():
 
 def test_identity_detects_downweighted_gain():
     rng = np.random.default_rng(22)
-    belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2), time=0.0)
+    belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
     noise = 0.01 * np.eye(2)
     _, record = mcckf_update(belief, np.array([3.0, -2.5]), np.eye(2), noise,
                              np.full(2, 0.5), sensor_id="ctl")
@@ -220,7 +220,7 @@ def test_closed_loop_recovers_inflated_measurement_noise():
     for k in range(1500):
         x += rng.normal(0.0, np.sqrt(q_true))
         belief = GaussianBelief(mean=np.array([m]),
-                                cov=np.array([[p + q_true]]), time=float(k))
+                                cov=np.array([[p + q_true]]))
         z = np.array([x + rng.normal(0.0, np.sqrt(r_true))])
         posterior, record = kf_update(belief, z, np.eye(1), np.array([[r_hat]]),
                                       sensor_id="z")

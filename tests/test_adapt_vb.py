@@ -6,6 +6,7 @@ expectations on a matched linear-Gaussian system where the statistics
 must average to the true noise values.
 """
 
+import copy
 import logging
 
 import numpy as np
@@ -22,10 +23,10 @@ from corfuse.linalg import symmetrize
 UNIT = CorrentropyWeights(unweighted=np.array([1.0]), weighted=np.array([1.0]))
 
 
-def scalar_snapshot(time, state, prior_mean, cov, cov_pred, residual,
+def scalar_snapshot(state, prior_mean, cov, cov_pred, residual,
                     trans=1.0, steps=1.0, sensor="s", weights=UNIT):
     return WindowSnapshot(
-        time=time, state=np.array([state]), prior_mean=np.array([prior_mean]),
+        state=np.array([state]), prior_mean=np.array([prior_mean]),
         cov=np.array([[cov]]), transition=np.array([[trans]]),
         obs_jacobian=np.eye(1), residual=np.array([residual]),
         weights=weights, cov_pred=np.array([[cov_pred]]),
@@ -40,18 +41,19 @@ def hand_filtered_window():
     predicted covariances (1, 1, 1).
     """
     window = SmootherWindow(length=10)
-    window.push(scalar_snapshot(0.0, 0.5, 0.0, 0.5, 1.0, residual=0.5))
-    window.push(scalar_snapshot(1.0, 0.25, 0.5, 0.5, 1.0, residual=-0.25))
-    window.push(scalar_snapshot(2.0, 0.25, 0.25, 0.5, 1.0, residual=0.0))
+    window.push(scalar_snapshot(0.5, 0.0, 0.5, 1.0, residual=0.5))
+    window.push(scalar_snapshot(0.25, 0.5, 0.5, 1.0, residual=-0.25))
+    window.push(scalar_snapshot(0.25, 0.25, 0.5, 1.0, residual=0.0))
     return window
 
 
 def test_backward_pass_matches_hand_computation():
-    smoothed = backward_smooth(hand_filtered_window())
+    window = hand_filtered_window()
+    smoothed = backward_smooth(window)
     np.testing.assert_allclose([m[0] for m in smoothed.means], [0.375, 0.25, 0.25])
     np.testing.assert_allclose([c[0, 0] for c in smoothed.covs],
                                [0.34375, 0.375, 0.5])
-    np.testing.assert_allclose([g[0, 0] for g in smoothed.gains], [0.5, 0.5])
+    np.testing.assert_allclose([s.gain[0, 0] for s in window.snapshots[1:]], [0.5, 0.5])
     np.testing.assert_allclose([c[0, 0] for c in smoothed.crosses],
                                [0.1875, 0.25])
 
@@ -72,11 +74,11 @@ def test_measurement_statistic_matches_hand_computation():
 
 def test_single_snapshot_smooths_to_filtered_values():
     window = SmootherWindow(length=10)
-    window.push(scalar_snapshot(0.0, 1.5, 1.0, 0.25, 0.5, residual=0.1))
+    window.push(scalar_snapshot(1.5, 1.0, 0.25, 0.5, residual=0.1))
     smoothed = backward_smooth(window)
     assert smoothed.means[0][0] == pytest.approx(1.5)
     assert smoothed.covs[0][0, 0] == pytest.approx(0.25)
-    assert smoothed.gains == []
+    assert smoothed.crosses == [] and window.snapshots[0].gain is None
 
 
 def test_empty_window_raises():
@@ -86,7 +88,7 @@ def test_empty_window_raises():
 
 def test_process_statistic_needs_a_transition():
     window = SmootherWindow(length=5)
-    window.push(scalar_snapshot(0.0, 1.0, 0.0, 0.5, 1.0, residual=0.0))
+    window.push(scalar_snapshot(1.0, 0.0, 0.5, 1.0, residual=0.0))
     with pytest.raises(AdaptationNotReady):
         process_statistic(window, backward_smooth(window))
 
@@ -99,10 +101,10 @@ def test_same_instant_corrections_carry_no_process_evidence():
     zero into the average.
     """
     window = SmootherWindow(length=10)
-    window.push(scalar_snapshot(3.0, 0.8, 1.0, 0.4, 0.6, residual=0.1))
-    window.push(scalar_snapshot(3.0, 0.7, 0.8, 0.3, 0.4, residual=0.0, steps=0.0))
+    window.push(scalar_snapshot(0.8, 1.0, 0.4, 0.6, residual=0.1))
+    window.push(scalar_snapshot(0.7, 0.8, 0.3, 0.4, residual=0.0, steps=0.0))
     smoothed = backward_smooth(window)
-    np.testing.assert_allclose(smoothed.gains[0], np.eye(1))
+    np.testing.assert_allclose(window.snapshots[1].gain, np.eye(1))
     assert smoothed.means[0][0] == pytest.approx(smoothed.means[1][0])
     total, count = process_statistic(window, smoothed)
     assert count == 0
@@ -112,9 +114,9 @@ def test_same_instant_corrections_carry_no_process_evidence():
 def test_window_length_bounds_buffer():
     window = SmootherWindow(length=3)
     for k in range(10):
-        window.push(scalar_snapshot(float(k), 0.0, 0.0, 0.5, 1.0, residual=0.0))
+        window.push(scalar_snapshot(float(k), 0.0, 0.5, 1.0, residual=0.0))
     assert len(window) == 4  # length transitions need length + 1 snapshots
-    assert window.snapshots[0].time == 6.0
+    assert window.snapshots[0].state[0] == 6.0
 
 
 def re_solving_smoother(snaps):
@@ -146,21 +148,25 @@ def random_spd9(rng):
 def test_gains_cached_at_push_match_re_solving_smoother_bitwise():
     rng = np.random.default_rng(41)
     window = SmootherWindow(length=4)
+    raw = []  # shallow copies holding the covariances as they were before push
     for k in range(9):  # evicts from the sixth push on
         instant = k == 5  # a second correction at the same instant
-        window.push(WindowSnapshot(
-            time=float(k - instant), state=rng.standard_normal(9),
+        snapshot = WindowSnapshot(
+            state=rng.standard_normal(9),
             prior_mean=rng.standard_normal(9), cov=random_spd9(rng),
             transition=np.eye(9) if instant else np.eye(9) + 0.1 * rng.standard_normal((9, 9)),
             obs_jacobian=np.eye(3, 9), residual=rng.standard_normal(3),
             weights=CorrentropyWeights(unweighted=np.ones(3), weighted=np.ones(3)),
             cov_pred=random_spd9(rng), steps=0.0 if instant else 1.0,
-            sensor_id="ab"[k % 2]))
+            sensor_id="ab"[k % 2])
+        raw.append(copy.copy(snapshot))
+        window.push(snapshot)
         if len(window) < 2:
             continue
         smoothed = backward_smooth(window)
-        reference = re_solving_smoother(window.snapshots)
-        for got, want in zip((smoothed.means, smoothed.covs, smoothed.gains,
+        reference = re_solving_smoother(raw[-len(window):])
+        gains = [snap.gain for snap in window.snapshots[1:]]
+        for got, want in zip((smoothed.means, smoothed.covs, gains,
                               smoothed.crosses), reference):
             assert len(got) == len(want)
             for a, b in zip(got, want):
@@ -171,8 +177,8 @@ def test_gains_cached_at_push_match_re_solving_smoother_bitwise():
 def test_smoother_ridge_warning_is_logged_once_per_snapshot(caplog):
     adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
     with caplog.at_level(logging.WARNING, logger="corfuse.adapt_vb"):
-        adapter.push(scalar_snapshot(0.0, 0.5, 0.0, 0.5, 1.0, residual=0.1))
-        adapter.push(scalar_snapshot(1.0, 0.25, 0.5, 0.5, 0.0, residual=0.0))
+        adapter.push(scalar_snapshot(0.5, 0.0, 0.5, 1.0, residual=0.1))
+        adapter.push(scalar_snapshot(0.25, 0.5, 0.5, 0.0, residual=0.0))
         for _ in range(3):
             adapter.refresh()
     assert [r.getMessage() for r in caplog.records] == [
@@ -181,9 +187,9 @@ def test_smoother_ridge_warning_is_logged_once_per_snapshot(caplog):
 
 def test_measurement_statistic_filters_by_sensor():
     window = SmootherWindow(length=10)
-    window.push(scalar_snapshot(0.0, 0.5, 0.0, 0.5, 1.0, residual=0.5, sensor="a"))
-    window.push(scalar_snapshot(1.0, 0.25, 0.5, 0.5, 1.0, residual=-0.25, sensor="b"))
-    window.push(scalar_snapshot(2.0, 0.25, 0.25, 0.5, 1.0, residual=0.0, sensor="a"))
+    window.push(scalar_snapshot(0.5, 0.0, 0.5, 1.0, residual=0.5, sensor="a"))
+    window.push(scalar_snapshot(0.25, 0.5, 0.5, 1.0, residual=-0.25, sensor="b"))
+    window.push(scalar_snapshot(0.25, 0.25, 0.5, 1.0, residual=0.0, sensor="a"))
     by_sensor = measurement_statistic(window, backward_smooth(window))
     assert list(by_sensor) == ["a", "b"]  # order of first appearance
     assert [count for _, count in by_sensor.values()] == [2, 1]
@@ -197,7 +203,7 @@ def test_suppressed_channel_contributes_only_covariance_floor():
     weights = CorrentropyWeights(unweighted=np.array([0.0]),
                                  weighted=np.array([0.0]))
     window = SmootherWindow(length=10)
-    window.push(scalar_snapshot(0.0, 0.5, 0.0, 0.5, 1.0, residual=7.0,
+    window.push(scalar_snapshot(0.5, 0.0, 0.5, 1.0, residual=7.0,
                                 weights=weights))
     smoothed = backward_smooth(window)
     total, count = measurement_statistic(window, smoothed)["s"]
@@ -219,7 +225,7 @@ def run_matched_scalar_filter(rng, steps, q_true, r_true):
         gain = p_prior / (p_prior + r_true)
         m = m_prior + gain * (z - m_prior)
         p = (1.0 - gain) ** 2 * p_prior + gain * r_true * gain
-        window.push(scalar_snapshot(float(k), m, m_prior, p, p_prior, residual=z - m))
+        window.push(scalar_snapshot(m, m_prior, p, p_prior, residual=z - m))
     return window
 
 
@@ -247,7 +253,7 @@ def full_window_adapter(window, forgetting):
     adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=window,
                              forgetting=forgetting)
     for k in range(window + 1):
-        adapter.push(scalar_snapshot(float(k), 0.1 * k, 0.1 * k - 0.05, 0.5, 1.0,
+        adapter.push(scalar_snapshot(0.1 * k, 0.1 * k - 0.05, 0.5, 1.0,
                                      residual=0.2 * (-1) ** k))
     return adapter
 
@@ -309,25 +315,27 @@ def test_adapter_keeps_the_no_reset_frame_between_corrections():
     """Scalar frame worked by hand: corrections add, transitions compose."""
     adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
     record = scalar_record(residual=0.3)
-    adapter.correct("a", 0.0, record, np.array([1.0]))
+    adapter.correct("a", record, np.array([1.0]))
     first = adapter.window.snapshots[-1]
     assert (first.prior_mean[0], first.state[0]) == (0.0, 1.0)
     assert (first.transition[0, 0], first.steps) == (1.0, 0.0)
 
     adapter.advance(np.array([[2.0]]), 1.0)
     adapter.advance(np.array([[2.0]]), 1.0)
-    adapter.correct("b", 1.0, record, np.array([0.5]))
+    adapter.correct("b", record, np.array([0.5]))
     second = adapter.window.snapshots[-1]
     assert second.prior_mean[0] == 4.0
     assert second.transition[0, 0] == 4.0
     assert second.steps == 2.0
     assert second.state[0] == 4.5
-    assert (second.time, second.sensor_id) == (1.0, "b")
-    assert second.residual is record.residual and second.cov is record.cov_post
-    assert second.cov_pred is record.cov_pred and second.weights is record.weights
+    assert second.sensor_id == "b"
+    assert second.residual is record.residual and second.weights is record.weights
+    # push rebinds both covariances to their symmetric parts, equal here
+    np.testing.assert_array_equal(second.cov, record.cov_post)
+    np.testing.assert_array_equal(second.cov_pred, record.cov_pred)
 
     # the pending transition and step count restart after each correction
-    adapter.correct("b", 1.0, record, np.array([0.0]))
+    adapter.correct("b", record, np.array([0.0]))
     third = adapter.window.snapshots[-1]
     assert (third.transition[0, 0], third.steps) == (1.0, 0.0)
     assert third.prior_mean[0] == third.state[0] == 4.5
@@ -339,15 +347,15 @@ def test_adapter_keeps_the_no_reset_frame_between_corrections():
 
 def test_adapter_reports_not_ready_until_two_snapshots():
     adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
-    adapter.push(scalar_snapshot(0.0, 0.5, 0.0, 0.5, 1.0, residual=0.1))
+    adapter.push(scalar_snapshot(0.5, 0.0, 0.5, 1.0, residual=0.1))
     with pytest.raises(AdaptationNotReady):
         adapter.refresh()
 
 
 def test_adapter_withholds_process_estimate_without_real_transitions():
     adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
-    adapter.push(scalar_snapshot(1.0, 0.8, 1.0, 0.4, 0.6, residual=0.1))
-    adapter.push(scalar_snapshot(1.0, 0.7, 0.8, 0.3, 0.4, residual=0.0,
+    adapter.push(scalar_snapshot(0.8, 1.0, 0.4, 0.6, residual=0.1))
+    adapter.push(scalar_snapshot(0.7, 0.8, 0.3, 0.4, residual=0.0,
                                  steps=0.0))
     q, steps, by_sensor = adapter.refresh()
     assert q is None
@@ -361,7 +369,7 @@ def test_adapter_tracks_measurement_noise_per_sensor():
     for k in range(40):
         sensor = "a" if k % 2 == 0 else "b"
         resid = rng.normal(0.0, 0.1 if sensor == "a" else 1.0)
-        adapter.push(scalar_snapshot(float(k), 0.0, 0.0, 1e-6, 1e-6,
+        adapter.push(scalar_snapshot(0.0, 0.0, 1e-6, 1e-6,
                                      residual=resid, sensor=sensor))
     _, _, by_sensor = adapter.refresh()
     assert set(by_sensor) == {"a", "b"}
@@ -370,10 +378,10 @@ def test_adapter_tracks_measurement_noise_per_sensor():
 
 def test_adapter_mean_steps_ignores_instant_transitions():
     adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
-    adapter.push(scalar_snapshot(0.0, 0.0, 0.0, 0.5, 1.0, 0.0, steps=1.0))
-    adapter.push(scalar_snapshot(1.0, 0.0, 0.0, 0.5, 1.0, 0.0, steps=4.0))
-    adapter.push(scalar_snapshot(1.0, 0.0, 0.0, 0.5, 1.0, 0.0, steps=0.0))
-    adapter.push(scalar_snapshot(2.0, 0.0, 0.0, 0.5, 1.0, 0.0, steps=6.0))
+    adapter.push(scalar_snapshot(0.0, 0.0, 0.5, 1.0, 0.0, steps=1.0))
+    adapter.push(scalar_snapshot(0.0, 0.0, 0.5, 1.0, 0.0, steps=4.0))
+    adapter.push(scalar_snapshot(0.0, 0.0, 0.5, 1.0, 0.0, steps=0.0))
+    adapter.push(scalar_snapshot(0.0, 0.0, 0.5, 1.0, 0.0, steps=6.0))
     assert adapter.mean_interval_steps() == pytest.approx(5.0)
 
 
@@ -392,7 +400,7 @@ def test_closed_loop_measurement_noise_identification():
         gain = p_prior / (p_prior + r_hat)
         m = m_prior + gain * (z - m_prior)
         p = (1.0 - gain) ** 2 * p_prior + gain * r_hat * gain
-        adapter.push(scalar_snapshot(float(k), m, m_prior, p, p_prior, residual=z - m))
+        adapter.push(scalar_snapshot(m, m_prior, p, p_prior, residual=z - m))
         try:
             _, _, by_sensor = adapter.refresh()
             r_hat = by_sensor["s"][0, 0]

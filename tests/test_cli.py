@@ -269,6 +269,18 @@ def test_bench_reports_timing_rows(tmp_path, capsys):
     assert all(r["mean_ns"] > 0 for r in rows)
 
 
+def test_bench_exits_2_on_bad_windows_or_repeats(capsys):
+    base = ["bench", "--scenario", "hover", "--filters", "ekf",
+            "--set", "duration=1.0", "--set", "sensors=1"]
+    assert main(base + ["--windows", "10,x"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert main(base + ["--repeats", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "repeats" in err
+    assert main(base + ["--windows", ","]) == 2  # an empty table is no result
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_simulate_outputs_are_deterministic(tmp_path):
     args = ["simulate", "--scenario", "hover", "--seed", "9",
             "--set", "duration=1.0", "--set", "sensors=1"]

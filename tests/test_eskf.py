@@ -16,6 +16,7 @@ from corfuse.eskf import (GRAVITY, QUAT_NORM_TOLERANCE, STATE_DIM, VARIANTS, Eng
                           FusionEngine, ImuSample, NominalState, OdometrySample,
                           error_transition, inject_and_reset,
                           observation_residual, propagate_nominal)
+from corfuse.kernel_bandwidth import adapt_bandwidth
 from corfuse.so3 import (quat_conjugate, quat_from_rotvec, quat_multiply,
                          quat_normalize, quat_to_rotvec)
 
@@ -279,7 +280,7 @@ def test_engine_drops_non_finite_timestamps_and_counts_them():
     assert engine.state.time == pytest.approx(0.02)
     result = engine.process(OdometrySample(
         "odo0", np.zeros(3), np.array([1.0, 0, 0, 0]), np.zeros(3), 0.03))
-    assert result is not None and result.time == 0.03
+    assert result is not None and result.state.time == 0.03
 
 
 NON_FINITE_SLOTS = ([("imu", name, i) for name in ("accel", "gyro") for i in range(3)]
@@ -367,6 +368,42 @@ def test_static_bandwidth_is_reported_constant():
     _, results = run_engine(config, hover_events(noise=0.005, seed=1))
     for result in results:
         np.testing.assert_allclose(result.bandwidth, 2.5)
+    # each correction gets its own array: a write into one reaches no other
+    results[0].bandwidth[:] = -1.0
+    np.testing.assert_array_equal(results[1].bandwidth, np.full(9, 2.5))
+
+
+def test_each_sensor_bandwidth_comes_from_its_own_noise():
+    config = EngineConfig(variant="mcckf", adapt_q=False)
+    noise = {"odo0": 0.01, "odo1": 0.5}
+    engine = FusionEngine(config, noise)
+    engine.initialize(make_state(), 1e-4)
+    results = [r for e in hover_events(noise=0.05, seed=4, sensors=tuple(noise))
+               if (r := engine.process(e)) is not None]
+    assert [r.sensor_id for r in results[:2]] == ["odo0", "odo1"] and len(results) == 40
+
+    def bandwidth(record, sensor_id):
+        return adapt_bandwidth(record.innovation, noise[sensor_id] * np.eye(9), np.eye(9),
+                               record.cov_pred, config.sigma_min, config.sigma_max)
+
+    for result in results:
+        other = "odo1" if result.sensor_id == "odo0" else "odo0"
+        np.testing.assert_array_equal(result.bandwidth,
+                                      bandwidth(result.record, result.sensor_id))
+        assert not np.array_equal(result.bandwidth, bandwidth(result.record, other))
+
+
+def test_engine_observation_jacobian_is_read_only():
+    engine, results = run_engine(EngineConfig(variant="vb-amcckf"),
+                                 hover_events(duration=0.5, noise=0.005, seed=5))
+    jacobian = results[-1].record.obs_jacobian
+    assert engine._adapter.window.snapshots[-1].obs_jacobian is jacobian
+    np.testing.assert_array_equal(jacobian, np.eye(9))
+    with pytest.raises(ValueError, match="read-only"):
+        jacobian[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        jacobian += 1.0
+    np.testing.assert_array_equal(results[0].record.obs_jacobian, np.eye(9))
 
 
 def test_self_check_identity_on_plain_corrections():
@@ -436,7 +473,7 @@ def test_slightly_late_odometry_is_fused_at_the_current_time():
         engine.process(hover_imu(t))
     result = engine.process(OdometrySample("odo0", np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]),
                                            np.zeros(3), 0.0195))
-    assert result is not None and result.time == engine.state.time == pytest.approx(0.02)
+    assert result is not None and result.state.time == engine.state.time == pytest.approx(0.02)
     assert engine.dropped == {"out_of_order": 0, "non_finite": 0, "rejected": 0}
     before, cov = engine.state.copy(), engine.covariance.copy()
     imu = hover_imu(0.03)

@@ -44,6 +44,12 @@ def test_validate_accepts_reasonable_config():
     ("sensors", 0, "sensor"),
     ("scenario", "spiral", "scenario"),
     ("faulty_sensor", "odom7", "faulty_sensor"),
+    ("jump_probability", 1.5, "jump_probability"),
+    ("jump_probability", -0.1, "jump_probability"),
+    ("jump_duration", 0, "jump_duration"),
+    ("noise_std", -0.02, "noise_std"),
+    ("imu_accel_std", -1.0, "imu_accel_std"),
+    ("imu_gyro_std", float("nan"), "imu_gyro_std"),
 ])
 def test_validate_rejects_bad_values(field, value, fragment):
     config = quick_config(**{field: value})

@@ -46,15 +46,14 @@ def textbook_weighted_update(mean, cov, z, h_mat, r, c_diag):
 
 
 def test_predict_identity_transition_adds_noise():
-    belief = GaussianBelief(mean=np.array([1.0]), cov=np.array([[1.0]]), time=0.0)
-    out = predict(belief, np.eye(1), np.array([[0.5]]), 1.0)
+    belief = GaussianBelief(mean=np.array([1.0]), cov=np.array([[1.0]]))
+    out = predict(belief, np.eye(1), np.array([[0.5]]))
     assert out.cov[0, 0] == pytest.approx(1.5)
-    assert out.time == pytest.approx(1.0)
 
 
 def test_predict_zero_covariance_zero_noise_stays_zero():
     belief = GaussianBelief(mean=np.zeros(2), cov=np.zeros((2, 2)))
-    out = predict(belief, np.eye(2), np.zeros((2, 2)), 0.1)
+    out = predict(belief, np.eye(2), np.zeros((2, 2)))
     np.testing.assert_array_equal(out.cov, np.zeros((2, 2)))
 
 
@@ -65,7 +64,7 @@ def test_predict_constant_velocity_matches_dense_oracle():
     p = np.eye(2)
     oracle = f @ p @ f.T + q
     belief = GaussianBelief(mean=np.array([1.0, -2.0]), cov=p)
-    out = predict(belief, f, q, dt)
+    out = predict(belief, f, q)
     np.testing.assert_allclose(out.cov, oracle, rtol=0, atol=1e-14)
     np.testing.assert_allclose(out.mean, f @ belief.mean)
 
@@ -77,21 +76,15 @@ def test_predict_trace_never_shrinks_under_identity_dynamics():
         p = random_spd(rng, n)
         q = random_spd(rng, n, 0.1)
         belief = GaussianBelief(mean=rng.standard_normal(n), cov=p)
-        out = predict(belief, np.eye(n), q, 1.0)
+        out = predict(belief, np.eye(n), q)
         assert np.trace(out.cov) >= np.trace(p)
 
 
 def test_predict_rejects_non_finite_propagation():
     belief = GaussianBelief(mean=np.array([0.0, 1.0]), cov=np.eye(2))
     with pytest.raises(PropagationError) as err:
-        predict(belief, np.diag([1.0, np.inf]), np.zeros((2, 2)), 1.0)
+        predict(belief, np.diag([1.0, np.inf]), np.zeros((2, 2)))
     assert "index 1" in str(err.value)
-
-
-def test_predict_rejects_nonpositive_dt():
-    belief = GaussianBelief(mean=np.zeros(1), cov=np.eye(1))
-    with pytest.raises(ValueError):
-        predict(belief, np.eye(1), np.zeros((1, 1)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +287,10 @@ def test_non_finite_measurement_is_rejected_with_sensor_name():
 
 
 def test_record_snapshot_fields_are_consistent():
-    belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2), time=3.5)
+    belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
     z = np.array([1.0, -1.0])
     out, record = mcckf_update(belief, z, np.eye(2), np.eye(2), np.full(2, 1e12))
     np.testing.assert_allclose(record.innovation, z)
     np.testing.assert_allclose(record.residual, z - out.mean)
     np.testing.assert_allclose(record.cov_pred, np.eye(2))
     np.testing.assert_allclose(record.cov_post, out.cov)
-    assert out.time == 3.5

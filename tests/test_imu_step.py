@@ -220,7 +220,7 @@ def test_engine_imu_step_is_bitwise_equal_to_the_two_call_composition(variant):
 
     # The engine's IMU handling, on the reference helpers.
     nominal = initial_state()
-    belief = GaussianBelief(np.zeros(STATE_DIM), 1e-4 * np.eye(STATE_DIM), 0.0)
+    belief = GaussianBelief(np.zeros(STATE_DIM), 1e-4 * np.eye(STATE_DIM))
     frame = np.eye(STATE_DIM)
     period, last = None, None
     for imu in samples:
@@ -230,7 +230,7 @@ def test_engine_imu_step_is_bitwise_equal_to_the_two_call_composition(variant):
                 period = imu.time - last.time
             scale = dt / period if period else 1.0
             trans = ref_error_transition(nominal, imu, dt)
-            belief = predict(belief, trans, config.process_noise * scale, dt)
+            belief = predict(belief, trans, config.process_noise * scale)
             nominal = ref_propagate_nominal(nominal, imu, dt)
             frame = trans @ frame
         last = imu

@@ -3,9 +3,12 @@
 Each digest covers a run's full output in memory: every row of
 ``estimates`` (time, pose, velocity, covariance diagonal), the final error
 covariance, the final process noise Q and every sensor's final measurement
-noise R, as raw float64 bytes.  Per (workload, seed) one more line, with
-``stream`` in the variant column, digests the synthesized input: every
-``TruthTrajectory`` array and every event's time, sensor id and vectors.
+noise R, as raw float64 bytes, and the run's ``MetricsReport`` as the
+key-sorted JSON text that ``metrics.json`` holds (per-correction times, R
+traces and mean inverse bandwidths included).  Per (workload, seed) one
+more line, with ``stream`` in the variant column, digests the synthesized
+input: every ``TruthTrajectory`` array and every event's time, sensor id
+and vectors.
 Two checkouts synthesize and fuse bitwise-identically when the outputs of
 
     python tools/fingerprint.py > fingerprints.txt
@@ -22,7 +25,9 @@ As in ``tools/sweep.py``, ``--seeds A-B`` picks the seeds (default 1-3),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import json
 import sys
 from pathlib import Path
 from typing import Optional
@@ -49,6 +54,9 @@ def fingerprint(settings: dict, duration: float, variant: str, seed: int) -> str
     for sensor_id in engine.sensor_ids():
         digest.update(sensor_id.encode())
         digest.update(np.asarray(engine.measurement_noise(sensor_id), dtype=float).tobytes())
+    # The same text as experiments.write_json, without the file.
+    digest.update(json.dumps(dataclasses.asdict(result.metrics), indent=2, sort_keys=True)
+                  .encode())
     return digest.hexdigest()
 
 
