@@ -26,7 +26,8 @@ dynamics composed since the last correction (``advance`` and
 ``correct``).
 
 Each smoother gain is solved once, when its snapshot is pushed; a refresh
-then does O(W) matrix products and no solves.
+then does the backward pass and one forward walk (``window_statistics``):
+O(W) matrix products and no solves.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AdaptationNotReady
-from .filter_core import CorrentropyWeights, InnovationRecord
+from .filter_core import InnovationRecord
 from .linalg import psd_project, spd_solve, symmetrize
 
 log = logging.getLogger(__name__)
@@ -45,28 +46,21 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class WindowSnapshot:
-    """Per-correction record buffered by the sliding-window smoother.
+    """One correction buffered by the sliding-window smoother.
 
-    ``state`` and ``prior_mean`` are the filtered mean after and before the
-    correction, expressed in one shared frame across the whole window (for
-    an error-state filter with resets, the adapter's no-reset frame).
-    ``transition`` is the composed dynamics between this snapshot and the
-    previous one in the window; ``steps`` counts how many predict steps
-    that interval contained.
-
-    ``SmootherWindow.push`` rebinds ``cov`` and ``cov_pred`` to their
-    symmetric parts and sets ``gain``, the smoother gain G_j-1 from the
-    previous snapshot to this one (None for the first snapshot pushed).
+    ``record`` is the correction as ``filter_core`` returned it, exactly
+    symmetric covariances included.  ``state`` and ``prior_mean`` are the
+    filtered mean after and before the correction in one frame shared by the
+    window (for an error-state filter, the adapter's no-reset frame).
+    ``transition`` is the composed dynamics since the previous snapshot and
+    ``steps`` its predict-step count.  ``SmootherWindow.push`` sets ``gain``,
+    the smoother gain G_j-1 from the previous snapshot (None for the first).
     """
 
+    record: InnovationRecord
     state: np.ndarray               # filtered mean after the correction
     prior_mean: np.ndarray          # filtered mean just before the correction
-    cov: np.ndarray                 # posterior covariance
     transition: np.ndarray
-    obs_jacobian: np.ndarray
-    residual: np.ndarray
-    weights: CorrentropyWeights
-    cov_pred: np.ndarray
     steps: float = 1.0
     sensor_id: str = ""
     gain: Optional[np.ndarray] = field(default=None, init=False, repr=False)
@@ -85,11 +79,10 @@ class SmootherWindow:
 
     def push(self, snapshot: WindowSnapshot) -> None:
         """Buffer ``snapshot``, solving G_j-1 = P_j-1|j-1 F_j^T (P_j|j-1)^-1 once."""
-        snapshot.cov = symmetrize(snapshot.cov)
-        snapshot.cov_pred = symmetrize(snapshot.cov_pred)
         if self.snapshots:
             gain_t, regularized = spd_solve(
-                snapshot.cov_pred, snapshot.transition @ self.snapshots[-1].cov)
+                snapshot.record.cov_pred,
+                snapshot.transition @ self.snapshots[-1].record.cov_post)
             if regularized:
                 log.warning("smoother regularized a singular predicted covariance")
             snapshot.gain = gain_t.T
@@ -140,78 +133,61 @@ def backward_smooth(window: SmootherWindow) -> SmoothedWindow:
     crosses: list[Optional[np.ndarray]] = [None] * (count - 1)
 
     means[-1] = snaps[-1].state.copy()
-    covs[-1] = snaps[-1].cov.copy()
+    covs[-1] = snaps[-1].record.cov_post.copy()
     for j in range(count - 1, 0, -1):
         prev, cur = snaps[j - 1], snaps[j]
         gain = cur.gain
         means[j - 1] = prev.state + gain @ (means[j] - cur.prior_mean)
-        covs[j - 1] = symmetrize(prev.cov + gain @ (covs[j] - cur.cov_pred) @ gain.T)
+        covs[j - 1] = symmetrize(prev.record.cov_post
+                                 + gain @ (covs[j] - cur.record.cov_pred) @ gain.T)
         crosses[j - 1] = gain @ covs[j]
     return SmoothedWindow(means=means, covs=covs, crosses=crosses)  # type: ignore[arg-type]
 
 
-def process_statistic(window: SmootherWindow, smoothed: SmoothedWindow) -> tuple[np.ndarray, int]:
-    """Sum of per-transition process-noise statistics over the window.
+def window_statistics(window: SmootherWindow, smoothed: SmoothedWindow
+                      ) -> tuple[np.ndarray, list[float], dict[str, tuple[np.ndarray, int]]]:
+    """Process sum, step counts and per-sensor measurement sums, in one walk.
 
-    With x~_j = x_j|k - F_j x_j-1|k, each term is
+    Process: with x~_j = x_j|k - F_j x_j-1|k, each transition adds
 
         O_j = P_j|k - F_j P_j-1,j|k - P_j-1,j|k^T F_j^T
               + F_j P_j-1|k F_j^T + x~_j x~_j^T
 
-    and the sum is projected onto the positive-semidefinite cone to absorb
-    round-off.  Transitions spanning zero predict steps (two corrections at
-    the same instant) are identities with no noise; they carry no evidence
-    about the process noise and are excluded from both the sum and the
-    returned count.  Requires at least two snapshots.
-    """
-    snaps = window.snapshots
-    if len(snaps) < 2:
-        raise AdaptationNotReady("process statistic needs at least two snapshots")
-    dim = snaps[0].state.shape[0]
-    total = np.zeros((dim, dim))
-    count = 0
-    for j in range(1, len(snaps)):
-        if snaps[j].steps <= 0.0:
-            continue
-        trans = snaps[j].transition
-        cross = smoothed.crosses[j - 1]
-        tilde = smoothed.means[j] - trans @ smoothed.means[j - 1]
-        term = (smoothed.covs[j] - trans @ cross - cross.T @ trans.T
-                + trans @ smoothed.covs[j - 1] @ trans.T + np.outer(tilde, tilde))
-        total += term
-        count += 1
-    return psd_project(total), count
-
-
-def measurement_statistic(window: SmootherWindow, smoothed: SmoothedWindow
-                          ) -> dict[str, tuple[np.ndarray, int]]:
-    """Kernel-weighted residual statistic per sensor, in one pass.
-
-    The buffered residual is taken against the filtered mean; re-anchoring
-    it to the smoothed mean gives r_j|k = r_j + H_j (x_j|j - x_j|k).  Each
-    snapshot then contributes L r_j|k r_j|k^T L + H P_j|k H^T, so a
-    dimension the kernel has suppressed adds only the smoothed-covariance
-    floor.  The window may interleave several sources; returns, per sensor
-    id in order of first appearance, the sum over that sensor's snapshots
-    and their number.
+    to a sum projected onto the PSD cone to absorb round-off, and its step
+    count to the returned list.  A transition of zero steps (two corrections
+    at one instant) is a noiseless identity and carries no evidence; it is
+    skipped.  Measurement: the residual re-anchored to the smoothed mean,
+    r_j|k = r_j + H_j (x_j|j - x_j|k), gives L r_j|k r_j|k^T L + H P_j|k H^T
+    per snapshot, so a channel the kernel suppressed adds only the
+    covariance floor.  Per sensor id, in order of first appearance, the
+    dict holds the sum and the snapshot count.  Both sums run in ascending
+    j: their round-off depends on the order.
     """
     snaps = window.snapshots
     if not snaps:
-        raise AdaptationNotReady("measurement statistic needs a non-empty window")
-    obs_dim = snaps[0].residual.shape[0]
-    totals: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
+        raise AdaptationNotReady("window statistics need a non-empty window")
+    dim = snaps[0].state.shape[0]
+    process = np.zeros((dim, dim))
+    steps: list[float] = []
+    sums: dict[str, tuple[np.ndarray, int]] = {}
     for j, snap in enumerate(snaps):
-        sid = snap.sensor_id
-        if sid not in totals:
-            totals[sid] = np.zeros((obs_dim, obs_dim))
-            counts[sid] = 0
-        h = snap.obs_jacobian
-        residual = snap.residual + h @ (snap.state - smoothed.means[j])
-        weighted = snap.weights.unweighted * residual
-        totals[sid] += np.outer(weighted, weighted) + h @ smoothed.covs[j] @ h.T
-        counts[sid] += 1
-    return {sid: (symmetrize(total), counts[sid]) for sid, total in totals.items()}
+        record = snap.record
+        h = record.obs_jacobian
+        residual = record.residual + h @ (snap.state - smoothed.means[j])
+        weighted = record.weights.unweighted * residual
+        total, count = sums.get(snap.sensor_id, (0.0, 0))
+        sums[snap.sensor_id] = (
+            total + (np.outer(weighted, weighted) + h @ smoothed.covs[j] @ h.T), count + 1)
+        if j == 0 or not snap.steps > 0.0:
+            continue
+        trans = snap.transition
+        cross = smoothed.crosses[j - 1]
+        tilde = smoothed.means[j] - trans @ smoothed.means[j - 1]
+        process += (smoothed.covs[j] - trans @ cross - cross.T @ trans.T
+                    + trans @ smoothed.covs[j - 1] @ trans.T + np.outer(tilde, tilde))
+        steps.append(snap.steps)
+    measurement = {sid: (symmetrize(total), count) for sid, (total, count) in sums.items()}
+    return psd_project(process), steps, measurement
 
 
 class VbNoiseAdapter:
@@ -261,23 +237,13 @@ class VbNoiseAdapter:
         prior = self._frame_mean
         self._frame_mean = prior + delta
         self.push(WindowSnapshot(
-            state=self._frame_mean, prior_mean=prior,
-            cov=record.cov_post, transition=self._trans,
-            obs_jacobian=record.obs_jacobian, residual=record.residual,
-            weights=record.weights, cov_pred=record.cov_pred, steps=self._steps,
-            sensor_id=sensor_id))
+            record=record, state=self._frame_mean, prior_mean=prior,
+            transition=self._trans, steps=self._steps, sensor_id=sensor_id))
         self._trans = np.eye(self._trans.shape[0])
         self._steps = 0.0
 
     def push(self, snapshot: WindowSnapshot) -> None:
         self.window.push(snapshot)
-
-    def mean_interval_steps(self) -> float:
-        """Average predict-step count over the window's real transitions."""
-        steps = [snap.steps for snap in self.window.snapshots[1:] if snap.steps > 0.0]
-        if not steps:
-            return 1.0
-        return float(np.mean(steps))
 
     def refresh(self) -> tuple[Optional[np.ndarray], float, dict[str, np.ndarray]]:
         """Run the backward pass and update all hyperparameters.
@@ -285,26 +251,29 @@ class VbNoiseAdapter:
         Raises AdaptationNotReady until the window holds two snapshots.
         The process-noise estimate is None until at least one transition
         with a positive step count has been folded in; callers keep their
-        current value in that case.
+        current value in that case.  The step count returned is the mean
+        over the window's transitions with a positive count (1 if none).
         """
         rho = self.forgetting
         if len(self.window) < 2:
             raise AdaptationNotReady("window holds fewer than two snapshots")
         smoothed = backward_smooth(self.window)
-        o_sum, count = process_statistic(self.window, smoothed)
-        if count > 0:
-            self.t = rho * self.t + count
+        o_sum, steps, by_sensor = window_statistics(self.window, smoothed)
+        if steps:
+            self.t = rho * self.t + len(steps)
             self.T = rho * self.T + o_sum
 
+        # T and every B are sums of exactly symmetric terms, so the point
+        # estimates T / t and B / b are exactly symmetric too.
         noise_by_sensor: dict[str, np.ndarray] = {}
-        for sensor_id, (m_sum, m_count) in measurement_statistic(self.window, smoothed).items():
+        for sensor_id, (m_sum, m_count) in by_sensor.items():
             b_prev, big_b_prev = self.measurement.get(
                 sensor_id, (0.0, np.zeros((self._obs_dim, self._obs_dim))))
             b = rho * b_prev + m_count
             big_b = rho * big_b_prev + m_sum
             self.measurement[sensor_id] = (b, big_b)
             if b > 0.0:
-                noise_by_sensor[sensor_id] = symmetrize(big_b / b)
+                noise_by_sensor[sensor_id] = big_b / b
 
-        q_interval = symmetrize(self.T / self.t) if self.t > 0.0 else None
-        return q_interval, self.mean_interval_steps(), noise_by_sensor
+        q_interval = self.T / self.t if self.t > 0.0 else None
+        return q_interval, float(np.mean(steps)) if steps else 1.0, noise_by_sensor

@@ -39,7 +39,7 @@ from .filter_core import (
     predict,
 )
 from .kernel_bandwidth import BandwidthState
-from .linalg import floor_diagonal, psd_project
+from .linalg import floor_diagonal, psd_project, symmetrize
 from .so3 import (
     quat_conjugate,
     quat_from_rotvec,
@@ -70,6 +70,7 @@ _OBS_JACOBIAN.setflags(write=False)
 
 VARIANTS = ("ekf", "akf", "mcckf", "r-amcckf", "vb-amcckf")
 _KERNEL_VARIANTS = ("mcckf", "r-amcckf", "vb-amcckf")
+SIGMA_MODES = ("static", "adaptive")
 
 
 @dataclass
@@ -232,6 +233,9 @@ class FusionEngine:
         if config.variant not in VARIANTS:
             raise ValueError(
                 f"unknown filter variant '{config.variant}'; expected one of {VARIANTS}")
+        if config.sigma_mode not in SIGMA_MODES:
+            raise ValueError(
+                f"unknown sigma_mode '{config.sigma_mode}'; expected one of {SIGMA_MODES}")
         if not sensor_noise:
             raise ValueError("at least one odometry sensor is required")
         self.config = config
@@ -285,10 +289,15 @@ class FusionEngine:
 
     def initialize(self, state: NominalState,
                    cov: Union[float, np.ndarray] = 1e-4) -> None:
-        cov_mat = (float(cov) * np.eye(STATE_DIM)
-                   if np.isscalar(cov) else np.asarray(cov, dtype=float).copy())
+        """Start at ``state`` with the symmetric part of ``cov`` (a scalar means cov * I)."""
+        cov_mat = np.asarray(cov, dtype=float)
+        if cov_mat.shape not in ((), (STATE_DIM, STATE_DIM)) or not np.isfinite(cov_mat).all():
+            raise ValueError(f"initial covariance must be a finite scalar or "
+                             f"{STATE_DIM}x{STATE_DIM} matrix")
+        if cov_mat.ndim == 0:
+            cov_mat = float(cov_mat) * np.eye(STATE_DIM)
         self._nominal = state.copy()
-        self._belief = GaussianBelief(np.zeros(STATE_DIM), cov_mat)
+        self._belief = GaussianBelief(np.zeros(STATE_DIM), symmetrize(cov_mat))
 
     def process(self, event: Event) -> Optional[CorrectionResult]:
         """Advance the filter by one event; odometry returns a correction record."""

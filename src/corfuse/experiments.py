@@ -15,6 +15,7 @@ import numpy as np
 from . import dataset as dataset_io
 from .errors import ConfigError, DataError
 from .eskf import (
+    SIGMA_MODES,
     VARIANTS,
     EngineConfig,
     Event,
@@ -78,25 +79,32 @@ class RunConfig:
             problems.append(f"rho must lie in [0.9, 1.0], got {self.rho}")
         if not 0.0 < self.beta <= 1.0:
             problems.append(f"beta must lie in (0, 1], got {self.beta}")
-        if self.sigma_mode not in ("static", "adaptive"):
-            problems.append(f"sigma_mode must be 'static' or 'adaptive', got '{self.sigma_mode}'")
-        if self.sigma_static <= 0:
-            problems.append("sigma_static must be positive")
+        if self.sigma_mode not in SIGMA_MODES:
+            problems.append(f"sigma_mode must be one of {SIGMA_MODES}, got '{self.sigma_mode}'")
+        # Each check is written so that NaN fails it.
+        if not 0.0 < self.sigma_static < math.inf:
+            problems.append("sigma_static must be positive and finite")
         if not 0.0 < self.sigma_min < self.sigma_max:
             problems.append("sigma clamps must satisfy 0 < sigma_min < sigma_max")
-        if self.r0 <= 0 or any(v <= 0 for v in self.r0_overrides.values()):
-            problems.append("initial measurement noise scales must be positive")
-        if self.q0 < 0:
-            problems.append("q0 must be non-negative")
-        if self.p0 <= 0:
-            problems.append("p0 must be positive")
+        if not all(0.0 < v < math.inf for v in (self.r0, *self.r0_overrides.values())):
+            problems.append("initial measurement noise scales must be positive and finite")
+        if not 0.0 <= self.q0 < math.inf:
+            problems.append(f"q0 must be non-negative and finite, got {self.q0}")
+        if not 0.0 < self.p0 < math.inf:
+            problems.append(f"p0 must be positive and finite, got {self.p0}")
         if (self.scenario is None) == (self.dataset is None):
             problems.append("exactly one of scenario or dataset must be set")
         if self.scenario is not None and self.scenario not in SCENARIO_KINDS:
             problems.append(f"scenario must be one of {SCENARIO_KINDS}, got '{self.scenario}'")
         if self.scenario is not None:
-            if self.duration <= 0 or self.imu_rate <= 0 or self.odom_rate <= 0:
-                problems.append("duration and rates must be positive")
+            if not all(0.0 < v < math.inf for v in (self.duration, self.imu_rate,
+                                                     self.odom_rate)):
+                problems.append("duration and rates must be positive and finite")
+            for name in ("jump_magnitude", "drift_rate", "drift_start"):
+                if not math.isfinite(getattr(self, name)):
+                    problems.append(f"{name} must be finite, got {getattr(self, name)}")
+            if not self.drift_duration >= 0.0:
+                problems.append(f"drift_duration must be non-negative, got {self.drift_duration}")
             if not 0.0 <= self.jump_probability <= 1.0:
                 problems.append(f"jump_probability must lie in [0, 1], "
                                 f"got {self.jump_probability}")

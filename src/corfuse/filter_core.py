@@ -28,6 +28,12 @@ measurement noise,
     P+ = (I - K H) P (I - K H)^T + K R K^T
 
 which stays positive semidefinite for any gain, weighted or not.
+
+Symmetry contract: every covariance these primitives return (``predict``'s
+and the posterior, also kept as ``InnovationRecord.cov_post``) is exactly
+symmetric, bit for bit, because each is the symmetric part 0.5 (A + A^T).
+Callers pass exactly symmetric covariances in; the correction uses the
+prior covariance as given and records it as ``cov_pred``.
 """
 from __future__ import annotations
 
@@ -124,7 +130,7 @@ def _apply_correction(belief: GaussianBelief, z: np.ndarray, y: np.ndarray,
                       obs_jac: np.ndarray, noise: np.ndarray, weights: CorrentropyWeights
                       ) -> tuple[GaussianBelief, InnovationRecord]:
     n = belief.mean.shape[0]
-    cov_pred = symmetrize(belief.cov)
+    cov_pred = belief.cov
 
     # The weights enter as the symmetric split sqrt(C) (.) sqrt(C), which
     # keeps S symmetric PSD when an adapted R carries off-diagonal structure.

@@ -13,7 +13,7 @@ import pytest
 
 from corfuse.adapt_residual import ResidualNoiseAdapter, check_identity_gamma
 from corfuse.adapt_vb import (SmootherWindow, VbNoiseAdapter, WindowSnapshot,
-                              backward_smooth, measurement_statistic)
+                              backward_smooth, window_statistics)
 from corfuse.errors import AdaptationNotReady
 from corfuse.eskf import (EngineConfig, FusionEngine, ImuSample, NominalState,
                           OdometrySample, propagate_nominal, error_transition)
@@ -148,10 +148,8 @@ def _run_scalar_identification(scheme: str, seed: int, steps: int = 2000):
         m, p = float(posterior.mean[0]), float(posterior.cov[0, 0])
         if scheme == "vb":
             adapter.push(WindowSnapshot(
-                state=posterior.mean, prior_mean=belief.mean,
-                cov=posterior.cov, transition=np.eye(1), obs_jacobian=np.eye(1),
-                residual=record.residual, weights=record.weights,
-                cov_pred=record.cov_pred, steps=1.0, sensor_id="z"))
+                record=record, state=posterior.mean, prior_mean=belief.mean,
+                transition=np.eye(1), steps=1.0, sensor_id="z"))
             try:
                 _, _, by_sensor = adapter.refresh()
                 r_hat = float(by_sensor["z"][0, 0])
@@ -451,16 +449,14 @@ def test_acceptance_10_unit_weight_reductions_are_exact():
                                       sensor_id="z")
         mm, p = float(posterior.mean[0]), float(posterior.cov[0, 0])
         window.push(WindowSnapshot(
-            state=posterior.mean, prior_mean=belief1.mean,
-            cov=posterior.cov, transition=np.eye(1), obs_jacobian=np.eye(1),
-            residual=record.residual, weights=record.weights,
-            cov_pred=record.cov_pred, steps=1.0, sensor_id="z"))
+            record=record, state=posterior.mean, prior_mean=belief1.mean,
+            transition=np.eye(1), steps=1.0, sensor_id="z"))
     smoothed = backward_smooth(window)
-    ours_sum, count = measurement_statistic(window, smoothed)["z"]
+    ours_sum, count = window_statistics(window, smoothed)[2]["z"]
     total = np.zeros((1, 1))
     for j, snap in enumerate(window.snapshots):
-        h_j = snap.obs_jacobian
-        re_anchored = snap.residual + h_j @ (snap.state - smoothed.means[j])
+        h_j = snap.record.obs_jacobian
+        re_anchored = snap.record.residual + h_j @ (snap.state - smoothed.means[j])
         total += (np.outer(re_anchored, re_anchored)
                   + h_j @ smoothed.covs[j] @ h_j.T)
     total = (total + total.T) / 2.0

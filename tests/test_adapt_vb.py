@@ -6,7 +6,6 @@ expectations on a matched linear-Gaussian system where the statistics
 must average to the true noise values.
 """
 
-import copy
 import logging
 
 import numpy as np
@@ -14,23 +13,23 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from corfuse.adapt_vb import (SmootherWindow, VbNoiseAdapter, WindowSnapshot,
-                              backward_smooth, measurement_statistic,
-                              process_statistic)
+                              backward_smooth, window_statistics)
 from corfuse.errors import AdaptationNotReady
 from corfuse.filter_core import CorrentropyWeights, InnovationRecord
-from corfuse.linalg import symmetrize
+from corfuse.linalg import psd_project, symmetrize
 
 UNIT = CorrentropyWeights(unweighted=np.array([1.0]), weighted=np.array([1.0]))
 
 
 def scalar_snapshot(state, prior_mean, cov, cov_pred, residual,
                     trans=1.0, steps=1.0, sensor="s", weights=UNIT):
+    record = InnovationRecord(
+        innovation=np.array([residual]), residual=np.array([residual]),
+        obs_jacobian=np.eye(1), cov_pred=np.array([[cov_pred]]),
+        cov_post=np.array([[cov]]), gain=np.zeros((1, 1)), weights=weights)
     return WindowSnapshot(
-        state=np.array([state]), prior_mean=np.array([prior_mean]),
-        cov=np.array([[cov]]), transition=np.array([[trans]]),
-        obs_jacobian=np.eye(1), residual=np.array([residual]),
-        weights=weights, cov_pred=np.array([[cov_pred]]),
-        steps=steps, sensor_id=sensor)
+        record=record, state=np.array([state]), prior_mean=np.array([prior_mean]),
+        transition=np.array([[trans]]), steps=steps, sensor_id=sensor)
 
 
 def hand_filtered_window():
@@ -60,14 +59,14 @@ def test_backward_pass_matches_hand_computation():
 
 def test_process_statistic_matches_hand_computation():
     window = hand_filtered_window()
-    total, count = process_statistic(window, backward_smooth(window))
-    assert count == 2
+    total, steps, _ = window_statistics(window, backward_smooth(window))
+    assert steps == [1.0, 1.0]
     assert total[0, 0] == pytest.approx(0.734375)
 
 
 def test_measurement_statistic_matches_hand_computation():
     window = hand_filtered_window()
-    total, count = measurement_statistic(window, backward_smooth(window))["s"]
+    total, count = window_statistics(window, backward_smooth(window))[2]["s"]
     assert count == 3
     assert total[0, 0] == pytest.approx(1.671875)
 
@@ -87,10 +86,12 @@ def test_empty_window_raises():
 
 
 def test_process_statistic_needs_a_transition():
-    window = SmootherWindow(length=5)
-    window.push(scalar_snapshot(1.0, 0.0, 0.5, 1.0, residual=0.0))
+    adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
+    adapter.push(scalar_snapshot(1.0, 0.0, 0.5, 1.0, residual=0.0))
+    total, steps, _ = window_statistics(adapter.window, backward_smooth(adapter.window))
+    assert steps == [] and total[0, 0] == 0.0
     with pytest.raises(AdaptationNotReady):
-        process_statistic(window, backward_smooth(window))
+        adapter.refresh()
 
 
 def test_same_instant_corrections_carry_no_process_evidence():
@@ -106,8 +107,8 @@ def test_same_instant_corrections_carry_no_process_evidence():
     smoothed = backward_smooth(window)
     np.testing.assert_allclose(window.snapshots[1].gain, np.eye(1))
     assert smoothed.means[0][0] == pytest.approx(smoothed.means[1][0])
-    total, count = process_statistic(window, smoothed)
-    assert count == 0
+    total, steps, _ = window_statistics(window, smoothed)
+    assert steps == []
     assert total[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -125,11 +126,10 @@ def re_solving_smoother(snaps):
     means, covs = [None] * count, [None] * count
     gains, crosses = [None] * (count - 1), [None] * (count - 1)
     means[-1] = snaps[-1].state.copy()
-    covs[-1] = symmetrize(snaps[-1].cov)
+    covs[-1] = snaps[-1].record.cov_post.copy()
     for j in range(count - 1, 0, -1):
         prev, cur = snaps[j - 1], snaps[j]
-        cov_prev = symmetrize(prev.cov)
-        cov_pred = symmetrize(cur.cov_pred)
+        cov_prev, cov_pred = prev.record.cov_post, cur.record.cov_pred
         factor = cho_factor(cov_pred, lower=True, check_finite=False)
         gain = cho_solve(factor, cur.transition @ cov_prev, check_finite=False).T
         means[j - 1] = prev.state + gain @ (means[j] - cur.prior_mean)
@@ -139,38 +139,86 @@ def re_solving_smoother(snaps):
     return means, covs, gains, crosses
 
 
+def two_loop_statistics(snaps, smoothed):
+    """The window statistics as separate process, measurement and step passes."""
+    dim = snaps[0].state.shape[0]
+    total = np.zeros((dim, dim))
+    count = 0
+    for j in range(1, len(snaps)):
+        if snaps[j].steps <= 0.0:
+            continue
+        trans = snaps[j].transition
+        cross = smoothed.crosses[j - 1]
+        tilde = smoothed.means[j] - trans @ smoothed.means[j - 1]
+        term = (smoothed.covs[j] - trans @ cross - cross.T @ trans.T
+                + trans @ smoothed.covs[j - 1] @ trans.T + np.outer(tilde, tilde))
+        total += term
+        count += 1
+    process = psd_project(total)
+
+    obs_dim = snaps[0].record.residual.shape[0]
+    totals, counts = {}, {}
+    for j, snap in enumerate(snaps):
+        sid = snap.sensor_id
+        if sid not in totals:
+            totals[sid] = np.zeros((obs_dim, obs_dim))
+            counts[sid] = 0
+        h = snap.record.obs_jacobian
+        residual = snap.record.residual + h @ (snap.state - smoothed.means[j])
+        weighted = snap.record.weights.unweighted * residual
+        totals[sid] += np.outer(weighted, weighted) + h @ smoothed.covs[j] @ h.T
+        counts[sid] += 1
+    measurement = {sid: (symmetrize(t), counts[sid]) for sid, t in totals.items()}
+
+    steps = [snap.steps for snap in snaps[1:] if snap.steps > 0.0]
+    return process, count, measurement, float(np.mean(steps)) if steps else 1.0
+
+
 def random_spd9(rng):
     a = rng.standard_normal((9, 9))
-    # a slightly asymmetric input, so that the cached symmetrization matters
-    return a @ a.T + 9.0 * np.eye(9) + 1e-9 * rng.standard_normal((9, 9))
+    # exactly symmetric, as filter_core returns every covariance
+    return symmetrize(a @ a.T + 9.0 * np.eye(9) + 1e-9 * rng.standard_normal((9, 9)))
 
 
 def test_gains_cached_at_push_match_re_solving_smoother_bitwise():
     rng = np.random.default_rng(41)
     window = SmootherWindow(length=4)
-    raw = []  # shallow copies holding the covariances as they were before push
     for k in range(9):  # evicts from the sixth push on
         instant = k == 5  # a second correction at the same instant
-        snapshot = WindowSnapshot(
-            state=rng.standard_normal(9),
-            prior_mean=rng.standard_normal(9), cov=random_spd9(rng),
-            transition=np.eye(9) if instant else np.eye(9) + 0.1 * rng.standard_normal((9, 9)),
-            obs_jacobian=np.eye(3, 9), residual=rng.standard_normal(3),
-            weights=CorrentropyWeights(unweighted=np.ones(3), weighted=np.ones(3)),
-            cov_pred=random_spd9(rng), steps=0.0 if instant else 1.0,
-            sensor_id="ab"[k % 2])
-        raw.append(copy.copy(snapshot))
-        window.push(snapshot)
+        state = rng.standard_normal(9)
+        prior_mean = rng.standard_normal(9)
+        cov = random_spd9(rng)
+        trans = np.eye(9) if instant else np.eye(9) + 0.1 * rng.standard_normal((9, 9))
+        residual = rng.standard_normal(3)
+        record = InnovationRecord(
+            innovation=residual, residual=residual, obs_jacobian=np.eye(3, 9),
+            cov_pred=random_spd9(rng), cov_post=cov, gain=np.zeros((9, 3)),
+            weights=CorrentropyWeights(unweighted=rng.uniform(0.1, 1.0, 3),
+                                       weighted=np.ones(3)))
+        window.push(WindowSnapshot(
+            record=record, state=state, prior_mean=prior_mean, transition=trans,
+            steps=0.0 if instant else 1.0 + k, sensor_id="ab"[k % 2]))
         if len(window) < 2:
             continue
         smoothed = backward_smooth(window)
-        reference = re_solving_smoother(raw[-len(window):])
+        reference = re_solving_smoother(window.snapshots)
         gains = [snap.gain for snap in window.snapshots[1:]]
         for got, want in zip((smoothed.means, smoothed.covs, gains,
                               smoothed.crosses), reference):
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
+
+        process, steps, by_sensor = window_statistics(window, smoothed)
+        want_process, want_count, want_by_sensor, want_mean = two_loop_statistics(
+            window.snapshots, smoothed)
+        np.testing.assert_array_equal(process, want_process)
+        assert len(steps) == want_count
+        assert (float(np.mean(steps)) if steps else 1.0) == want_mean
+        assert list(by_sensor) == list(want_by_sensor)
+        for sid, (total, count) in by_sensor.items():
+            np.testing.assert_array_equal(total, want_by_sensor[sid][0])
+            assert count == want_by_sensor[sid][1]
     assert len(window) == 5
 
 
@@ -190,12 +238,12 @@ def test_measurement_statistic_filters_by_sensor():
     window.push(scalar_snapshot(0.5, 0.0, 0.5, 1.0, residual=0.5, sensor="a"))
     window.push(scalar_snapshot(0.25, 0.5, 0.5, 1.0, residual=-0.25, sensor="b"))
     window.push(scalar_snapshot(0.25, 0.25, 0.5, 1.0, residual=0.0, sensor="a"))
-    by_sensor = measurement_statistic(window, backward_smooth(window))
+    by_sensor = window_statistics(window, backward_smooth(window))[2]
     assert list(by_sensor) == ["a", "b"]  # order of first appearance
     assert [count for _, count in by_sensor.values()] == [2, 1]
     # the same snapshots under one sensor id give the summed statistic
     merged = hand_filtered_window()
-    total, _ = measurement_statistic(merged, backward_smooth(merged))["s"]
+    total, _ = window_statistics(merged, backward_smooth(merged))[2]["s"]
     assert by_sensor["a"][0][0, 0] + by_sensor["b"][0][0, 0] == pytest.approx(total[0, 0])
 
 
@@ -206,7 +254,7 @@ def test_suppressed_channel_contributes_only_covariance_floor():
     window.push(scalar_snapshot(0.5, 0.0, 0.5, 1.0, residual=7.0,
                                 weights=weights))
     smoothed = backward_smooth(window)
-    total, count = measurement_statistic(window, smoothed)["s"]
+    total, count = window_statistics(window, smoothed)[2]["s"]
     assert count == 1
     assert total[0, 0] == pytest.approx(0.5)  # H P H^T alone, residual gated
 
@@ -236,9 +284,9 @@ def test_statistics_average_to_true_noise_on_matched_filter():
     for _ in range(250):
         window = run_matched_scalar_filter(rng, 60, q_true, r_true)
         smoothed = backward_smooth(window)
-        o_sum, o_count = process_statistic(window, smoothed)
-        m_sum, m_count = measurement_statistic(window, smoothed)["s"]
-        o_vals.append(o_sum[0, 0] / o_count)
+        o_sum, steps, by_sensor = window_statistics(window, smoothed)
+        m_sum, m_count = by_sensor["s"]
+        o_vals.append(o_sum[0, 0] / len(steps))
         m_vals.append(m_sum[0, 0] / m_count)
     assert np.mean(o_vals) == pytest.approx(q_true, rel=0.05)
     assert np.mean(m_vals) == pytest.approx(r_true, rel=0.05)
@@ -262,9 +310,9 @@ def test_wishart_update_accumulates_and_discounts():
     n = 4
     adapter = full_window_adapter(n, forgetting=0.5)
     smoothed = backward_smooth(adapter.window)
-    o_sum, o_count = process_statistic(adapter.window, smoothed)
-    m_sum, m_count = measurement_statistic(adapter.window, smoothed)["s"]
-    assert (o_count, m_count) == (n, n + 1)
+    o_sum, steps, by_sensor = window_statistics(adapter.window, smoothed)
+    m_sum, m_count = by_sensor["s"]
+    assert (len(steps), m_count) == (n, n + 1)
     adapter.refresh()
     adapter.refresh()
     assert adapter.t == pytest.approx(0.5 * n + n)
@@ -290,7 +338,7 @@ def test_extract_noise_point_estimates_and_guard():
 def test_degrees_of_freedom_converge_to_geometric_limit():
     rho, n = 0.97, 10
     adapter = full_window_adapter(n, forgetting=rho)
-    o_sum, _ = process_statistic(adapter.window, backward_smooth(adapter.window))
+    o_sum, _, _ = window_statistics(adapter.window, backward_smooth(adapter.window))
     for _ in range(500):
         adapter.refresh()
     assert adapter.t == pytest.approx(n / (1.0 - rho), abs=0.01)
@@ -329,10 +377,8 @@ def test_adapter_keeps_the_no_reset_frame_between_corrections():
     assert second.steps == 2.0
     assert second.state[0] == 4.5
     assert second.sensor_id == "b"
-    assert second.residual is record.residual and second.weights is record.weights
-    # push rebinds both covariances to their symmetric parts, equal here
-    np.testing.assert_array_equal(second.cov, record.cov_post)
-    np.testing.assert_array_equal(second.cov_pred, record.cov_pred)
+    # the snapshot keeps the record itself, covariances included
+    assert second.record is record
 
     # the pending transition and step count restart after each correction
     adapter.correct("b", record, np.array([0.0]))
@@ -382,7 +428,9 @@ def test_adapter_mean_steps_ignores_instant_transitions():
     adapter.push(scalar_snapshot(0.0, 0.0, 0.5, 1.0, 0.0, steps=4.0))
     adapter.push(scalar_snapshot(0.0, 0.0, 0.5, 1.0, 0.0, steps=0.0))
     adapter.push(scalar_snapshot(0.0, 0.0, 0.5, 1.0, 0.0, steps=6.0))
-    assert adapter.mean_interval_steps() == pytest.approx(5.0)
+    _, steps, _ = window_statistics(adapter.window, backward_smooth(adapter.window))
+    assert steps == [4.0, 6.0]
+    assert adapter.refresh()[1] == pytest.approx(5.0)
 
 
 def test_closed_loop_measurement_noise_identification():

@@ -141,6 +141,13 @@ def test_exit_code_2_on_config_problems(tmp_path, capsys):
     assert main(["fuse", "--scenario", "hover", "--set", "badkey"]) == 2
 
 
+@pytest.mark.parametrize("setting", ["q0=nan", "p0=inf"])
+def test_non_finite_noise_scale_is_a_config_error(setting, capsys):
+    assert main(["fuse", "--scenario", "hover", "--filter", "mcckf",
+                 "--set", setting, "--set", "duration=3"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_exit_code_3_on_data_problems(tmp_path, capsys):
     assert main(["fuse", "--dataset", str(tmp_path / "missing.csv")]) == 3
     assert "data error" in capsys.readouterr().err

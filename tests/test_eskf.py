@@ -16,7 +16,9 @@ from corfuse.eskf import (GRAVITY, QUAT_NORM_TOLERANCE, STATE_DIM, VARIANTS, Eng
                           FusionEngine, ImuSample, NominalState, OdometrySample,
                           error_transition, inject_and_reset,
                           observation_residual, propagate_nominal)
+from corfuse.experiments import RunConfig, build_engine, build_scenario
 from corfuse.kernel_bandwidth import adapt_bandwidth
+from corfuse.sim import generate_truth, sample_sensors
 from corfuse.so3 import (quat_conjugate, quat_from_rotvec, quat_multiply,
                          quat_normalize, quat_to_rotvec)
 
@@ -224,6 +226,54 @@ def test_engine_validates_construction():
         FusionEngine(EngineConfig(variant="ukf"), {"odo0": 0.01})
     with pytest.raises(ValueError, match="sensor"):
         FusionEngine(EngineConfig(), {})
+    with pytest.raises(ValueError, match="sigma_mode"):
+        FusionEngine(EngineConfig(variant="mcckf", sigma_mode="Adaptive"), {"odo0": 0.01})
+
+
+def test_initialize_keeps_the_symmetric_part_of_the_covariance():
+    engine = FusionEngine(EngineConfig(variant="ekf"), {"odo0": 0.01})
+    engine.initialize(make_state(), 1e-4)
+    np.testing.assert_array_equal(engine.covariance, 1e-4 * np.eye(STATE_DIM))
+    lopsided = np.eye(STATE_DIM)
+    lopsided[0, 1] = 0.2
+    engine.initialize(make_state(), lopsided)
+    assert engine.covariance[0, 1] == engine.covariance[1, 0] == 0.1
+    assert lopsided[0, 1] == 0.2  # the caller's matrix is left alone
+
+
+@pytest.mark.parametrize("cov", [np.nan, np.inf, np.diag([1e-4] * 8 + [np.nan]),
+                                 1e-4 * np.eye(8), np.ones(9)],
+                         ids=["nan", "inf", "nan-entry", "8x8", "vector"])
+def test_initialize_rejects_a_non_finite_or_misshapen_covariance(cov):
+    engine = FusionEngine(EngineConfig(variant="ekf"), {"odo0": 0.01})
+    with pytest.raises(ValueError, match="initial covariance"):
+        engine.initialize(make_state(), cov)
+
+
+@pytest.mark.parametrize("variant", ["vb-amcckf", "akf", "r-amcckf"])
+def test_covariances_and_noise_scales_stay_exactly_symmetric(variant):
+    """The VB window and recursions take filter_core's covariances as symmetric, bit for bit."""
+    config = RunConfig(scenario="figure8", filter=variant, duration=3.0, seed=3, sensors=2,
+                       window=5, jump_probability=0.1, jump_magnitude=30.0)
+    scenario = build_scenario(config)
+    truth = generate_truth(scenario)
+    engine = build_engine(config, [sensor.sensor_id for sensor in scenario.sensors])
+    engine.initialize(truth.state(0), config.p0)
+    corrections = 0
+    for event in sample_sensors(truth, scenario):
+        result = engine.process(event)
+        if result is None:
+            continue
+        corrections += 1
+        matrices = [result.record.cov_pred, result.record.cov_post]
+        if variant != "r-amcckf":
+            matrices += [engine._adapter.T,
+                         *(big_b for _, big_b in engine._adapter.measurement.values())]
+        for matrix in matrices:
+            assert np.array_equal(matrix, matrix.T)
+    assert corrections == 60
+    if variant != "r-amcckf":
+        assert engine._adapter.t > 0.0
 
 
 def test_engine_requires_initialization():
@@ -397,7 +447,7 @@ def test_engine_observation_jacobian_is_read_only():
     engine, results = run_engine(EngineConfig(variant="vb-amcckf"),
                                  hover_events(duration=0.5, noise=0.005, seed=5))
     jacobian = results[-1].record.obs_jacobian
-    assert engine._adapter.window.snapshots[-1].obs_jacobian is jacobian
+    assert engine._adapter.window.snapshots[-1].record.obs_jacobian is jacobian
     np.testing.assert_array_equal(jacobian, np.eye(9))
     with pytest.raises(ValueError, match="read-only"):
         jacobian[0, 0] = 2.0

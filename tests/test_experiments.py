@@ -50,11 +50,30 @@ def test_validate_accepts_reasonable_config():
     ("noise_std", -0.02, "noise_std"),
     ("imu_accel_std", -1.0, "imu_accel_std"),
     ("imu_gyro_std", float("nan"), "imu_gyro_std"),
+    ("sigma_static", math.inf, "sigma_static"),
+    ("r0", math.nan, "noise"),
+    ("r0_overrides", {"odom0": math.inf}, "noise"),
+    ("q0", math.nan, "q0"),
+    ("q0", math.inf, "q0"),
+    ("p0", math.nan, "p0"),
+    ("p0", math.inf, "p0"),
+    ("duration", math.nan, "duration"),
+    ("imu_rate", math.inf, "rates"),
+    ("odom_rate", math.nan, "rates"),
+    ("jump_magnitude", math.nan, "jump_magnitude"),
+    ("drift_rate", math.nan, "drift_rate"),
+    ("drift_start", math.inf, "drift_start"),
+    ("drift_duration", math.nan, "drift_duration"),
+    ("drift_duration", -1.0, "drift_duration"),
 ])
 def test_validate_rejects_bad_values(field, value, fragment):
     config = quick_config(**{field: value})
     with pytest.raises(ConfigError, match=fragment):
         config.validate()
+
+
+def test_validate_accepts_an_endless_drift():
+    quick_config(drift_rate=0.1, drift_duration=math.inf).validate()
 
 
 def test_validate_requires_exactly_one_input_source():
