@@ -185,6 +185,14 @@ def inject_and_reset(state: NominalState, delta: np.ndarray) -> NominalState:
     return NominalState(position, velocity, orientation, state.time)
 
 
+def _as_covariance(value: Union[float, np.ndarray], name: str) -> np.ndarray:
+    """``value`` times I for a finite scalar, else the symmetric part of a finite 9x9 matrix."""
+    mat = np.asarray(value, dtype=float)
+    if mat.shape not in ((), (STATE_DIM, STATE_DIM)) or not np.isfinite(mat).all():
+        raise ValueError(f"{name} must be a finite scalar or {STATE_DIM}x{STATE_DIM} matrix")
+    return symmetrize(float(mat) * np.eye(STATE_DIM) if mat.ndim == 0 else mat)
+
+
 @dataclass
 class EngineConfig:
     """Tunables for a fusion run.  Defaults mirror the intended field setup."""
@@ -222,10 +230,12 @@ class FusionEngine:
     """Asynchronous IMU + multi-odometry fusion around the error-state filter.
 
     Construct with a configuration and a mapping of sensor id to initial
-    measurement-noise covariance (a scalar means that value times the
-    identity); the residual scheme estimates process noise from the first
-    sensor.  Call :meth:`initialize` once, then feed events in time order
-    through :meth:`process`.
+    measurement-noise covariance.  Those, the process noise and the initial
+    covariance each take a finite scalar, meaning that value times the
+    identity, or a finite 9x9 matrix, of which the symmetric part is kept.
+    The residual scheme estimates process noise from the first sensor.
+    Call :meth:`initialize` once, then feed events in time order through
+    :meth:`process`.
     """
 
     def __init__(self, config: EngineConfig,
@@ -240,11 +250,9 @@ class FusionEngine:
             raise ValueError("at least one odometry sensor is required")
         self.config = config
         self._uses_kernel = config.variant in _KERNEL_VARIANTS
-        self.process_noise = np.asarray(config.process_noise, dtype=float).copy()
-
+        self.process_noise = _as_covariance(config.process_noise, "process noise")
         self._noise: dict[str, np.ndarray] = {
-            sensor_id: (float(noise) * np.eye(OBS_DIM) if np.isscalar(noise)
-                        else np.asarray(noise, dtype=float).copy())
+            sensor_id: _as_covariance(noise, f"noise of sensor '{sensor_id}'")
             for sensor_id, noise in sensor_noise.items()}
         self._bandwidth = BandwidthState(
             adaptive=self._uses_kernel and config.sigma_mode == "adaptive",
@@ -289,15 +297,10 @@ class FusionEngine:
 
     def initialize(self, state: NominalState,
                    cov: Union[float, np.ndarray] = 1e-4) -> None:
-        """Start at ``state`` with the symmetric part of ``cov`` (a scalar means cov * I)."""
-        cov_mat = np.asarray(cov, dtype=float)
-        if cov_mat.shape not in ((), (STATE_DIM, STATE_DIM)) or not np.isfinite(cov_mat).all():
-            raise ValueError(f"initial covariance must be a finite scalar or "
-                             f"{STATE_DIM}x{STATE_DIM} matrix")
-        if cov_mat.ndim == 0:
-            cov_mat = float(cov_mat) * np.eye(STATE_DIM)
+        """Start at ``state`` with initial covariance ``cov`` (see the class docstring)."""
+        self._belief = GaussianBelief(np.zeros(STATE_DIM),
+                                      _as_covariance(cov, "initial covariance"))
         self._nominal = state.copy()
-        self._belief = GaussianBelief(np.zeros(STATE_DIM), symmetrize(cov_mat))
 
     def process(self, event: Event) -> Optional[CorrectionResult]:
         """Advance the filter by one event; odometry returns a correction record."""
@@ -342,9 +345,12 @@ class FusionEngine:
             return None
         if dt > 0.0:
             # The nominal IMU period is the spacing of IMU samples, not the
-            # gap to whatever event came last.
-            if self._imu_period is None and self._last_imu is not None:
-                self._imu_period = sample.time - self._last_imu.time
+            # gap to whatever event came last.  A lost sample doubles a gap,
+            # so a gap under 3/4 of the period replaces a period it inflated.
+            if self._last_imu is not None:
+                gap = sample.time - self._last_imu.time
+                if self._imu_period is None or gap < 0.75 * self._imu_period:
+                    self._imu_period = gap
             self._advance(dt, sample)
         self._last_imu = sample
         return None

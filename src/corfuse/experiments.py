@@ -1,7 +1,6 @@
 """Experiment configuration, execution, metrics, and benchmarking."""
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -97,6 +96,8 @@ class RunConfig:
         if self.scenario is not None and self.scenario not in SCENARIO_KINDS:
             problems.append(f"scenario must be one of {SCENARIO_KINDS}, got '{self.scenario}'")
         if self.scenario is not None:
+            if self.seed < 0:
+                problems.append(f"seed must be non-negative, got {self.seed}")
             if not all(0.0 < v < math.inf for v in (self.duration, self.imu_rate,
                                                      self.odom_rate)):
                 problems.append("duration and rates must be positive and finite")
@@ -308,15 +309,11 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     if config.out:
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_estimates(out_dir / "estimates.csv", estimates)
+        dataset_io.write_rows(out_dir / "estimates.csv", dataset_io.ESTIMATE_HEADER, estimates)
         write_json(out_dir / "metrics.json", dataclasses.asdict(metrics))
 
     return ExperimentResult(config=config, metrics=metrics, estimates=estimates,
                             timings_ns=timings, engine=engine)
-
-
-_ESTIMATE_HEADER = ["time_s", "px", "py", "pz", "qw", "qx", "qy", "qz",
-                    "vx", "vy", "vz"] + [f"c{i}" for i in range(9)]
 
 
 def write_json(path: Path, data: object) -> None:
@@ -325,14 +322,6 @@ def write_json(path: Path, data: object) -> None:
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_estimates(path: Path, estimates: list[list[float]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_ESTIMATE_HEADER)
-        for row in estimates:
-            writer.writerow(map(repr, row))
 
 
 def compare(config: RunConfig, variants: list[str]) -> dict[str, ExperimentResult]:

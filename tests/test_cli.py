@@ -11,7 +11,8 @@ import pytest
 
 import corfuse
 from corfuse.cli import _coerce, build_run_config, load_config_file, main
-from corfuse.errors import ConfigError
+from corfuse.dataset import read_truth
+from corfuse.errors import ConfigError, DataError
 from corfuse.experiments import RunConfig
 
 
@@ -192,6 +193,27 @@ def fuse_metrics(dataset, truth, out, variant):
     assert main(["fuse", "--dataset", str(dataset), "--truth", str(truth),
                  "--filter", variant, "--out", str(out)]) == 0
     return json.loads((out / "metrics.json").read_text())
+
+
+@pytest.mark.parametrize("case", ["short", "long", "nan", "inf"])
+def test_truth_rows_of_the_wrong_length_or_with_non_finite_values_are_data_errors(
+        tmp_path, capsys, case):
+    dataset, truth = simulate_hover(tmp_path / "sim", duration=1.0, sensors=1)
+    lines = truth.read_text().splitlines(keepends=True)
+    fields = lines[11].rstrip("\r\n").split(",")  # row 12, at the 0.1 s correction
+    assert float(fields[0]) == pytest.approx(0.1)
+    fields = {"short": fields[:6], "long": fields + ["0.0"],
+              "nan": fields[:1] + ["nan"] + fields[2:],
+              "inf": fields[:5] + ["inf"] + fields[6:]}[case]
+    lines[11] = ",".join(fields) + "\r\n"
+    bad = tmp_path / "truth_bad.csv"
+    bad.write_text("".join(lines), newline="")
+    with pytest.raises(DataError, match="row 12"):
+        read_truth(bad)
+    capsys.readouterr()
+    assert main(["fuse", "--dataset", str(dataset), "--truth", str(bad),
+                 "--filter", "ekf"]) == 3
+    assert "row 12" in capsys.readouterr().err
 
 
 def test_fuse_counts_a_refused_correction_and_exits_0(tmp_path, capsys):

@@ -513,6 +513,57 @@ def test_imu_period_is_measured_between_imu_samples():
                                rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize("second", ["nan", "lost"])
+def test_imu_period_recovers_from_a_lost_second_sample(second):
+    """A 20 ms first gap on a 100 Hz stream must not halve every later step's Q."""
+    def velocity_variance(events):
+        engine = FusionEngine(EngineConfig(variant="ekf"), {"odo0": 0.01})
+        engine.initialize(make_state(), 1e-4)
+        for event in events:
+            engine.process(event)
+        return engine.covariance[3, 3]
+
+    clean = [hover_imu(k / 100.0) for k in range(1, 101)]
+    faulty = list(clean)
+    if second == "nan":
+        faulty[1] = ImuSample(accel=np.full(3, np.nan), gyro=np.zeros(3), time=0.02)
+    else:
+        del faulty[1]
+    assert velocity_variance(faulty) == pytest.approx(velocity_variance(clean), rel=0.05)
+
+
+def engine_with_covariance(where, value):
+    """An ekf engine given ``value`` as its process noise, sensor noise or initial covariance."""
+    config = EngineConfig(variant="ekf")
+    if where == "process":
+        config.process_noise = value
+    engine = FusionEngine(config, {"odo0": value if where == "sensor" else 0.01})
+    engine.initialize(make_state(), value if where == "initial" else 1e-4)
+    return engine
+
+
+def test_scalar_covariance_arguments_mean_that_value_times_identity():
+    q = 1e-5
+    readers = {"process": lambda e: e.process_noise, "initial": lambda e: e.covariance,
+               "sensor": lambda e: e.measurement_noise("odo0")}
+    for where, read in readers.items():
+        np.testing.assert_array_equal(read(engine_with_covariance(where, q)),
+                                      q * np.eye(STATE_DIM), err_msg=where)
+    scalar, identity = (engine_with_covariance("process", v) for v in (q, q * np.eye(STATE_DIM)))
+    for t in (0.01, 0.02):
+        scalar.process(hover_imu(t))
+        identity.process(hover_imu(t))
+    np.testing.assert_array_equal(scalar.covariance, identity.covariance)
+
+
+@pytest.mark.parametrize("where", ["process", "sensor", "initial"])
+@pytest.mark.parametrize("value", [np.nan, 1e-5 * np.eye(3), np.diag([1e-5] * 8 + [np.inf])],
+                         ids=["nan", "3x3", "inf-entry"])
+def test_covariance_arguments_reject_non_finite_or_misshapen_values(where, value):
+    with pytest.raises(ValueError, match="finite scalar or 9x9 matrix"):
+        engine_with_covariance(where, value)
+
+
 def test_slightly_late_odometry_is_fused_at_the_current_time():
     """Odometry 0.5 ms behind the clock neither moves it back nor stretches the next step."""
     q0 = 1e-5

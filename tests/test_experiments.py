@@ -4,16 +4,17 @@ import dataclasses
 import json
 import math
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from corfuse import dataset as dataset_io
 from corfuse.errors import ConfigError, DataError
-from corfuse.eskf import EngineConfig
+from corfuse.eskf import EngineConfig, ImuSample, OdometrySample
 from corfuse.experiments import (RunConfig, bench, build_engine, build_scenario,
                                  compare, run_experiment)
-from corfuse.sim import generate_truth, sample_sensors
+from corfuse.sim import TruthTrajectory, generate_truth, sample_sensors
 
 
 def quick_config(**overrides):
@@ -65,6 +66,7 @@ def test_validate_accepts_reasonable_config():
     ("drift_start", math.inf, "drift_start"),
     ("drift_duration", math.nan, "drift_duration"),
     ("drift_duration", -1.0, "drift_duration"),
+    ("seed", -1, "seed"),
 ])
 def test_validate_rejects_bad_values(field, value, fragment):
     config = quick_config(**{field: value})
@@ -256,6 +258,43 @@ def test_truth_round_trip(tmp_path):
     assert np.array_equal(back.times, truth.times)
     assert np.array_equal(back.positions, truth.positions)
     assert np.array_equal(back.orientations, truth.orientations)
+
+
+def test_writers_emit_crlf_lines_and_repr_floats(tmp_path):
+    events = [ImuSample(accel=np.array([0.1, -0.0, 1e-300]),
+                        gyro=np.array([1.0 / 3.0, 2.0, 1e22]), time=0.01),
+              OdometrySample("odom0", position=np.array([1.5, 0.0, -2.25]),
+                             orientation=np.array([-0.5, 0.5, 0.5, 0.5]),
+                             velocity=np.array([0.1, 0.2, 0.3]), time=0.1)]
+    dataset_io.write_events(tmp_path / "events.csv", events)
+    assert (tmp_path / "events.csv").read_bytes() == (
+        b"time_s,kind,sensor_id,d0,d1,d2,d3,d4,d5,d6,d7,d8\r\n"
+        b"0.01,imu,imu,0.1,-0.0,1e-300,0.3333333333333333,2.0,1e+22,,,\r\n"
+        b"0.1,odom,odom0,1.5,0.0,-2.25,-0.5,-0.5,-0.5,0.1,0.2,0.3\r\n")
+
+    truth = TruthTrajectory(
+        times=np.array([0.0, 0.1]), positions=np.array([[1.0, 2.0, 3.0], [0.1, 0.2, 0.3]]),
+        velocities=np.array([[-1.0, 0.0, 1e-5], [2.5, 1e100, 7.0]]),
+        orientations=np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, -0.5, 0.5]]),
+        accel_body=np.zeros((1, 3)), gyro_body=np.zeros((1, 3)))
+    dataset_io.write_truth(tmp_path / "truth.csv", truth)
+    assert (tmp_path / "truth.csv").read_bytes() == (
+        b"time_s,px,py,pz,qw,qx,qy,qz,vx,vy,vz\r\n"
+        b"0.0,1.0,2.0,3.0,1.0,0.0,0.0,0.0,-1.0,0.0,1e-05\r\n"
+        b"0.1,0.1,0.2,0.3,0.5,0.5,-0.5,0.5,2.5,1e+100,7.0\r\n")
+
+    result = run_experiment(quick_config(duration=0.5, out=str(tmp_path / "run")))
+    lines = ["time_s,px,py,pz,qw,qx,qy,qz,vx,vy,vz,c0,c1,c2,c3,c4,c5,c6,c7,c8"]
+    lines += [",".join(map(repr, row)) for row in result.estimates]
+    assert (tmp_path / "run" / "estimates.csv").read_bytes() == (
+        "".join(line + "\r\n" for line in lines).encode())
+
+
+def test_readme_documents_every_csv_header():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for header in (dataset_io.EVENT_HEADER, dataset_io.TRUTH_HEADER,
+                   dataset_io.ESTIMATE_HEADER):
+        assert ",".join(header) in readme
 
 
 def test_ingest_rejects_malformed_files(tmp_path):
