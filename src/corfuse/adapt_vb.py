@@ -10,8 +10,10 @@ forgetting factor rho (after Huang et al., IEEE TAC 2018):
 
 with point estimates Q = T / t and R = B / b.  O_j is the standard
 expectation-maximization process statistic built from smoothed means,
-covariances, and lag-one cross-covariances; M_j is the kernel-weighted
-residual outer product plus the smoothed observation covariance,
+covariances, and lag-one cross-covariances, evaluated in a regrouped form
+whose snapshot-only terms are fixed at push (``SmootherWindow``); M_j is
+the kernel-weighted residual outer product plus the smoothed observation
+covariance,
 
     M_j = L_j r_j r_j^T L_j + H_j P_j|k H_j^T.
 
@@ -25,9 +27,13 @@ error-state mean a filter without injection/reset would carry, and the
 dynamics composed since the last correction (``advance`` and
 ``correct``).
 
-Each smoother gain is solved once, when its snapshot is pushed; a refresh
-then does the backward pass and one forward walk (``window_statistics``):
-O(W) matrix products and no solves.
+Every term that depends on the buffered snapshots alone is computed once,
+when its snapshot is pushed: the smoother gain and conditional covariance
+on the snapshot, and the process statistic's terms in stacked
+``(W + 1, ...)`` buffers beside the snapshot's state, Jacobian, residual,
+weights and step count.  A refresh then does the backward pass, O(W) matrix
+products and no solves, and both window statistics as batched NumPy over
+the stacks (``window_statistics``).
 """
 from __future__ import annotations
 
@@ -54,7 +60,10 @@ class WindowSnapshot:
     window (for an error-state filter, the adapter's no-reset frame).
     ``transition`` is the composed dynamics since the previous snapshot and
     ``steps`` its predict-step count.  ``SmootherWindow.push`` sets ``gain``,
-    the smoother gain G_j-1 from the previous snapshot (None for the first).
+    the smoother gain G_j-1 from the previous snapshot, and
+    ``conditional_cov``, D_j-1 = P_j-1|j-1 - G_j-1 P_j|j-1 G_j-1^T, the
+    covariance of the previous state given this one (both None for the
+    first snapshot).
     """
 
     record: InnovationRecord
@@ -64,31 +73,80 @@ class WindowSnapshot:
     steps: float = 1.0
     sensor_id: str = ""
     gain: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    conditional_cov: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
 
-@dataclass
 class SmootherWindow:
-    """Sliding window of correction snapshots for one sensor.
+    """Sliding window of correction snapshots, with the smoother terms they fix.
 
     ``length`` is the window parameter: up to ``length + 1`` snapshots are
     retained so that the backward pass can cover ``length`` transitions.
+
+    ``push`` solves each snapshot's smoother gain and conditional covariance
+    once (see ``WindowSnapshot``).  For ``window_statistics`` the window also
+    keeps stacked buffers whose row j belongs to ``snapshots[j]``; when the
+    window is full, a push shifts every buffer up by one row.  Per snapshot
+    they hold the state s_j, the observation Jacobian H_j, the residual r_j,
+    the unweighted kernel weights L_j and the step count.  Per transition j
+    (rows 1 on; row 0 is never read), with F_j the transition, x_j|j-1 the
+    prior mean, P_j|j-1 the prior covariance and A_j = F_j G_j-1, they hold
+
+        B_j = I - A_j                                        (lifts)
+        c_j = F_j D_j-1 F_j^T
+            = F_j P_j-1|j-1 F_j^T - A_j P_j|j-1 A_j^T        (consts)
+        e_j = A_j x_j|j-1 - F_j s_j-1                        (offsets)
+
+    Every term depends only on snapshots j-1 and j, so a window holds the
+    same bits however many snapshots it has evicted.
     """
 
-    length: int
-    snapshots: list[WindowSnapshot] = field(default_factory=list)
+    def __init__(self, length: int) -> None:
+        self.length = length
+        self.snapshots: list[WindowSnapshot] = []
+
+    def _allocate(self, dim: int, obs_dim: int) -> None:
+        rows = self.length + 1
+        self.states = np.zeros((rows, dim))
+        self.obs = np.zeros((rows, obs_dim, dim))
+        self.residuals = np.zeros((rows, obs_dim))
+        self.weights = np.zeros((rows, obs_dim))
+        self.steps = np.zeros(rows)
+        self.lifts = np.zeros((rows, dim, dim))
+        self.consts = np.zeros((rows, dim, dim))
+        self.offsets = np.zeros((rows, dim))
+        self._eye = np.eye(dim)
+        self._buffers = (self.states, self.obs, self.residuals, self.weights, self.steps,
+                         self.lifts, self.consts, self.offsets)
 
     def push(self, snapshot: WindowSnapshot) -> None:
-        """Buffer ``snapshot``, solving G_j-1 = P_j-1|j-1 F_j^T (P_j|j-1)^-1 once."""
-        if self.snapshots:
-            gain_t, regularized = spd_solve(
-                snapshot.record.cov_pred,
-                snapshot.transition @ self.snapshots[-1].record.cov_post)
+        """Buffer ``snapshot``, solving G_j-1 once and fixing the terms above."""
+        record = snapshot.record
+        if not self.snapshots:
+            self._allocate(snapshot.state.shape[0], record.residual.shape[0])
+        elif len(self.snapshots) > self.length:
+            del self.snapshots[0]
+            for buffer in self._buffers:
+                buffer[:-1] = buffer[1:]
+        j = len(self.snapshots)
+        if j:
+            prev = self.snapshots[-1]
+            trans = snapshot.transition
+            gain_t, regularized = spd_solve(record.cov_pred, trans @ prev.record.cov_post)
             if regularized:
                 log.warning("smoother regularized a singular predicted covariance")
-            snapshot.gain = gain_t.T
+            gain = snapshot.gain = gain_t.T
+            cond = snapshot.conditional_cov = (prev.record.cov_post
+                                               - gain @ record.cov_pred @ gain.T)
+            lift = trans @ gain
+            self.lifts[j] = self._eye - lift
+            self.consts[j] = trans @ cond @ trans.T
+            self.offsets[j] = lift @ snapshot.prior_mean - trans @ prev.state
+        self.states[j] = snapshot.state
+        self.obs[j] = record.obs_jacobian
+        self.residuals[j] = record.residual
+        self.weights[j] = record.weights.unweighted
+        self.steps[j] = snapshot.steps
         self.snapshots.append(snapshot)
-        if len(self.snapshots) > self.length + 1:
-            del self.snapshots[0]
 
     def __len__(self) -> int:
         return len(self.snapshots)
@@ -98,96 +156,110 @@ class SmootherWindow:
 class SmoothedWindow:
     """Backward-pass output aligned with the window's snapshots.
 
-    ``means[j]`` and ``covs[j]`` are the smoothed estimates for snapshot j;
-    ``crosses[j-1]`` holds the lag-one cross-covariance P_{j-1,j|k} for
-    each transition.  The smoother gains stay on the snapshots.
+    ``means[j]`` and ``covs[j]`` are the smoothed mean x_j|k and covariance
+    P_j|k of snapshot j, stacked into ``(count, dim)`` and ``(count, dim,
+    dim)`` arrays.  The smoother gains stay on the snapshots.
     """
 
-    means: list[np.ndarray]
-    covs: list[np.ndarray]
-    crosses: list[np.ndarray]
+    means: np.ndarray
+    covs: np.ndarray
 
 
 def backward_smooth(window: SmootherWindow) -> SmoothedWindow:
     """Rauch-Tung-Striebel backward pass over the buffered snapshots.
 
-    For each transition, with F_j the composed dynamics of snapshot j and
-    (x_j|j-1, P_j|j-1) the buffered pre-correction mean and covariance:
+    From the last snapshot's filtered moments, with the gains G_j-1 and
+    conditional covariances D_j-1 fixed at push (see ``WindowSnapshot``)
+    and s_j-1 the previous snapshot's state:
 
-        G_j-1   = P_j-1|j-1 F_j^T (P_j|j-1)^-1      (solved once, at push)
-        x_j-1|k = x_j-1|j-1 + G_j-1 (x_j|k - x_j|j-1)
-        P_j-1|k = P_j-1|j-1 + G_j-1 (P_j|k - P_j|j-1) G_j-1^T
-        P_j-1,j|k = G_j-1 P_j|k
+        x_j-1|k = s_j-1 + G_j-1 (x_j|k - x_j|j-1)
+        P_j-1|k = G_j-1 P_j|k G_j-1^T + D_j-1
 
-    Using the buffered prior (rather than recomputing F P F^T + Q) keeps
-    the pass exact when other sensors corrected the state inside the
-    interval.  A window with a single snapshot smooths to its filtered
-    values.
+    which is P_j-1|j-1 + G_j-1 (P_j|k - P_j|j-1) G_j-1^T regrouped so that
+    only the first product depends on the pass.  The covariances are
+    symmetrized once, as a stack, at the end.  Using the buffered prior
+    (rather than recomputing F P F^T + Q) keeps the pass exact when other
+    sensors corrected the state inside the interval.  A window with a
+    single snapshot smooths to its filtered values.
     """
     snaps = window.snapshots
     if not snaps:
         raise AdaptationNotReady("cannot smooth an empty window")
     count = len(snaps)
-    means: list[Optional[np.ndarray]] = [None] * count
-    covs: list[Optional[np.ndarray]] = [None] * count
-    crosses: list[Optional[np.ndarray]] = [None] * (count - 1)
-
-    means[-1] = snaps[-1].state.copy()
-    covs[-1] = snaps[-1].record.cov_post.copy()
+    last = snaps[-1]
+    means = np.empty((count, last.state.shape[0]))
+    covs = np.empty((count, *last.record.cov_post.shape))
+    mean = means[-1] = last.state
+    cov = covs[-1] = last.record.cov_post
+    # Per-row inputs come from the snapshots: a list item is cheaper to
+    # reach than a row view of a stacked buffer.
     for j in range(count - 1, 0, -1):
-        prev, cur = snaps[j - 1], snaps[j]
+        cur, prev = snaps[j], snaps[j - 1]
         gain = cur.gain
-        means[j - 1] = prev.state + gain @ (means[j] - cur.prior_mean)
-        covs[j - 1] = symmetrize(prev.record.cov_post
-                                 + gain @ (covs[j] - cur.record.cov_pred) @ gain.T)
-        crosses[j - 1] = gain @ covs[j]
-    return SmoothedWindow(means=means, covs=covs, crosses=crosses)  # type: ignore[arg-type]
+        mean = means[j - 1] = prev.state + gain @ (mean - cur.prior_mean)
+        cov = covs[j - 1] = gain @ cov @ gain.T + cur.conditional_cov
+    return SmoothedWindow(means=means, covs=0.5 * (covs + covs.transpose(0, 2, 1)))
+
+
+def _ascending_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum a stack over axis 0 strictly in ascending order.
+
+    ``np.sum`` pairs the terms up when the summed axis is the only one of
+    length above 1 (1x1 blocks), which changes the round-off.
+    """
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def window_statistics(window: SmootherWindow, smoothed: SmoothedWindow
                       ) -> tuple[np.ndarray, list[float], dict[str, tuple[np.ndarray, int]]]:
-    """Process sum, step counts and per-sensor measurement sums, in one walk.
+    """Process sum, step counts and per-sensor measurement sums, over stacked arrays.
 
-    Process: with x~_j = x_j|k - F_j x_j-1|k, each transition adds
+    Process: with the lifts B_j, constants c_j and offsets e_j stored at
+    push (see ``SmootherWindow``) and x~_j = B_j x_j|k + e_j, each
+    transition adds
 
-        O_j = P_j|k - F_j P_j-1,j|k - P_j-1,j|k^T F_j^T
-              + F_j P_j-1|k F_j^T + x~_j x~_j^T
+        O_j = B_j P_j|k B_j^T + c_j + x~_j x~_j^T
 
     to a sum projected onto the PSD cone to absorb round-off, and its step
-    count to the returned list.  A transition of zero steps (two corrections
-    at one instant) is a noiseless identity and carries no evidence; it is
+    count to the returned list.  This is the expectation-maximization
+    statistic P_j|k - F_j P_j-1,j|k - P_j-1,j|k^T F_j^T + F_j P_j-1|k F_j^T
+    + x~_j x~_j^T, x~_j = x_j|k - F_j x_j-1|k, with the lag-one
+    cross-covariance P_j-1,j|k = G_j-1 P_j|k and the backward recursion
+    substituted.  A transition of zero steps (two corrections at one
+    instant) is a noiseless identity and carries no evidence; it is
     skipped.  Measurement: the residual re-anchored to the smoothed mean,
-    r_j|k = r_j + H_j (x_j|j - x_j|k), gives L r_j|k r_j|k^T L + H P_j|k H^T
+    r_j|k = r_j + H_j (s_j - x_j|k), gives L r_j|k r_j|k^T L + H P_j|k H^T
     per snapshot, so a channel the kernel suppressed adds only the
     covariance floor.  Per sensor id, in order of first appearance, the
-    dict holds the sum and the snapshot count.  Both sums run in ascending
-    j: their round-off depends on the order.
+    dict holds the sum and the snapshot count.  Every sum runs in ascending
+    j: its round-off depends on the order.
     """
     snaps = window.snapshots
     if not snaps:
         raise AdaptationNotReady("window statistics need a non-empty window")
-    dim = snaps[0].state.shape[0]
-    process = np.zeros((dim, dim))
-    steps: list[float] = []
-    sums: dict[str, tuple[np.ndarray, int]] = {}
+    count = len(snaps)
+    means, covs = smoothed.means, smoothed.covs
+
+    obs = window.obs[:count]
+    residual = window.residuals[:count] + (
+        obs @ (window.states[:count] - means)[:, :, None])[:, :, 0]
+    weighted = window.weights[:count] * residual
+    terms = (weighted[:, :, None] * weighted[:, None, :]
+             + obs @ covs @ obs.transpose(0, 2, 1))
+    rows: dict[str, list[int]] = {}
     for j, snap in enumerate(snaps):
-        record = snap.record
-        h = record.obs_jacobian
-        residual = record.residual + h @ (snap.state - smoothed.means[j])
-        weighted = record.weights.unweighted * residual
-        total, count = sums.get(snap.sensor_id, (0.0, 0))
-        sums[snap.sensor_id] = (
-            total + (np.outer(weighted, weighted) + h @ smoothed.covs[j] @ h.T), count + 1)
-        if j == 0 or not snap.steps > 0.0:
-            continue
-        trans = snap.transition
-        cross = smoothed.crosses[j - 1]
-        tilde = smoothed.means[j] - trans @ smoothed.means[j - 1]
-        process += (smoothed.covs[j] - trans @ cross - cross.T @ trans.T
-                    + trans @ smoothed.covs[j - 1] @ trans.T + np.outer(tilde, tilde))
-        steps.append(snap.steps)
-    measurement = {sid: (symmetrize(total), count) for sid, (total, count) in sums.items()}
-    return psd_project(process), steps, measurement
+        rows.setdefault(snap.sensor_id, []).append(j)
+    measurement = {sid: (symmetrize(_ascending_sum(terms[idx])), len(idx))
+                   for sid, idx in rows.items()}
+
+    moving = np.flatnonzero(window.steps[1:count] > 0.0) + 1
+    process = np.zeros(covs.shape[1:])
+    if moving.size:
+        lifts = window.lifts[moving]
+        tilde = (lifts @ means[moving, :, None])[:, :, 0] + window.offsets[moving]
+        process = _ascending_sum(lifts @ covs[moving] @ lifts.transpose(0, 2, 1)
+                                 + window.consts[moving] + tilde[:, :, None] * tilde[:, None, :])
+    return psd_project(process), window.steps[moving].tolist(), measurement
 
 
 class VbNoiseAdapter:

@@ -84,11 +84,20 @@ _SIMPLE_TYPES = {name: _unwrap_optional(hint)
                  if name != "r0_overrides"}
 
 
-def build_run_config(file_entries: dict[str, str],
-                     overrides: dict[str, object]) -> RunConfig:
-    """Merge defaults, config-file entries, and CLI overrides into a RunConfig."""
-    config = RunConfig()
-    for key, raw in file_entries.items():
+def parse_assignments(items: list[str]) -> dict[str, str]:
+    """``--set`` arguments as config entries; a later KEY wins."""
+    entries: dict[str, str] = {}
+    for item in items:
+        if "=" not in item:
+            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
+        key, value = item.split("=", 1)
+        entries[key.strip()] = value.strip()
+    return entries
+
+
+def apply_entries(config: RunConfig, entries: dict[str, str]) -> RunConfig:
+    """Set config-file style entries on ``config``, coercing each to its field's type."""
+    for key, raw in entries.items():
         if key.startswith("r0."):
             sensor = key[3:]
             config.r0_overrides[sensor] = float(_coerce(key, raw, float))
@@ -96,6 +105,13 @@ def build_run_config(file_entries: dict[str, str],
         if key not in _SIMPLE_TYPES:
             raise ConfigError(f"unknown config key '{key}'")
         setattr(config, key, _coerce(key, raw, _SIMPLE_TYPES[key]))
+    return config
+
+
+def build_run_config(file_entries: dict[str, str],
+                     overrides: dict[str, object]) -> RunConfig:
+    """Merge defaults, config-file entries, and CLI overrides into a RunConfig."""
+    config = apply_entries(RunConfig(), file_entries)
     for key, value in overrides.items():
         if value is not None:
             setattr(config, key, value)
@@ -116,11 +132,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     entries = load_config_file(args.config) if args.config else {}
-    for item in args.set:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        entries[key.strip()] = value.strip()
+    entries.update(parse_assignments(args.set))
     overrides = {
         "seed": args.seed,
         "scenario": args.scenario,

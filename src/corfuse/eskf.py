@@ -69,7 +69,7 @@ _OBS_JACOBIAN = np.eye(OBS_DIM)
 _OBS_JACOBIAN.setflags(write=False)
 
 VARIANTS = ("ekf", "akf", "mcckf", "r-amcckf", "vb-amcckf")
-_KERNEL_VARIANTS = ("mcckf", "r-amcckf", "vb-amcckf")
+KERNEL_VARIANTS = ("mcckf", "r-amcckf", "vb-amcckf")
 SIGMA_MODES = ("static", "adaptive")
 
 
@@ -249,7 +249,7 @@ class FusionEngine:
         if not sensor_noise:
             raise ValueError("at least one odometry sensor is required")
         self.config = config
-        self._uses_kernel = config.variant in _KERNEL_VARIANTS
+        self._uses_kernel = config.variant in KERNEL_VARIANTS
         self.process_noise = _as_covariance(config.process_noise, "process noise")
         self._noise: dict[str, np.ndarray] = {
             sensor_id: _as_covariance(noise, f"noise of sensor '{sensor_id}'")

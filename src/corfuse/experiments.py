@@ -14,6 +14,7 @@ import numpy as np
 from . import dataset as dataset_io
 from .errors import ConfigError, DataError
 from .eskf import (
+    KERNEL_VARIANTS,
     SIGMA_MODES,
     VARIANTS,
     EngineConfig,
@@ -183,6 +184,8 @@ class MetricsReport:
     nees_mean: Optional[float] = None
     correction_times: dict[str, list[float]] = field(default_factory=dict)
     r_trace: dict[str, list[float]] = field(default_factory=dict)
+    # Mean inverse kernel bandwidth per correction; empty for ekf and akf,
+    # which apply no kernel.
     kb_inverse: dict[str, list[float]] = field(default_factory=dict)
     dropped: dict[str, int] = field(default_factory=dict)
 
@@ -256,10 +259,12 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     engine.initialize(init_state, config.p0)
 
     metrics = MetricsReport(variant=config.filter, seed=config.seed)
+    kernel = config.filter in KERNEL_VARIANTS
     for sid in sensor_ids:
         metrics.correction_times[sid] = []
         metrics.r_trace[sid] = []
-        metrics.kb_inverse[sid] = []
+        if kernel:
+            metrics.kb_inverse[sid] = []
 
     estimates: list[list[float]] = []
     timings = np.zeros(len(events))
@@ -280,7 +285,8 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
         metrics.correction_count += 1
         metrics.correction_times[result.sensor_id].append(result.state.time)
         metrics.r_trace[result.sensor_id].append(result.noise_trace)
-        metrics.kb_inverse[result.sensor_id].append(float(np.mean(1.0 / result.bandwidth)))
+        if kernel:
+            metrics.kb_inverse[result.sensor_id].append(float(np.mean(1.0 / result.bandwidth)))
 
         if truth is not None:
             try:

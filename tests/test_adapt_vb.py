@@ -52,8 +52,10 @@ def test_backward_pass_matches_hand_computation():
     np.testing.assert_allclose([m[0] for m in smoothed.means], [0.375, 0.25, 0.25])
     np.testing.assert_allclose([c[0, 0] for c in smoothed.covs],
                                [0.34375, 0.375, 0.5])
-    np.testing.assert_allclose([s.gain[0, 0] for s in window.snapshots[1:]], [0.5, 0.5])
-    np.testing.assert_allclose([c[0, 0] for c in smoothed.crosses],
+    gains = [s.gain for s in window.snapshots[1:]]
+    np.testing.assert_allclose([g[0, 0] for g in gains], [0.5, 0.5])
+    # lag-one cross-covariances P_j-1,j|k = G_j-1 P_j|k
+    np.testing.assert_allclose([(g @ c)[0, 0] for g, c in zip(gains, smoothed.covs[1:])],
                                [0.1875, 0.25])
 
 
@@ -77,7 +79,7 @@ def test_single_snapshot_smooths_to_filtered_values():
     smoothed = backward_smooth(window)
     assert smoothed.means[0][0] == pytest.approx(1.5)
     assert smoothed.covs[0][0, 0] == pytest.approx(0.25)
-    assert smoothed.crosses == [] and window.snapshots[0].gain is None
+    assert window.snapshots[0].gain is None
 
 
 def test_empty_window_raises():
@@ -139,8 +141,13 @@ def re_solving_smoother(snaps):
     return means, covs, gains, crosses
 
 
-def two_loop_statistics(snaps, smoothed):
-    """The window statistics as separate process, measurement and step passes."""
+def two_loop_statistics(snaps, reference):
+    """The window statistics as separate process, measurement and step passes.
+
+    ``reference`` is ``re_solving_smoother``'s output; the process statistic
+    takes the lag-one cross-covariances from it.
+    """
+    means, covs, _, crosses = reference
     dim = snaps[0].state.shape[0]
     total = np.zeros((dim, dim))
     count = 0
@@ -148,10 +155,10 @@ def two_loop_statistics(snaps, smoothed):
         if snaps[j].steps <= 0.0:
             continue
         trans = snaps[j].transition
-        cross = smoothed.crosses[j - 1]
-        tilde = smoothed.means[j] - trans @ smoothed.means[j - 1]
-        term = (smoothed.covs[j] - trans @ cross - cross.T @ trans.T
-                + trans @ smoothed.covs[j - 1] @ trans.T + np.outer(tilde, tilde))
+        cross = crosses[j - 1]
+        tilde = means[j] - trans @ means[j - 1]
+        term = (covs[j] - trans @ cross - cross.T @ trans.T
+                + trans @ covs[j - 1] @ trans.T + np.outer(tilde, tilde))
         total += term
         count += 1
     process = psd_project(total)
@@ -164,9 +171,9 @@ def two_loop_statistics(snaps, smoothed):
             totals[sid] = np.zeros((obs_dim, obs_dim))
             counts[sid] = 0
         h = snap.record.obs_jacobian
-        residual = snap.record.residual + h @ (snap.state - smoothed.means[j])
+        residual = snap.record.residual + h @ (snap.state - means[j])
         weighted = snap.record.weights.unweighted * residual
-        totals[sid] += np.outer(weighted, weighted) + h @ smoothed.covs[j] @ h.T
+        totals[sid] += np.outer(weighted, weighted) + h @ covs[j] @ h.T
         counts[sid] += 1
     measurement = {sid: (symmetrize(t), counts[sid]) for sid, t in totals.items()}
 
@@ -181,6 +188,12 @@ def random_spd9(rng):
 
 
 def test_gains_cached_at_push_match_re_solving_smoother_bitwise():
+    """Gains and smoothed means match the re-solving pass bit for bit.
+
+    The smoothed covariances and the process statistic use terms fixed at
+    push, a regrouping of the reference algebra, so they and everything
+    built on them agree to round-off only.
+    """
     rng = np.random.default_rng(41)
     window = SmootherWindow(length=4)
     for k in range(9):  # evicts from the sixth push on
@@ -202,24 +215,79 @@ def test_gains_cached_at_push_match_re_solving_smoother_bitwise():
             continue
         smoothed = backward_smooth(window)
         reference = re_solving_smoother(window.snapshots)
+        want_means, want_covs, want_gains, _ = reference
         gains = [snap.gain for snap in window.snapshots[1:]]
-        for got, want in zip((smoothed.means, smoothed.covs, gains,
-                              smoothed.crosses), reference):
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                np.testing.assert_array_equal(a, b)
+        assert len(gains) == len(want_gains)
+        for got, want in zip(gains, want_gains):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(smoothed.means, want_means)
+        np.testing.assert_allclose(smoothed.covs, want_covs, rtol=1e-12, atol=0)
 
         process, steps, by_sensor = window_statistics(window, smoothed)
         want_process, want_count, want_by_sensor, want_mean = two_loop_statistics(
-            window.snapshots, smoothed)
-        np.testing.assert_array_equal(process, want_process)
+            window.snapshots, reference)
+        np.testing.assert_allclose(process, want_process, rtol=1e-12, atol=0)
         assert len(steps) == want_count
         assert (float(np.mean(steps)) if steps else 1.0) == want_mean
         assert list(by_sensor) == list(want_by_sensor)
         for sid, (total, count) in by_sensor.items():
-            np.testing.assert_array_equal(total, want_by_sensor[sid][0])
+            np.testing.assert_allclose(total, want_by_sensor[sid][0], rtol=1e-12, atol=0)
             assert count == want_by_sensor[sid][1]
     assert len(window) == 5
+
+
+def random_snapshot_data(rng, count):
+    """Field values of ``count`` 9-state snapshots: H is 3x9, sensors alternate."""
+    data = []
+    for k in range(count):
+        instant = k % 3 == 2  # a second correction at the same instant
+        residual = rng.standard_normal(3)
+        data.append(dict(
+            residual=residual, obs=rng.standard_normal((3, 9)),
+            cov_pred=random_spd9(rng), cov_post=random_spd9(rng),
+            weights=rng.uniform(0.1, 1.0, 3), state=rng.standard_normal(9),
+            prior_mean=rng.standard_normal(9),
+            trans=np.eye(9) if instant else np.eye(9) + 0.1 * rng.standard_normal((9, 9)),
+            steps=0.0 if instant else 1.0 + k % 4, sensor="ab"[k % 2]))
+    return data
+
+
+def snapshot_from(fields):
+    record = InnovationRecord(
+        innovation=fields["residual"], residual=fields["residual"],
+        obs_jacobian=fields["obs"], cov_pred=fields["cov_pred"],
+        cov_post=fields["cov_post"], gain=np.zeros((9, 3)),
+        weights=CorrentropyWeights(unweighted=fields["weights"], weighted=np.ones(3)))
+    return WindowSnapshot(
+        record=record, state=fields["state"], prior_mean=fields["prior_mean"],
+        transition=fields["trans"], steps=fields["steps"], sensor_id=fields["sensor"])
+
+
+def test_evicting_window_matches_a_fresh_window_of_its_snapshots_bitwise():
+    """The shifted buffers hold exactly what pushing only the kept snapshots gives."""
+    data = random_snapshot_data(np.random.default_rng(77), 13)
+    rolled = VbNoiseAdapter(state_dim=9, obs_dim=3, window=4)
+    for fields in data:
+        rolled.push(snapshot_from(fields))
+    fresh = VbNoiseAdapter(state_dim=9, obs_dim=3, window=4)
+    for fields in data[-5:]:
+        fresh.push(snapshot_from(fields))
+    assert len(rolled.window) == len(fresh.window) == 5
+
+    got, want = backward_smooth(rolled.window), backward_smooth(fresh.window)
+    np.testing.assert_array_equal(got.means, want.means)
+    np.testing.assert_array_equal(got.covs, want.covs)
+    got_stats = window_statistics(rolled.window, got)
+    want_stats = window_statistics(fresh.window, want)
+    np.testing.assert_array_equal(got_stats[0], want_stats[0])
+    assert got_stats[1] == want_stats[1] and 0.0 not in got_stats[1]
+    q, steps, noise = rolled.refresh()
+    want_q, want_steps, want_noise = fresh.refresh()
+    np.testing.assert_array_equal(q, want_q)
+    assert steps == want_steps
+    assert list(noise) == list(want_noise) == ["a", "b"]
+    for sid in noise:
+        np.testing.assert_array_equal(noise[sid], want_noise[sid])
 
 
 def test_smoother_ridge_warning_is_logged_once_per_snapshot(caplog):

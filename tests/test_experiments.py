@@ -149,6 +149,15 @@ def test_run_experiment_reports_metrics():
     assert len(result.estimates) == len(result.timings_ns)
 
 
+@pytest.mark.parametrize("variant", ["ekf", "akf"])
+def test_variants_without_a_kernel_report_no_bandwidth(variant):
+    metrics = run_experiment(quick_config(filter=variant, duration=1.0)).metrics
+    assert metrics.correction_count == 10
+    assert metrics.kb_inverse == {}
+    kernel = run_experiment(quick_config(filter="mcckf", duration=1.0)).metrics
+    assert list(kernel.kb_inverse) == ["odom0"] and len(kernel.kb_inverse["odom0"]) == 10
+
+
 def test_run_experiment_is_reproducible():
     first = run_experiment(quick_config(filter="vb-amcckf", adapt_q=True))
     second = run_experiment(quick_config(filter="vb-amcckf", adapt_q=True))

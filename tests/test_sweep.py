@@ -1,4 +1,4 @@
-"""tools/sweep.py: the many-seed sweep runs and its output is deterministic."""
+"""tools/sweep.py: the many-seed sweep runs, its output is deterministic, and its flags select."""
 
 import argparse
 import importlib.util
@@ -43,3 +43,31 @@ def test_seed_ranges(sweep):
     assert sweep.parse_seeds("7") == [7]
     with pytest.raises(argparse.ArgumentTypeError):
         sweep.parse_seeds("4-2")
+
+
+def test_variant_flag_selects_and_orders_the_variants(sweep, capsys):
+    assert sweep.main(["--workload", "replay_csv", "--seeds", "1", "--duration", "2",
+                       "--variant", "akf", "--variant", "ekf"]) == 0
+    cells = json.loads(capsys.readouterr().out)["replay_csv"]
+    assert list(cells) == ["seeds", "duration_s", "akf", "ekf"]
+
+
+def test_set_flag_overrides_the_workload_settings(sweep, capsys):
+    args = ["--workload", "replay_csv", "--seeds", "1", "--duration", "2", "--variant", "ekf"]
+    assert sweep.main(args + ["--set", "r0=1e-3", "--set", "r0.odom1 = 4e-4"]) == 0
+    cells = json.loads(capsys.readouterr().out)["replay_csv"]
+    assert cells["set"] == {"r0": "1e-3", "r0.odom1": "4e-4"}
+    settings = {**sweep.WORKLOADS["replay_csv"].settings, "r0": 1e-3,
+                "r0_overrides": {"odom1": 4e-4}}
+    assert cells["ekf"] == sweep.sweep_variant(settings, 2.0, "ekf", [1])
+    assert sweep.main(args) == 0
+    assert json.loads(capsys.readouterr().out)["replay_csv"]["ekf"] != cells["ekf"]
+
+
+@pytest.mark.parametrize("item", ["seed=3", "filter=ekf", "duration=1", "bandwidth=2",
+                                  "r0=fast", "r0"])
+def test_set_flag_rejects_own_flags_unknown_keys_and_bad_values(sweep, item, capsys):
+    with pytest.raises(SystemExit) as exc:
+        sweep.main(["--seeds", "1", "--set", item])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
