@@ -34,6 +34,14 @@ on the snapshot, and the process statistic's terms in stacked
 weights and step count.  A refresh then does the backward pass, O(W) matrix
 products and no solves, and both window statistics as batched NumPy over
 the stacks (``window_statistics``).
+
+Same-instant rule: a snapshot with zero predict steps, an identity
+transition, and the previous snapshot's posterior covariance and state as
+its prior was corrected at the previous snapshot's instant.  Its smoother
+gain is exactly I and its conditional covariance exactly 0, so it gets two
+read-only arrays the window shares, no solve, and the backward pass copies
+its row; with several sensors at one rate, most transitions are such row
+copies.  The pass stays O(W) over the transitions that move.
 """
 from __future__ import annotations
 
@@ -45,7 +53,7 @@ import numpy as np
 
 from .errors import AdaptationNotReady
 from .filter_core import InnovationRecord
-from .linalg import psd_project, spd_solve, symmetrize
+from .linalg import psd_project, spd_solve
 
 log = logging.getLogger(__name__)
 
@@ -63,7 +71,8 @@ class WindowSnapshot:
     the smoother gain G_j-1 from the previous snapshot, and
     ``conditional_cov``, D_j-1 = P_j-1|j-1 - G_j-1 P_j|j-1 G_j-1^T, the
     covariance of the previous state given this one (both None for the
-    first snapshot).
+    first snapshot).  A same-instant snapshot (see the module docstring)
+    gets the window's shared read-only identity and zero matrices instead.
     """
 
     record: InnovationRecord
@@ -74,6 +83,18 @@ class WindowSnapshot:
     sensor_id: str = ""
     gain: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     conditional_cov: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+
+def _same_instant(snapshot: WindowSnapshot, prev: WindowSnapshot, eye: np.ndarray) -> bool:
+    """Whether no predict step separates ``prev`` and ``snapshot``.
+
+    On the engine path the prior mean and covariance are the previous
+    snapshot's own arrays, so the identity test settles it; hand-built
+    snapshots fall back to comparing values.
+    """
+    return snapshot.steps == 0.0 and all(a is b or np.array_equal(a, b) for a, b in (
+        (snapshot.prior_mean, prev.state), (snapshot.record.cov_pred, prev.record.cov_post),
+        (snapshot.transition, eye)))
 
 
 class SmootherWindow:
@@ -97,7 +118,8 @@ class SmootherWindow:
         e_j = A_j x_j|j-1 - F_j s_j-1                        (offsets)
 
     Every term depends only on snapshots j-1 and j, so a window holds the
-    same bits however many snapshots it has evicted.
+    same bits however many snapshots it has evicted (in the rows it reads:
+    a same-instant transition's lift, const and offset rows are not written).
     """
 
     def __init__(self, length: int) -> None:
@@ -114,12 +136,18 @@ class SmootherWindow:
         self.lifts = np.zeros((rows, dim, dim))
         self.consts = np.zeros((rows, dim, dim))
         self.offsets = np.zeros((rows, dim))
-        self._eye = np.eye(dim)
+        self._eye, self._zeros = np.eye(dim), np.zeros((dim, dim))
+        self._eye.flags.writeable = self._zeros.flags.writeable = False  # same-instant G, D
         self._buffers = (self.states, self.obs, self.residuals, self.weights, self.steps,
                          self.lifts, self.consts, self.offsets)
 
     def push(self, snapshot: WindowSnapshot) -> None:
-        """Buffer ``snapshot``, solving G_j-1 once and fixing the terms above."""
+        """Buffer ``snapshot``, solving G_j-1 once and fixing the terms above.
+
+        A same-instant snapshot takes the shared identity gain and zero
+        conditional covariance, with no solve; its lift, const and offset
+        rows are left unwritten, as the process statistic skips zero steps.
+        """
         record = snapshot.record
         if not self.snapshots:
             self._allocate(snapshot.state.shape[0], record.residual.shape[0])
@@ -128,7 +156,9 @@ class SmootherWindow:
             for buffer in self._buffers:
                 buffer[:-1] = buffer[1:]
         j = len(self.snapshots)
-        if j:
+        if j and _same_instant(snapshot, self.snapshots[-1], self._eye):
+            snapshot.gain, snapshot.conditional_cov = self._eye, self._zeros
+        elif j:
             prev = self.snapshots[-1]
             trans = snapshot.transition
             gain_t, regularized = spd_solve(record.cov_pred, trans @ prev.record.cov_post)
@@ -179,8 +209,9 @@ def backward_smooth(window: SmootherWindow) -> SmoothedWindow:
     only the first product depends on the pass.  The covariances are
     symmetrized once, as a stack, at the end.  Using the buffered prior
     (rather than recomputing F P F^T + Q) keeps the pass exact when other
-    sensors corrected the state inside the interval.  A window with a
-    single snapshot smooths to its filtered values.
+    sensors corrected the state inside the interval.  A same-instant row
+    (gain I, D = 0) is copied: x_j-1|k = x_j|k and P_j-1|k = P_j|k.  A
+    window with a single snapshot smooths to its filtered values.
     """
     snaps = window.snapshots
     if not snaps:
@@ -196,6 +227,9 @@ def backward_smooth(window: SmootherWindow) -> SmoothedWindow:
     for j in range(count - 1, 0, -1):
         cur, prev = snaps[j], snaps[j - 1]
         gain = cur.gain
+        if gain is window._eye:
+            means[j - 1], covs[j - 1] = mean, cov
+            continue
         mean = means[j - 1] = prev.state + gain @ (mean - cur.prior_mean)
         cov = covs[j - 1] = gain @ cov @ gain.T + cur.conditional_cov
     return SmoothedWindow(means=means, covs=0.5 * (covs + covs.transpose(0, 2, 1)))
@@ -204,10 +238,12 @@ def backward_smooth(window: SmootherWindow) -> SmoothedWindow:
 def _ascending_sum(terms: np.ndarray) -> np.ndarray:
     """Sum a stack over axis 0 strictly in ascending order.
 
-    ``np.sum`` pairs the terms up when the summed axis is the only one of
-    length above 1 (1x1 blocks), which changes the round-off.
+    ``np.add.reduce`` adds whole terms in order, but pairs them up when
+    each term is a single number (1x1 blocks), which changes the round-off;
+    that case goes through ``np.add.accumulate``.
     """
-    return np.add.accumulate(terms, axis=0)[-1]
+    return (np.add.reduce(terms, axis=0) if terms[0].size > 1
+            else np.add.accumulate(terms, axis=0)[-1])
 
 
 def window_statistics(window: SmootherWindow, smoothed: SmoothedWindow
@@ -231,8 +267,10 @@ def window_statistics(window: SmootherWindow, smoothed: SmoothedWindow
     r_j|k = r_j + H_j (s_j - x_j|k), gives L r_j|k r_j|k^T L + H P_j|k H^T
     per snapshot, so a channel the kernel suppressed adds only the
     covariance floor.  Per sensor id, in order of first appearance, the
-    dict holds the sum and the snapshot count.  Every sum runs in ascending
-    j: its round-off depends on the order.
+    dict holds the sum and the snapshot count; all sensors' sums are one
+    batched reduction over a stack padded with -0.0 (x + -0.0 is x, bit
+    for bit).  Every sum runs in ascending j: its round-off depends on the
+    order.
     """
     snaps = window.snapshots
     if not snaps:
@@ -249,8 +287,12 @@ def window_statistics(window: SmootherWindow, smoothed: SmoothedWindow
     rows: dict[str, list[int]] = {}
     for j, snap in enumerate(snaps):
         rows.setdefault(snap.sensor_id, []).append(j)
-    measurement = {sid: (symmetrize(_ascending_sum(terms[idx])), len(idx))
-                   for sid, idx in rows.items()}
+    stack = np.full((max(map(len, rows.values())), len(rows), *terms.shape[1:]), -0.0)
+    for c, idx in enumerate(rows.values()):
+        stack[:len(idx), c] = terms[idx]
+    sums = _ascending_sum(stack)
+    sums = 0.5 * (sums + sums.transpose(0, 2, 1))
+    measurement = {sid: (sums[c], len(idx)) for c, (sid, idx) in enumerate(rows.items())}
 
     moving = np.flatnonzero(window.steps[1:count] > 0.0) + 1
     process = np.zeros(covs.shape[1:])
@@ -348,4 +390,5 @@ class VbNoiseAdapter:
                 noise_by_sensor[sensor_id] = big_b / b
 
         q_interval = self.T / self.t if self.t > 0.0 else None
-        return q_interval, float(np.mean(steps)) if steps else 1.0, noise_by_sensor
+        mean_steps = float(np.add.reduce(steps) / len(steps)) if steps else 1.0  # = np.mean
+        return q_interval, mean_steps, noise_by_sensor

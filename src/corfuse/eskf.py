@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .adapt_residual import ResidualNoiseAdapter
 from .adapt_vb import VbNoiseAdapter
@@ -185,12 +186,20 @@ def inject_and_reset(state: NominalState, delta: np.ndarray) -> NominalState:
     return NominalState(position, velocity, orientation, state.time)
 
 
-def _as_covariance(value: Union[float, np.ndarray], name: str) -> np.ndarray:
-    """``value`` times I for a finite scalar, else the symmetric part of a finite 9x9 matrix."""
+def _as_covariance(value: Union[float, np.ndarray], name: str,
+                   definite: bool = False) -> np.ndarray:
+    """``value`` times I for a finite scalar, else the symmetric part of a finite 9x9 matrix.
+
+    The result must be positive semidefinite, or positive definite (its
+    Cholesky factorization succeeds) when ``definite`` is set.
+    """
     mat = np.asarray(value, dtype=float)
     if mat.shape not in ((), (STATE_DIM, STATE_DIM)) or not np.isfinite(mat).all():
         raise ValueError(f"{name} must be a finite scalar or {STATE_DIM}x{STATE_DIM} matrix")
-    return symmetrize(float(mat) * np.eye(STATE_DIM) if mat.ndim == 0 else mat)
+    cov = symmetrize(float(mat) * np.eye(STATE_DIM) if mat.ndim == 0 else mat)
+    if (dpotrf(cov, lower=1)[1] != 0) if definite else (np.linalg.eigvalsh(cov)[0] < 0.0):
+        raise ValueError(f"{name} must be positive {'definite' if definite else 'semidefinite'}")
+    return cov
 
 
 @dataclass
@@ -233,7 +242,9 @@ class FusionEngine:
     measurement-noise covariance.  Those, the process noise and the initial
     covariance each take a finite scalar, meaning that value times the
     identity, or a finite 9x9 matrix, of which the symmetric part is kept.
-    The residual scheme estimates process noise from the first sensor.
+    Measurement noise must be positive definite, the process noise and the
+    initial covariance positive semidefinite.  The residual scheme
+    estimates process noise from the first sensor.
     Call :meth:`initialize` once, then feed events in time order through
     :meth:`process`.
     """
@@ -252,7 +263,7 @@ class FusionEngine:
         self._uses_kernel = config.variant in KERNEL_VARIANTS
         self.process_noise = _as_covariance(config.process_noise, "process noise")
         self._noise: dict[str, np.ndarray] = {
-            sensor_id: _as_covariance(noise, f"noise of sensor '{sensor_id}'")
+            sensor_id: _as_covariance(noise, f"noise of sensor '{sensor_id}'", definite=True)
             for sensor_id, noise in sensor_noise.items()}
         self._bandwidth = BandwidthState(
             adaptive=self._uses_kernel and config.sigma_mode == "adaptive",
@@ -327,7 +338,10 @@ class FusionEngine:
 
         A lag within TIME_TOLERANCE gives a gap of zero: the clock never goes back.
         """
-        if not all(map(math.isfinite, np.concatenate(values).tolist() + [event.time])):
+        finite = math.isfinite(event.time)
+        for array in values:
+            finite = finite and all(map(math.isfinite, array.tolist()))
+        if not finite:
             reason = "non_finite"
         elif event.time - self._nominal.time < -TIME_TOLERANCE:
             reason = "out_of_order"

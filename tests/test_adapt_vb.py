@@ -13,8 +13,9 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from corfuse.adapt_vb import (SmootherWindow, VbNoiseAdapter, WindowSnapshot,
-                              backward_smooth, window_statistics)
+                              _ascending_sum, backward_smooth, window_statistics)
 from corfuse.errors import AdaptationNotReady
+from corfuse.experiments import RunConfig, run_experiment
 from corfuse.filter_core import CorrentropyWeights, InnovationRecord
 from corfuse.linalg import psd_project, symmetrize
 
@@ -107,11 +108,61 @@ def test_same_instant_corrections_carry_no_process_evidence():
     window.push(scalar_snapshot(0.8, 1.0, 0.4, 0.6, residual=0.1))
     window.push(scalar_snapshot(0.7, 0.8, 0.3, 0.4, residual=0.0, steps=0.0))
     smoothed = backward_smooth(window)
-    np.testing.assert_allclose(window.snapshots[1].gain, np.eye(1))
-    assert smoothed.means[0][0] == pytest.approx(smoothed.means[1][0])
+    np.testing.assert_array_equal(window.snapshots[1].gain, np.eye(1))
+    np.testing.assert_array_equal(smoothed.means[0], smoothed.means[1])
     total, steps, _ = window_statistics(window, smoothed)
     assert steps == []
     assert total[0, 0] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_zero_step_snapshot_with_another_prior_still_solves_its_gain():
+    """Only an unchanged prior makes a zero-step transition same-instant."""
+    for cov_pred, prior_mean in ((0.6, 0.8), (0.4, 0.9)):
+        window = SmootherWindow(length=10)
+        window.push(scalar_snapshot(0.8, 1.0, 0.4, 0.6, residual=0.1))
+        window.push(scalar_snapshot(0.7, prior_mean, 0.3, cov_pred, residual=0.0, steps=0.0))
+        snap = window.snapshots[1]
+        solved = cho_solve(cho_factor(snap.record.cov_pred, lower=True),
+                           snap.transition @ window.snapshots[0].record.cov_post).T
+        np.testing.assert_array_equal(snap.gain, solved)
+        assert snap.gain.flags.writeable
+        smoothed = backward_smooth(window)
+        want = re_solving_smoother(window.snapshots)
+        np.testing.assert_array_equal(smoothed.means, want[0])
+
+
+def test_engine_window_shares_one_identity_gain_across_same_instant_snapshots():
+    """Three sensors at one rate: most transitions are same-instant row copies."""
+    engine = run_experiment(RunConfig(scenario="hover", filter="vb-amcckf", sensors=3,
+                                      odom_rate=20.0, window=20, duration=2.0, seed=3)).engine
+    window = engine._adapter.window
+    assert len(window) == 21
+    snaps = window.snapshots[1:]
+    instant = [snap for snap in snaps if snap.steps == 0.0]
+    assert 10 <= len(instant) < len(snaps)
+    shared = instant[0].gain
+    np.testing.assert_array_equal(shared, np.eye(9))
+    assert not shared.flags.writeable
+    for snap in snaps:
+        assert (snap.gain is shared) == (snap.steps == 0.0)
+        if snap.steps == 0.0:
+            assert snap.conditional_cov is instant[0].conditional_cov
+            np.testing.assert_array_equal(snap.conditional_cov, np.zeros((9, 9)))
+    smoothed = backward_smooth(window)
+    want_means, want_covs, _, _ = re_solving_smoother(window.snapshots)
+    np.testing.assert_allclose(smoothed.means, want_means, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(smoothed.covs, want_covs, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("shape", [(40, 1, 1), (40, 2, 1, 1), (40, 1, 3, 3), (40, 3, 9, 9)])
+def test_ascending_sum_adds_terms_in_order(shape):
+    """Bit for bit the left-to-right loop, also on 1x1 blocks that np.add.reduce pairs up."""
+    rng = np.random.default_rng(13)
+    terms = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    want = terms[0]
+    for term in terms[1:]:
+        want = want + term
+    np.testing.assert_array_equal(_ascending_sum(terms), want)
 
 
 def test_window_length_bounds_buffer():

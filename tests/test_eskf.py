@@ -564,6 +564,34 @@ def test_covariance_arguments_reject_non_finite_or_misshapen_values(where, value
         engine_with_covariance(where, value)
 
 
+INDEFINITE = np.diag([1e-5] * 8 + [-1e-9])
+SINGULAR = np.diag([1e-2] * 8 + [0.0])
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ("sensor", 0.0, "noise of sensor 'odo0' must be positive definite"),
+    ("sensor", -1e-3, "noise of sensor 'odo0' must be positive definite"),
+    ("sensor", SINGULAR, "noise of sensor 'odo0' must be positive definite"),
+    ("sensor", INDEFINITE, "noise of sensor 'odo0' must be positive definite"),
+    ("process", -1e-5, "process noise must be positive semidefinite"),
+    ("process", INDEFINITE, "process noise must be positive semidefinite"),
+    ("initial", -1e-4, "initial covariance must be positive semidefinite"),
+    ("initial", INDEFINITE, "initial covariance must be positive semidefinite"),
+], ids=["sensor-zero", "sensor-negative", "sensor-singular", "sensor-indefinite",
+        "process-negative", "process-indefinite", "initial-negative", "initial-indefinite"])
+def test_covariance_arguments_reject_values_that_are_not_covariances(where, value, message):
+    with pytest.raises(ValueError, match=message):
+        engine_with_covariance(where, value)
+
+
+@pytest.mark.parametrize("where", ["process", "initial"])
+@pytest.mark.parametrize("value", [0.0, SINGULAR], ids=["zero", "singular"])
+def test_process_noise_and_initial_covariance_may_be_singular(where, value):
+    engine = engine_with_covariance(where, value)
+    read = engine.process_noise if where == "process" else engine.covariance
+    np.testing.assert_array_equal(read, value * np.eye(STATE_DIM))  # both are diagonal
+
+
 def test_slightly_late_odometry_is_fused_at_the_current_time():
     """Odometry 0.5 ms behind the clock neither moves it back nor stretches the next step."""
     q0 = 1e-5

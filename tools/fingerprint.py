@@ -17,10 +17,11 @@ run in each are identical (``diff`` them).  Runs use the workload settings
 of ``perfbench/workloads.py`` in scenario mode, so no files are written.
 
 As in ``tools/sweep.py``, ``--seeds A-B`` picks the seeds (default 1-3),
-``--workload`` may be repeated and defaults to every workload, and
-``--duration`` shortens the streams (seconds):
+``--workload`` and ``--variant`` may be repeated and default to every
+workload and every variant, and ``--duration`` shortens the streams
+(seconds):
 
-    python tools/fingerprint.py --seeds 4-6 --workload vb_outliers
+    python tools/fingerprint.py --seeds 4-6 --workload vb_outliers --variant vb-amcckf
 """
 from __future__ import annotations
 
@@ -84,6 +85,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--seeds", type=parse_seeds, default=[1, 2, 3],
                         help="A-B, inclusive (default 1-3)")
     parser.add_argument("--duration", type=float, help="stream length in seconds")
+    parser.add_argument("--variant", action="append", choices=VARIANTS,
+                        help="filter variant (repeatable; default all)")
     args = parser.parse_args(argv)
     for name in args.workload or list(WORKLOADS):
         workload = WORKLOADS[name]
@@ -91,7 +94,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         for seed in args.seeds:
             digest = stream_fingerprint(workload.settings, duration, seed)
             print(f"{name} stream seed={seed} {digest}", flush=True)
-        for variant in VARIANTS:
+        for variant in args.variant or VARIANTS:
             for seed in args.seeds:
                 digest = fingerprint(workload.settings, duration, variant, seed)
                 print(f"{name} {variant} seed={seed} {digest}", flush=True)
