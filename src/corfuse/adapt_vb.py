@@ -238,12 +238,10 @@ def backward_smooth(window: SmootherWindow) -> SmoothedWindow:
 def _ascending_sum(terms: np.ndarray) -> np.ndarray:
     """Sum a stack over axis 0 strictly in ascending order.
 
-    ``np.add.reduce`` adds whole terms in order, but pairs them up when
-    each term is a single number (1x1 blocks), which changes the round-off;
-    that case goes through ``np.add.accumulate``.
+    ``np.sum`` pairs the terms up when the summed axis is the only one of
+    length above 1 (1x1 blocks), which changes the round-off.
     """
-    return (np.add.reduce(terms, axis=0) if terms[0].size > 1
-            else np.add.accumulate(terms, axis=0)[-1])
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def window_statistics(window: SmootherWindow, smoothed: SmoothedWindow

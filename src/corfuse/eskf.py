@@ -191,13 +191,19 @@ def _as_covariance(value: Union[float, np.ndarray], name: str,
     """``value`` times I for a finite scalar, else the symmetric part of a finite 9x9 matrix.
 
     The result must be positive semidefinite, or positive definite (its
-    Cholesky factorization succeeds) when ``definite`` is set.
+    Cholesky factorization succeeds) when ``definite`` is set.  A singular
+    covariance built in floating point, such as J diag(q) J^T with a 9x6 J,
+    has eigenvalues a few eps * lambda_max either side of zero where exact
+    ones are zero, so the semidefinite test passes eigenvalues down to
+    -10 * 9 * eps * lambda_max.
     """
     mat = np.asarray(value, dtype=float)
     if mat.shape not in ((), (STATE_DIM, STATE_DIM)) or not np.isfinite(mat).all():
         raise ValueError(f"{name} must be a finite scalar or {STATE_DIM}x{STATE_DIM} matrix")
     cov = symmetrize(float(mat) * np.eye(STATE_DIM) if mat.ndim == 0 else mat)
-    if (dpotrf(cov, lower=1)[1] != 0) if definite else (np.linalg.eigvalsh(cov)[0] < 0.0):
+    eig = None if definite else np.linalg.eigvalsh(cov)
+    if (dpotrf(cov, lower=1)[1] != 0) if definite else (
+            eig[0] < -10 * STATE_DIM * np.finfo(float).eps * max(eig[-1], np.finfo(float).tiny)):
         raise ValueError(f"{name} must be positive {'definite' if definite else 'semidefinite'}")
     return cov
 

@@ -592,6 +592,19 @@ def test_process_noise_and_initial_covariance_may_be_singular(where, value):
     np.testing.assert_array_equal(read, value * np.eye(STATE_DIM))  # both are diagonal
 
 
+@pytest.mark.parametrize("where", ["process", "initial"])
+def test_rank_deficient_covariance_with_round_off_eigenvalues_is_accepted(where):
+    """J diag(q) J^T with a 9x6 J is semidefinite; round-off gives it eigenvalues just below 0."""
+    rng = np.random.default_rng(6)
+    jac = rng.standard_normal((STATE_DIM, 6))
+    value = jac @ np.diag(rng.uniform(1e-6, 1e-4, 6)) @ jac.T
+    value = 0.5 * (value + value.T)
+    assert np.linalg.eigvalsh(value)[0] < 0.0  # the case the tolerance is for
+    engine = engine_with_covariance(where, value)
+    read = engine.process_noise if where == "process" else engine.covariance
+    np.testing.assert_array_equal(read, value)
+
+
 def test_slightly_late_odometry_is_fused_at_the_current_time():
     """Odometry 0.5 ms behind the clock neither moves it back nor stretches the next step."""
     q0 = 1e-5
