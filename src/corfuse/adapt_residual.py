@@ -33,6 +33,7 @@ from .errors import AdaptationNotReady
 from .filter_core import InnovationRecord
 from .linalg import floor_diagonal, psd_project, spd_solve, symmetrize
 
+# Smallest diagonal entry of an adapted noise covariance, Q or R.
 DIAG_FLOOR = 1e-12
 
 
@@ -66,7 +67,7 @@ class ResidualNoiseAdapter:
     weighted innovation products and its newest gain, so Q is only computed
     right after that sensor's corrections.  Such a Q covers one of its
     inter-correction intervals; ``advance`` counts the predict steps in
-    each interval so that the caller can spread Q back over single steps.
+    each interval so that ``refresh`` can spread Q back over single steps.
 
     The engine-facing calls match ``VbNoiseAdapter``: ``advance`` per
     predict step, ``correct`` per correction and then ``refresh``.
@@ -115,12 +116,13 @@ class ResidualNoiseAdapter:
             self._steps = 0.0
         self._newest = (sensor_id, record)
 
-    def refresh(self) -> tuple[Optional[np.ndarray], float, dict[str, np.ndarray]]:
-        """Estimates after the newest correction: (Q, interval steps, {sensor: R}).
+    def refresh(self) -> tuple[Optional[np.ndarray], dict[str, np.ndarray]]:
+        """Estimates after the newest correction: (per-step Q, {sensor: R}).
 
         Only the newest correction's sensor gets a new R.  Q is None unless
-        that sensor is the first one; the interval step count is then the
-        mean over its recent intervals (1.0 otherwise).  Raises
+        that sensor is the first one; the interval Q is then divided by the
+        mean step count of its recent intervals (each at least one step),
+        projected onto the PSD cone and floored.  Raises
         AdaptationNotReady before the first correction.
         """
         if self._newest is None:
@@ -134,7 +136,8 @@ class ResidualNoiseAdapter:
             fresh = (1.0 - self.smoothing) * previous + self.smoothing * fresh
         self._noise[sensor_id] = fresh
         if sensor_id != self._q_sensor:
-            return None, 1.0, {sensor_id: fresh}
+            return None, {sensor_id: fresh}
         gain = latest.gain
         process = floor_diagonal(psd_project(gain @ _mean(self._yy) @ gain.T), DIAG_FLOOR)
-        return process, float(np.mean(self._intervals)), {sensor_id: fresh}
+        per_step = process / float(np.mean(self._intervals))
+        return floor_diagonal(psd_project(per_step), DIAG_FLOOR), {sensor_id: fresh}

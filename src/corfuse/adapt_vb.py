@@ -30,10 +30,13 @@ dynamics composed since the last correction (``advance`` and
 Every term that depends on the buffered snapshots alone is computed once,
 when its snapshot is pushed: the smoother gain and conditional covariance
 on the snapshot, and the process statistic's terms in stacked
-``(W + 1, ...)`` buffers beside the snapshot's state, Jacobian, residual,
-weights and step count.  A refresh then does the backward pass, O(W) matrix
-products and no solves, and both window statistics as batched NumPy over
-the stacks (``window_statistics``).
+buffers beside the snapshot's state, Jacobian, residual, weights and step
+count.  A refresh then does the backward pass, O(W) matrix products and no
+solves, and both window statistics as batched NumPy over the stacks
+(``window_statistics``).  The process sum is certified positive definite
+by a Cholesky factorization and projected onto the PSD cone only when
+that fails, so ``refresh`` hands out the per-step Q without projecting it
+again.
 
 Same-instant rule: a snapshot with zero predict steps, an identity
 transition, and the previous snapshot's posterior covariance and state as
@@ -50,10 +53,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
+from .adapt_residual import DIAG_FLOOR
 from .errors import AdaptationNotReady
 from .filter_core import InnovationRecord
-from .linalg import psd_project, spd_solve
+from .linalg import floor_diagonal, psd_project, spd_solve, symmetrize
 
 log = logging.getLogger(__name__)
 
@@ -105,12 +110,15 @@ class SmootherWindow:
 
     ``push`` solves each snapshot's smoother gain and conditional covariance
     once (see ``WindowSnapshot``).  For ``window_statistics`` the window also
-    keeps stacked buffers whose row j belongs to ``snapshots[j]``; when the
-    window is full, a push shifts every buffer up by one row.  Per snapshot
-    they hold the state s_j, the observation Jacobian H_j, the residual r_j,
-    the unweighted kernel weights L_j and the step count.  Per transition j
-    (rows 1 on; row 0 is never read), with F_j the transition, x_j|j-1 the
-    prior mean, P_j|j-1 the prior covariance and A_j = F_j G_j-1, they hold
+    keeps stacked buffers of ``2 (length + 1)`` rows, whose row ``start + j``
+    belongs to ``snapshots[j]`` (``rows`` is that slice).  An eviction only
+    moves ``start`` on; when the next row would fall off the end, the live
+    rows are copied back to row 0, once every ``length + 2`` evictions.  Per
+    snapshot they hold the state s_j, the observation Jacobian H_j, the
+    residual r_j, the unweighted kernel weights L_j and the step count.  Per
+    transition j (the window's first row is never read), with F_j the
+    transition, x_j|j-1 the prior mean, P_j|j-1 the prior covariance and
+    A_j = F_j G_j-1, they hold
 
         B_j = I - A_j                                        (lifts)
         c_j = F_j D_j-1 F_j^T
@@ -125,9 +133,10 @@ class SmootherWindow:
     def __init__(self, length: int) -> None:
         self.length = length
         self.snapshots: list[WindowSnapshot] = []
+        self.start = 0
 
     def _allocate(self, dim: int, obs_dim: int) -> None:
-        rows = self.length + 1
+        rows = 2 * (self.length + 1)
         self.states = np.zeros((rows, dim))
         self.obs = np.zeros((rows, obs_dim, dim))
         self.residuals = np.zeros((rows, obs_dim))
@@ -153,9 +162,13 @@ class SmootherWindow:
             self._allocate(snapshot.state.shape[0], record.residual.shape[0])
         elif len(self.snapshots) > self.length:
             del self.snapshots[0]
-            for buffer in self._buffers:
-                buffer[:-1] = buffer[1:]
+            self.start += 1
+            if self.start + self.length == len(self.steps):
+                for buffer in self._buffers:
+                    buffer[:self.length] = buffer[self.start:]
+                self.start = 0
         j = len(self.snapshots)
+        row = self.start + j
         if j and _same_instant(snapshot, self.snapshots[-1], self._eye):
             snapshot.gain, snapshot.conditional_cov = self._eye, self._zeros
         elif j:
@@ -168,15 +181,20 @@ class SmootherWindow:
             cond = snapshot.conditional_cov = (prev.record.cov_post
                                                - gain @ record.cov_pred @ gain.T)
             lift = trans @ gain
-            self.lifts[j] = self._eye - lift
-            self.consts[j] = trans @ cond @ trans.T
-            self.offsets[j] = lift @ snapshot.prior_mean - trans @ prev.state
-        self.states[j] = snapshot.state
-        self.obs[j] = record.obs_jacobian
-        self.residuals[j] = record.residual
-        self.weights[j] = record.weights.unweighted
-        self.steps[j] = snapshot.steps
+            self.lifts[row] = self._eye - lift
+            self.consts[row] = trans @ cond @ trans.T
+            self.offsets[row] = lift @ snapshot.prior_mean - trans @ prev.state
+        self.states[row] = snapshot.state
+        self.obs[row] = record.obs_jacobian
+        self.residuals[row] = record.residual
+        self.weights[row] = record.weights.unweighted
+        self.steps[row] = snapshot.steps
         self.snapshots.append(snapshot)
+
+    @property
+    def rows(self) -> slice:
+        """The buffer rows of the snapshots, oldest first."""
+        return slice(self.start, self.start + len(self.snapshots))
 
     def __len__(self) -> int:
         return len(self.snapshots)
@@ -254,8 +272,11 @@ def window_statistics(window: SmootherWindow, smoothed: SmoothedWindow
 
         O_j = B_j P_j|k B_j^T + c_j + x~_j x~_j^T
 
-    to a sum projected onto the PSD cone to absorb round-off, and its step
-    count to the returned list.  This is the expectation-maximization
+    to a sum, and its step count to the returned list.  The sum is
+    symmetrized and, unless a Cholesky factorization certifies it positive
+    definite, projected onto the PSD cone to absorb round-off; a window
+    with no moving transition returns zeros and factorizes nothing.  This
+    is the expectation-maximization
     statistic P_j|k - F_j P_j-1,j|k - P_j-1,j|k^T F_j^T + F_j P_j-1|k F_j^T
     + x~_j x~_j^T, x~_j = x_j|k - F_j x_j-1|k, with the lag-one
     cross-covariance P_j-1,j|k = G_j-1 P_j|k and the backward recursion
@@ -273,13 +294,13 @@ def window_statistics(window: SmootherWindow, smoothed: SmoothedWindow
     snaps = window.snapshots
     if not snaps:
         raise AdaptationNotReady("window statistics need a non-empty window")
-    count = len(snaps)
     means, covs = smoothed.means, smoothed.covs
+    live = window.rows
 
-    obs = window.obs[:count]
-    residual = window.residuals[:count] + (
-        obs @ (window.states[:count] - means)[:, :, None])[:, :, 0]
-    weighted = window.weights[:count] * residual
+    obs = window.obs[live]
+    residual = window.residuals[live] + (
+        obs @ (window.states[live] - means)[:, :, None])[:, :, 0]
+    weighted = window.weights[live] * residual
     terms = (weighted[:, :, None] * weighted[:, None, :]
              + obs @ covs @ obs.transpose(0, 2, 1))
     rows: dict[str, list[int]] = {}
@@ -292,14 +313,18 @@ def window_statistics(window: SmootherWindow, smoothed: SmoothedWindow
     sums = 0.5 * (sums + sums.transpose(0, 2, 1))
     measurement = {sid: (sums[c], len(idx)) for c, (sid, idx) in enumerate(rows.items())}
 
-    moving = np.flatnonzero(window.steps[1:count] > 0.0) + 1
-    process = np.zeros(covs.shape[1:])
-    if moving.size:
-        lifts = window.lifts[moving]
-        tilde = (lifts @ means[moving, :, None])[:, :, 0] + window.offsets[moving]
-        process = _ascending_sum(lifts @ covs[moving] @ lifts.transpose(0, 2, 1)
-                                 + window.consts[moving] + tilde[:, :, None] * tilde[:, None, :])
-    return psd_project(process), window.steps[moving].tolist(), measurement
+    steps = window.steps[live]
+    moving = np.flatnonzero(steps[1:] > 0.0) + 1
+    if not moving.size:
+        return np.zeros(covs.shape[1:]), [], measurement
+    lifts = window.lifts[live][moving]
+    tilde = (lifts @ means[moving, :, None])[:, :, 0] + window.offsets[live][moving]
+    process = symmetrize(_ascending_sum(lifts @ covs[moving] @ lifts.transpose(0, 2, 1)
+                                        + window.consts[live][moving]
+                                        + tilde[:, :, None] * tilde[:, None, :]))
+    if dpotrf(process, lower=1)[1] != 0:  # not certified positive definite
+        process = psd_project(process)
+    return process, steps[moving].tolist(), measurement
 
 
 class VbNoiseAdapter:
@@ -314,10 +339,8 @@ class VbNoiseAdapter:
     An error-state engine reports each predict step through ``advance`` and
     each correction through ``correct``, which builds and pushes the
     snapshot in the no-reset frame.  ``refresh`` is called after each
-    pushed correction and returns the per-transition process noise
-    estimate, the mean predict-step count per transition (for rescaling Q
-    to a per-step value), and a mapping of sensor id to updated
-    measurement noise.
+    pushed correction and returns the per-step process noise and a mapping
+    of sensor id to updated measurement noise.
     """
 
     def __init__(self, state_dim: int, obs_dim: int, window: int = 10,
@@ -357,14 +380,16 @@ class VbNoiseAdapter:
     def push(self, snapshot: WindowSnapshot) -> None:
         self.window.push(snapshot)
 
-    def refresh(self) -> tuple[Optional[np.ndarray], float, dict[str, np.ndarray]]:
+    def refresh(self) -> tuple[Optional[np.ndarray], dict[str, np.ndarray]]:
         """Run the backward pass and update all hyperparameters.
 
         Raises AdaptationNotReady until the window holds two snapshots.
-        The process-noise estimate is None until at least one transition
-        with a positive step count has been folded in; callers keep their
-        current value in that case.  The step count returned is the mean
-        over the window's transitions with a positive count (1 if none).
+        Returns ``(Q, {sensor: R})``.  Q = T / t estimates the noise of one
+        transition; it is spread over the mean predict-step count of the
+        window's moving transitions (at least one step) and its diagonal
+        floored, giving a per-step value.  Q is None until at least one
+        moving transition has been folded in; callers keep their current
+        value in that case.
         """
         rho = self.forgetting
         if len(self.window) < 2:
@@ -376,17 +401,20 @@ class VbNoiseAdapter:
             self.T = rho * self.T + o_sum
 
         # T and every B are sums of exactly symmetric terms, so the point
-        # estimates T / t and B / b are exactly symmetric too.
+        # estimates T / t and B / b are exactly symmetric too.  Each process
+        # sum added to T was certified or projected PSD, so Q is not
+        # projected again.
         noise_by_sensor: dict[str, np.ndarray] = {}
         for sensor_id, (m_sum, m_count) in by_sensor.items():
-            b_prev, big_b_prev = self.measurement.get(
-                sensor_id, (0.0, np.zeros((self._obs_dim, self._obs_dim))))
+            b_prev, big_b_prev = self.measurement.get(sensor_id) or (
+                0.0, np.zeros((self._obs_dim, self._obs_dim)))
             b = rho * b_prev + m_count
             big_b = rho * big_b_prev + m_sum
             self.measurement[sensor_id] = (b, big_b)
             if b > 0.0:
                 noise_by_sensor[sensor_id] = big_b / b
 
-        q_interval = self.T / self.t if self.t > 0.0 else None
+        if self.t <= 0.0:
+            return None, noise_by_sensor
         mean_steps = float(np.add.reduce(steps) / len(steps)) if steps else 1.0  # = np.mean
-        return q_interval, mean_steps, noise_by_sensor
+        return floor_diagonal(self.T / self.t / max(mean_steps, 1.0), DIAG_FLOOR), noise_by_sensor

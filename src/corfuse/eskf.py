@@ -40,7 +40,7 @@ from .filter_core import (
     predict,
 )
 from .kernel_bandwidth import BandwidthState
-from .linalg import floor_diagonal, psd_project, symmetrize
+from .linalg import symmetrize
 from .so3 import (
     quat_conjugate,
     quat_from_rotvec,
@@ -426,15 +426,9 @@ class FusionEngine:
 
     def _refresh_noise(self) -> None:
         try:
-            q_interval, interval_steps, noise_by_sensor = self._adapter.refresh()
+            q_step, noise_by_sensor = self._adapter.refresh()
         except AdaptationNotReady:
             return
         self._noise.update(noise_by_sensor)
-        if self.config.adapt_q and q_interval is not None:
-            self._set_process_noise(q_interval, interval_steps)
-
-    def _set_process_noise(self, q_interval: np.ndarray, interval_steps: float) -> None:
-        # The window statistics measure process noise accumulated over one
-        # inter-correction interval; spread it back over the predict steps.
-        per_step = q_interval / max(interval_steps, 1.0)
-        self.process_noise = floor_diagonal(psd_project(per_step), 1e-12)
+        if self.config.adapt_q and q_step is not None:
+            self.process_noise = q_step

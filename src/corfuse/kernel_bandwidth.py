@@ -37,7 +37,7 @@ def adapt_bandwidth(innovation: np.ndarray, noise_prev: np.ndarray,
     denom = y * y / r_diag + hph
     with np.errstate(divide="ignore"):
         sigma = 1.0 / denom
-    return np.clip(sigma, sigma_min, sigma_max)
+    return np.minimum(np.maximum(sigma, sigma_min), sigma_max)  # np.clip's bits, at half its cost
 
 
 @dataclass

@@ -31,7 +31,7 @@ def random_spd(rng, n, scale=1.0):
 
 
 def measurement_noise(adapter, sensor_id="z"):
-    _, _, by_sensor = adapter.refresh()
+    _, by_sensor = adapter.refresh()
     assert list(by_sensor) == [sensor_id]
     return by_sensor[sensor_id]
 
@@ -73,7 +73,7 @@ def test_zero_weight_gates_residual_out_of_estimate():
 def test_noise_floor_keeps_estimate_invertible():
     adapter = ResidualNoiseAdapter(["z"], window=4)
     adapter.push("z", make_record([0.0, 0.0], [0.0, 0.0], np.eye(2), np.zeros((2, 2))))
-    process, _, by_sensor = adapter.refresh()
+    process, by_sensor = adapter.refresh()
     assert np.all(np.diag(by_sensor["z"]) == 1e-12)
     assert np.all(np.diag(process) == 1e-12)
 
@@ -88,7 +88,7 @@ def test_process_estimate_is_psd_and_uses_newest_gain():
         adapter.push("z", make_record(rng.standard_normal(2), innovation,
                                       rng.standard_normal((2, 4)), np.eye(4), gain=gain))
         outers.append(np.outer(innovation, innovation))
-    process, _, _ = adapter.refresh()
+    process, _ = adapter.refresh()
     assert np.min(np.linalg.eigvalsh(process)) >= -1e-12
     gamma = sum(outers[1:], outers[0]) / len(outers)
     expected = gain @ gamma @ gain.T  # newest gain from the loop above
@@ -120,13 +120,13 @@ def two_sensor_record(value):
 def test_process_noise_follows_the_first_sensor_only():
     adapter = ResidualNoiseAdapter(["a", "b"], window=4)
     adapter.correct("b", two_sensor_record(5.0), np.zeros(1))
-    q, steps, by_sensor = adapter.refresh()
-    assert q is None and steps == 1.0 and list(by_sensor) == ["b"]
+    q, by_sensor = adapter.refresh()
+    assert q is None and list(by_sensor) == ["b"]
     adapter.correct("a", two_sensor_record(2.0), np.zeros(1))
-    q, _, by_sensor = adapter.refresh()
+    q, by_sensor = adapter.refresh()
     assert q[0, 0] == pytest.approx(4.0) and list(by_sensor) == ["a"]
     adapter.correct("b", two_sensor_record(7.0), np.zeros(1))
-    q, _, _ = adapter.refresh()
+    q, _ = adapter.refresh()
     assert q is None
 
 
@@ -146,9 +146,10 @@ def test_interval_steps_average_the_first_sensors_intervals():
         for _ in range(steps):
             adapter.advance(np.eye(1), 1.0)
         adapter.correct(sensor_id, two_sensor_record(1.0), np.zeros(1))
-        _, interval_steps, _ = adapter.refresh()
-    # Intervals of 4, 8 and a same-instant correction counted as one step.
-    assert interval_steps == pytest.approx((4.0 + 8.0 + 1.0) / 3.0)
+        q_step, _ = adapter.refresh()
+    # An interval Q of 1 spread over the mean of intervals of 4, 8 and a
+    # same-instant correction counted as one step.
+    assert q_step[0, 0] == pytest.approx(3.0 / (4.0 + 8.0 + 1.0))
 
 
 # ---------------------------------------------------------------------------

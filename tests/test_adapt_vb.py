@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+from corfuse import adapt_vb
+from corfuse.adapt_residual import DIAG_FLOOR
 from corfuse.adapt_vb import (SmootherWindow, VbNoiseAdapter, WindowSnapshot,
                               _ascending_sum, backward_smooth, window_statistics)
 from corfuse.errors import AdaptationNotReady
 from corfuse.experiments import RunConfig, run_experiment
 from corfuse.filter_core import CorrentropyWeights, InnovationRecord
-from corfuse.linalg import psd_project, symmetrize
+from corfuse.linalg import floor_diagonal, psd_project, symmetrize
 
 UNIT = CorrentropyWeights(unweighted=np.array([1.0]), weighted=np.array([1.0]))
 
@@ -129,6 +131,77 @@ def test_zero_step_snapshot_with_another_prior_still_solves_its_gain():
         smoothed = backward_smooth(window)
         want = re_solving_smoother(window.snapshots)
         np.testing.assert_array_equal(smoothed.means, want[0])
+
+
+def spy_on_projection(monkeypatch):
+    """Record every matrix ``window_statistics`` hands to ``psd_project``."""
+    calls = []
+    monkeypatch.setattr(adapt_vb, "psd_project", lambda a: calls.append(a) or psd_project(a))
+    return calls
+
+
+def test_certified_process_sum_has_the_bits_of_its_projection(monkeypatch):
+    """A sum Cholesky accepts is returned without eigh, as psd_project returns it."""
+    window = SmootherWindow(length=10)
+    for fields in random_snapshot_data(np.random.default_rng(5), 11):
+        window.push(snapshot_from(fields))
+    smoothed = backward_smooth(window)
+    calls = spy_on_projection(monkeypatch)
+    certified, steps, _ = window_statistics(window, smoothed)
+    assert steps and calls == []
+    monkeypatch.setattr(adapt_vb, "dpotrf", lambda a, lower: (a, 1))  # refuse every certificate
+    projected, _, _ = window_statistics(window, smoothed)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(certified, projected)
+
+
+def two_state_snapshot(state, cov, cov_pred, steps=1.0):
+    """Two uncoupled scalar states observed through their sum."""
+    weights = CorrentropyWeights(unweighted=np.ones(1), weighted=np.ones(1))
+    record = InnovationRecord(
+        innovation=np.zeros(1), residual=np.zeros(1), obs_jacobian=np.ones((1, 2)),
+        cov_pred=np.diag(cov_pred), cov_post=np.diag(cov), gain=np.zeros((2, 1)),
+        weights=weights)
+    return WindowSnapshot(record=record, state=np.array(state), prior_mean=np.array(state),
+                          transition=np.eye(2), steps=steps)
+
+
+def test_indefinite_process_sum_is_still_clipped(monkeypatch):
+    """A prior tighter than the previous posterior makes the second state's term negative.
+
+    State 1 is consistent (P- = 2 > P+ = 1): gain 1/2, D = 1/2, B = 1/2 and
+    O = 1/4 * 1/2 + 1/2 > 0.  State 2 is not (P- = 1/2 < P+ = 1): gain 2,
+    D = -1, B = -1 and O = 1/10 - 1 < 0.  The sum fails the certificate and
+    is projected, clipping the negative eigenvalue to zero.
+    """
+    window = SmootherWindow(length=4)
+    window.push(two_state_snapshot([0.0, 0.0], [1.0, 1.0], [2.0, 2.0]))
+    window.push(two_state_snapshot([0.0, 0.0], [0.5, 0.1], [2.0, 0.5]))
+    calls = spy_on_projection(monkeypatch)
+    total, steps, _ = window_statistics(window, backward_smooth(window))
+    assert steps == [1.0] and len(calls) == 1
+    np.testing.assert_allclose(np.diag(calls[0]), [0.625, -0.9], rtol=1e-12)
+    np.testing.assert_array_equal(total, psd_project(calls[0]))
+    np.testing.assert_allclose(total, np.diag([0.625, 0.0]), rtol=0, atol=1e-15)
+
+
+def test_window_of_same_instant_transitions_factorizes_nothing(monkeypatch):
+    """Without a moving transition the process sum is zero, with no eigh or Cholesky."""
+    window = SmootherWindow(length=4)
+    window.push(scalar_snapshot(0.8, 1.0, 0.4, 0.6, residual=0.1))
+    for _ in range(3):
+        prev = window.snapshots[-1]
+        window.push(scalar_snapshot(prev.state[0], prev.state[0], 0.4, 0.4, residual=0.0,
+                                    steps=0.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorized a zero process sum")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(adapt_vb, "dpotrf", refuse)
+    total, steps, by_sensor = window_statistics(window, backward_smooth(window))
+    assert steps == [] and list(by_sensor) == ["s"]
+    np.testing.assert_array_equal(total, np.zeros((1, 1)))
 
 
 def test_engine_window_shares_one_identity_gain_across_same_instant_snapshots():
@@ -314,9 +387,15 @@ def snapshot_from(fields):
         transition=fields["trans"], steps=fields["steps"], sensor_id=fields["sensor"])
 
 
-def test_evicting_window_matches_a_fresh_window_of_its_snapshots_bitwise():
-    """The shifted buffers hold exactly what pushing only the kept snapshots gives."""
-    data = random_snapshot_data(np.random.default_rng(77), 13)
+@pytest.mark.parametrize("pushes", range(5, 17))
+def test_evicting_window_matches_a_fresh_window_of_its_snapshots_bitwise(pushes):
+    """The buffers hold exactly what pushing only the kept snapshots gives.
+
+    At W = 4 the buffers have 10 rows and are compacted at the 11th push:
+    5 to 16 pushes put the window at every start row, on both sides of a
+    compaction.
+    """
+    data = random_snapshot_data(np.random.default_rng(77), pushes)
     rolled = VbNoiseAdapter(state_dim=9, obs_dim=3, window=4)
     for fields in data:
         rolled.push(snapshot_from(fields))
@@ -332,11 +411,10 @@ def test_evicting_window_matches_a_fresh_window_of_its_snapshots_bitwise():
     want_stats = window_statistics(fresh.window, want)
     np.testing.assert_array_equal(got_stats[0], want_stats[0])
     assert got_stats[1] == want_stats[1] and 0.0 not in got_stats[1]
-    q, steps, noise = rolled.refresh()
-    want_q, want_steps, want_noise = fresh.refresh()
+    q, noise = rolled.refresh()
+    want_q, want_noise = fresh.refresh()
     np.testing.assert_array_equal(q, want_q)
-    assert steps == want_steps
-    assert list(noise) == list(want_noise) == ["a", "b"]
+    assert list(noise) == list(want_noise) == ["ab"[(pushes - 5) % 2], "ab"[pushes % 2]]
     for sid in noise:
         np.testing.assert_array_equal(noise[sid], want_noise[sid])
 
@@ -447,8 +525,8 @@ def test_extract_noise_point_estimates_and_guard():
         fresh.refresh()
     adapter = full_window_adapter(4, forgetting=0.5)
     adapter.refresh()
-    q, _, by_sensor = adapter.refresh()
-    # point estimates Q = T / t and R = B / b
+    q, by_sensor = adapter.refresh()
+    # point estimates Q = T / t (one step per transition) and R = B / b
     b, big_b = adapter.measurement["s"]
     assert q[0, 0] == pytest.approx(adapter.T[0, 0] / adapter.t)
     assert by_sensor["s"][0, 0] == pytest.approx(big_b[0, 0] / b)
@@ -522,9 +600,8 @@ def test_adapter_withholds_process_estimate_without_real_transitions():
     adapter.push(scalar_snapshot(0.8, 1.0, 0.4, 0.6, residual=0.1))
     adapter.push(scalar_snapshot(0.7, 0.8, 0.3, 0.4, residual=0.0,
                                  steps=0.0))
-    q, steps, by_sensor = adapter.refresh()
+    q, by_sensor = adapter.refresh()
     assert q is None
-    assert steps == 1.0
     assert "s" in by_sensor  # measurement evidence still flows
 
 
@@ -536,7 +613,7 @@ def test_adapter_tracks_measurement_noise_per_sensor():
         resid = rng.normal(0.0, 0.1 if sensor == "a" else 1.0)
         adapter.push(scalar_snapshot(0.0, 0.0, 1e-6, 1e-6,
                                      residual=resid, sensor=sensor))
-    _, _, by_sensor = adapter.refresh()
+    _, by_sensor = adapter.refresh()
     assert set(by_sensor) == {"a", "b"}
     assert by_sensor["b"][0, 0] > by_sensor["a"][0, 0]
 
@@ -549,7 +626,8 @@ def test_adapter_mean_steps_ignores_instant_transitions():
     adapter.push(scalar_snapshot(0.0, 0.0, 0.5, 1.0, 0.0, steps=6.0))
     _, steps, _ = window_statistics(adapter.window, backward_smooth(adapter.window))
     assert steps == [4.0, 6.0]
-    assert adapter.refresh()[1] == pytest.approx(5.0)
+    q_step, _ = adapter.refresh()
+    np.testing.assert_array_equal(q_step, floor_diagonal(adapter.T / adapter.t / 5.0, DIAG_FLOOR))
 
 
 def test_closed_loop_measurement_noise_identification():
@@ -569,7 +647,7 @@ def test_closed_loop_measurement_noise_identification():
         p = (1.0 - gain) ** 2 * p_prior + gain * r_hat * gain
         adapter.push(scalar_snapshot(m, m_prior, p, p_prior, residual=z - m))
         try:
-            _, _, by_sensor = adapter.refresh()
+            _, by_sensor = adapter.refresh()
             r_hat = by_sensor["s"][0, 0]
         except AdaptationNotReady:
             pass

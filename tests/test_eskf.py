@@ -10,7 +10,8 @@ is tight.
 import numpy as np
 import pytest
 
-from corfuse.adapt_residual import check_identity_gamma
+from corfuse.adapt_residual import DIAG_FLOOR, _mean, check_identity_gamma
+from corfuse.adapt_vb import backward_smooth, window_statistics
 from corfuse.errors import MeasurementRejected
 from corfuse.eskf import (GRAVITY, QUAT_NORM_TOLERANCE, STATE_DIM, VARIANTS, EngineConfig,
                           FusionEngine, ImuSample, NominalState, OdometrySample,
@@ -18,6 +19,7 @@ from corfuse.eskf import (GRAVITY, QUAT_NORM_TOLERANCE, STATE_DIM, VARIANTS, Eng
                           observation_residual, propagate_nominal)
 from corfuse.experiments import RunConfig, build_engine, build_scenario
 from corfuse.kernel_bandwidth import adapt_bandwidth
+from corfuse.linalg import floor_diagonal, psd_project
 from corfuse.sim import generate_truth, sample_sensors
 from corfuse.so3 import (quat_conjugate, quat_from_rotvec, quat_multiply,
                          quat_normalize, quat_to_rotvec)
@@ -638,15 +640,37 @@ def test_residual_q_split_uses_the_q_sensor_interval():
     config = EngineConfig(variant="r-amcckf")
     engine = FusionEngine(config, {"slow": 0.01, "fast": 0.01})
     engine.initialize(make_state(), 1e-4)
-    interval_steps = []
-    set_process_noise = engine._set_process_noise
+    adapter = engine._adapter
+    refresh = adapter.refresh
+    splits = []
 
-    def spy(q_interval, steps):
-        interval_steps.append(steps)
-        set_process_noise(q_interval, steps)
+    def spy():
+        q_step, noise_by_sensor = refresh()
+        if q_step is not None:
+            gain = adapter._newest[1].gain
+            interval_q = floor_diagonal(psd_project(gain @ _mean(adapter._yy) @ gain.T),
+                                        DIAG_FLOOR)
+            splits.append((interval_q, float(np.mean(adapter._intervals)), q_step))
+        return q_step, noise_by_sensor
 
-    engine._set_process_noise = spy
+    adapter.refresh = spy
     for event in events:
         engine.process(event)
-    assert len(interval_steps) == 10
-    assert interval_steps == pytest.approx([20.0] * 10)
+    assert len(splits) == 10
+    assert [steps for _, steps, _ in splits] == pytest.approx([20.0] * 10)
+    for interval_q, steps, q_step in splits:
+        np.testing.assert_array_equal(
+            q_step, floor_diagonal(psd_project(interval_q / steps), DIAG_FLOOR))
+    assert engine.process_noise is splits[-1][2]
+
+
+def test_vb_q_is_not_spread_over_less_than_one_step():
+    """Odometry between IMU samples makes fractional transitions; Q stays T / t."""
+    events = hover_events(duration=1.0, imu_rate=20.0, odom_rate=50.0, noise=0.005, seed=2)
+    assert isinstance(events[-1], OdometrySample)
+    engine, _ = run_engine(EngineConfig(variant="vb-amcckf", window=5), events)
+    adapter = engine._adapter
+    steps = window_statistics(adapter.window, backward_smooth(adapter.window))[1]
+    assert 0.0 < np.mean(steps) < 1.0
+    np.testing.assert_array_equal(engine.process_noise,
+                                  floor_diagonal(adapter.T / adapter.t, DIAG_FLOOR))
