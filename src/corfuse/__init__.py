@@ -32,7 +32,6 @@ from .eskf import (
 )
 from .experiments import RunConfig, bench, compare, run_experiment
 from .filter_core import (
-    GaussianBelief,
     InnovationRecord,
     correntropy_weights,
     kf_update,
@@ -52,7 +51,6 @@ __all__ = [
     "DataError",
     "EngineConfig",
     "FusionEngine",
-    "GaussianBelief",
     "ImuSample",
     "InnovationRecord",
     "MeasurementRejected",

@@ -32,13 +32,7 @@ from scipy.linalg.lapack import dpotrf
 from .adapt_residual import ResidualNoiseAdapter
 from .adapt_vb import VbNoiseAdapter
 from .errors import AdaptationNotReady, MeasurementRejected
-from .filter_core import (
-    GaussianBelief,
-    InnovationRecord,
-    kf_update,
-    mcckf_update,
-    predict,
-)
+from .filter_core import InnovationRecord, kf_update, mcckf_update, predict
 from .kernel_bandwidth import BandwidthState
 from .linalg import symmetrize
 from .so3 import (
@@ -263,6 +257,12 @@ class FusionEngine:
         if config.sigma_mode not in SIGMA_MODES:
             raise ValueError(
                 f"unknown sigma_mode '{config.sigma_mode}'; expected one of {SIGMA_MODES}")
+        # Each check is written so that NaN fails it.
+        if not 0.0 < config.sigma_static < math.inf:
+            raise ValueError(f"sigma_static must be positive and finite, got {config.sigma_static}")
+        if not 0.0 < config.sigma_min < config.sigma_max:
+            raise ValueError("sigma_min and sigma_max must satisfy 0 < sigma_min < sigma_max, "
+                             f"got {config.sigma_min} and {config.sigma_max}")
         if not sensor_noise:
             raise ValueError("at least one odometry sensor is required")
         self.config = config
@@ -287,7 +287,8 @@ class FusionEngine:
 
         # _nominal.time is the engine's one clock: every dt is measured from it.
         self._nominal: Optional[NominalState] = None
-        self._belief: Optional[GaussianBelief] = None
+        # The error covariance P; the error mean is zero between events.
+        self._cov: Optional[np.ndarray] = None
         self._last_imu: Optional[ImuSample] = None
         self._imu_period: Optional[float] = None
         self.dropped = {"out_of_order": 0, "non_finite": 0, "rejected": 0}
@@ -301,8 +302,9 @@ class FusionEngine:
 
     @property
     def covariance(self) -> np.ndarray:
-        assert self._belief is not None, "engine not initialized"
-        return self._belief.cov
+        """The error covariance P, exactly symmetric; not a copy."""
+        assert self._cov is not None, "engine not initialized"
+        return self._cov
 
     def measurement_noise(self, sensor_id: str) -> np.ndarray:
         return self._noise[sensor_id]
@@ -315,13 +317,12 @@ class FusionEngine:
     def initialize(self, state: NominalState,
                    cov: Union[float, np.ndarray] = 1e-4) -> None:
         """Start at ``state`` with initial covariance ``cov`` (see the class docstring)."""
-        self._belief = GaussianBelief(np.zeros(STATE_DIM),
-                                      _as_covariance(cov, "initial covariance"))
+        self._cov = _as_covariance(cov, "initial covariance")
         self._nominal = state.copy()
 
     def process(self, event: Event) -> Optional[CorrectionResult]:
         """Advance the filter by one event; odometry returns a correction record."""
-        if self._belief is None or self._nominal is None:
+        if self._cov is None or self._nominal is None:
             raise RuntimeError("call initialize() before processing events")
         if isinstance(event, ImuSample):
             return self._handle_imu(event)
@@ -334,7 +335,7 @@ class FusionEngine:
     def _advance(self, dt: float, imu: ImuSample) -> None:
         scale = dt / self._imu_period if self._imu_period else 1.0
         nominal, trans = imu_step(self._nominal, imu, dt)
-        self._belief = predict(self._belief, trans, self.process_noise * scale)
+        self._cov = predict(self._cov, trans, self.process_noise * scale)
         self._nominal = nominal
         if self._adapter is not None:
             self._adapter.advance(trans, scale)
@@ -394,23 +395,24 @@ class FusionEngine:
         if abs(norm - 1.0) > QUAT_NORM_TOLERANCE:
             return self._reject(sample, MeasurementRejected(f"quaternion norm {norm:.6g}, not 1"))
         y, obs_jac = observation_residual(self._nominal, sample)
-        sigma = self._bandwidth.update(y, noise, obs_jac, self._belief.cov)
-        # A refused correction leaves the state, belief and adapter as they were.
+        sigma = self._bandwidth.update(y, noise, obs_jac, self._cov)
+        # A refused correction leaves the state, covariance and adapter as they were.
         try:
             if self._uses_kernel:
-                posterior, record = mcckf_update(self._belief, y, obs_jac, noise, sigma,
-                                                 sensor_id)
+                delta, record = mcckf_update(self._cov, y, obs_jac, noise, sigma, sensor_id)
             else:
-                posterior, record = kf_update(self._belief, y, obs_jac, noise, sensor_id)
+                delta, record = kf_update(self._cov, y, obs_jac, noise, sensor_id)
         except MeasurementRejected as exc:
             return self._reject(sample, exc)
         try:
-            self._nominal = inject_and_reset(self._nominal, posterior.mean)
+            self._nominal = inject_and_reset(self._nominal, delta)
         except ValueError as exc:
             return self._reject(sample, exc)
-        self._belief = GaussianBelief(np.zeros(STATE_DIM), posterior.cov)
+        # The very object: the VB window tells a same-instant correction by
+        # its cov_pred being the previous correction's cov_post.
+        self._cov = record.cov_post
         if self._adapter is not None:
-            self._adapter.correct(sensor_id, record, posterior.mean)
+            self._adapter.correct(sensor_id, record, delta)
             self._refresh_noise()
 
         return CorrectionResult(

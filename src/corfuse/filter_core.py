@@ -1,9 +1,13 @@
 """Prediction and correction primitives with correntropy-weighted gains.
 
-The primitives act on a linear(ized) error state and take the model as
-plain matrices: ``predict`` a transition F and process noise Q,
-``mcckf_update`` and ``kf_update`` an observation matrix H and
-measurement noise R.
+The primitives act on the covariance P of an error state whose mean is
+zero before every step, as in an error-state filter that injects each
+correction into its nominal state and resets the error.  They take the
+model as plain matrices: ``predict`` a transition F and process noise Q,
+``mcckf_update`` and ``kf_update`` the innovation y, an observation matrix
+H and measurement noise R, and return the error estimate delta = K y.  A
+filter that carries a non-zero prior mean m passes y = z - H m and adds
+delta to m.
 
 The correction gain is computed in covariance form (Chen et al., "Maximum
 correntropy Kalman filter", Automatica 2017),
@@ -30,15 +34,16 @@ measurement noise,
 which stays positive semidefinite for any gain, weighted or not.
 
 Symmetry contract: every covariance these primitives return (``predict``'s
-and the posterior, also kept as ``InnovationRecord.cov_post``) is exactly
-symmetric, bit for bit, because each is the symmetric part 0.5 (A + A^T).
-Callers pass exactly symmetric covariances in; the correction uses the
-prior covariance as given and records it as ``cov_pred``.
+and the posterior ``InnovationRecord.cov_post``) is exactly symmetric, bit
+for bit, because each is the symmetric part 0.5 (A + A^T).  Callers pass
+exactly symmetric covariances in; the correction uses the prior covariance
+as given, the very object, and records it as ``cov_pred``.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -50,18 +55,6 @@ log = logging.getLogger(__name__)
 # Clamp for kernel exponents: exp(-700) is still a normal float, so weights
 # stay strictly positive without drifting into denormal territory.
 EXP_FLOOR = -700.0
-
-
-@dataclass
-class GaussianBelief:
-    """Gaussian state belief: mean vector and covariance."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.cov = np.asarray(self.cov, dtype=float)
 
 
 @dataclass
@@ -83,8 +76,8 @@ class CorrentropyWeights:
 class InnovationRecord:
     """Everything a noise-adaptation scheme needs from one correction."""
 
-    innovation: np.ndarray          # y = z - H x_prior
-    residual: np.ndarray            # r = z - H x_posterior
+    innovation: np.ndarray          # y = z - H x_prior, as passed in
+    residual: np.ndarray            # r = y - H delta = z - H x_posterior
     obs_jacobian: np.ndarray        # H
     cov_pred: np.ndarray            # P before the correction
     cov_post: np.ndarray            # P after the correction
@@ -93,21 +86,20 @@ class InnovationRecord:
     regularized: bool = False       # S needed a ridge
 
 
-def predict(belief: GaussianBelief, trans: np.ndarray, noise: np.ndarray) -> GaussianBelief:
-    """Propagate a belief through the transition ``trans``.
+def predict(cov: np.ndarray, trans: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Propagate an error covariance: F P F^T + Q, re-symmetrized.
 
-    Mean goes to F x; covariance to F P F^T + Q with the result
-    re-symmetrized.  Raises PropagationError naming the first state index
-    that came back non-finite.
+    Raises PropagationError naming the first state index whose variance
+    came back non-finite, be it from a non-finite row of F or from an
+    overflow of F P F^T.
     """
     trans = np.asarray(trans, dtype=float)
-    mean = trans @ belief.mean
-    finite = np.isfinite(mean)
+    out = symmetrize(trans @ cov @ trans.T + noise)
+    finite = np.isfinite(out.diagonal())
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
-        raise PropagationError(f"non-finite state after propagation at index {bad}")
-    cov = symmetrize(trans @ belief.cov @ trans.T + noise)
-    return GaussianBelief(mean, cov)
+        raise PropagationError(f"non-finite variance after propagation at index {bad}")
+    return out
 
 
 def correntropy_weights(innovation: np.ndarray, noise: np.ndarray,
@@ -126,11 +118,19 @@ def correntropy_weights(innovation: np.ndarray, noise: np.ndarray,
     return CorrentropyWeights(unweighted=np.exp(expo_l), weighted=np.exp(expo_c))
 
 
-def _apply_correction(belief: GaussianBelief, z: np.ndarray, y: np.ndarray,
-                      obs_jac: np.ndarray, noise: np.ndarray, weights: CorrentropyWeights
-                      ) -> tuple[GaussianBelief, InnovationRecord]:
-    n = belief.mean.shape[0]
-    cov_pred = belief.cov
+def _apply_correction(cov_pred: np.ndarray, y: np.ndarray, obs_jac: np.ndarray,
+                      noise: np.ndarray, bandwidth: Optional[np.ndarray], sensor_id: str
+                      ) -> tuple[np.ndarray, InnovationRecord]:
+    """The correction both updates share; no ``bandwidth`` means unit kernel weights."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise MeasurementRejected(f"non-finite measurement from sensor '{sensor_id}'")
+    if bandwidth is None:
+        ones = np.ones(y.shape[0])
+        weights = CorrentropyWeights(unweighted=ones, weighted=ones.copy())
+    else:
+        weights = correntropy_weights(y, noise, bandwidth)
+    obs_jac = np.asarray(obs_jac, dtype=float)
 
     # The weights enter as the symmetric split sqrt(C) (.) sqrt(C), which
     # keeps S symmetric PSD when an adapted R carries off-diagonal structure.
@@ -142,47 +142,31 @@ def _apply_correction(belief: GaussianBelief, z: np.ndarray, y: np.ndarray,
     if regularized:
         log.warning("innovation covariance needed a ridge")
 
-    mean = belief.mean + gain @ y
-    ikh = np.eye(n) - gain @ obs_jac
+    delta = gain @ y
+    ikh = np.eye(cov_pred.shape[0]) - gain @ obs_jac
     cov = symmetrize(ikh @ cov_pred @ ikh.T + gain @ noise @ gain.T)
-    posterior = GaussianBelief(mean, cov)
-    residual = z - obs_jac @ mean
     record = InnovationRecord(
-        innovation=y, residual=residual, obs_jacobian=obs_jac, cov_pred=cov_pred,
-        cov_post=cov, gain=gain, weights=weights, regularized=regularized,
+        innovation=y, residual=y - obs_jac @ delta, obs_jacobian=obs_jac,
+        cov_pred=cov_pred, cov_post=cov, gain=gain, weights=weights,
+        regularized=regularized,
     )
-    return posterior, record
+    return delta, record
 
 
-def _check_measurement(z: np.ndarray, sensor_id: str) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise MeasurementRejected(f"non-finite measurement from sensor '{sensor_id}'")
-    return z
-
-
-def mcckf_update(belief: GaussianBelief, z: np.ndarray, obs_jac: np.ndarray,
+def mcckf_update(cov: np.ndarray, y: np.ndarray, obs_jac: np.ndarray,
                  noise: np.ndarray, bandwidth: np.ndarray, sensor_id: str = ""
-                 ) -> tuple[GaussianBelief, InnovationRecord]:
-    """Correntropy-weighted correction of ``z = H x + v`` with kernel sizes ``bandwidth``.
+                 ) -> tuple[np.ndarray, InnovationRecord]:
+    """Correntropy-weighted correction by the innovation ``y`` with kernel sizes ``bandwidth``.
 
+    Returns the error estimate ``delta = K y`` and the correction's record.
     ``sensor_id`` only names the source in the rejection of a non-finite
-    measurement.
+    innovation.
     """
-    z = _check_measurement(z, sensor_id)
-    obs_jac = np.asarray(obs_jac, dtype=float)
-    y = z - obs_jac @ belief.mean
-    weights = correntropy_weights(y, noise, bandwidth)
-    return _apply_correction(belief, z, y, obs_jac, noise, weights)
+    return _apply_correction(cov, y, obs_jac, noise, bandwidth, sensor_id)
 
 
-def kf_update(belief: GaussianBelief, z: np.ndarray, obs_jac: np.ndarray,
+def kf_update(cov: np.ndarray, y: np.ndarray, obs_jac: np.ndarray,
               noise: np.ndarray, sensor_id: str = ""
-              ) -> tuple[GaussianBelief, InnovationRecord]:
+              ) -> tuple[np.ndarray, InnovationRecord]:
     """Plain Kalman correction: identical code path with unit kernel weights."""
-    z = _check_measurement(z, sensor_id)
-    obs_jac = np.asarray(obs_jac, dtype=float)
-    y = z - obs_jac @ belief.mean
-    ones = np.ones(y.shape[0])
-    weights = CorrentropyWeights(unweighted=ones, weighted=ones.copy())
-    return _apply_correction(belief, z, y, obs_jac, noise, weights)
+    return _apply_correction(cov, y, obs_jac, noise, None, sensor_id)

@@ -18,8 +18,7 @@ from corfuse.errors import AdaptationNotReady
 from corfuse.eskf import (EngineConfig, FusionEngine, ImuSample, NominalState,
                           OdometrySample, propagate_nominal, error_transition)
 from corfuse.experiments import RunConfig, run_experiment
-from corfuse.filter_core import (CorrentropyWeights, GaussianBelief,
-                                 kf_update, mcckf_update)
+from corfuse.filter_core import CorrentropyWeights, kf_update, mcckf_update
 from corfuse.kernel_bandwidth import adapt_bandwidth
 from corfuse.sim import (NoiseSpec, ScenarioSpec, SensorSpec, generate_truth,
                          sample_sensors)
@@ -141,14 +140,13 @@ def _run_scalar_identification(scheme: str, seed: int, steps: int = 2000):
     for k in range(steps):
         x += rng.normal(0.0, np.sqrt(q_true))
         m_prior, p_prior = m, p + q_true
-        belief = GaussianBelief(np.array([m_prior]), np.array([[p_prior]]))
         z = np.array([x + rng.normal(0.0, np.sqrt(r_true))])
-        posterior, record = kf_update(belief, z, np.eye(1), np.array([[r_hat]]),
-                                      sensor_id="z")
-        m, p = float(posterior.mean[0]), float(posterior.cov[0, 0])
+        delta, record = kf_update(np.array([[p_prior]]), z - m_prior, np.eye(1),
+                                  np.array([[r_hat]]), sensor_id="z")
+        m, p = m_prior + float(delta[0]), float(record.cov_post[0, 0])
         if scheme == "vb":
             adapter.push(WindowSnapshot(
-                record=record, state=posterior.mean, prior_mean=belief.mean,
+                record=record, state=np.array([m]), prior_mean=np.array([m_prior]),
                 transition=np.eye(1), steps=1.0, sensor_id="z"))
             try:
                 _, by_sensor = adapter.refresh()
@@ -183,14 +181,14 @@ def test_acceptance_04_scalar_noise_identification_converges():
 def test_acceptance_05_dof_recursion_fixed_point():
     # 11 snapshots one predict step apart: every refresh covers 10 transitions.
     adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=10, forgetting=0.97)
-    belief = GaussianBelief(np.zeros(1), np.eye(1))
+    cov = np.eye(1)
     for k in range(11):
         if k:
             adapter.advance(np.eye(1), 1.0)
-        posterior, record = kf_update(belief, np.array([0.1 * k]), np.eye(1),
-                                      np.eye(1), sensor_id="z")
-        adapter.correct("z", record, posterior.mean)
-        belief = GaussianBelief(np.zeros(1), posterior.cov + 0.1)
+        delta, record = kf_update(cov, np.array([0.1 * k]), np.eye(1),
+                                  np.eye(1), sensor_id="z")
+        adapter.correct("z", record, delta)
+        cov = record.cov_post + 0.1
     for _ in range(500):
         adapter.refresh()
     deviation = abs(adapter.t - 333.33)
@@ -247,11 +245,11 @@ def test_acceptance_07_innovation_residual_identity():
     for _ in range(1000):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 5))
-        belief = GaussianBelief(rng.standard_normal(n), random_spd(rng, n))
+        mean, cov = rng.standard_normal(n), random_spd(rng, n)
         h = rng.standard_normal((m, n))
         noise = random_spd(rng, m, scale=0.5)
-        z = h @ belief.mean + rng.standard_normal(m)
-        _, record = kf_update(belief, z, h, noise, sensor_id="fuzz")
+        z = h @ mean + rng.standard_normal(m)
+        _, record = kf_update(cov, z - h @ mean, h, noise, sensor_id="fuzz")
         worst = max(worst, check_identity_gamma(record, noise))
     ok = worst < 1e-8
     report("gain-identity", ok,
@@ -269,14 +267,15 @@ def test_acceptance_08_numerical_hygiene():
         n = int(rng.integers(1, 13))
         m = int(rng.integers(1, 10))
         scale = 10.0 ** rng.uniform(-4, 4)
-        belief = GaussianBelief(rng.standard_normal(n), scale * random_spd(rng, n))
+        mean, cov = rng.standard_normal(n), scale * random_spd(rng, n)
         h = rng.standard_normal((m, n))
         noise = scale * random_spd(rng, m, scale=0.5)
         bandwidth = 10.0 ** rng.uniform(-2, 6, size=m)
-        z = h @ belief.mean + scale * rng.standard_normal(m)
-        posterior, _ = mcckf_update(belief, z, h, noise, bandwidth, sensor_id="fuzz")
-        eig = float(np.min(np.linalg.eigvalsh(posterior.cov))
-                    / max(np.max(np.abs(posterior.cov)), 1.0))
+        z = h @ mean + scale * rng.standard_normal(m)
+        _, record = mcckf_update(cov, z - h @ mean, h, noise, bandwidth, sensor_id="fuzz")
+        posterior_cov = record.cov_post
+        eig = float(np.min(np.linalg.eigvalsh(posterior_cov))
+                    / max(np.max(np.abs(posterior_cov)), 1.0))
         min_eig = min(min_eig, eig)
     # covariances from a full adaptive run with heavy jumps
     result = run_experiment(RunConfig(
@@ -411,14 +410,14 @@ def test_acceptance_10_unit_weight_reductions_are_exact():
     # residual scheme vs a classical windowed residual estimator, bitwise
     library = ResidualNoiseAdapter(["z"], window=10)
     classical: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    belief = GaussianBelief(np.zeros(n), np.eye(n))
+    estimate, cov = np.zeros(n), np.eye(n)
     h = rng.standard_normal((m, n))
     noise = random_spd(rng, m, scale=0.5)
     bitwise_ok = True
     for k in range(30):
-        z = h @ belief.mean + rng.standard_normal(m)
-        posterior, record = kf_update(belief, z, h, noise, sensor_id="z")
-        belief = GaussianBelief(posterior.mean, posterior.cov + 0.05 * np.eye(n))
+        z = h @ estimate + rng.standard_normal(m)
+        delta, record = kf_update(cov, z - h @ estimate, h, noise, sensor_id="z")
+        estimate, cov = estimate + delta, record.cov_post + 0.05 * np.eye(n)
         assert np.all(record.weights.weighted == 1.0)
         library.push("z", record)
         classical.append((record.residual, record.obs_jacobian, record.cov_post))
@@ -443,13 +442,12 @@ def test_acceptance_10_unit_weight_reductions_are_exact():
     for k in range(12):
         x += rng.normal(0.0, np.sqrt(q_true))
         m_prior, p_prior = mm, p + q_true
-        belief1 = GaussianBelief(np.array([m_prior]), np.array([[p_prior]]))
         z = np.array([x + rng.normal(0.0, np.sqrt(r_true))])
-        posterior, record = kf_update(belief1, z, np.eye(1), np.array([[r_true]]),
-                                      sensor_id="z")
-        mm, p = float(posterior.mean[0]), float(posterior.cov[0, 0])
+        delta, record = kf_update(np.array([[p_prior]]), z - m_prior, np.eye(1),
+                                  np.array([[r_true]]), sensor_id="z")
+        mm, p = m_prior + float(delta[0]), float(record.cov_post[0, 0])
         window.push(WindowSnapshot(
-            record=record, state=posterior.mean, prior_mean=belief1.mean,
+            record=record, state=np.array([mm]), prior_mean=np.array([m_prior]),
             transition=np.eye(1), steps=1.0, sensor_id="z"))
     smoothed = backward_smooth(window)
     ours_sum, count = window_statistics(window, smoothed)[2]["z"]

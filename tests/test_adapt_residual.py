@@ -5,8 +5,8 @@ import pytest
 
 from corfuse.adapt_residual import ResidualNoiseAdapter, check_identity_gamma
 from corfuse.errors import AdaptationNotReady
-from corfuse.filter_core import (CorrentropyWeights, GaussianBelief,
-                                 InnovationRecord, kf_update, mcckf_update)
+from corfuse.filter_core import (CorrentropyWeights, InnovationRecord, kf_update,
+                                 mcckf_update)
 
 
 def make_record(residual, innovation, h, p_post, p_pred=None, gain=None,
@@ -163,21 +163,19 @@ def test_identity_holds_for_plain_kalman_corrections():
     for _ in range(200):
         n = rng.integers(1, 7)
         m = rng.integers(1, 5)
-        belief = GaussianBelief(mean=rng.standard_normal(n),
-                                cov=random_spd(rng, n))
+        mean, cov = rng.standard_normal(n), random_spd(rng, n)
         h = rng.standard_normal((m, n))
         noise = random_spd(rng, m, scale=0.5)
-        z = h @ belief.mean + rng.standard_normal(m)
-        _, record = kf_update(belief, z, h, noise, sensor_id="fuzz")
+        z = h @ mean + rng.standard_normal(m)
+        _, record = kf_update(cov, z - h @ mean, h, noise, sensor_id="fuzz")
         worst = max(worst, check_identity_gamma(record, noise))
     assert worst < 1e-8
 
 
 def test_identity_detects_downweighted_gain():
     rng = np.random.default_rng(22)
-    belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
     noise = 0.01 * np.eye(2)
-    _, record = mcckf_update(belief, np.array([3.0, -2.5]), np.eye(2), noise,
+    _, record = mcckf_update(np.eye(2), np.array([3.0, -2.5]), np.eye(2), noise,
                              np.full(2, 0.5), sensor_id="ctl")
     assert check_identity_gamma(record, noise) > 1e-3
     del rng
@@ -220,12 +218,10 @@ def test_closed_loop_recovers_inflated_measurement_noise():
     history = []
     for k in range(1500):
         x += rng.normal(0.0, np.sqrt(q_true))
-        belief = GaussianBelief(mean=np.array([m]),
-                                cov=np.array([[p + q_true]]))
         z = np.array([x + rng.normal(0.0, np.sqrt(r_true))])
-        posterior, record = kf_update(belief, z, np.eye(1), np.array([[r_hat]]),
-                                      sensor_id="z")
-        m, p = posterior.mean[0], posterior.cov[0, 0]
+        delta, record = kf_update(np.array([[p + q_true]]), z - m, np.eye(1),
+                                  np.array([[r_hat]]), sensor_id="z")
+        m, p = m + delta[0], record.cov_post[0, 0]
         adapter.push("z", record)
         r_hat = measurement_noise(adapter)[0, 0]
         history.append(r_hat)

@@ -12,7 +12,7 @@ import pytest
 
 from corfuse.adapt_residual import DIAG_FLOOR, _mean, check_identity_gamma
 from corfuse.adapt_vb import backward_smooth, window_statistics
-from corfuse.errors import MeasurementRejected
+from corfuse.errors import MeasurementRejected, PropagationError
 from corfuse.eskf import (GRAVITY, QUAT_NORM_TOLERANCE, STATE_DIM, VARIANTS, EngineConfig,
                           FusionEngine, ImuSample, NominalState, OdometrySample,
                           error_transition, inject_and_reset,
@@ -232,6 +232,24 @@ def test_engine_validates_construction():
         FusionEngine(EngineConfig(variant="mcckf", sigma_mode="Adaptive"), {"odo0": 0.01})
 
 
+@pytest.mark.parametrize("field,settings", [
+    ("sigma_static", {"sigma_static": 0.0}),
+    ("sigma_static", {"sigma_static": np.nan}),
+    ("sigma_static", {"sigma_static": -1.0}),
+    ("sigma_static", {"sigma_static": np.inf}),
+    ("sigma_min", {"sigma_min": 0.0}),
+    ("sigma_min", {"sigma_min": np.nan}),
+    ("sigma_max", {"sigma_max": np.nan}),
+    ("sigma_max", {"sigma_min": 2.0, "sigma_max": 1.0}),
+], ids=["static-zero", "static-nan", "static-negative", "static-inf", "min-zero", "min-nan",
+        "max-nan", "min-above-max"])
+def test_engine_refuses_bandwidths_that_poison_the_weights(field, settings):
+    """A zero or NaN kernel size would make the first correction's state non-finite."""
+    config = EngineConfig(variant="mcckf", sigma_mode="static", **settings)
+    with pytest.raises(ValueError, match=field):
+        FusionEngine(config, {"odo0": 0.01})
+
+
 def test_initialize_keeps_the_symmetric_part_of_the_covariance():
     engine = FusionEngine(EngineConfig(variant="ekf"), {"odo0": 0.01})
     engine.initialize(make_state(), 1e-4)
@@ -355,6 +373,22 @@ def test_every_non_finite_slot_is_dropped(kind, name, index, value):
     getattr(event, name)[index] = value
     assert engine.process(event) is None
     assert engine.dropped == {"out_of_order": 0, "non_finite": 1, "rejected": 0}
+    assert engine.state.time == before.time
+    for field in ("position", "velocity", "orientation"):
+        np.testing.assert_array_equal(getattr(engine.state, field), getattr(before, field))
+    np.testing.assert_array_equal(engine.covariance, cov)
+
+
+def test_imu_sample_whose_covariance_overflows_raises_and_leaves_the_filter_untouched():
+    """A finite 1e200 m/s^2 sample overflows F P F^T; NumPy warns, the engine refuses it."""
+    engine = FusionEngine(EngineConfig(variant="mcckf"), {"odo0": 0.01})
+    engine.initialize(make_state(), 1e-4)
+    engine.process(hover_imu(0.0))
+    engine.process(hover_imu(0.01))
+    before, cov = engine.state.copy(), engine.covariance.copy()
+    huge = ImuSample(accel=np.array([1e200, 0.0, 0.0]), gyro=np.zeros(3), time=0.02)
+    with pytest.raises(PropagationError), pytest.warns(RuntimeWarning, match="overflow"):
+        engine.process(huge)
     assert engine.state.time == before.time
     for field in ("position", "velocity", "orientation"):
         np.testing.assert_array_equal(getattr(engine.state, field), getattr(before, field))

@@ -6,15 +6,18 @@ inverses, and hand-evaluated scalar cases.  The library computes the gain
 in covariance form with one Cholesky solve, so the information-form oracle
 shares no code path with it: agreement checks the matrix inversion lemma
 as well as the implementation.
+
+The primitives take the covariance and the innovation y of a zero-mean
+error state.  The mean-form cases pass y = z - H m and check m + delta
+against the oracle, which stays in mean form.
 """
 
 import numpy as np
 import pytest
 
 from corfuse.errors import MeasurementRejected, PropagationError
-from corfuse.filter_core import (CorrentropyWeights, GaussianBelief,
-                                 correntropy_weights, kf_update, mcckf_update,
-                                 predict)
+from corfuse.filter_core import (CorrentropyWeights, correntropy_weights,
+                                 kf_update, mcckf_update, predict)
 
 
 def random_spd(rng, n, scale=1.0):
@@ -46,15 +49,13 @@ def textbook_weighted_update(mean, cov, z, h_mat, r, c_diag):
 
 
 def test_predict_identity_transition_adds_noise():
-    belief = GaussianBelief(mean=np.array([1.0]), cov=np.array([[1.0]]))
-    out = predict(belief, np.eye(1), np.array([[0.5]]))
-    assert out.cov[0, 0] == pytest.approx(1.5)
+    out = predict(np.array([[1.0]]), np.eye(1), np.array([[0.5]]))
+    assert out[0, 0] == pytest.approx(1.5)
 
 
 def test_predict_zero_covariance_zero_noise_stays_zero():
-    belief = GaussianBelief(mean=np.zeros(2), cov=np.zeros((2, 2)))
-    out = predict(belief, np.eye(2), np.zeros((2, 2)))
-    np.testing.assert_array_equal(out.cov, np.zeros((2, 2)))
+    out = predict(np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)))
+    np.testing.assert_array_equal(out, np.zeros((2, 2)))
 
 
 def test_predict_constant_velocity_matches_dense_oracle():
@@ -63,10 +64,8 @@ def test_predict_constant_velocity_matches_dense_oracle():
     q = 0.01 * np.eye(2)
     p = np.eye(2)
     oracle = f @ p @ f.T + q
-    belief = GaussianBelief(mean=np.array([1.0, -2.0]), cov=p)
-    out = predict(belief, f, q)
-    np.testing.assert_allclose(out.cov, oracle, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(out.mean, f @ belief.mean)
+    out = predict(p, f, q)
+    np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-14)
 
 
 def test_predict_trace_never_shrinks_under_identity_dynamics():
@@ -75,15 +74,22 @@ def test_predict_trace_never_shrinks_under_identity_dynamics():
         n = int(rng.integers(1, 7))
         p = random_spd(rng, n)
         q = random_spd(rng, n, 0.1)
-        belief = GaussianBelief(mean=rng.standard_normal(n), cov=p)
-        out = predict(belief, np.eye(n), q)
-        assert np.trace(out.cov) >= np.trace(p)
+        out = predict(p, np.eye(n), q)
+        assert np.trace(out) >= np.trace(p)
 
 
 def test_predict_rejects_non_finite_propagation():
-    belief = GaussianBelief(mean=np.array([0.0, 1.0]), cov=np.eye(2))
-    with pytest.raises(PropagationError) as err:
-        predict(belief, np.diag([1.0, np.inf]), np.zeros((2, 2)))
+    # NumPy flags the inf * 0 products of the propagation before predict refuses it.
+    with pytest.raises(PropagationError) as err, pytest.warns(RuntimeWarning):
+        predict(np.eye(2), np.diag([1.0, np.inf]), np.zeros((2, 2)))
+    assert "index 1" in str(err.value)
+
+
+def test_predict_rejects_a_covariance_that_overflows():
+    """A finite F whose F P F^T overflows is refused, naming the first such variance."""
+    trans = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1e200], [0.0, 0.0, 1e200]])
+    with pytest.raises(PropagationError) as err, pytest.warns(RuntimeWarning, match="overflow"):
+        predict(np.eye(3), trans, np.zeros((3, 3)))
     assert "index 1" in str(err.value)
 
 
@@ -130,19 +136,18 @@ def test_weights_always_in_unit_interval():
 
 
 def test_scalar_gain_with_unit_weights_is_half():
-    belief = GaussianBelief(mean=np.zeros(1), cov=np.eye(1))
-    out, record = mcckf_update(belief, np.array([1.0]), np.eye(1), np.eye(1),
-                               np.full(1, 1e12))
+    delta, record = mcckf_update(np.eye(1), np.array([1.0]), np.eye(1), np.eye(1),
+                                 np.full(1, 1e12))
     assert record.gain[0, 0] == pytest.approx(0.5)
-    assert out.mean[0] == pytest.approx(0.5)
+    assert delta[0] == pytest.approx(0.5)
 
 
 def test_zero_innovation_keeps_mean_but_contracts_covariance():
-    belief = GaussianBelief(mean=np.array([2.0, -1.0]), cov=np.eye(2))
-    out, _ = mcckf_update(belief, belief.mean.copy(), np.eye(2), 0.5 * np.eye(2),
-                          np.full(2, 1e12))
-    np.testing.assert_allclose(out.mean, belief.mean)
-    assert np.trace(out.cov) < np.trace(belief.cov)
+    mean, cov = np.array([2.0, -1.0]), np.eye(2)
+    delta, record = mcckf_update(cov, mean - np.eye(2) @ mean, np.eye(2), 0.5 * np.eye(2),
+                                 np.full(2, 1e12))
+    np.testing.assert_allclose(mean + delta, mean)
+    assert np.trace(record.cov_post) < np.trace(cov)
 
 
 def test_zeroed_weight_column_removes_that_channel():
@@ -158,32 +163,31 @@ def test_zeroed_weight_column_removes_that_channel():
     _, _, gain = textbook_weighted_update(mean, cov, z, h, r, np.array([0.0, 1.0]))
     np.testing.assert_array_equal(gain[:, 0], 0.0)
 
-    belief = GaussianBelief(mean=mean, cov=cov)
     bandwidth = np.array([1e-3, 1e6])
-    out, record = mcckf_update(belief, z, h, r, bandwidth)
+    delta, record = mcckf_update(cov, z - h @ mean, h, r, bandwidth)
     assert record.weights.weighted[0] < 1e-290
     np.testing.assert_allclose(record.gain[:, 0], 0.0, atol=1e-290)
-    assert out.mean[0] == pytest.approx(0.0, abs=1e-12)
-    assert out.mean[1] == pytest.approx(0.15, abs=1e-6)
+    assert delta[0] == pytest.approx(0.0, abs=1e-12)
+    assert delta[1] == pytest.approx(0.15, abs=1e-6)
 
 
 @pytest.mark.parametrize("update", ["kf", "mcckf"])
 def test_singular_prior_is_corrected_without_a_ridge(update, caplog):
     """A state known exactly stays exactly known; no factor of P is needed."""
-    belief = GaussianBelief(mean=np.zeros(3), cov=np.diag([1.0, 0.0, 2.0]))
-    z = np.array([0.3, -0.2, 0.5])
+    cov = np.diag([1.0, 0.0, 2.0])
+    y = np.array([0.3, -0.2, 0.5])
     h, r = np.eye(3), 0.1 * np.eye(3)
     if update == "kf":
-        out, record = kf_update(belief, z, h, r)
+        delta, record = kf_update(cov, y, h, r)
     else:
-        out, record = mcckf_update(belief, z, h, r, np.ones(3))
+        delta, record = mcckf_update(cov, y, h, r, np.ones(3))
     assert not record.regularized
     assert not caplog.records
     np.testing.assert_array_equal(record.gain[1], 0.0)
-    assert out.mean[1] == 0.0
-    np.testing.assert_array_equal(out.cov[1], 0.0)
-    np.testing.assert_array_equal(out.cov[:, 1], 0.0)
-    assert out.mean[0] > 0.0 and out.mean[2] > 0.0
+    assert delta[1] == 0.0
+    np.testing.assert_array_equal(record.cov_post[1], 0.0)
+    np.testing.assert_array_equal(record.cov_post[:, 1], 0.0)
+    assert delta[0] > 0.0 and delta[2] > 0.0
 
 
 def test_unit_weight_update_matches_kf_update_exactly():
@@ -191,14 +195,14 @@ def test_unit_weight_update_matches_kf_update_exactly():
     for _ in range(200):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 5))
-        belief = GaussianBelief(mean=rng.standard_normal(n), cov=random_spd(rng, n))
+        mean, cov = rng.standard_normal(n), random_spd(rng, n)
         h = rng.standard_normal((m, n))
         r = random_spd(rng, m)
-        z = rng.standard_normal(m)
-        a, _ = mcckf_update(belief, z, h, r, np.full(m, 1e12))
-        b, _ = kf_update(belief, z, h, r)
-        np.testing.assert_allclose(a.mean, b.mean, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(a.cov, b.cov, rtol=1e-10, atol=1e-12)
+        y = rng.standard_normal(m) - h @ mean
+        a_delta, a = mcckf_update(cov, y, h, r, np.full(m, 1e12))
+        b_delta, b = kf_update(cov, y, h, r)
+        np.testing.assert_allclose(mean + a_delta, mean + b_delta, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(a.cov_post, b.cov_post, rtol=1e-10, atol=1e-12)
 
 
 def test_weighted_update_matches_dense_oracle():
@@ -212,12 +216,12 @@ def test_weighted_update_matches_dense_oracle():
         r = random_spd(rng, m)
         z = rng.standard_normal(m)
         sigma = 10.0 ** rng.uniform(-0.5, 1.0, size=m)
-        belief = GaussianBelief(mean=mean, cov=cov)
-        out, record = mcckf_update(belief, z, h, r, sigma)
+        delta, record = mcckf_update(cov, z - h @ mean, h, r, sigma)
         c = record.weights.weighted
         want_mean, want_cov, _ = textbook_weighted_update(mean, cov, z, h, r, c)
-        np.testing.assert_allclose(out.mean, want_mean, rtol=1e-8, atol=1e-10)
-        np.testing.assert_allclose(out.cov, want_cov, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(mean + delta, want_mean, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(record.cov_post, want_cov, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(record.residual, z - h @ want_mean, rtol=1e-8, atol=1e-10)
 
 
 def test_joseph_form_agrees_with_short_form_at_optimal_gain():
@@ -228,11 +232,11 @@ def test_joseph_form_agrees_with_short_form_at_optimal_gain():
         cov = random_spd(rng, n)
         h = rng.standard_normal((m, n))
         r = random_spd(rng, m)
-        belief = GaussianBelief(mean=rng.standard_normal(n), cov=cov)
-        out, record = kf_update(belief, rng.standard_normal(m), h, r)
+        mean = rng.standard_normal(n)
+        _, record = kf_update(cov, rng.standard_normal(m) - h @ mean, h, r)
         k = record.gain
         short = (np.eye(n) - k @ h) @ cov
-        np.testing.assert_allclose(out.cov, 0.5 * (short + short.T),
+        np.testing.assert_allclose(record.cov_post, 0.5 * (short + short.T),
                                    rtol=1e-7, atol=1e-10)
 
 
@@ -242,14 +246,13 @@ def test_posterior_covariance_stays_psd_under_fuzz(trials=2000, seed=47):
         n = int(rng.integers(1, 13))
         m = int(rng.integers(1, 10))
         scale = 10.0 ** rng.uniform(-4, 4)
-        belief = GaussianBelief(mean=rng.standard_normal(n),
-                                cov=random_spd(rng, n, scale))
+        mean, cov = rng.standard_normal(n), random_spd(rng, n, scale)
         h = rng.standard_normal((m, n))
         r = random_spd(rng, m, scale)
         sigma = 10.0 ** rng.uniform(-2, 3, size=m)
         z = rng.standard_normal(m) * np.sqrt(scale)
-        out, _ = mcckf_update(belief, z, h, r, sigma)
-        w = np.linalg.eigvalsh(out.cov)
+        _, record = mcckf_update(cov, z - h @ mean, h, r, sigma)
+        w = np.linalg.eigvalsh(record.cov_post)
         assert w.min() >= -1e-9 * max(1.0, w.max())
 
 
@@ -260,37 +263,36 @@ def test_monotone_damping_of_outlier_corrections():
     exponent clamp flattens it past roughly 37 normalized units); the
     far tail is checked as an absolute no-influence bound instead.
     """
-    belief = GaussianBelief(mean=np.zeros(3), cov=np.eye(3))
+    cov = np.eye(3)
     h = np.eye(3)
     r = np.eye(3)
     sigma = np.ones(3)
     norms = []
     for mag in (3.0, 10.0, 30.0):
-        z = np.array([mag, 0.0, 0.0])
-        out, _ = mcckf_update(belief, z, h, r, sigma)
-        norms.append(np.linalg.norm(out.mean))
+        y = np.array([mag, 0.0, 0.0])
+        delta, _ = mcckf_update(cov, y, h, r, sigma)
+        norms.append(np.linalg.norm(delta))
     assert norms[0] > norms[1] > norms[2]
     for mag in (1e2, 1e4, 1e6):
-        z = np.array([mag, 0.1, -0.1])
-        out, _ = mcckf_update(belief, z, h, r, sigma)
-        reference, _ = mcckf_update(belief, np.array([0.0, 0.1, -0.1]), h, r, sigma)
-        assert abs(out.mean[0]) < 1e-290
-        np.testing.assert_allclose(out.mean[1:], reference.mean[1:], atol=1e-9)
+        y = np.array([mag, 0.1, -0.1])
+        delta, _ = mcckf_update(cov, y, h, r, sigma)
+        reference, _ = mcckf_update(cov, np.array([0.0, 0.1, -0.1]), h, r, sigma)
+        assert abs(delta[0]) < 1e-290
+        np.testing.assert_allclose(delta[1:], reference[1:], atol=1e-9)
 
 
 def test_non_finite_measurement_is_rejected_with_sensor_name():
-    belief = GaussianBelief(mean=np.zeros(1), cov=np.eye(1))
     with pytest.raises(MeasurementRejected) as err:
-        mcckf_update(belief, np.array([np.nan]), np.eye(1), np.eye(1), np.full(1, 1e12),
+        mcckf_update(np.eye(1), np.array([np.nan]), np.eye(1), np.eye(1), np.full(1, 1e12),
                      sensor_id="odomX")
     assert "odomX" in str(err.value)
 
 
 def test_record_snapshot_fields_are_consistent():
-    belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
-    z = np.array([1.0, -1.0])
-    out, record = mcckf_update(belief, z, np.eye(2), np.eye(2), np.full(2, 1e12))
-    np.testing.assert_allclose(record.innovation, z)
-    np.testing.assert_allclose(record.residual, z - out.mean)
-    np.testing.assert_allclose(record.cov_pred, np.eye(2))
-    np.testing.assert_allclose(record.cov_post, out.cov)
+    cov = np.eye(2)
+    y = np.array([1.0, -1.0])
+    delta, record = mcckf_update(cov, y, np.eye(2), np.eye(2), np.full(2, 1e12))
+    np.testing.assert_allclose(record.innovation, y)
+    np.testing.assert_allclose(record.residual, y - delta)
+    assert record.cov_pred is cov
+
