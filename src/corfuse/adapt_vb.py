@@ -21,30 +21,34 @@ With unit weights (L = I) the recursions match the classical
 sliding-window variational adaptive filter, which is also how the plain
 adaptive variant is obtained.
 
-An error-state filter zeroes its mean after every correction, so the
-adapter also keeps the no-reset frame the smoother works in: the
-error-state mean a filter without injection/reset would carry, and the
-dynamics composed since the last correction (``advance`` and
-``correct``).
+The smoother never needs the filtered means themselves, only each
+correction's error estimate delta_j = s_j - x_j|j-1 (filtered mean after
+minus before the correction): when every prior mean is the previous
+filtered mean carried through the dynamics, x_j|j-1 = F_j s_j-1, the
+backward pass and both statistics are functions of the smoothed
+corrections d_j = x_j|k - s_j alone.  An error-state filter, which zeroes
+its mean after every correction, hands the adapter each delta and each
+predict step's transition (``advance`` and ``correct``).
 
 Every term that depends on the buffered snapshots alone is computed once,
 when its snapshot is pushed: the smoother gain and conditional covariance
-on the snapshot, and the process statistic's terms in stacked
-buffers beside the snapshot's state, Jacobian, residual, weights and step
-count.  A refresh then does the backward pass, O(W) matrix products and no
-solves, and both window statistics as batched NumPy over the stacks
+on the snapshot, and the process statistic's terms in stacked buffers
+beside the snapshot's correction, Jacobian, residual, weights and step
+count.  A refresh then does the backward pass, O(W) matrix products and
+no solves, and both window statistics as batched NumPy over the stacks
 (``window_statistics``).  The process sum is certified positive definite
 by a Cholesky factorization and projected onto the PSD cone only when
 that fails, so ``refresh`` hands out the per-step Q without projecting it
 again.
 
 Same-instant rule: a snapshot with zero predict steps, an identity
-transition, and the previous snapshot's posterior covariance and state as
-its prior was corrected at the previous snapshot's instant.  Its smoother
-gain is exactly I and its conditional covariance exactly 0, so it gets two
-read-only arrays the window shares, no solve, and the backward pass copies
-its row; with several sensors at one rate, most transitions are such row
-copies.  The pass stays O(W) over the transitions that move.
+transition, and the previous snapshot's posterior covariance as its prior
+was corrected at the previous snapshot's instant.  Its smoother gain is
+exactly I and its conditional covariance exactly 0, so it gets two
+read-only arrays the window shares, no solve, and the backward pass adds
+its correction and copies its covariance; with several sensors at one
+rate, most transitions are such rows.  The pass stays O(W) over the
+transitions that move.
 """
 from __future__ import annotations
 
@@ -68,9 +72,9 @@ class WindowSnapshot:
     """One correction buffered by the sliding-window smoother.
 
     ``record`` is the correction as ``filter_core`` returned it, exactly
-    symmetric covariances included.  ``state`` and ``prior_mean`` are the
-    filtered mean after and before the correction in one frame shared by the
-    window (for an error-state filter, the adapter's no-reset frame).
+    symmetric covariances included.  ``delta`` is the correction's error
+    estimate, the filtered mean after minus before it; the prior mean is the
+    previous snapshot's filtered mean carried through ``transition``.
     ``transition`` is the composed dynamics since the previous snapshot and
     ``steps`` its predict-step count.  ``SmootherWindow.push`` sets ``gain``,
     the smoother gain G_j-1 from the previous snapshot, and
@@ -81,8 +85,7 @@ class WindowSnapshot:
     """
 
     record: InnovationRecord
-    state: np.ndarray               # filtered mean after the correction
-    prior_mean: np.ndarray          # filtered mean just before the correction
+    delta: np.ndarray
     transition: np.ndarray
     steps: float = 1.0
     sensor_id: str = ""
@@ -93,13 +96,12 @@ class WindowSnapshot:
 def _same_instant(snapshot: WindowSnapshot, prev: WindowSnapshot, eye: np.ndarray) -> bool:
     """Whether no predict step separates ``prev`` and ``snapshot``.
 
-    On the engine path the prior mean and covariance are the previous
-    snapshot's own arrays, so the identity test settles it; hand-built
-    snapshots fall back to comparing values.
+    On the engine path the prior covariance is the previous snapshot's own
+    array, so the identity test settles it; hand-built snapshots fall back
+    to comparing values.
     """
     return snapshot.steps == 0.0 and all(a is b or np.array_equal(a, b) for a, b in (
-        (snapshot.prior_mean, prev.state), (snapshot.record.cov_pred, prev.record.cov_post),
-        (snapshot.transition, eye)))
+        (snapshot.record.cov_pred, prev.record.cov_post), (snapshot.transition, eye)))
 
 
 class SmootherWindow:
@@ -114,20 +116,18 @@ class SmootherWindow:
     belongs to ``snapshots[j]`` (``rows`` is that slice).  An eviction only
     moves ``start`` on; when the next row would fall off the end, the live
     rows are copied back to row 0, once every ``length + 2`` evictions.  Per
-    snapshot they hold the state s_j, the observation Jacobian H_j, the
-    residual r_j, the unweighted kernel weights L_j and the step count.  Per
-    transition j (the window's first row is never read), with F_j the
-    transition, x_j|j-1 the prior mean, P_j|j-1 the prior covariance and
-    A_j = F_j G_j-1, they hold
+    snapshot they hold the correction delta_j, the observation Jacobian H_j,
+    the residual r_j, the unweighted kernel weights L_j and the step count.
+    Per transition j (the window's first row is never read), with F_j the
+    transition, P_j|j-1 the prior covariance and A_j = F_j G_j-1, they hold
 
         B_j = I - A_j                                        (lifts)
         c_j = F_j D_j-1 F_j^T
             = F_j P_j-1|j-1 F_j^T - A_j P_j|j-1 A_j^T        (consts)
-        e_j = A_j x_j|j-1 - F_j s_j-1                        (offsets)
 
     Every term depends only on snapshots j-1 and j, so a window holds the
     same bits however many snapshots it has evicted (in the rows it reads:
-    a same-instant transition's lift, const and offset rows are not written).
+    a same-instant transition's lift and const rows are not written).
     """
 
     def __init__(self, length: int) -> None:
@@ -137,29 +137,28 @@ class SmootherWindow:
 
     def _allocate(self, dim: int, obs_dim: int) -> None:
         rows = 2 * (self.length + 1)
-        self.states = np.zeros((rows, dim))
+        self.deltas = np.zeros((rows, dim))
         self.obs = np.zeros((rows, obs_dim, dim))
         self.residuals = np.zeros((rows, obs_dim))
         self.weights = np.zeros((rows, obs_dim))
         self.steps = np.zeros(rows)
         self.lifts = np.zeros((rows, dim, dim))
         self.consts = np.zeros((rows, dim, dim))
-        self.offsets = np.zeros((rows, dim))
         self._eye, self._zeros = np.eye(dim), np.zeros((dim, dim))
         self._eye.flags.writeable = self._zeros.flags.writeable = False  # same-instant G, D
-        self._buffers = (self.states, self.obs, self.residuals, self.weights, self.steps,
-                         self.lifts, self.consts, self.offsets)
+        self._buffers = (self.deltas, self.obs, self.residuals, self.weights, self.steps,
+                         self.lifts, self.consts)
 
     def push(self, snapshot: WindowSnapshot) -> None:
         """Buffer ``snapshot``, solving G_j-1 once and fixing the terms above.
 
         A same-instant snapshot takes the shared identity gain and zero
-        conditional covariance, with no solve; its lift, const and offset
-        rows are left unwritten, as the process statistic skips zero steps.
+        conditional covariance, with no solve; its lift and const rows are
+        left unwritten, as the process statistic skips zero steps.
         """
         record = snapshot.record
         if not self.snapshots:
-            self._allocate(snapshot.state.shape[0], record.residual.shape[0])
+            self._allocate(snapshot.delta.shape[0], record.residual.shape[0])
         elif len(self.snapshots) > self.length:
             del self.snapshots[0]
             self.start += 1
@@ -176,15 +175,14 @@ class SmootherWindow:
             trans = snapshot.transition
             gain_t, regularized = spd_solve(record.cov_pred, trans @ prev.record.cov_post)
             if regularized:
-                log.warning("smoother regularized a singular predicted covariance")
+                log.warning("smoother regularized a singular predicted covariance "
+                            "from sensor '%s'", snapshot.sensor_id)
             gain = snapshot.gain = gain_t.T
             cond = snapshot.conditional_cov = (prev.record.cov_post
                                                - gain @ record.cov_pred @ gain.T)
-            lift = trans @ gain
-            self.lifts[row] = self._eye - lift
+            self.lifts[row] = self._eye - trans @ gain
             self.consts[row] = trans @ cond @ trans.T
-            self.offsets[row] = lift @ snapshot.prior_mean - trans @ prev.state
-        self.states[row] = snapshot.state
+        self.deltas[row] = snapshot.delta
         self.obs[row] = record.obs_jacobian
         self.residuals[row] = record.residual
         self.weights[row] = record.weights.unweighted
@@ -204,53 +202,58 @@ class SmootherWindow:
 class SmoothedWindow:
     """Backward-pass output aligned with the window's snapshots.
 
-    ``means[j]`` and ``covs[j]`` are the smoothed mean x_j|k and covariance
-    P_j|k of snapshot j, stacked into ``(count, dim)`` and ``(count, dim,
-    dim)`` arrays.  The smoother gains stay on the snapshots.
+    ``corrections[j]`` and ``covs[j]`` are the smoothed correction
+    d_j = x_j|k - s_j (smoothed minus filtered mean) and the smoothed
+    covariance P_j|k of snapshot j, stacked into ``(count, dim)`` and
+    ``(count, dim, dim)`` arrays.  The smoother gains stay on the snapshots.
     """
 
-    means: np.ndarray
+    corrections: np.ndarray
     covs: np.ndarray
 
 
 def backward_smooth(window: SmootherWindow) -> SmoothedWindow:
     """Rauch-Tung-Striebel backward pass over the buffered snapshots.
 
-    From the last snapshot's filtered moments, with the gains G_j-1 and
-    conditional covariances D_j-1 fixed at push (see ``WindowSnapshot``)
-    and s_j-1 the previous snapshot's state:
+    From the last snapshot's filtered moments (d = 0), with the gains G_j-1
+    and conditional covariances D_j-1 fixed at push (see ``WindowSnapshot``):
 
-        x_j-1|k = s_j-1 + G_j-1 (x_j|k - x_j|j-1)
+        d_j-1   = G_j-1 (delta_j + d_j)
         P_j-1|k = G_j-1 P_j|k G_j-1^T + D_j-1
 
-    which is P_j-1|j-1 + G_j-1 (P_j|k - P_j|j-1) G_j-1^T regrouped so that
-    only the first product depends on the pass.  The covariances are
-    symmetrized once, as a stack, at the end.  Using the buffered prior
-    (rather than recomputing F P F^T + Q) keeps the pass exact when other
-    sensors corrected the state inside the interval.  A same-instant row
-    (gain I, D = 0) is copied: x_j-1|k = x_j|k and P_j-1|k = P_j|k.  A
-    window with a single snapshot smooths to its filtered values.
+    The first line is the mean recursion x_j-1|k = s_j-1 + G_j-1 (x_j|k -
+    x_j|j-1) with x_j|k - x_j|j-1 = delta_j + d_j; the second is
+    P_j-1|j-1 + G_j-1 (P_j|k - P_j|j-1) G_j-1^T regrouped so that only the
+    first product depends on the pass.  The covariances are symmetrized
+    once, as a stack, at the end.  Using the buffered prior (rather than
+    recomputing F P F^T + Q) keeps the pass exact when other sensors
+    corrected the state inside the interval.  A same-instant row (gain I,
+    D = 0) adds instead of multiplying: d_j-1 = delta_j + d_j and
+    P_j-1|k = P_j|k.  A window with a single snapshot smooths to its
+    filtered values.
     """
     snaps = window.snapshots
     if not snaps:
         raise AdaptationNotReady("cannot smooth an empty window")
     count = len(snaps)
     last = snaps[-1]
-    means = np.empty((count, last.state.shape[0]))
+    corrections = np.empty((count, last.delta.shape[0]))
     covs = np.empty((count, *last.record.cov_post.shape))
-    mean = means[-1] = last.state
+    corr = corrections[-1] = 0.0
     cov = covs[-1] = last.record.cov_post
     # Per-row inputs come from the snapshots: a list item is cheaper to
     # reach than a row view of a stacked buffer.
     for j in range(count - 1, 0, -1):
-        cur, prev = snaps[j], snaps[j - 1]
+        cur = snaps[j]
         gain = cur.gain
         if gain is window._eye:
-            means[j - 1], covs[j - 1] = mean, cov
+            corr = corrections[j - 1] = cur.delta + corr
+            covs[j - 1] = cov
             continue
-        mean = means[j - 1] = prev.state + gain @ (mean - cur.prior_mean)
+        corr = corrections[j - 1] = gain @ (cur.delta + corr)
         cov = covs[j - 1] = gain @ cov @ gain.T + cur.conditional_cov
-    return SmoothedWindow(means=means, covs=0.5 * (covs + covs.transpose(0, 2, 1)))
+    return SmoothedWindow(corrections=corrections,
+                          covs=0.5 * (covs + covs.transpose(0, 2, 1)))
 
 
 def _ascending_sum(terms: np.ndarray) -> np.ndarray:
@@ -266,9 +269,8 @@ def window_statistics(window: SmootherWindow, smoothed: SmoothedWindow
                       ) -> tuple[np.ndarray, list[float], dict[str, tuple[np.ndarray, int]]]:
     """Process sum, step counts and per-sensor measurement sums, over stacked arrays.
 
-    Process: with the lifts B_j, constants c_j and offsets e_j stored at
-    push (see ``SmootherWindow``) and x~_j = B_j x_j|k + e_j, each
-    transition adds
+    Process: with the lifts B_j and constants c_j stored at push (see
+    ``SmootherWindow``) and x~_j = B_j (delta_j + d_j), each transition adds
 
         O_j = B_j P_j|k B_j^T + c_j + x~_j x~_j^T
 
@@ -280,12 +282,13 @@ def window_statistics(window: SmootherWindow, smoothed: SmoothedWindow
     statistic P_j|k - F_j P_j-1,j|k - P_j-1,j|k^T F_j^T + F_j P_j-1|k F_j^T
     + x~_j x~_j^T, x~_j = x_j|k - F_j x_j-1|k, with the lag-one
     cross-covariance P_j-1,j|k = G_j-1 P_j|k and the backward recursion
-    substituted.  A transition of zero steps (two corrections at one
-    instant) is a noiseless identity and carries no evidence; it is
-    skipped.  Measurement: the residual re-anchored to the smoothed mean,
-    r_j|k = r_j + H_j (s_j - x_j|k), gives L r_j|k r_j|k^T L + H P_j|k H^T
-    per snapshot, so a channel the kernel suppressed adds only the
-    covariance floor.  Per sensor id, in order of first appearance, the
+    substituted; with x_j|j-1 = F_j s_j-1, x~_j = (I - F_j G_j-1)
+    (x_j|k - x_j|j-1) is the form above.  A transition of zero steps (two
+    corrections at one instant) is a noiseless identity and carries no
+    evidence; it is skipped.  Measurement: the residual re-anchored to the
+    smoothed mean, r_j|k = r_j - H_j d_j, gives
+    L r_j|k r_j|k^T L + H P_j|k H^T per snapshot, so a channel the kernel
+    suppressed adds only the covariance floor.  Per sensor id, in order of first appearance, the
     dict holds the sum and the snapshot count; all sensors' sums are one
     batched reduction over a stack padded with -0.0 (x + -0.0 is x, bit
     for bit).  Every sum runs in ascending j: its round-off depends on the
@@ -294,12 +297,11 @@ def window_statistics(window: SmootherWindow, smoothed: SmoothedWindow
     snaps = window.snapshots
     if not snaps:
         raise AdaptationNotReady("window statistics need a non-empty window")
-    means, covs = smoothed.means, smoothed.covs
+    corrections, covs = smoothed.corrections, smoothed.covs
     live = window.rows
 
     obs = window.obs[live]
-    residual = window.residuals[live] + (
-        obs @ (window.states[live] - means)[:, :, None])[:, :, 0]
+    residual = window.residuals[live] - (obs @ corrections[:, :, None])[:, :, 0]
     weighted = window.weights[live] * residual
     terms = (weighted[:, :, None] * weighted[:, None, :]
              + obs @ covs @ obs.transpose(0, 2, 1))
@@ -318,7 +320,7 @@ def window_statistics(window: SmootherWindow, smoothed: SmoothedWindow
     if not moving.size:
         return np.zeros(covs.shape[1:]), [], measurement
     lifts = window.lifts[live][moving]
-    tilde = (lifts @ means[moving, :, None])[:, :, 0] + window.offsets[live][moving]
+    tilde = (lifts @ (window.deltas[live][moving] + corrections[moving])[:, :, None])[:, :, 0]
     process = symmetrize(_ascending_sum(lifts @ covs[moving] @ lifts.transpose(0, 2, 1)
                                         + window.consts[live][moving]
                                         + tilde[:, :, None] * tilde[:, None, :]))
@@ -337,10 +339,11 @@ class VbNoiseAdapter:
     own measurement pair (b, B), as snapshots carry their sensor id.
 
     An error-state engine reports each predict step through ``advance`` and
-    each correction through ``correct``, which builds and pushes the
-    snapshot in the no-reset frame.  ``refresh`` is called after each
-    pushed correction and returns the per-step process noise and a mapping
-    of sensor id to updated measurement noise.
+    each correction through ``correct``, which pushes the correction's
+    snapshot with the transition composed since the previous one.
+    ``refresh`` is called after each pushed correction and returns the
+    per-step process noise and a mapping of sensor id to updated
+    measurement noise.
     """
 
     def __init__(self, state_dim: int, obs_dim: int, window: int = 10,
@@ -355,25 +358,19 @@ class VbNoiseAdapter:
         self.T = np.zeros((state_dim, state_dim))
         self.measurement: dict[str, tuple[float, np.ndarray]] = {}
         self._obs_dim = obs_dim
-        # No-reset filtered mean, and the transition and predict-step count
-        # pending since the last correction.
-        self._frame_mean = np.zeros(state_dim)
+        # The transition and predict-step count pending since the last correction.
         self._trans = np.eye(state_dim)
         self._steps = 0.0
 
     def advance(self, trans: np.ndarray, steps: float) -> None:
         """Fold one predict step (transition ``trans``, ``steps`` nominal steps) in."""
-        self._frame_mean = trans @ self._frame_mean
         self._trans = trans @ self._trans
         self._steps += steps
 
     def correct(self, sensor_id: str, record: InnovationRecord, delta: np.ndarray) -> None:
         """Push the snapshot of a correction that moved the error mean by ``delta``."""
-        prior = self._frame_mean
-        self._frame_mean = prior + delta
-        self.push(WindowSnapshot(
-            record=record, state=self._frame_mean, prior_mean=prior,
-            transition=self._trans, steps=self._steps, sensor_id=sensor_id))
+        self.push(WindowSnapshot(record=record, delta=delta, transition=self._trans,
+                                 steps=self._steps, sensor_id=sensor_id))
         self._trans = np.eye(self._trans.shape[0])
         self._steps = 0.0
 

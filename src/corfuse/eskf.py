@@ -332,8 +332,8 @@ class FusionEngine:
 
     # -- internals -------------------------------------------------------
 
-    def _advance(self, dt: float, imu: ImuSample) -> None:
-        scale = dt / self._imu_period if self._imu_period else 1.0
+    def _advance(self, dt: float, imu: ImuSample, period: Optional[float]) -> None:
+        scale = dt / period if period else 1.0
         nominal, trans = imu_step(self._nominal, imu, dt)
         self._cov = predict(self._cov, trans, self.process_noise * scale)
         self._nominal = nominal
@@ -368,11 +368,14 @@ class FusionEngine:
             # The nominal IMU period is the spacing of IMU samples, not the
             # gap to whatever event came last.  A lost sample doubles a gap,
             # so a gap under 3/4 of the period replaces a period it inflated.
+            # A sample that predict refuses leaves the period as it was.
+            period = self._imu_period
             if self._last_imu is not None:
                 gap = sample.time - self._last_imu.time
-                if self._imu_period is None or gap < 0.75 * self._imu_period:
-                    self._imu_period = gap
-            self._advance(dt, sample)
+                if period is None or gap < 0.75 * period:
+                    period = gap
+            self._advance(dt, sample, period)
+            self._imu_period = period
         self._last_imu = sample
         return None
 
@@ -384,7 +387,7 @@ class FusionEngine:
             return None
         if dt > 0.0:
             if self._last_imu is not None:
-                self._advance(dt, self._last_imu)
+                self._advance(dt, self._last_imu, self._imu_period)
             else:
                 # No inertial data yet: slide the clock without propagation.
                 self._nominal.time = sample.time

@@ -140,7 +140,7 @@ def _apply_correction(cov_pred: np.ndarray, y: np.ndarray, obs_jac: np.ndarray,
     sol, regularized = spd_solve(innov_cov, ph.T)   # S^-1 sqrt(C) H P
     gain = sol.T * root_c
     if regularized:
-        log.warning("innovation covariance needed a ridge")
+        log.warning("innovation covariance from sensor '%s' needed a ridge", sensor_id)
 
     delta = gain @ y
     ikh = np.eye(cov_pred.shape[0]) - gain @ obs_jac

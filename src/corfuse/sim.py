@@ -23,7 +23,7 @@ for every rotation here (yaw only).  ``tests/test_sim.py`` keeps the
 per-point loops and checks the bits.
 
 Odometry corruption is layered: Gaussian noise per channel, optional
-Bernoulli-triggered jump offsets held for a fixed number of steps, and an
+Bernoulli-triggered jumps held for a fixed number of steps, and an
 optional linear position drift confined to a time window (a cheap model
 of a visual tracker diverging).
 """
@@ -307,7 +307,7 @@ def _sample_odometry(truth: TruthTrajectory, sensor: SensorSpec,
     triggers = rng.random(len(indices)) < noise.jump_probability
     samples: list[OdometrySample] = []
     hold = 0
-    jump = np.zeros(6)  # position(3) + velocity(3) offsets
+    jump = np.zeros(6)  # position(3) + velocity(3) jump
     drift = np.zeros(3)
     for i, grid_idx in enumerate(indices):
         t = float(truth.times[grid_idx])

@@ -145,9 +145,8 @@ def _run_scalar_identification(scheme: str, seed: int, steps: int = 2000):
                                   np.array([[r_hat]]), sensor_id="z")
         m, p = m_prior + float(delta[0]), float(record.cov_post[0, 0])
         if scheme == "vb":
-            adapter.push(WindowSnapshot(
-                record=record, state=np.array([m]), prior_mean=np.array([m_prior]),
-                transition=np.eye(1), steps=1.0, sensor_id="z"))
+            adapter.push(WindowSnapshot(record=record, delta=delta, transition=np.eye(1),
+                                        steps=1.0, sensor_id="z"))
             try:
                 _, by_sensor = adapter.refresh()
                 r_hat = float(by_sensor["z"][0, 0])
@@ -446,15 +445,14 @@ def test_acceptance_10_unit_weight_reductions_are_exact():
         delta, record = kf_update(np.array([[p_prior]]), z - m_prior, np.eye(1),
                                   np.array([[r_true]]), sensor_id="z")
         mm, p = m_prior + float(delta[0]), float(record.cov_post[0, 0])
-        window.push(WindowSnapshot(
-            record=record, state=np.array([mm]), prior_mean=np.array([m_prior]),
-            transition=np.eye(1), steps=1.0, sensor_id="z"))
+        window.push(WindowSnapshot(record=record, delta=delta, transition=np.eye(1),
+                                   steps=1.0, sensor_id="z"))
     smoothed = backward_smooth(window)
     ours_sum, count = window_statistics(window, smoothed)[2]["z"]
     total = np.zeros((1, 1))
     for j, snap in enumerate(window.snapshots):
         h_j = snap.record.obs_jacobian
-        re_anchored = snap.record.residual + h_j @ (snap.state - smoothed.means[j])
+        re_anchored = snap.record.residual - h_j @ smoothed.corrections[j]
         total += (np.outer(re_anchored, re_anchored)
                   + h_j @ smoothed.covs[j] @ h_j.T)
     total = (total + total.T) / 2.0

@@ -1,12 +1,19 @@
-"""Sliding-window smoother, noise recursions and the no-reset frame.
+"""Sliding-window smoother, noise recursions and the adapter's snapshots.
 
 The backward pass and both window statistics are checked against a fully
 hand-computed three-step scalar filter, then against Monte Carlo
 expectations on a matched linear-Gaussian system where the statistics
 must average to the true noise values.
+
+The window smooths corrections: each snapshot carries delta_j, the filtered
+mean after minus before its correction, and the pass returns
+d_j = x_j|k - s_j.  The references (``re_solving_smoother``,
+``two_loop_statistics``) stay in mean form, on the frame of filtered means
+that ``filter_frame`` rebuilds from the deltas with x_j|j-1 = F_j s_j-1.
 """
 
 import logging
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -24,15 +31,15 @@ from corfuse.linalg import floor_diagonal, psd_project, symmetrize
 UNIT = CorrentropyWeights(unweighted=np.array([1.0]), weighted=np.array([1.0]))
 
 
-def scalar_snapshot(state, prior_mean, cov, cov_pred, residual,
+def scalar_snapshot(delta, cov, cov_pred, residual,
                     trans=1.0, steps=1.0, sensor="s", weights=UNIT):
     record = InnovationRecord(
         innovation=np.array([residual]), residual=np.array([residual]),
         obs_jacobian=np.eye(1), cov_pred=np.array([[cov_pred]]),
         cov_post=np.array([[cov]]), gain=np.zeros((1, 1)), weights=weights)
     return WindowSnapshot(
-        record=record, state=np.array([state]), prior_mean=np.array([prior_mean]),
-        transition=np.array([[trans]]), steps=steps, sensor_id=sensor)
+        record=record, delta=np.array([delta]), transition=np.array([[trans]]),
+        steps=steps, sensor_id=sensor)
 
 
 def hand_filtered_window():
@@ -40,19 +47,20 @@ def hand_filtered_window():
 
     z = (1, 0, 0.25) from m0=0, P0=1 gives gains of one half throughout,
     filtered means (0.5, 0.25, 0.25) and covariances (0.5, 0.5, 0.5) with
-    predicted covariances (1, 1, 1).
+    predicted covariances (1, 1, 1), so corrections (0.5, -0.25, 0).
     """
     window = SmootherWindow(length=10)
-    window.push(scalar_snapshot(0.5, 0.0, 0.5, 1.0, residual=0.5))
-    window.push(scalar_snapshot(0.25, 0.5, 0.5, 1.0, residual=-0.25))
-    window.push(scalar_snapshot(0.25, 0.25, 0.5, 1.0, residual=0.0))
+    window.push(scalar_snapshot(0.5, 0.5, 1.0, residual=0.5))
+    window.push(scalar_snapshot(-0.25, 0.5, 1.0, residual=-0.25))
+    window.push(scalar_snapshot(0.0, 0.5, 1.0, residual=0.0))
     return window
 
 
 def test_backward_pass_matches_hand_computation():
     window = hand_filtered_window()
     smoothed = backward_smooth(window)
-    np.testing.assert_allclose([m[0] for m in smoothed.means], [0.375, 0.25, 0.25])
+    # smoothed means (0.375, 0.25, 0.25) less the filtered (0.5, 0.25, 0.25)
+    np.testing.assert_allclose(smoothed.corrections[:, 0], [-0.125, 0.0, 0.0])
     np.testing.assert_allclose([c[0, 0] for c in smoothed.covs],
                                [0.34375, 0.375, 0.5])
     gains = [s.gain for s in window.snapshots[1:]]
@@ -78,9 +86,9 @@ def test_measurement_statistic_matches_hand_computation():
 
 def test_single_snapshot_smooths_to_filtered_values():
     window = SmootherWindow(length=10)
-    window.push(scalar_snapshot(1.5, 1.0, 0.25, 0.5, residual=0.1))
+    window.push(scalar_snapshot(0.5, 0.25, 0.5, residual=0.1))
     smoothed = backward_smooth(window)
-    assert smoothed.means[0][0] == pytest.approx(1.5)
+    assert smoothed.corrections[0][0] == 0.0
     assert smoothed.covs[0][0, 0] == pytest.approx(0.25)
     assert window.snapshots[0].gain is None
 
@@ -92,7 +100,7 @@ def test_empty_window_raises():
 
 def test_process_statistic_needs_a_transition():
     adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
-    adapter.push(scalar_snapshot(1.0, 0.0, 0.5, 1.0, residual=0.0))
+    adapter.push(scalar_snapshot(1.0, 0.5, 1.0, residual=0.0))
     total, steps, _ = window_statistics(adapter.window, backward_smooth(adapter.window))
     assert steps == [] and total[0, 0] == 0.0
     with pytest.raises(AdaptationNotReady):
@@ -104,33 +112,31 @@ def test_same_instant_corrections_carry_no_process_evidence():
 
     The smoother treats the pair as a single instant (gain one, equal
     smoothed moments) and the statistic must skip it rather than count a
-    zero into the average.
+    zero into the average.  Equal smoothed means make the first smoothed
+    correction the second snapshot's delta.
     """
     window = SmootherWindow(length=10)
-    window.push(scalar_snapshot(0.8, 1.0, 0.4, 0.6, residual=0.1))
-    window.push(scalar_snapshot(0.7, 0.8, 0.3, 0.4, residual=0.0, steps=0.0))
+    window.push(scalar_snapshot(-0.2, 0.4, 0.6, residual=0.1))
+    window.push(scalar_snapshot(-0.1, 0.3, 0.4, residual=0.0, steps=0.0))
     smoothed = backward_smooth(window)
     np.testing.assert_array_equal(window.snapshots[1].gain, np.eye(1))
-    np.testing.assert_array_equal(smoothed.means[0], smoothed.means[1])
+    np.testing.assert_array_equal(smoothed.corrections, [[-0.1], [0.0]])
     total, steps, _ = window_statistics(window, smoothed)
     assert steps == []
     assert total[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_zero_step_snapshot_with_another_prior_still_solves_its_gain():
-    """Only an unchanged prior makes a zero-step transition same-instant."""
-    for cov_pred, prior_mean in ((0.6, 0.8), (0.4, 0.9)):
-        window = SmootherWindow(length=10)
-        window.push(scalar_snapshot(0.8, 1.0, 0.4, 0.6, residual=0.1))
-        window.push(scalar_snapshot(0.7, prior_mean, 0.3, cov_pred, residual=0.0, steps=0.0))
-        snap = window.snapshots[1]
-        solved = cho_solve(cho_factor(snap.record.cov_pred, lower=True),
-                           snap.transition @ window.snapshots[0].record.cov_post).T
-        np.testing.assert_array_equal(snap.gain, solved)
-        assert snap.gain.flags.writeable
-        smoothed = backward_smooth(window)
-        want = re_solving_smoother(window.snapshots)
-        np.testing.assert_array_equal(smoothed.means, want[0])
+    """Only an unchanged prior covariance makes a zero-step transition same-instant."""
+    window = SmootherWindow(length=10)
+    window.push(scalar_snapshot(-0.2, 0.4, 0.6, residual=0.1))
+    window.push(scalar_snapshot(-0.1, 0.3, 0.6, residual=0.0, steps=0.0))
+    snap = window.snapshots[1]
+    solved = cho_solve(cho_factor(snap.record.cov_pred, lower=True),
+                       snap.transition @ window.snapshots[0].record.cov_post).T
+    np.testing.assert_array_equal(snap.gain, solved)
+    assert snap.gain.flags.writeable
+    assert_smoothed_means(backward_smooth(window), re_solving_smoother(window.snapshots))
 
 
 def spy_on_projection(monkeypatch):
@@ -155,15 +161,15 @@ def test_certified_process_sum_has_the_bits_of_its_projection(monkeypatch):
     np.testing.assert_array_equal(certified, projected)
 
 
-def two_state_snapshot(state, cov, cov_pred, steps=1.0):
+def two_state_snapshot(delta, cov, cov_pred, steps=1.0):
     """Two uncoupled scalar states observed through their sum."""
     weights = CorrentropyWeights(unweighted=np.ones(1), weighted=np.ones(1))
     record = InnovationRecord(
         innovation=np.zeros(1), residual=np.zeros(1), obs_jacobian=np.ones((1, 2)),
         cov_pred=np.diag(cov_pred), cov_post=np.diag(cov), gain=np.zeros((2, 1)),
         weights=weights)
-    return WindowSnapshot(record=record, state=np.array(state), prior_mean=np.array(state),
-                          transition=np.eye(2), steps=steps)
+    return WindowSnapshot(record=record, delta=np.array(delta), transition=np.eye(2),
+                          steps=steps)
 
 
 def test_indefinite_process_sum_is_still_clipped(monkeypatch):
@@ -188,11 +194,9 @@ def test_indefinite_process_sum_is_still_clipped(monkeypatch):
 def test_window_of_same_instant_transitions_factorizes_nothing(monkeypatch):
     """Without a moving transition the process sum is zero, with no eigh or Cholesky."""
     window = SmootherWindow(length=4)
-    window.push(scalar_snapshot(0.8, 1.0, 0.4, 0.6, residual=0.1))
+    window.push(scalar_snapshot(-0.2, 0.4, 0.6, residual=0.1))
     for _ in range(3):
-        prev = window.snapshots[-1]
-        window.push(scalar_snapshot(prev.state[0], prev.state[0], 0.4, 0.4, residual=0.0,
-                                    steps=0.0))
+        window.push(scalar_snapshot(0.0, 0.4, 0.4, residual=0.0, steps=0.0))
 
     def refuse(*args, **kwargs):
         raise AssertionError("factorized a zero process sum")
@@ -222,9 +226,9 @@ def test_engine_window_shares_one_identity_gain_across_same_instant_snapshots():
             assert snap.conditional_cov is instant[0].conditional_cov
             np.testing.assert_array_equal(snap.conditional_cov, np.zeros((9, 9)))
     smoothed = backward_smooth(window)
-    want_means, want_covs, _, _ = re_solving_smoother(window.snapshots)
-    np.testing.assert_allclose(smoothed.means, want_means, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(smoothed.covs, want_covs, rtol=1e-12, atol=0)
+    reference = re_solving_smoother(window.snapshots)
+    assert_smoothed_means(smoothed, reference)
+    np.testing.assert_allclose(smoothed.covs, reference.covs, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("shape", [(40, 1, 1), (40, 2, 1, 1), (40, 1, 3, 3), (40, 3, 9, 9)])
@@ -241,28 +245,59 @@ def test_ascending_sum_adds_terms_in_order(shape):
 def test_window_length_bounds_buffer():
     window = SmootherWindow(length=3)
     for k in range(10):
-        window.push(scalar_snapshot(float(k), 0.0, 0.5, 1.0, residual=0.0))
+        window.push(scalar_snapshot(float(k), 0.5, 1.0, residual=0.0))
     assert len(window) == 4  # length transitions need length + 1 snapshots
-    assert window.snapshots[0].state[0] == 6.0
+    assert window.snapshots[0].delta[0] == 6.0
 
 
-def re_solving_smoother(snaps):
-    """The RTS pass solving every gain afresh from the buffered snapshots."""
+def filter_frame(snaps, start=None):
+    """The filtered means (priors, states) the deltas imply: x_j|j-1 = F_j s_j-1.
+
+    The first prior is ``start`` (default zero).  The smoothed corrections
+    do not depend on it.
+    """
+    prior = np.zeros(snaps[0].delta.shape[0]) if start is None else start
+    priors, states = [], []
+    for snap in snaps:
+        if states:
+            prior = snap.transition @ states[-1]
+        priors.append(prior)
+        states.append(prior + snap.delta)
+    return priors, states
+
+
+class Reference(NamedTuple):
+    states: list
+    means: list
+    covs: list
+    gains: list
+    crosses: list
+
+
+def re_solving_smoother(snaps, start=None):
+    """The mean-form RTS pass solving every gain afresh from the buffered snapshots."""
+    priors, states = filter_frame(snaps, start)
     count = len(snaps)
     means, covs = [None] * count, [None] * count
     gains, crosses = [None] * (count - 1), [None] * (count - 1)
-    means[-1] = snaps[-1].state.copy()
+    means[-1] = states[-1].copy()
     covs[-1] = snaps[-1].record.cov_post.copy()
     for j in range(count - 1, 0, -1):
         prev, cur = snaps[j - 1], snaps[j]
         cov_prev, cov_pred = prev.record.cov_post, cur.record.cov_pred
         factor = cho_factor(cov_pred, lower=True, check_finite=False)
         gain = cho_solve(factor, cur.transition @ cov_prev, check_finite=False).T
-        means[j - 1] = prev.state + gain @ (means[j] - cur.prior_mean)
+        means[j - 1] = states[j - 1] + gain @ (means[j] - priors[j])
         covs[j - 1] = symmetrize(cov_prev + gain @ (covs[j] - cov_pred) @ gain.T)
         gains[j - 1] = gain
         crosses[j - 1] = gain @ covs[j]
-    return means, covs, gains, crosses
+    return Reference(states, means, covs, gains, crosses)
+
+
+def assert_smoothed_means(smoothed, reference):
+    """The smoothed means s_j + d_j match the mean-form reference to rtol 1e-12."""
+    np.testing.assert_allclose(np.array(reference.states) + smoothed.corrections,
+                               reference.means, rtol=1e-12, atol=0)
 
 
 def two_loop_statistics(snaps, reference):
@@ -271,8 +306,8 @@ def two_loop_statistics(snaps, reference):
     ``reference`` is ``re_solving_smoother``'s output; the process statistic
     takes the lag-one cross-covariances from it.
     """
-    means, covs, _, crosses = reference
-    dim = snaps[0].state.shape[0]
+    states, means, covs, _, crosses = reference
+    dim = snaps[0].delta.shape[0]
     total = np.zeros((dim, dim))
     count = 0
     for j in range(1, len(snaps)):
@@ -295,7 +330,7 @@ def two_loop_statistics(snaps, reference):
             totals[sid] = np.zeros((obs_dim, obs_dim))
             counts[sid] = 0
         h = snap.record.obs_jacobian
-        residual = snap.record.residual + h @ (snap.state - means[j])
+        residual = snap.record.residual + h @ (states[j] - means[j])
         weighted = snap.record.weights.unweighted * residual
         totals[sid] += np.outer(weighted, weighted) + h @ covs[j] @ h.T
         counts[sid] += 1
@@ -312,18 +347,20 @@ def random_spd9(rng):
 
 
 def test_gains_cached_at_push_match_re_solving_smoother_bitwise():
-    """Gains and smoothed means match the re-solving pass bit for bit.
+    """Gains match the re-solving pass bit for bit.
 
-    The smoothed covariances and the process statistic use terms fixed at
-    push, a regrouping of the reference algebra, so they and everything
-    built on them agree to round-off only.
+    The smoothed corrections and covariances and the process statistic use
+    terms fixed at push, a regrouping of the reference algebra, so they and
+    everything built on them agree to round-off only.  The reference runs on
+    the filtered means of the whole stream, from a random first prior.
     """
     rng = np.random.default_rng(41)
     window = SmootherWindow(length=4)
+    start = 5.0 * rng.standard_normal(9)
+    pushed = []
     for k in range(9):  # evicts from the sixth push on
         instant = k == 5  # a second correction at the same instant
-        state = rng.standard_normal(9)
-        prior_mean = rng.standard_normal(9)
+        delta = rng.standard_normal(9)
         cov = random_spd9(rng)
         trans = np.eye(9) if instant else np.eye(9) + 0.1 * rng.standard_normal((9, 9))
         residual = rng.standard_normal(3)
@@ -332,20 +369,21 @@ def test_gains_cached_at_push_match_re_solving_smoother_bitwise():
             cov_pred=random_spd9(rng), cov_post=cov, gain=np.zeros((9, 3)),
             weights=CorrentropyWeights(unweighted=rng.uniform(0.1, 1.0, 3),
                                        weighted=np.ones(3)))
-        window.push(WindowSnapshot(
-            record=record, state=state, prior_mean=prior_mean, transition=trans,
+        pushed.append(WindowSnapshot(
+            record=record, delta=delta, transition=trans,
             steps=0.0 if instant else 1.0 + k, sensor_id="ab"[k % 2]))
+        window.push(pushed[-1])
         if len(window) < 2:
             continue
         smoothed = backward_smooth(window)
-        reference = re_solving_smoother(window.snapshots)
-        want_means, want_covs, want_gains, _ = reference
+        priors, _ = filter_frame(pushed, start)
+        reference = re_solving_smoother(window.snapshots, priors[-len(window)])
         gains = [snap.gain for snap in window.snapshots[1:]]
-        assert len(gains) == len(want_gains)
-        for got, want in zip(gains, want_gains):
+        assert len(gains) == len(reference.gains)
+        for got, want in zip(gains, reference.gains):
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(smoothed.means, want_means)
-        np.testing.assert_allclose(smoothed.covs, want_covs, rtol=1e-12, atol=0)
+        assert_smoothed_means(smoothed, reference)
+        np.testing.assert_allclose(smoothed.covs, reference.covs, rtol=1e-12, atol=0)
 
         process, steps, by_sensor = window_statistics(window, smoothed)
         want_process, want_count, want_by_sensor, want_mean = two_loop_statistics(
@@ -369,8 +407,7 @@ def random_snapshot_data(rng, count):
         data.append(dict(
             residual=residual, obs=rng.standard_normal((3, 9)),
             cov_pred=random_spd9(rng), cov_post=random_spd9(rng),
-            weights=rng.uniform(0.1, 1.0, 3), state=rng.standard_normal(9),
-            prior_mean=rng.standard_normal(9),
+            weights=rng.uniform(0.1, 1.0, 3), delta=rng.standard_normal(9),
             trans=np.eye(9) if instant else np.eye(9) + 0.1 * rng.standard_normal((9, 9)),
             steps=0.0 if instant else 1.0 + k % 4, sensor="ab"[k % 2]))
     return data
@@ -383,8 +420,8 @@ def snapshot_from(fields):
         cov_post=fields["cov_post"], gain=np.zeros((9, 3)),
         weights=CorrentropyWeights(unweighted=fields["weights"], weighted=np.ones(3)))
     return WindowSnapshot(
-        record=record, state=fields["state"], prior_mean=fields["prior_mean"],
-        transition=fields["trans"], steps=fields["steps"], sensor_id=fields["sensor"])
+        record=record, delta=fields["delta"], transition=fields["trans"],
+        steps=fields["steps"], sensor_id=fields["sensor"])
 
 
 @pytest.mark.parametrize("pushes", range(5, 17))
@@ -405,7 +442,7 @@ def test_evicting_window_matches_a_fresh_window_of_its_snapshots_bitwise(pushes)
     assert len(rolled.window) == len(fresh.window) == 5
 
     got, want = backward_smooth(rolled.window), backward_smooth(fresh.window)
-    np.testing.assert_array_equal(got.means, want.means)
+    np.testing.assert_array_equal(got.corrections, want.corrections)
     np.testing.assert_array_equal(got.covs, want.covs)
     got_stats = window_statistics(rolled.window, got)
     want_stats = window_statistics(fresh.window, want)
@@ -422,19 +459,19 @@ def test_evicting_window_matches_a_fresh_window_of_its_snapshots_bitwise(pushes)
 def test_smoother_ridge_warning_is_logged_once_per_snapshot(caplog):
     adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
     with caplog.at_level(logging.WARNING, logger="corfuse.adapt_vb"):
-        adapter.push(scalar_snapshot(0.5, 0.0, 0.5, 1.0, residual=0.1))
-        adapter.push(scalar_snapshot(0.25, 0.5, 0.5, 0.0, residual=0.0))
+        adapter.push(scalar_snapshot(0.5, 0.5, 1.0, residual=0.1))
+        adapter.push(scalar_snapshot(-0.25, 0.5, 0.0, residual=0.0, sensor="odo1"))
         for _ in range(3):
             adapter.refresh()
     assert [r.getMessage() for r in caplog.records] == [
-        "smoother regularized a singular predicted covariance"]
+        "smoother regularized a singular predicted covariance from sensor 'odo1'"]
 
 
 def test_measurement_statistic_filters_by_sensor():
     window = SmootherWindow(length=10)
-    window.push(scalar_snapshot(0.5, 0.0, 0.5, 1.0, residual=0.5, sensor="a"))
-    window.push(scalar_snapshot(0.25, 0.5, 0.5, 1.0, residual=-0.25, sensor="b"))
-    window.push(scalar_snapshot(0.25, 0.25, 0.5, 1.0, residual=0.0, sensor="a"))
+    window.push(scalar_snapshot(0.5, 0.5, 1.0, residual=0.5, sensor="a"))
+    window.push(scalar_snapshot(-0.25, 0.5, 1.0, residual=-0.25, sensor="b"))
+    window.push(scalar_snapshot(0.0, 0.5, 1.0, residual=0.0, sensor="a"))
     by_sensor = window_statistics(window, backward_smooth(window))[2]
     assert list(by_sensor) == ["a", "b"]  # order of first appearance
     assert [count for _, count in by_sensor.values()] == [2, 1]
@@ -448,8 +485,7 @@ def test_suppressed_channel_contributes_only_covariance_floor():
     weights = CorrentropyWeights(unweighted=np.array([0.0]),
                                  weighted=np.array([0.0]))
     window = SmootherWindow(length=10)
-    window.push(scalar_snapshot(0.5, 0.0, 0.5, 1.0, residual=7.0,
-                                weights=weights))
+    window.push(scalar_snapshot(0.5, 0.5, 1.0, residual=7.0, weights=weights))
     smoothed = backward_smooth(window)
     total, count = window_statistics(window, smoothed)[2]["s"]
     assert count == 1
@@ -470,7 +506,7 @@ def run_matched_scalar_filter(rng, steps, q_true, r_true):
         gain = p_prior / (p_prior + r_true)
         m = m_prior + gain * (z - m_prior)
         p = (1.0 - gain) ** 2 * p_prior + gain * r_true * gain
-        window.push(scalar_snapshot(m, m_prior, p, p_prior, residual=z - m))
+        window.push(scalar_snapshot(m - m_prior, p, p_prior, residual=z - m))
     return window
 
 
@@ -498,8 +534,7 @@ def full_window_adapter(window, forgetting):
     adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=window,
                              forgetting=forgetting)
     for k in range(window + 1):
-        adapter.push(scalar_snapshot(0.1 * k, 0.1 * k - 0.05, 0.5, 1.0,
-                                     residual=0.2 * (-1) ** k))
+        adapter.push(scalar_snapshot(0.05, 0.5, 1.0, residual=0.2 * (-1) ** k))
     return adapter
 
 
@@ -546,7 +581,7 @@ def test_degrees_of_freedom_converge_to_geometric_limit():
 
 
 # ---------------------------------------------------------------------------
-# no-reset frame
+# snapshots the adapter pushes
 
 
 def scalar_record(residual=0.0):
@@ -556,23 +591,23 @@ def scalar_record(residual=0.0):
         gain=0.5 * np.eye(1), weights=UNIT)
 
 
-def test_adapter_keeps_the_no_reset_frame_between_corrections():
-    """Scalar frame worked by hand: corrections add, transitions compose."""
+def test_adapter_pushes_each_delta_with_the_composed_transition():
+    """Scalar case worked by hand: transitions compose, step counts add."""
     adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
     record = scalar_record(residual=0.3)
-    adapter.correct("a", record, np.array([1.0]))
+    delta = np.array([1.0])
+    adapter.correct("a", record, delta)
     first = adapter.window.snapshots[-1]
-    assert (first.prior_mean[0], first.state[0]) == (0.0, 1.0)
+    assert first.delta is delta
     assert (first.transition[0, 0], first.steps) == (1.0, 0.0)
 
     adapter.advance(np.array([[2.0]]), 1.0)
-    adapter.advance(np.array([[2.0]]), 1.0)
+    adapter.advance(np.array([[3.0]]), 0.5)
     adapter.correct("b", record, np.array([0.5]))
     second = adapter.window.snapshots[-1]
-    assert second.prior_mean[0] == 4.0
-    assert second.transition[0, 0] == 4.0
-    assert second.steps == 2.0
-    assert second.state[0] == 4.5
+    assert second.delta[0] == 0.5
+    assert second.transition[0, 0] == 6.0
+    assert second.steps == 1.5
     assert second.sensor_id == "b"
     # the snapshot keeps the record itself, covariances included
     assert second.record is record
@@ -581,7 +616,7 @@ def test_adapter_keeps_the_no_reset_frame_between_corrections():
     adapter.correct("b", record, np.array([0.0]))
     third = adapter.window.snapshots[-1]
     assert (third.transition[0, 0], third.steps) == (1.0, 0.0)
-    assert third.prior_mean[0] == third.state[0] == 4.5
+    assert third.delta[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -590,16 +625,15 @@ def test_adapter_keeps_the_no_reset_frame_between_corrections():
 
 def test_adapter_reports_not_ready_until_two_snapshots():
     adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
-    adapter.push(scalar_snapshot(0.5, 0.0, 0.5, 1.0, residual=0.1))
+    adapter.push(scalar_snapshot(0.5, 0.5, 1.0, residual=0.1))
     with pytest.raises(AdaptationNotReady):
         adapter.refresh()
 
 
 def test_adapter_withholds_process_estimate_without_real_transitions():
     adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
-    adapter.push(scalar_snapshot(0.8, 1.0, 0.4, 0.6, residual=0.1))
-    adapter.push(scalar_snapshot(0.7, 0.8, 0.3, 0.4, residual=0.0,
-                                 steps=0.0))
+    adapter.push(scalar_snapshot(-0.2, 0.4, 0.6, residual=0.1))
+    adapter.push(scalar_snapshot(-0.1, 0.3, 0.4, residual=0.0, steps=0.0))
     q, by_sensor = adapter.refresh()
     assert q is None
     assert "s" in by_sensor  # measurement evidence still flows
@@ -611,8 +645,7 @@ def test_adapter_tracks_measurement_noise_per_sensor():
     for k in range(40):
         sensor = "a" if k % 2 == 0 else "b"
         resid = rng.normal(0.0, 0.1 if sensor == "a" else 1.0)
-        adapter.push(scalar_snapshot(0.0, 0.0, 1e-6, 1e-6,
-                                     residual=resid, sensor=sensor))
+        adapter.push(scalar_snapshot(0.0, 1e-6, 1e-6, residual=resid, sensor=sensor))
     _, by_sensor = adapter.refresh()
     assert set(by_sensor) == {"a", "b"}
     assert by_sensor["b"][0, 0] > by_sensor["a"][0, 0]
@@ -620,10 +653,10 @@ def test_adapter_tracks_measurement_noise_per_sensor():
 
 def test_adapter_mean_steps_ignores_instant_transitions():
     adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
-    adapter.push(scalar_snapshot(0.0, 0.0, 0.5, 1.0, 0.0, steps=1.0))
-    adapter.push(scalar_snapshot(0.0, 0.0, 0.5, 1.0, 0.0, steps=4.0))
-    adapter.push(scalar_snapshot(0.0, 0.0, 0.5, 1.0, 0.0, steps=0.0))
-    adapter.push(scalar_snapshot(0.0, 0.0, 0.5, 1.0, 0.0, steps=6.0))
+    adapter.push(scalar_snapshot(0.0, 0.5, 1.0, 0.0, steps=1.0))
+    adapter.push(scalar_snapshot(0.0, 0.5, 1.0, 0.0, steps=4.0))
+    adapter.push(scalar_snapshot(0.0, 0.5, 1.0, 0.0, steps=0.0))
+    adapter.push(scalar_snapshot(0.0, 0.5, 1.0, 0.0, steps=6.0))
     _, steps, _ = window_statistics(adapter.window, backward_smooth(adapter.window))
     assert steps == [4.0, 6.0]
     q_step, _ = adapter.refresh()
@@ -645,7 +678,7 @@ def test_closed_loop_measurement_noise_identification():
         gain = p_prior / (p_prior + r_hat)
         m = m_prior + gain * (z - m_prior)
         p = (1.0 - gain) ** 2 * p_prior + gain * r_hat * gain
-        adapter.push(scalar_snapshot(m, m_prior, p, p_prior, residual=z - m))
+        adapter.push(scalar_snapshot(m - m_prior, p, p_prior, residual=z - m))
         try:
             _, by_sensor = adapter.refresh()
             r_hat = by_sensor["s"][0, 0]

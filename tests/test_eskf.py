@@ -395,6 +395,27 @@ def test_imu_sample_whose_covariance_overflows_raises_and_leaves_the_filter_unto
     np.testing.assert_array_equal(engine.covariance, cov)
 
 
+def test_refused_imu_sample_leaves_the_imu_period_as_it_was():
+    """A refused sample 5 ms into a 20 ms stream must not shorten the period to 5 ms.
+
+    The shorter period would scale the next step's Q by 4; the engine that
+    refused the sample must go on exactly as one that never saw it.
+    """
+    covariances = []
+    for refused in (False, True):
+        engine = FusionEngine(EngineConfig(variant="ekf"), {"odo0": 0.01})
+        engine.initialize(make_state(), 1e-4)
+        engine.process(hover_imu(0.0))
+        engine.process(hover_imu(0.02))
+        if refused:
+            huge = ImuSample(accel=np.array([1e200, 0.0, 0.0]), gyro=np.zeros(3), time=0.025)
+            with pytest.raises(PropagationError), pytest.warns(RuntimeWarning):
+                engine.process(huge)
+        engine.process(hover_imu(0.04))
+        covariances.append(engine.covariance)
+    np.testing.assert_array_equal(covariances[1], covariances[0])
+
+
 @pytest.mark.parametrize("variant,position,orientation", [
     # The engine refuses a quaternion whose norm is far from 1 before it
     # computes a residual: a zero one, a tiny one (which would reach the log

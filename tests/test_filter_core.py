@@ -12,6 +12,8 @@ error state.  The mean-form cases pass y = z - H m and check m + delta
 against the oracle, which stays in mean form.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,17 @@ def test_singular_prior_is_corrected_without_a_ridge(update, caplog):
     np.testing.assert_array_equal(record.cov_post[1], 0.0)
     np.testing.assert_array_equal(record.cov_post[:, 1], 0.0)
     assert delta[0] > 0.0 and delta[2] > 0.0
+
+
+def test_ridge_warning_names_the_sensor(caplog):
+    """A zero innovation covariance (P = 0, R = 0) is solved with a ridge, logged once."""
+    with caplog.at_level(logging.WARNING, logger="corfuse.filter_core"):
+        delta, record = kf_update(np.zeros((2, 2)), np.array([0.1, -0.2]), np.eye(2),
+                                  np.zeros((2, 2)), sensor_id="odo3")
+    assert record.regularized
+    np.testing.assert_array_equal(delta, 0.0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "innovation covariance from sensor 'odo3' needed a ridge"]
 
 
 def test_unit_weight_update_matches_kf_update_exactly():

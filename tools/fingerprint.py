@@ -22,6 +22,16 @@ workload and every variant, and ``--duration`` shortens the streams
 (seconds):
 
     python tools/fingerprint.py --seeds 4-6 --workload vb_outliers --variant vb-amcckf
+
+To size a change that is not bitwise, ``--dump DIR`` saves each run's
+estimate rows to ``DIR/<workload>_<variant>_seed<seed>.npy``, and
+``--against DIR``, run in the other checkout, ends each run's line with the
+largest change from those rows: ``dpos``, the largest per-row distance
+between the positions (m), and ``dcov``, the largest relative change of a
+covariance diagonal entry:
+
+    python tools/fingerprint.py --dump before/      # in the parent checkout
+    python tools/fingerprint.py --against before/   # in the changed one
 """
 from __future__ import annotations
 
@@ -38,18 +48,25 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
+from corfuse.dataset import ESTIMATE_HEADER  # noqa: E402
 from corfuse.eskf import VARIANTS, OdometrySample  # noqa: E402
 from corfuse.experiments import RunConfig, build_scenario, run_experiment  # noqa: E402
 from corfuse.sim import generate_truth, sample_sensors  # noqa: E402
 from sweep import parse_seeds  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
+POSITION = [ESTIMATE_HEADER.index(name) for name in ("px", "py", "pz")]
+COV_DIAG = [ESTIMATE_HEADER.index(f"c{i}") for i in range(9)]
 
-def fingerprint(settings: dict, duration: float, variant: str, seed: int) -> str:
+
+def fingerprint(settings: dict, duration: float, variant: str, seed: int
+                ) -> tuple[str, np.ndarray]:
+    """The run's digest and its estimate rows."""
     result = run_experiment(RunConfig(**{**settings, "filter": variant, "seed": seed,
                                          "duration": duration}))
     engine = result.engine
-    digest = hashlib.sha256(np.asarray(result.estimates, dtype=float).tobytes())
+    rows = np.asarray(result.estimates, dtype=float)
+    digest = hashlib.sha256(rows.tobytes())
     digest.update(np.asarray(engine.covariance, dtype=float).tobytes())
     digest.update(np.asarray(engine.process_noise, dtype=float).tobytes())
     for sensor_id in engine.sensor_ids():
@@ -58,7 +75,18 @@ def fingerprint(settings: dict, duration: float, variant: str, seed: int) -> str
     # The same text as experiments.write_json, without the file.
     digest.update(json.dumps(dataclasses.asdict(result.metrics), indent=2, sort_keys=True)
                   .encode())
-    return digest.hexdigest()
+    return digest.hexdigest(), rows
+
+
+def largest_change(rows: np.ndarray, before: np.ndarray) -> str:
+    """``dpos`` and ``dcov`` of ``rows`` against the dumped ``before``."""
+    if rows.shape != before.shape:
+        return f"rows {before.shape[0]} -> {rows.shape[0]}"
+    dpos = np.linalg.norm(rows[:, POSITION] - before[:, POSITION], axis=1).max()
+    new, old = rows[:, COV_DIAG], before[:, COV_DIAG]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        relative = np.where(new == old, 0.0, np.abs(new - old) / np.abs(old))
+    return f"dpos={dpos:.2g} dcov={relative.max():.2g}"
 
 
 def stream_fingerprint(settings: dict, duration: float, seed: int) -> str:
@@ -87,7 +115,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--duration", type=float, help="stream length in seconds")
     parser.add_argument("--variant", action="append", choices=VARIANTS,
                         help="filter variant (repeatable; default all)")
+    parser.add_argument("--dump", type=Path, metavar="DIR",
+                        help="save each run's estimate rows in DIR")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="end each run's line with its largest change from DIR's rows")
     args = parser.parse_args(argv)
+    if args.dump:
+        args.dump.mkdir(parents=True, exist_ok=True)
     for name in args.workload or list(WORKLOADS):
         workload = WORKLOADS[name]
         duration = args.duration or workload.duration
@@ -96,8 +130,14 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"{name} stream seed={seed} {digest}", flush=True)
         for variant in args.variant or VARIANTS:
             for seed in args.seeds:
-                digest = fingerprint(workload.settings, duration, variant, seed)
-                print(f"{name} {variant} seed={seed} {digest}", flush=True)
+                digest, rows = fingerprint(workload.settings, duration, variant, seed)
+                line = f"{name} {variant} seed={seed} {digest}"
+                stem = f"{name}_{variant}_seed{seed}.npy"
+                if args.dump:
+                    np.save(args.dump / stem, rows)
+                if args.against:
+                    line += " " + largest_change(rows, np.load(args.against / stem))
+                print(line, flush=True)
     return 0
 
 
