@@ -34,12 +34,13 @@ Every term that depends on the buffered snapshots alone is computed once,
 when its snapshot is pushed: the smoother gain and conditional covariance
 on the snapshot, and the process statistic's terms in stacked buffers
 beside the snapshot's correction, Jacobian, residual, weights and step
-count.  A refresh then does the backward pass, O(W) matrix products and
-no solves, and both window statistics as batched NumPy over the stacks
-(``window_statistics``).  The process sum is certified positive definite
-by a Cholesky factorization and projected onto the PSD cone only when
-that fails, so ``refresh`` hands out the per-step Q without projecting it
-again.
+count.  A refresh then does the backward pass (``backward_smooth``), O(W)
+matrix products and no solves, which returns the smoothed corrections and
+covariances as two stacked arrays, and both window statistics as batched
+NumPy over those and the buffers (``window_statistics``).  The process
+sum is certified positive definite by a Cholesky factorization and
+projected onto the PSD cone only when that fails, so ``refresh`` hands
+out the per-step Q without projecting it again.
 
 Same-instant rule: a snapshot with zero predict steps, an identity
 transition, and the previous snapshot's posterior covariance as its prior
@@ -198,22 +199,14 @@ class SmootherWindow:
         return len(self.snapshots)
 
 
-@dataclass
-class SmoothedWindow:
-    """Backward-pass output aligned with the window's snapshots.
-
-    ``corrections[j]`` and ``covs[j]`` are the smoothed correction
-    d_j = x_j|k - s_j (smoothed minus filtered mean) and the smoothed
-    covariance P_j|k of snapshot j, stacked into ``(count, dim)`` and
-    ``(count, dim, dim)`` arrays.  The smoother gains stay on the snapshots.
-    """
-
-    corrections: np.ndarray
-    covs: np.ndarray
-
-
-def backward_smooth(window: SmootherWindow) -> SmoothedWindow:
+def backward_smooth(window: SmootherWindow) -> tuple[np.ndarray, np.ndarray]:
     """Rauch-Tung-Striebel backward pass over the buffered snapshots.
+
+    Returns ``(corrections, covs)``, aligned with the window's snapshots:
+    ``corrections[j]`` is the smoothed correction d_j = x_j|k - s_j
+    (smoothed minus filtered mean) and ``covs[j]`` the smoothed covariance
+    P_j|k of snapshot j, stacked into ``(count, dim)`` and
+    ``(count, dim, dim)`` arrays.  The smoother gains stay on the snapshots.
 
     From the last snapshot's filtered moments (d = 0), with the gains G_j-1
     and conditional covariances D_j-1 fixed at push (see ``WindowSnapshot``):
@@ -252,8 +245,7 @@ def backward_smooth(window: SmootherWindow) -> SmoothedWindow:
             continue
         corr = corrections[j - 1] = gain @ (cur.delta + corr)
         cov = covs[j - 1] = gain @ cov @ gain.T + cur.conditional_cov
-    return SmoothedWindow(corrections=corrections,
-                          covs=0.5 * (covs + covs.transpose(0, 2, 1)))
+    return corrections, 0.5 * (covs + covs.transpose(0, 2, 1))
 
 
 def _ascending_sum(terms: np.ndarray) -> np.ndarray:
@@ -265,12 +257,14 @@ def _ascending_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=0)[-1]
 
 
-def window_statistics(window: SmootherWindow, smoothed: SmoothedWindow
+def window_statistics(window: SmootherWindow, corrections: np.ndarray, covs: np.ndarray
                       ) -> tuple[np.ndarray, list[float], dict[str, tuple[np.ndarray, int]]]:
     """Process sum, step counts and per-sensor measurement sums, over stacked arrays.
 
-    Process: with the lifts B_j and constants c_j stored at push (see
-    ``SmootherWindow``) and x~_j = B_j (delta_j + d_j), each transition adds
+    ``corrections`` and ``covs`` are the pair ``backward_smooth(window)``
+    returns.  Process: with the lifts B_j and constants c_j stored at push
+    (see ``SmootherWindow``) and x~_j = B_j (delta_j + d_j), each transition
+    adds
 
         O_j = B_j P_j|k B_j^T + c_j + x~_j x~_j^T
 
@@ -297,7 +291,6 @@ def window_statistics(window: SmootherWindow, smoothed: SmoothedWindow
     snaps = window.snapshots
     if not snaps:
         raise AdaptationNotReady("window statistics need a non-empty window")
-    corrections, covs = smoothed.corrections, smoothed.covs
     live = window.rows
 
     obs = window.obs[live]
@@ -391,8 +384,7 @@ class VbNoiseAdapter:
         rho = self.forgetting
         if len(self.window) < 2:
             raise AdaptationNotReady("window holds fewer than two snapshots")
-        smoothed = backward_smooth(self.window)
-        o_sum, steps, by_sensor = window_statistics(self.window, smoothed)
+        o_sum, steps, by_sensor = window_statistics(self.window, *backward_smooth(self.window))
         if steps:
             self.t = rho * self.t + len(steps)
             self.T = rho * self.T + o_sum

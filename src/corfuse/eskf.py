@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -42,7 +42,6 @@ from .so3 import (
     quat_normalize,
     quat_to_rotmat,
     quat_to_rotvec,
-    rotation_angle,
     skew,
 )
 
@@ -147,19 +146,15 @@ def observation_residual(state: NominalState,
 
     Returns the 9-vector [z.p - p, z.v - v, log(q^-1 * z.q)], stacked in
     the same order as the error state so that H is the identity to first
-    order in the attitude error.  If the relative rotation is within 1e-9
-    of half a turn, the log-map branch is still well defined but a warning
-    is emitted since the sign is arbitrary.
+    order in the attitude error.  If the relative rotation, the norm of the
+    log map, is within 1e-9 of half a turn, the log-map branch is still
+    well defined but a warning is emitted since the sign is arbitrary.
     """
-    q_rel = quat_multiply(quat_conjugate(state.orientation), z.orientation)
-    if abs(rotation_angle(q_rel) - np.pi) < 1e-9:
+    rotvec = quat_to_rotvec(quat_multiply(quat_conjugate(state.orientation), z.orientation))
+    if abs(math.sqrt(rotvec.dot(rotvec)) - math.pi) < 1e-9:
         log.warning("antipodal orientation residual from sensor '%s' at t=%.6f",
                     z.sensor_id, z.time)
-    y = np.concatenate([
-        z.position - state.position,
-        z.velocity - state.velocity,
-        quat_to_rotvec(q_rel),
-    ])
+    y = np.concatenate([z.position - state.position, z.velocity - state.velocity, rotvec])
     return y, _OBS_JACOBIAN
 
 
@@ -224,17 +219,6 @@ class EngineConfig:
     adapt_q: bool = True
 
 
-@dataclass
-class CorrectionResult:
-    """Per-correction outputs; ``state.time`` is when the correction was fused."""
-
-    sensor_id: str
-    record: InnovationRecord
-    bandwidth: np.ndarray
-    noise_trace: float
-    state: NominalState
-
-
 class FusionEngine:
     """Asynchronous IMU + multi-odometry fusion around the error-state filter.
 
@@ -246,7 +230,11 @@ class FusionEngine:
     initial covariance positive semidefinite.  The residual scheme
     estimates process noise from the first sensor.
     Call :meth:`initialize` once, then feed events in time order through
-    :meth:`process`.
+    :meth:`process`.  After each event, :attr:`state` is the nominal state,
+    :attr:`covariance` the error covariance and :meth:`measurement_noise`
+    a sensor's current noise.  The engine never changes a ``NominalState``
+    or a noise matrix it has handed out; it replaces them, so a caller may
+    keep the ones it read.
     """
 
     def __init__(self, config: EngineConfig,
@@ -272,7 +260,7 @@ class FusionEngine:
             sensor_id: _as_covariance(noise, f"noise of sensor '{sensor_id}'", definite=True)
             for sensor_id, noise in sensor_noise.items()}
         self._bandwidth = BandwidthState(
-            adaptive=self._uses_kernel and config.sigma_mode == "adaptive",
+            adaptive=config.sigma_mode == "adaptive",
             sigma_static=config.sigma_static, sigma_min=config.sigma_min,
             sigma_max=config.sigma_max)
 
@@ -320,8 +308,15 @@ class FusionEngine:
         self._cov = _as_covariance(cov, "initial covariance")
         self._nominal = state.copy()
 
-    def process(self, event: Event) -> Optional[CorrectionResult]:
-        """Advance the filter by one event; odometry returns a correction record."""
+    def process(self, event: Event) -> Optional[InnovationRecord]:
+        """Advance the filter by one event.
+
+        Returns the ``InnovationRecord`` of the correction an odometry event
+        fused, the very record the noise adapter received; its
+        ``bandwidth`` holds the kernel sizes for kernel variants and is None
+        for ekf and akf.  Returns None for an IMU sample and for an event
+        that was dropped or refused (see ``dropped``).
+        """
         if self._cov is None or self._nominal is None:
             raise RuntimeError("call initialize() before processing events")
         if isinstance(event, ImuSample):
@@ -379,7 +374,7 @@ class FusionEngine:
         self._last_imu = sample
         return None
 
-    def _handle_odometry(self, sample: OdometrySample) -> Optional[CorrectionResult]:
+    def _handle_odometry(self, sample: OdometrySample) -> Optional[InnovationRecord]:
         if sample.sensor_id not in self._noise:
             raise ValueError(f"unknown sensor id '{sample.sensor_id}'")
         dt = self._accept(sample, (sample.position, sample.orientation, sample.velocity))
@@ -390,7 +385,7 @@ class FusionEngine:
                 self._advance(dt, self._last_imu, self._imu_period)
             else:
                 # No inertial data yet: slide the clock without propagation.
-                self._nominal.time = sample.time
+                self._nominal = replace(self._nominal, time=sample.time)
 
         sensor_id = sample.sensor_id
         noise = self._noise[sensor_id]
@@ -398,10 +393,10 @@ class FusionEngine:
         if abs(norm - 1.0) > QUAT_NORM_TOLERANCE:
             return self._reject(sample, MeasurementRejected(f"quaternion norm {norm:.6g}, not 1"))
         y, obs_jac = observation_residual(self._nominal, sample)
-        sigma = self._bandwidth.update(y, noise, obs_jac, self._cov)
         # A refused correction leaves the state, covariance and adapter as they were.
         try:
             if self._uses_kernel:
+                sigma = self._bandwidth.update(y, noise, obs_jac, self._cov)
                 delta, record = mcckf_update(self._cov, y, obs_jac, noise, sigma, sensor_id)
             else:
                 delta, record = kf_update(self._cov, y, obs_jac, noise, sensor_id)
@@ -417,12 +412,7 @@ class FusionEngine:
         if self._adapter is not None:
             self._adapter.correct(sensor_id, record, delta)
             self._refresh_noise()
-
-        return CorrectionResult(
-            sensor_id=sensor_id, record=record, bandwidth=sigma,
-            noise_trace=float(np.trace(self._noise[sensor_id])),
-            state=self._nominal.copy(),
-        )
+        return record
 
     def _reject(self, sample: OdometrySample, exc: Exception) -> None:
         self.dropped["rejected"] += 1

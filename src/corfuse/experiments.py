@@ -102,6 +102,9 @@ class RunConfig:
             if not all(0.0 < v < math.inf for v in (self.duration, self.imu_rate,
                                                      self.odom_rate)):
                 problems.append("duration and rates must be positive and finite")
+            elif self.odom_rate > self.imu_rate:
+                problems.append(f"odom_rate {self.odom_rate} must not exceed "
+                                f"imu_rate {self.imu_rate}: odometry lands on the IMU grid")
             for name in ("jump_magnitude", "drift_rate", "drift_start"):
                 if not math.isfinite(getattr(self, name)):
                     problems.append(f"{name} must be finite, got {getattr(self, name)}")
@@ -272,7 +275,7 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
 
     for i, event in enumerate(events):
         start = _time.perf_counter_ns()
-        result = engine.process(event)
+        record = engine.process(event)
         timings[i] = _time.perf_counter_ns() - start
 
         state = engine.state
@@ -280,28 +283,29 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
                          + state.orientation.tolist() + state.velocity.tolist()
                          + engine.covariance.diagonal().tolist())
 
-        if result is None:
+        if record is None:
             continue
+        sid = event.sensor_id
         metrics.correction_count += 1
-        metrics.correction_times[result.sensor_id].append(result.state.time)
-        metrics.r_trace[result.sensor_id].append(result.noise_trace)
+        metrics.correction_times[sid].append(state.time)
+        metrics.r_trace[sid].append(float(np.trace(engine.measurement_noise(sid))))
         if kernel:
-            metrics.kb_inverse[result.sensor_id].append(float(np.mean(1.0 / result.bandwidth)))
+            metrics.kb_inverse[sid].append(float(np.mean(1.0 / record.bandwidth)))
 
         if truth is not None:
             try:
-                idx = truth.index_at(result.state.time)
+                idx = truth.index_at(state.time)
             except ValueError:
                 metrics.unscored_corrections += 1
                 continue
-            e_p = truth.positions[idx] - result.state.position
-            e_v = truth.velocities[idx] - result.state.velocity
-            e_q = _orientation_error(result.state.orientation, truth.orientations[idx])
+            e_p = truth.positions[idx] - state.position
+            e_v = truth.velocities[idx] - state.velocity
+            e_q = _orientation_error(state.orientation, truth.orientations[idx])
             pos_err.append(e_p)
             vel_err.append(e_v)
             ori_err.append(e_q)
             e9 = np.concatenate([e_p, e_v, e_q])  # matches the error-state order
-            sol, _ = spd_solve(result.record.cov_post, e9)
+            sol, _ = spd_solve(record.cov_post, e9)
             nees_vals.append(float(e9 @ sol))
 
     if pos_err:

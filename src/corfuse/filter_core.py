@@ -84,6 +84,7 @@ class InnovationRecord:
     gain: np.ndarray                # K actually applied
     weights: CorrentropyWeights
     regularized: bool = False       # S needed a ridge
+    bandwidth: Optional[np.ndarray] = None  # kernel sizes of the weights; None: unit weights
 
 
 def predict(cov: np.ndarray, trans: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -148,7 +149,7 @@ def _apply_correction(cov_pred: np.ndarray, y: np.ndarray, obs_jac: np.ndarray,
     record = InnovationRecord(
         innovation=y, residual=y - obs_jac @ delta, obs_jacobian=obs_jac,
         cov_pred=cov_pred, cov_post=cov, gain=gain, weights=weights,
-        regularized=regularized,
+        regularized=regularized, bandwidth=bandwidth,
     )
     return delta, record
 
@@ -158,9 +159,9 @@ def mcckf_update(cov: np.ndarray, y: np.ndarray, obs_jac: np.ndarray,
                  ) -> tuple[np.ndarray, InnovationRecord]:
     """Correntropy-weighted correction by the innovation ``y`` with kernel sizes ``bandwidth``.
 
-    Returns the error estimate ``delta = K y`` and the correction's record.
-    ``sensor_id`` only names the source in the rejection of a non-finite
-    innovation.
+    Returns the error estimate ``delta = K y`` and the correction's record,
+    whose ``bandwidth`` is the very ``bandwidth`` array.  ``sensor_id``
+    only names the source in the rejection of a non-finite innovation.
     """
     return _apply_correction(cov, y, obs_jac, noise, bandwidth, sensor_id)
 
@@ -168,5 +169,8 @@ def mcckf_update(cov: np.ndarray, y: np.ndarray, obs_jac: np.ndarray,
 def kf_update(cov: np.ndarray, y: np.ndarray, obs_jac: np.ndarray,
               noise: np.ndarray, sensor_id: str = ""
               ) -> tuple[np.ndarray, InnovationRecord]:
-    """Plain Kalman correction: identical code path with unit kernel weights."""
+    """Plain Kalman correction: identical code path with unit kernel weights.
+
+    The record's ``bandwidth`` is None, as no kernel was evaluated.
+    """
     return _apply_correction(cov, y, obs_jac, noise, None, sensor_id)

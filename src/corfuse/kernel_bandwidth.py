@@ -47,6 +47,8 @@ class BandwidthState:
     In static mode ``update`` returns a fresh vector of ``sigma_static``,
     one entry per innovation dimension; in adaptive mode it computes the
     bandwidth from the incoming innovation before the correction runs.
+    The engine calls it for kernel variants only, and the correction's
+    record keeps the returned array as its ``bandwidth``.
     """
 
     adaptive: bool = True

@@ -74,6 +74,14 @@ class NoiseSpec:
 
 @dataclass
 class SensorSpec:
+    """One odometry sensor and its noise.
+
+    Its samples land on the IMU grid every round(imu_rate / rate) IMU
+    steps, so ``rate`` may not exceed the IMU rate and is met only as
+    closely as that stride allows: 30 Hz on a 100 Hz grid samples every 3
+    steps, 100 events in 3 s rather than 90.
+    """
+
     sensor_id: str
     rate: float
     noise: NoiseSpec = field(default_factory=NoiseSpec)
@@ -337,8 +345,13 @@ def sample_sensors(truth: TruthTrajectory, spec: ScenarioSpec) -> list[Event]:
     Deterministic: the same (truth, spec) pair yields a bitwise-identical
     stream.  Each sensor gets its own generator seeded from its NoiseSpec
     seed, or derived from the scenario seed and the sensor's position in
-    the list.
+    the list.  Raises ValueError for a sensor rate that is not positive or
+    is above the IMU rate, which the IMU grid cannot carry.
     """
+    for sensor in spec.sensors:
+        if not 0.0 < sensor.rate <= spec.imu_rate:
+            raise ValueError(f"sensor '{sensor.sensor_id}' rate {sensor.rate} Hz must be "
+                             f"positive and at most the IMU rate {spec.imu_rate} Hz")
     # One draw in the order of a per-step accel(3) then gyro(3) draw.  Each
     # sample's vectors are rows of one array per channel.
     noise = np.random.default_rng([spec.seed, 0]).standard_normal((len(truth) - 1, 2, 3))

@@ -447,14 +447,14 @@ def test_acceptance_10_unit_weight_reductions_are_exact():
         mm, p = m_prior + float(delta[0]), float(record.cov_post[0, 0])
         window.push(WindowSnapshot(record=record, delta=delta, transition=np.eye(1),
                                    steps=1.0, sensor_id="z"))
-    smoothed = backward_smooth(window)
-    ours_sum, count = window_statistics(window, smoothed)[2]["z"]
+    corrections, covs = backward_smooth(window)
+    ours_sum, count = window_statistics(window, corrections, covs)[2]["z"]
     total = np.zeros((1, 1))
     for j, snap in enumerate(window.snapshots):
         h_j = snap.record.obs_jacobian
-        re_anchored = snap.record.residual - h_j @ smoothed.corrections[j]
+        re_anchored = snap.record.residual - h_j @ corrections[j]
         total += (np.outer(re_anchored, re_anchored)
-                  + h_j @ smoothed.covs[j] @ h_j.T)
+                  + h_j @ covs[j] @ h_j.T)
     total = (total + total.T) / 2.0
     stat_ok = np.array_equal(ours_sum, total) and count == len(window)
 

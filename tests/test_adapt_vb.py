@@ -58,28 +58,28 @@ def hand_filtered_window():
 
 def test_backward_pass_matches_hand_computation():
     window = hand_filtered_window()
-    smoothed = backward_smooth(window)
+    corrections, covs = backward_smooth(window)
     # smoothed means (0.375, 0.25, 0.25) less the filtered (0.5, 0.25, 0.25)
-    np.testing.assert_allclose(smoothed.corrections[:, 0], [-0.125, 0.0, 0.0])
-    np.testing.assert_allclose([c[0, 0] for c in smoothed.covs],
+    np.testing.assert_allclose(corrections[:, 0], [-0.125, 0.0, 0.0])
+    np.testing.assert_allclose([c[0, 0] for c in covs],
                                [0.34375, 0.375, 0.5])
     gains = [s.gain for s in window.snapshots[1:]]
     np.testing.assert_allclose([g[0, 0] for g in gains], [0.5, 0.5])
     # lag-one cross-covariances P_j-1,j|k = G_j-1 P_j|k
-    np.testing.assert_allclose([(g @ c)[0, 0] for g, c in zip(gains, smoothed.covs[1:])],
+    np.testing.assert_allclose([(g @ c)[0, 0] for g, c in zip(gains, covs[1:])],
                                [0.1875, 0.25])
 
 
 def test_process_statistic_matches_hand_computation():
     window = hand_filtered_window()
-    total, steps, _ = window_statistics(window, backward_smooth(window))
+    total, steps, _ = window_statistics(window, *backward_smooth(window))
     assert steps == [1.0, 1.0]
     assert total[0, 0] == pytest.approx(0.734375)
 
 
 def test_measurement_statistic_matches_hand_computation():
     window = hand_filtered_window()
-    total, count = window_statistics(window, backward_smooth(window))[2]["s"]
+    total, count = window_statistics(window, *backward_smooth(window))[2]["s"]
     assert count == 3
     assert total[0, 0] == pytest.approx(1.671875)
 
@@ -87,9 +87,9 @@ def test_measurement_statistic_matches_hand_computation():
 def test_single_snapshot_smooths_to_filtered_values():
     window = SmootherWindow(length=10)
     window.push(scalar_snapshot(0.5, 0.25, 0.5, residual=0.1))
-    smoothed = backward_smooth(window)
-    assert smoothed.corrections[0][0] == 0.0
-    assert smoothed.covs[0][0, 0] == pytest.approx(0.25)
+    corrections, covs = backward_smooth(window)
+    assert corrections[0][0] == 0.0
+    assert covs[0][0, 0] == pytest.approx(0.25)
     assert window.snapshots[0].gain is None
 
 
@@ -101,7 +101,7 @@ def test_empty_window_raises():
 def test_process_statistic_needs_a_transition():
     adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
     adapter.push(scalar_snapshot(1.0, 0.5, 1.0, residual=0.0))
-    total, steps, _ = window_statistics(adapter.window, backward_smooth(adapter.window))
+    total, steps, _ = window_statistics(adapter.window, *backward_smooth(adapter.window))
     assert steps == [] and total[0, 0] == 0.0
     with pytest.raises(AdaptationNotReady):
         adapter.refresh()
@@ -118,10 +118,10 @@ def test_same_instant_corrections_carry_no_process_evidence():
     window = SmootherWindow(length=10)
     window.push(scalar_snapshot(-0.2, 0.4, 0.6, residual=0.1))
     window.push(scalar_snapshot(-0.1, 0.3, 0.4, residual=0.0, steps=0.0))
-    smoothed = backward_smooth(window)
+    corrections, covs = backward_smooth(window)
     np.testing.assert_array_equal(window.snapshots[1].gain, np.eye(1))
-    np.testing.assert_array_equal(smoothed.corrections, [[-0.1], [0.0]])
-    total, steps, _ = window_statistics(window, smoothed)
+    np.testing.assert_array_equal(corrections, [[-0.1], [0.0]])
+    total, steps, _ = window_statistics(window, corrections, covs)
     assert steps == []
     assert total[0, 0] == pytest.approx(0.0, abs=1e-15)
 
@@ -136,7 +136,7 @@ def test_zero_step_snapshot_with_another_prior_still_solves_its_gain():
                        snap.transition @ window.snapshots[0].record.cov_post).T
     np.testing.assert_array_equal(snap.gain, solved)
     assert snap.gain.flags.writeable
-    assert_smoothed_means(backward_smooth(window), re_solving_smoother(window.snapshots))
+    assert_smoothed_means(backward_smooth(window)[0], re_solving_smoother(window.snapshots))
 
 
 def spy_on_projection(monkeypatch):
@@ -151,12 +151,12 @@ def test_certified_process_sum_has_the_bits_of_its_projection(monkeypatch):
     window = SmootherWindow(length=10)
     for fields in random_snapshot_data(np.random.default_rng(5), 11):
         window.push(snapshot_from(fields))
-    smoothed = backward_smooth(window)
+    corrections, covs = backward_smooth(window)
     calls = spy_on_projection(monkeypatch)
-    certified, steps, _ = window_statistics(window, smoothed)
+    certified, steps, _ = window_statistics(window, corrections, covs)
     assert steps and calls == []
     monkeypatch.setattr(adapt_vb, "dpotrf", lambda a, lower: (a, 1))  # refuse every certificate
-    projected, _, _ = window_statistics(window, smoothed)
+    projected, _, _ = window_statistics(window, corrections, covs)
     assert len(calls) == 1
     np.testing.assert_array_equal(certified, projected)
 
@@ -184,7 +184,7 @@ def test_indefinite_process_sum_is_still_clipped(monkeypatch):
     window.push(two_state_snapshot([0.0, 0.0], [1.0, 1.0], [2.0, 2.0]))
     window.push(two_state_snapshot([0.0, 0.0], [0.5, 0.1], [2.0, 0.5]))
     calls = spy_on_projection(monkeypatch)
-    total, steps, _ = window_statistics(window, backward_smooth(window))
+    total, steps, _ = window_statistics(window, *backward_smooth(window))
     assert steps == [1.0] and len(calls) == 1
     np.testing.assert_allclose(np.diag(calls[0]), [0.625, -0.9], rtol=1e-12)
     np.testing.assert_array_equal(total, psd_project(calls[0]))
@@ -203,7 +203,7 @@ def test_window_of_same_instant_transitions_factorizes_nothing(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(adapt_vb, "dpotrf", refuse)
-    total, steps, by_sensor = window_statistics(window, backward_smooth(window))
+    total, steps, by_sensor = window_statistics(window, *backward_smooth(window))
     assert steps == [] and list(by_sensor) == ["s"]
     np.testing.assert_array_equal(total, np.zeros((1, 1)))
 
@@ -225,10 +225,10 @@ def test_engine_window_shares_one_identity_gain_across_same_instant_snapshots():
         if snap.steps == 0.0:
             assert snap.conditional_cov is instant[0].conditional_cov
             np.testing.assert_array_equal(snap.conditional_cov, np.zeros((9, 9)))
-    smoothed = backward_smooth(window)
+    corrections, covs = backward_smooth(window)
     reference = re_solving_smoother(window.snapshots)
-    assert_smoothed_means(smoothed, reference)
-    np.testing.assert_allclose(smoothed.covs, reference.covs, rtol=1e-12, atol=0)
+    assert_smoothed_means(corrections, reference)
+    np.testing.assert_allclose(covs, reference.covs, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("shape", [(40, 1, 1), (40, 2, 1, 1), (40, 1, 3, 3), (40, 3, 9, 9)])
@@ -294,9 +294,9 @@ def re_solving_smoother(snaps, start=None):
     return Reference(states, means, covs, gains, crosses)
 
 
-def assert_smoothed_means(smoothed, reference):
+def assert_smoothed_means(corrections, reference):
     """The smoothed means s_j + d_j match the mean-form reference to rtol 1e-12."""
-    np.testing.assert_allclose(np.array(reference.states) + smoothed.corrections,
+    np.testing.assert_allclose(np.array(reference.states) + corrections,
                                reference.means, rtol=1e-12, atol=0)
 
 
@@ -375,17 +375,17 @@ def test_gains_cached_at_push_match_re_solving_smoother_bitwise():
         window.push(pushed[-1])
         if len(window) < 2:
             continue
-        smoothed = backward_smooth(window)
+        corrections, covs = backward_smooth(window)
         priors, _ = filter_frame(pushed, start)
         reference = re_solving_smoother(window.snapshots, priors[-len(window)])
         gains = [snap.gain for snap in window.snapshots[1:]]
         assert len(gains) == len(reference.gains)
         for got, want in zip(gains, reference.gains):
             np.testing.assert_array_equal(got, want)
-        assert_smoothed_means(smoothed, reference)
-        np.testing.assert_allclose(smoothed.covs, reference.covs, rtol=1e-12, atol=0)
+        assert_smoothed_means(corrections, reference)
+        np.testing.assert_allclose(covs, reference.covs, rtol=1e-12, atol=0)
 
-        process, steps, by_sensor = window_statistics(window, smoothed)
+        process, steps, by_sensor = window_statistics(window, corrections, covs)
         want_process, want_count, want_by_sensor, want_mean = two_loop_statistics(
             window.snapshots, reference)
         np.testing.assert_allclose(process, want_process, rtol=1e-12, atol=0)
@@ -442,10 +442,10 @@ def test_evicting_window_matches_a_fresh_window_of_its_snapshots_bitwise(pushes)
     assert len(rolled.window) == len(fresh.window) == 5
 
     got, want = backward_smooth(rolled.window), backward_smooth(fresh.window)
-    np.testing.assert_array_equal(got.corrections, want.corrections)
-    np.testing.assert_array_equal(got.covs, want.covs)
-    got_stats = window_statistics(rolled.window, got)
-    want_stats = window_statistics(fresh.window, want)
+    np.testing.assert_array_equal(got[0], want[0])  # corrections
+    np.testing.assert_array_equal(got[1], want[1])  # covariances
+    got_stats = window_statistics(rolled.window, *got)
+    want_stats = window_statistics(fresh.window, *want)
     np.testing.assert_array_equal(got_stats[0], want_stats[0])
     assert got_stats[1] == want_stats[1] and 0.0 not in got_stats[1]
     q, noise = rolled.refresh()
@@ -472,12 +472,12 @@ def test_measurement_statistic_filters_by_sensor():
     window.push(scalar_snapshot(0.5, 0.5, 1.0, residual=0.5, sensor="a"))
     window.push(scalar_snapshot(-0.25, 0.5, 1.0, residual=-0.25, sensor="b"))
     window.push(scalar_snapshot(0.0, 0.5, 1.0, residual=0.0, sensor="a"))
-    by_sensor = window_statistics(window, backward_smooth(window))[2]
+    by_sensor = window_statistics(window, *backward_smooth(window))[2]
     assert list(by_sensor) == ["a", "b"]  # order of first appearance
     assert [count for _, count in by_sensor.values()] == [2, 1]
     # the same snapshots under one sensor id give the summed statistic
     merged = hand_filtered_window()
-    total, _ = window_statistics(merged, backward_smooth(merged))[2]["s"]
+    total, _ = window_statistics(merged, *backward_smooth(merged))[2]["s"]
     assert by_sensor["a"][0][0, 0] + by_sensor["b"][0][0, 0] == pytest.approx(total[0, 0])
 
 
@@ -486,8 +486,8 @@ def test_suppressed_channel_contributes_only_covariance_floor():
                                  weighted=np.array([0.0]))
     window = SmootherWindow(length=10)
     window.push(scalar_snapshot(0.5, 0.5, 1.0, residual=7.0, weights=weights))
-    smoothed = backward_smooth(window)
-    total, count = window_statistics(window, smoothed)[2]["s"]
+    corrections, covs = backward_smooth(window)
+    total, count = window_statistics(window, corrections, covs)[2]["s"]
     assert count == 1
     assert total[0, 0] == pytest.approx(0.5)  # H P H^T alone, residual gated
 
@@ -516,8 +516,8 @@ def test_statistics_average_to_true_noise_on_matched_filter():
     o_vals, m_vals = [], []
     for _ in range(250):
         window = run_matched_scalar_filter(rng, 60, q_true, r_true)
-        smoothed = backward_smooth(window)
-        o_sum, steps, by_sensor = window_statistics(window, smoothed)
+        corrections, covs = backward_smooth(window)
+        o_sum, steps, by_sensor = window_statistics(window, corrections, covs)
         m_sum, m_count = by_sensor["s"]
         o_vals.append(o_sum[0, 0] / len(steps))
         m_vals.append(m_sum[0, 0] / m_count)
@@ -541,8 +541,8 @@ def full_window_adapter(window, forgetting):
 def test_wishart_update_accumulates_and_discounts():
     n = 4
     adapter = full_window_adapter(n, forgetting=0.5)
-    smoothed = backward_smooth(adapter.window)
-    o_sum, steps, by_sensor = window_statistics(adapter.window, smoothed)
+    corrections, covs = backward_smooth(adapter.window)
+    o_sum, steps, by_sensor = window_statistics(adapter.window, corrections, covs)
     m_sum, m_count = by_sensor["s"]
     assert (len(steps), m_count) == (n, n + 1)
     adapter.refresh()
@@ -570,7 +570,7 @@ def test_extract_noise_point_estimates_and_guard():
 def test_degrees_of_freedom_converge_to_geometric_limit():
     rho, n = 0.97, 10
     adapter = full_window_adapter(n, forgetting=rho)
-    o_sum, _, _ = window_statistics(adapter.window, backward_smooth(adapter.window))
+    o_sum, _, _ = window_statistics(adapter.window, *backward_smooth(adapter.window))
     for _ in range(500):
         adapter.refresh()
     assert adapter.t == pytest.approx(n / (1.0 - rho), abs=0.01)
@@ -657,7 +657,7 @@ def test_adapter_mean_steps_ignores_instant_transitions():
     adapter.push(scalar_snapshot(0.0, 0.5, 1.0, 0.0, steps=4.0))
     adapter.push(scalar_snapshot(0.0, 0.5, 1.0, 0.0, steps=0.0))
     adapter.push(scalar_snapshot(0.0, 0.5, 1.0, 0.0, steps=6.0))
-    _, steps, _ = window_statistics(adapter.window, backward_smooth(adapter.window))
+    _, steps, _ = window_statistics(adapter.window, *backward_smooth(adapter.window))
     assert steps == [4.0, 6.0]
     q_step, _ = adapter.refresh()
     np.testing.assert_array_equal(q_step, floor_diagonal(adapter.T / adapter.t / 5.0, DIAG_FLOOR))

@@ -142,6 +142,13 @@ def test_exit_code_2_on_config_problems(tmp_path, capsys):
     assert main(["fuse", "--scenario", "hover", "--set", "badkey"]) == 2
 
 
+def test_odometry_faster_than_the_imu_exits_2(tmp_path, capsys):
+    assert main(["simulate", "--scenario", "hover", "--out", str(tmp_path / "x"),
+                 "--set", "imu_rate=100", "--set", "odom_rate=200"]) == 2
+    assert "odom_rate 200.0 must not exceed imu_rate 100.0" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("setting", ["q0=nan", "p0=inf"])
 def test_non_finite_noise_scale_is_a_config_error(setting, capsys):
     assert main(["fuse", "--scenario", "hover", "--filter", "mcckf",

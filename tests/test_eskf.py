@@ -7,6 +7,9 @@ first-order model are exact derivatives at zero error, so the comparison
 is tight.
 """
 
+import logging
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,8 @@ from corfuse.eskf import (GRAVITY, QUAT_NORM_TOLERANCE, STATE_DIM, VARIANTS, Eng
                           error_transition, inject_and_reset,
                           observation_residual, propagate_nominal)
 from corfuse.experiments import RunConfig, build_engine, build_scenario
-from corfuse.kernel_bandwidth import adapt_bandwidth
+from corfuse.filter_core import InnovationRecord
+from corfuse.kernel_bandwidth import BandwidthState, adapt_bandwidth
 from corfuse.linalg import floor_diagonal, psd_project
 from corfuse.sim import generate_truth, sample_sensors
 from corfuse.so3 import (quat_conjugate, quat_from_rotvec, quat_multiply,
@@ -174,6 +178,21 @@ def test_observation_residual_component_order():
     np.testing.assert_allclose(y[6:9], np.zeros(3), atol=1e-15)
 
 
+@pytest.mark.parametrize("short_of_half_turn,warns", [(5e-11, True), (1e-6, False)])
+def test_antipodal_residual_warning_names_the_sensor(caplog, short_of_half_turn, warns):
+    """A relative rotation within 1e-9 rad of a half turn logs its sensor; y is the log map."""
+    angle = np.pi - short_of_half_turn
+    z = OdometrySample("cam7", np.zeros(3), np.array([np.cos(angle / 2), np.sin(angle / 2), 0, 0]),
+                       np.zeros(3), time=1.5)
+    with caplog.at_level(logging.WARNING, logger="corfuse.eskf"):
+        y, _ = observation_residual(make_state(), z)
+    np.testing.assert_array_equal(y[6:9], quat_to_rotvec(z.orientation))
+    assert y[6] == pytest.approx(angle, rel=1e-12)
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages == (["antipodal orientation residual from sensor 'cam7' at t=1.500000"]
+                        if warns else [])
+
+
 def test_inject_and_reset_round_trip():
     rng = np.random.default_rng(14)
     state = make_state(rng)
@@ -215,11 +234,33 @@ def hover_events(duration=2.0, imu_rate=100.0, odom_rate=10.0, noise=0.0,
     return events
 
 
+class Fused(NamedTuple):
+    """A correction the engine fused: its sensor and record, the state after it and R's trace."""
+
+    sensor_id: str
+    record: InnovationRecord
+    state: NominalState
+    noise_trace: float
+
+
+def step(engine, event):
+    """Process ``event``; a ``Fused`` for a correction, else None.
+
+    The engine replaces its nominal state rather than changing it, so the
+    state kept here stays the one the correction left.
+    """
+    record = engine.process(event)
+    if record is None:
+        return None
+    return Fused(event.sensor_id, record, engine.state,
+                 float(np.trace(engine.measurement_noise(event.sensor_id))))
+
+
 def run_engine(config, events, noise=0.01):
     engine = FusionEngine(config, {s: noise for s in {e.sensor_id for e in events
                                                       if isinstance(e, OdometrySample)}})
     engine.initialize(make_state(), 1e-4)
-    results = [r for e in events if (r := engine.process(e)) is not None]
+    results = [r for e in events if (r := step(engine, e)) is not None]
     return engine, results
 
 
@@ -281,11 +322,11 @@ def test_covariances_and_noise_scales_stay_exactly_symmetric(variant):
     engine.initialize(truth.state(0), config.p0)
     corrections = 0
     for event in sample_sensors(truth, scenario):
-        result = engine.process(event)
-        if result is None:
+        record = engine.process(event)
+        if record is None:
             continue
         corrections += 1
-        matrices = [result.record.cov_pred, result.record.cov_post]
+        matrices = [record.cov_pred, record.cov_post]
         if variant != "r-amcckf":
             matrices += [engine._adapter.T,
                          *(big_b for _, big_b in engine._adapter.measurement.values())]
@@ -308,6 +349,66 @@ def test_engine_tracks_hover_with_noisy_odometry():
     assert len(results) == 20
     assert np.linalg.norm(engine.state.position) < 0.02
     assert np.min(np.linalg.eigvalsh(engine.covariance)) >= -1e-12
+
+
+@pytest.mark.parametrize("orientation", [np.array([1.0, 0.0, 0.0, 0.0]),
+                                         np.array([2.0, 0.0, 0.0, 0.0])],
+                         ids=["fused", "refused"])
+def test_odometry_before_any_imu_leaves_a_held_state_as_it_was(orientation):
+    """The clock slides to the sample in a new NominalState; one read before keeps its time."""
+    engine = FusionEngine(EngineConfig(variant="ekf"), {"odo0": 0.01})
+    engine.initialize(make_state(), 1e-4)
+    held = engine.state
+    engine.process(OdometrySample("odo0", np.zeros(3), orientation, np.zeros(3), 0.5))
+    assert held.time == 0.0
+    assert engine.state is not held and engine.state.time == 0.5
+
+
+@pytest.mark.parametrize("variant", ["akf", "vb-amcckf", "r-amcckf"])
+def test_process_returns_the_record_the_noise_adapter_received(variant):
+    engine = FusionEngine(EngineConfig(variant=variant), {"odo0": 0.01, "odo1": 0.01})
+    engine.initialize(make_state(), 1e-4)
+    fused = 0
+    for event in hover_events(noise=0.005, seed=3, sensors=("odo0", "odo1")):
+        record = engine.process(event)
+        if record is None:
+            continue
+        fused += 1
+        adapter = engine._adapter
+        received = (adapter._newest[1] if variant == "r-amcckf"
+                    else adapter.window.snapshots[-1].record)
+        assert received is record
+    assert fused == 40
+
+
+@pytest.mark.parametrize("variant", ["ekf", "akf"])
+def test_plain_variants_never_evaluate_a_bandwidth(variant, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain correction evaluated a kernel bandwidth")
+
+    monkeypatch.setattr(BandwidthState, "update", refuse)
+    _, results = run_engine(EngineConfig(variant=variant), hover_events(noise=0.005, seed=1))
+    assert len(results) == 20
+    assert all(result.record.bandwidth is None for result in results)
+
+
+@pytest.mark.parametrize("sigma_mode", ["static", "adaptive"])
+@pytest.mark.parametrize("variant", ["mcckf", "r-amcckf", "vb-amcckf"])
+def test_kernel_record_holds_the_bandwidth_the_policy_returned(variant, sigma_mode,
+                                                                monkeypatch):
+    returned = []
+    update = BandwidthState.update
+
+    def spy(self, *args):
+        returned.append(update(self, *args))
+        return returned[-1]
+
+    monkeypatch.setattr(BandwidthState, "update", spy)
+    _, results = run_engine(EngineConfig(variant=variant, sigma_mode=sigma_mode),
+                            hover_events(noise=0.005, seed=1))
+    assert len(returned) == len(results) == 20
+    for result, sigma in zip(results, returned):
+        assert result.record.bandwidth is sigma
 
 
 def test_engine_is_deterministic():
@@ -348,9 +449,9 @@ def test_engine_drops_non_finite_timestamps_and_counts_them():
     # the clock is untouched, so later events still propagate the filter
     engine.process(hover_imu(0.02))
     assert engine.state.time == pytest.approx(0.02)
-    result = engine.process(OdometrySample(
+    record = engine.process(OdometrySample(
         "odo0", np.zeros(3), np.array([1.0, 0, 0, 0]), np.zeros(3), 0.03))
-    assert result is not None and result.state.time == 0.03
+    assert record is not None and engine.state.time == 0.03
 
 
 NON_FINITE_SLOTS = ([("imu", name, i) for name in ("accel", "gyro") for i in range(3)]
@@ -436,7 +537,7 @@ def test_refused_correction_is_counted_and_leaves_the_filter_untouched(
     for stream in (events, events[:cut] + [bad] + events[cut:]):
         engine = FusionEngine(EngineConfig(variant=variant), {"odo0": 0.01, "odo1": 0.01})
         engine.initialize(make_state(), 1e-4)
-        results = [engine.process(event) for event in stream]
+        results = [step(engine, event) for event in stream]
         finals.append((engine, results))
     (clean, clean_results), (engine, results) = finals
     assert results[cut] is None
@@ -474,10 +575,10 @@ def test_static_bandwidth_is_reported_constant():
                           sigma_static=2.5, adapt_q=False)
     _, results = run_engine(config, hover_events(noise=0.005, seed=1))
     for result in results:
-        np.testing.assert_allclose(result.bandwidth, 2.5)
+        np.testing.assert_allclose(result.record.bandwidth, 2.5)
     # each correction gets its own array: a write into one reaches no other
-    results[0].bandwidth[:] = -1.0
-    np.testing.assert_array_equal(results[1].bandwidth, np.full(9, 2.5))
+    results[0].record.bandwidth[:] = -1.0
+    np.testing.assert_array_equal(results[1].record.bandwidth, np.full(9, 2.5))
 
 
 def test_each_sensor_bandwidth_comes_from_its_own_noise():
@@ -486,7 +587,7 @@ def test_each_sensor_bandwidth_comes_from_its_own_noise():
     engine = FusionEngine(config, noise)
     engine.initialize(make_state(), 1e-4)
     results = [r for e in hover_events(noise=0.05, seed=4, sensors=tuple(noise))
-               if (r := engine.process(e)) is not None]
+               if (r := step(engine, e)) is not None]
     assert [r.sensor_id for r in results[:2]] == ["odo0", "odo1"] and len(results) == 40
 
     def bandwidth(record, sensor_id):
@@ -495,9 +596,9 @@ def test_each_sensor_bandwidth_comes_from_its_own_noise():
 
     for result in results:
         other = "odo1" if result.sensor_id == "odo0" else "odo0"
-        np.testing.assert_array_equal(result.bandwidth,
+        np.testing.assert_array_equal(result.record.bandwidth,
                                       bandwidth(result.record, result.sensor_id))
-        assert not np.array_equal(result.bandwidth, bandwidth(result.record, other))
+        assert not np.array_equal(result.record.bandwidth, bandwidth(result.record, other))
 
 
 def test_engine_observation_jacobian_is_read_only():
@@ -670,9 +771,9 @@ def test_slightly_late_odometry_is_fused_at_the_current_time():
     engine.initialize(make_state(), 1e-4)
     for t in (0.01, 0.02):
         engine.process(hover_imu(t))
-    result = engine.process(OdometrySample("odo0", np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]),
+    record = engine.process(OdometrySample("odo0", np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]),
                                            np.zeros(3), 0.0195))
-    assert result is not None and result.state.time == engine.state.time == pytest.approx(0.02)
+    assert record is not None and engine.state.time == pytest.approx(0.02)
     assert engine.dropped == {"out_of_order": 0, "non_finite": 0, "rejected": 0}
     before, cov = engine.state.copy(), engine.covariance.copy()
     imu = hover_imu(0.03)
@@ -725,7 +826,7 @@ def test_vb_q_is_not_spread_over_less_than_one_step():
     assert isinstance(events[-1], OdometrySample)
     engine, _ = run_engine(EngineConfig(variant="vb-amcckf", window=5), events)
     adapter = engine._adapter
-    steps = window_statistics(adapter.window, backward_smooth(adapter.window))[1]
+    steps = window_statistics(adapter.window, *backward_smooth(adapter.window))[1]
     assert 0.0 < np.mean(steps) < 1.0
     np.testing.assert_array_equal(engine.process_noise,
                                   floor_diagonal(adapter.T / adapter.t, DIAG_FLOOR))

@@ -74,6 +74,12 @@ def test_validate_rejects_bad_values(field, value, fragment):
         config.validate()
 
 
+def test_validate_refuses_odometry_faster_than_the_imu():
+    quick_config(imu_rate=100.0, odom_rate=100.0).validate()
+    with pytest.raises(ConfigError, match="odom_rate 200.0 must not exceed imu_rate 100.0"):
+        quick_config(imu_rate=100.0, odom_rate=200.0).validate()
+
+
 def test_validate_accepts_an_endless_drift():
     quick_config(drift_rate=0.1, drift_duration=math.inf).validate()
 

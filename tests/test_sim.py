@@ -122,6 +122,25 @@ def test_odometry_rate_and_noise_level():
     assert np.std(errors) == pytest.approx(0.05, rel=0.15)
 
 
+@pytest.mark.parametrize("rate", [200.0, 100.000001, 0.0, -20.0, math.nan])
+def test_odometry_lands_on_the_imu_grid_and_is_never_faster(rate):
+    """Every round(imu_rate / rate) steps: 30 Hz on 100 Hz gives 100 events in 3 s.
+
+    A rate above the IMU's, or one that is not positive, is refused rather
+    than sampled at the IMU rate (or divided by).
+    """
+    spec = scenario(duration=3.0, sensors=[SensorSpec("odo0", rate=30.0),
+                                           SensorSpec("bad", rate=rate)])
+    truth = generate_truth(spec)
+    with pytest.raises(ValueError, match=f"'bad' rate {rate} Hz must be positive and at most "
+                                         "the IMU rate 100.0 Hz"):
+        sample_sensors(truth, spec)
+    spec.sensors.pop()
+    odo = [e for e in sample_sensors(truth, spec) if isinstance(e, OdometrySample)]
+    assert len(odo) == 100
+    assert [truth.index_at(e.time) for e in odo] == list(range(3, 301, 3))
+
+
 def test_jump_frequency_matches_probability():
     spec = scenario(duration=100.0, gaussian_std=0.01, jump_probability=0.05,
                     jump_magnitude=50.0, jump_duration=1)
