@@ -62,7 +62,7 @@ from scipy.linalg.lapack import dpotrf
 
 from .adapt_residual import DIAG_FLOOR
 from .errors import AdaptationNotReady
-from .filter_core import InnovationRecord
+from .filter_core import IDENTITY, InnovationRecord
 from .linalg import floor_diagonal, psd_project, spd_solve, symmetrize
 
 log = logging.getLogger(__name__)
@@ -293,11 +293,14 @@ def window_statistics(window: SmootherWindow, corrections: np.ndarray, covs: np.
         raise AdaptationNotReady("window statistics need a non-empty window")
     live = window.rows
 
+    # With every H the shared identity, H d_j is d_j and H P H^T is P.
+    ident = all(snap.record.obs_jacobian is IDENTITY for snap in snaps)
     obs = window.obs[live]
-    residual = window.residuals[live] - (obs @ corrections[:, :, None])[:, :, 0]
+    residual = window.residuals[live] - (
+        corrections if ident else (obs @ corrections[:, :, None])[:, :, 0])
     weighted = window.weights[live] * residual
     terms = (weighted[:, :, None] * weighted[:, None, :]
-             + obs @ covs @ obs.transpose(0, 2, 1))
+             + (covs if ident else obs @ covs @ obs.transpose(0, 2, 1)))
     rows: dict[str, list[int]] = {}
     for j, snap in enumerate(snaps):
         rows.setdefault(snap.sensor_id, []).append(j)

@@ -32,11 +32,10 @@ from scipy.linalg.lapack import dpotrf
 from .adapt_residual import ResidualNoiseAdapter
 from .adapt_vb import VbNoiseAdapter
 from .errors import AdaptationNotReady, MeasurementRejected
-from .filter_core import InnovationRecord, kf_update, mcckf_update, predict
+from .filter_core import IDENTITY, InnovationRecord, kf_update, mcckf_update, predict
 from .kernel_bandwidth import BandwidthState
 from .linalg import symmetrize
 from .so3 import (
-    quat_conjugate,
     quat_from_rotvec,
     quat_multiply,
     quat_normalize,
@@ -56,11 +55,11 @@ TIME_TOLERANCE = 1e-3
 # An odometry quaternion whose norm is further than this from 1 is refused,
 # not fused as if it were a unit quaternion.
 QUAT_NORM_TOLERANCE = 1e-3
-# The observation Jacobian of every odometry correction.  It is read-only, so
-# a write through a correction record or an adapter raises instead of
-# corrupting the corrections that follow.
-_OBS_JACOBIAN = np.eye(OBS_DIM)
-_OBS_JACOBIAN.setflags(write=False)
+# The observation Jacobian of every odometry correction: filter_core's shared
+# identity, whose products the correction skips.  It is read-only, so a write
+# through a correction record or an adapter raises instead of corrupting the
+# corrections that follow.
+_OBS_JACOBIAN = IDENTITY
 
 VARIANTS = ("ekf", "akf", "mcckf", "r-amcckf", "vb-amcckf")
 KERNEL_VARIANTS = ("mcckf", "r-amcckf", "vb-amcckf")
@@ -149,8 +148,16 @@ def observation_residual(state: NominalState,
     order in the attitude error.  If the relative rotation, the norm of the
     log map, is within 1e-9 of half a turn, the log-map branch is still
     well defined but a warning is emitted since the sign is arbitrary.
+    The relative rotation is quat_multiply(quat_conjugate(q), z.q) in one
+    float expression, bit for bit: t - (-p) is t + p exactly.
     """
-    rotvec = quat_to_rotvec(quat_multiply(quat_conjugate(state.orientation), z.orientation))
+    (aw, ax, ay, az), (bw, bx, by, bz) = state.orientation.tolist(), z.orientation.tolist()
+    rotvec = quat_to_rotvec(np.array([
+        aw * bw + ax * bx + ay * by + az * bz,
+        aw * bx - ax * bw - ay * bz + az * by,
+        aw * by + ax * bz - ay * bw - az * bx,
+        aw * bz - ax * by + ay * bx - az * bw,
+    ]))
     if abs(math.sqrt(rotvec.dot(rotvec)) - math.pi) < 1e-9:
         log.warning("antipodal orientation residual from sensor '%s' at t=%.6f",
                     z.sensor_id, z.time)
@@ -166,7 +173,7 @@ def inject_and_reset(state: NominalState, delta: np.ndarray) -> NominalState:
     being the identity to first order).
     """
     dtheta = delta[6:9]
-    if np.linalg.norm(dtheta) >= np.pi:
+    if math.sqrt(dtheta.dot(dtheta)) >= math.pi:
         raise ValueError("attitude correction of half a turn or more")
     position = state.position + delta[0:3]
     velocity = state.velocity + delta[3:6]

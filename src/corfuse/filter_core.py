@@ -33,6 +33,18 @@ measurement noise,
 
 which stays positive semidefinite for any gain, weighted or not.
 
+Identity observation: an ``obs_jac`` that is ``IDENTITY``, the shared
+read-only 9x9 identity (the odometry Jacobian of ``eskf``), skips its
+products: P H^T is P, H P H^T is P, I - K H is I - K and H delta is delta.
+One test picks the operand; the gain algebra is written once.  A product
+with an exact identity returns its finite operand bit for bit, up to the
+sign of a zero, so both paths give the same estimates; any other H, a fresh
+``np.eye(9)`` included, takes the general products.  Unlike the ``so3``
+helpers and the kernel bandwidth, the kernel weights stay NumPy, both
+exponents as the rows of one array: on Python floats they would need
+``math.exp``, which differs from ``np.exp`` in the last bit on about 5 % of
+arguments.
+
 Symmetry contract: every covariance these primitives return (``predict``'s
 and the posterior ``InnovationRecord.cov_post``) is exactly symmetric, bit
 for bit, because each is the symmetric part 0.5 (A + A^T).  Callers pass
@@ -42,6 +54,7 @@ as given, the very object, and records it as ``cov_pred``.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,6 +68,9 @@ log = logging.getLogger(__name__)
 # Clamp for kernel exponents: exp(-700) is still a normal float, so weights
 # stay strictly positive without drifting into denormal territory.
 EXP_FLOOR = -700.0
+# The identity observation matrix whose products a correction skips.
+IDENTITY = np.eye(9)
+IDENTITY.setflags(write=False)
 
 
 @dataclass
@@ -112,11 +128,11 @@ def correntropy_weights(innovation: np.ndarray, noise: np.ndarray,
     """
     y = np.asarray(innovation, dtype=float)
     sigma = np.asarray(bandwidth, dtype=float)
-    r_diag = np.diag(np.asarray(noise, dtype=float))
-    y2 = y * y
-    expo_l = np.maximum(-y2 / (2.0 * sigma * sigma), EXP_FLOOR)
-    expo_c = np.maximum(-y2 / (2.0 * sigma * sigma * r_diag), EXP_FLOOR)
-    return CorrentropyWeights(unweighted=np.exp(expo_l), weighted=np.exp(expo_c))
+    # y^2 / (-2 sigma^2 R) is -y^2 / (2 sigma^2 R) bit for bit: a sign flip is exact.
+    scale = -2.0 * sigma * sigma
+    expo = np.divide(y * y, (scale, scale * np.asarray(noise, dtype=float).diagonal()))
+    unweighted, weighted = np.exp(np.maximum(expo, EXP_FLOOR, out=expo), out=expo)
+    return CorrentropyWeights(unweighted=unweighted, weighted=weighted)
 
 
 def _apply_correction(cov_pred: np.ndarray, y: np.ndarray, obs_jac: np.ndarray,
@@ -124,30 +140,31 @@ def _apply_correction(cov_pred: np.ndarray, y: np.ndarray, obs_jac: np.ndarray,
                       ) -> tuple[np.ndarray, InnovationRecord]:
     """The correction both updates share; no ``bandwidth`` means unit kernel weights."""
     y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
+    if not all(map(math.isfinite, y.tolist())):
         raise MeasurementRejected(f"non-finite measurement from sensor '{sensor_id}'")
     if bandwidth is None:
         ones = np.ones(y.shape[0])
         weights = CorrentropyWeights(unweighted=ones, weighted=ones.copy())
     else:
         weights = correntropy_weights(y, noise, bandwidth)
+    ident = obs_jac is IDENTITY
     obs_jac = np.asarray(obs_jac, dtype=float)
 
     # The weights enter as the symmetric split sqrt(C) (.) sqrt(C), which
     # keeps S symmetric PSD when an adapted R carries off-diagonal structure.
     root_c = np.sqrt(weights.weighted)
-    ph = (cov_pred @ obs_jac.T) * root_c            # P H^T sqrt(C)
-    innov_cov = symmetrize(root_c[:, None] * (obs_jac @ ph) + noise)
+    ph = (cov_pred if ident else cov_pred @ obs_jac.T) * root_c  # P H^T sqrt(C)
+    innov_cov = symmetrize(root_c[:, None] * (ph if ident else obs_jac @ ph) + noise)
     sol, regularized = spd_solve(innov_cov, ph.T)   # S^-1 sqrt(C) H P
     gain = sol.T * root_c
     if regularized:
         log.warning("innovation covariance from sensor '%s' needed a ridge", sensor_id)
 
     delta = gain @ y
-    ikh = np.eye(cov_pred.shape[0]) - gain @ obs_jac
+    ikh = (IDENTITY - gain) if ident else np.eye(cov_pred.shape[0]) - gain @ obs_jac
     cov = symmetrize(ikh @ cov_pred @ ikh.T + gain @ noise @ gain.T)
     record = InnovationRecord(
-        innovation=y, residual=y - obs_jac @ delta, obs_jacobian=obs_jac,
+        innovation=y, residual=y - (delta if ident else obs_jac @ delta), obs_jacobian=obs_jac,
         cov_pred=cov_pred, cov_post=cov, gain=gain, weights=weights,
         regularized=regularized, bandwidth=bandwidth,
     )

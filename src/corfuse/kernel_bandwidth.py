@@ -9,12 +9,19 @@ step, then clamped to a configured interval.  Small innovations produce a
 large bandwidth (the kernel saturates at 1 and the correction behaves like
 a plain Kalman update); large innovations shrink the bandwidth and the
 offending dimension is smoothly rejected.
+
+As in ``so3``, the per-dimension arithmetic runs on Python floats from
+``tolist()`` and builds one array: Python and NumPy round +, -, *, /
+alike, so the bits are those of the elementwise NumPy form.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .filter_core import IDENTITY
 
 SIGMA_MIN_DEFAULT = 1e-3
 SIGMA_MAX_DEFAULT = 1e6
@@ -27,17 +34,17 @@ def adapt_bandwidth(innovation: np.ndarray, noise_prev: np.ndarray,
     """Return the clamped per-dimension bandwidth vector.
 
     ``noise_prev`` is the measurement-noise estimate from the previous
-    correction of the same sensor; only its diagonal is used.  A zero
-    denominator maps to the upper clamp.
+    correction of the same sensor; only its diagonal is used, and it must
+    be non-zero.  A zero denominator maps to the upper clamp.  With
+    ``obs_jacobian`` the shared ``IDENTITY``, H P H^T's diagonal is P's.
     """
-    y = np.asarray(innovation, dtype=float)
-    r_diag = np.diag(np.asarray(noise_prev, dtype=float))
-    h = np.asarray(obs_jacobian, dtype=float)
-    hph = np.einsum("ij,jk,ik->i", h, np.asarray(cov_pred, dtype=float), h)
-    denom = y * y / r_diag + hph
-    with np.errstate(divide="ignore"):
-        sigma = 1.0 / denom
-    return np.minimum(np.maximum(sigma, sigma_min), sigma_max)  # np.clip's bits, at half its cost
+    hph = cov_pred.diagonal() if obs_jacobian is IDENTITY else np.einsum(
+        "ij,jk,ik->i", obs_jacobian, cov_pred, obs_jacobian, dtype=float)
+    y = np.asarray(innovation, dtype=float).tolist()
+    r_diag = np.asarray(noise_prev, dtype=float).diagonal().tolist()
+    denoms = [v * v / r + p for v, r, p in zip(y, r_diag, hph.tolist())]
+    return np.array([min(max(1.0 / d if d != 0.0 else math.inf, sigma_min), sigma_max)
+                     for d in denoms], dtype=float)
 
 
 @dataclass
