@@ -31,10 +31,7 @@ import numpy as np
 
 from .errors import AdaptationNotReady
 from .filter_core import InnovationRecord
-from .linalg import floor_diagonal, psd_project, spd_solve, symmetrize
-
-# Smallest diagonal entry of an adapted noise covariance, Q or R.
-DIAG_FLOOR = 1e-12
+from .linalg import DIAG_FLOOR, floor_diagonal, psd_project, spd_solve, symmetrize
 
 
 def _mean(values: Deque[np.ndarray]) -> np.ndarray:

@@ -33,11 +33,13 @@ predict step's transition (``advance`` and ``correct``).
 Every term that depends on the buffered snapshots alone is computed once,
 when its snapshot is pushed: the smoother gain and conditional covariance
 on the snapshot, and the process statistic's terms in stacked buffers
-beside the snapshot's correction, Jacobian, residual, weights and step
-count.  A refresh then does the backward pass (``backward_smooth``), O(W)
-matrix products and no solves, which returns the smoothed corrections and
-covariances as two stacked arrays, and both window statistics as batched
-NumPy over those and the buffers (``window_statistics``).  The process
+beside the snapshot's correction, residual, weights and step count.  No
+H is buffered: the statistics read each Jacobian from its record, which on
+the engine path is the shared identity.  A refresh then does the backward
+pass (``backward_smooth``), O(W) matrix products and no solves, which
+returns the smoothed corrections and covariances as two stacked arrays,
+and both window statistics as NumPy over those and the buffers
+(``window_statistics``), one ascending sum per sensor.  The process
 sum is certified positive definite by a Cholesky factorization and
 projected onto the PSD cone only when that fails, so ``refresh`` hands
 out the per-step Q without projecting it again.
@@ -60,10 +62,9 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
-from .adapt_residual import DIAG_FLOOR
 from .errors import AdaptationNotReady
 from .filter_core import IDENTITY, InnovationRecord
-from .linalg import floor_diagonal, psd_project, spd_solve, symmetrize
+from .linalg import DIAG_FLOOR, floor_diagonal, psd_project, spd_solve, symmetrize
 
 log = logging.getLogger(__name__)
 
@@ -117,8 +118,8 @@ class SmootherWindow:
     belongs to ``snapshots[j]`` (``rows`` is that slice).  An eviction only
     moves ``start`` on; when the next row would fall off the end, the live
     rows are copied back to row 0, once every ``length + 2`` evictions.  Per
-    snapshot they hold the correction delta_j, the observation Jacobian H_j,
-    the residual r_j, the unweighted kernel weights L_j and the step count.
+    snapshot they hold the correction delta_j, the residual r_j, the
+    unweighted kernel weights L_j and the step count.
     Per transition j (the window's first row is never read), with F_j the
     transition, P_j|j-1 the prior covariance and A_j = F_j G_j-1, they hold
 
@@ -139,7 +140,6 @@ class SmootherWindow:
     def _allocate(self, dim: int, obs_dim: int) -> None:
         rows = 2 * (self.length + 1)
         self.deltas = np.zeros((rows, dim))
-        self.obs = np.zeros((rows, obs_dim, dim))
         self.residuals = np.zeros((rows, obs_dim))
         self.weights = np.zeros((rows, obs_dim))
         self.steps = np.zeros(rows)
@@ -147,7 +147,7 @@ class SmootherWindow:
         self.consts = np.zeros((rows, dim, dim))
         self._eye, self._zeros = np.eye(dim), np.zeros((dim, dim))
         self._eye.flags.writeable = self._zeros.flags.writeable = False  # same-instant G, D
-        self._buffers = (self.deltas, self.obs, self.residuals, self.weights, self.steps,
+        self._buffers = (self.deltas, self.residuals, self.weights, self.steps,
                          self.lifts, self.consts)
 
     def push(self, snapshot: WindowSnapshot) -> None:
@@ -184,7 +184,6 @@ class SmootherWindow:
             self.lifts[row] = self._eye - trans @ gain
             self.consts[row] = trans @ cond @ trans.T
         self.deltas[row] = snapshot.delta
-        self.obs[row] = record.obs_jacobian
         self.residuals[row] = record.residual
         self.weights[row] = record.weights.unweighted
         self.steps[row] = snapshot.steps
@@ -282,11 +281,12 @@ def window_statistics(window: SmootherWindow, corrections: np.ndarray, covs: np.
     evidence; it is skipped.  Measurement: the residual re-anchored to the
     smoothed mean, r_j|k = r_j - H_j d_j, gives
     L r_j|k r_j|k^T L + H P_j|k H^T per snapshot, so a channel the kernel
-    suppressed adds only the covariance floor.  Per sensor id, in order of first appearance, the
-    dict holds the sum and the snapshot count; all sensors' sums are one
-    batched reduction over a stack padded with -0.0 (x + -0.0 is x, bit
-    for bit).  Every sum runs in ascending j: its round-off depends on the
-    order.
+    suppressed adds only the covariance floor.  H_j is read from the
+    records: when every one is ``filter_core.IDENTITY``, H d_j is d_j and
+    H P H^T is P; otherwise the Jacobians are stacked for this call.  Per
+    sensor id, in order of first appearance, the dict holds the symmetrized
+    sum of that sensor's terms and its snapshot count.  Every sum runs in
+    ascending j: its round-off depends on the order.
     """
     snaps = window.snapshots
     if not snaps:
@@ -295,7 +295,7 @@ def window_statistics(window: SmootherWindow, corrections: np.ndarray, covs: np.
 
     # With every H the shared identity, H d_j is d_j and H P H^T is P.
     ident = all(snap.record.obs_jacobian is IDENTITY for snap in snaps)
-    obs = window.obs[live]
+    obs = None if ident else np.array([snap.record.obs_jacobian for snap in snaps])
     residual = window.residuals[live] - (
         corrections if ident else (obs @ corrections[:, :, None])[:, :, 0])
     weighted = window.weights[live] * residual
@@ -304,12 +304,8 @@ def window_statistics(window: SmootherWindow, corrections: np.ndarray, covs: np.
     rows: dict[str, list[int]] = {}
     for j, snap in enumerate(snaps):
         rows.setdefault(snap.sensor_id, []).append(j)
-    stack = np.full((max(map(len, rows.values())), len(rows), *terms.shape[1:]), -0.0)
-    for c, idx in enumerate(rows.values()):
-        stack[:len(idx), c] = terms[idx]
-    sums = _ascending_sum(stack)
-    sums = 0.5 * (sums + sums.transpose(0, 2, 1))
-    measurement = {sid: (sums[c], len(idx)) for c, (sid, idx) in enumerate(rows.items())}
+    measurement = {sid: (symmetrize(_ascending_sum(terms[idx])), len(idx))
+                   for sid, idx in rows.items()}
 
     steps = window.steps[live]
     moving = np.flatnonzero(steps[1:] > 0.0) + 1
@@ -342,8 +338,7 @@ class VbNoiseAdapter:
     measurement noise.
     """
 
-    def __init__(self, state_dim: int, obs_dim: int, window: int = 10,
-                 forgetting: float = 0.97) -> None:
+    def __init__(self, state_dim: int, window: int = 10, forgetting: float = 0.97) -> None:
         if window < 1:
             raise ValueError("window must be at least 1")
         if not 0.0 < forgetting <= 1.0:
@@ -353,7 +348,6 @@ class VbNoiseAdapter:
         self.t = 0.0
         self.T = np.zeros((state_dim, state_dim))
         self.measurement: dict[str, tuple[float, np.ndarray]] = {}
-        self._obs_dim = obs_dim
         # The transition and predict-step count pending since the last correction.
         self._trans = np.eye(state_dim)
         self._steps = 0.0
@@ -398,13 +392,11 @@ class VbNoiseAdapter:
         # projected again.
         noise_by_sensor: dict[str, np.ndarray] = {}
         for sensor_id, (m_sum, m_count) in by_sensor.items():
-            b_prev, big_b_prev = self.measurement.get(sensor_id) or (
-                0.0, np.zeros((self._obs_dim, self._obs_dim)))
+            b_prev, big_b_prev = self.measurement.get(sensor_id, (0.0, 0.0))
             b = rho * b_prev + m_count
             big_b = rho * big_b_prev + m_sum
             self.measurement[sensor_id] = (b, big_b)
-            if b > 0.0:
-                noise_by_sensor[sensor_id] = big_b / b
+            noise_by_sensor[sensor_id] = big_b / b
 
         if self.t <= 0.0:
             return None, noise_by_sensor

@@ -183,8 +183,10 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _variants(text: str) -> list[str]:
-    """Parse a comma-separated variant list, rejecting unknown names."""
+    """Parse a comma-separated variant list, rejecting unknown names and an empty list."""
     variants = [v.strip() for v in text.split(",") if v.strip()]
+    if not variants:
+        raise ConfigError(f"no filter variant in '{text}'")
     for variant in variants:
         if variant not in VARIANTS:
             raise ConfigError(f"unknown filter variant '{variant}'")

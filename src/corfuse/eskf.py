@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -48,18 +48,12 @@ log = logging.getLogger(__name__)
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 STATE_DIM = 9
-OBS_DIM = 9
 # Seconds an event may lag the filter clock and still be fused at the clock's
 # time; larger lags are dropped as out of order.
 TIME_TOLERANCE = 1e-3
 # An odometry quaternion whose norm is further than this from 1 is refused,
 # not fused as if it were a unit quaternion.
 QUAT_NORM_TOLERANCE = 1e-3
-# The observation Jacobian of every odometry correction: filter_core's shared
-# identity, whose products the correction skips.  It is read-only, so a write
-# through a correction record or an adapter raises instead of corrupting the
-# corrections that follow.
-_OBS_JACOBIAN = IDENTITY
 
 VARIANTS = ("ekf", "akf", "mcckf", "r-amcckf", "vb-amcckf")
 KERNEL_VARIANTS = ("mcckf", "r-amcckf", "vb-amcckf")
@@ -162,7 +156,7 @@ def observation_residual(state: NominalState,
         log.warning("antipodal orientation residual from sensor '%s' at t=%.6f",
                     z.sensor_id, z.time)
     y = np.concatenate([z.position - state.position, z.velocity - state.velocity, rotvec])
-    return y, _OBS_JACOBIAN
+    return y, IDENTITY
 
 
 def inject_and_reset(state: NominalState, delta: np.ndarray) -> NominalState:
@@ -274,8 +268,7 @@ class FusionEngine:
         # One noise adapter serves all sensors; ekf and mcckf adapt nothing.
         self._adapter: Optional[Union[VbNoiseAdapter, ResidualNoiseAdapter]] = None
         if config.variant in ("akf", "vb-amcckf"):
-            self._adapter = VbNoiseAdapter(STATE_DIM, OBS_DIM, window=config.window,
-                                           forgetting=config.forgetting)
+            self._adapter = VbNoiseAdapter(STATE_DIM, config.window, config.forgetting)
         elif config.variant == "r-amcckf":
             self._adapter = ResidualNoiseAdapter(self._noise, window=config.window,
                                                  smoothing=config.smoothing)
@@ -311,7 +304,12 @@ class FusionEngine:
 
     def initialize(self, state: NominalState,
                    cov: Union[float, np.ndarray] = 1e-4) -> None:
-        """Start at ``state`` with initial covariance ``cov`` (see the class docstring)."""
+        """Start at ``state`` with initial covariance ``cov`` (see the class docstring).
+
+        Raises ValueError, and stays uninitialized, if a field of ``state`` is not finite.
+        """
+        if not np.isfinite(np.hstack(astuple(state))).all():
+            raise ValueError("initial state must be finite")
         self._cov = _as_covariance(cov, "initial covariance")
         self._nominal = state.copy()
 

@@ -203,14 +203,16 @@ class ExperimentResult:
 
 
 def _init_from_odometry(events: list[Event]) -> NominalState:
+    """The state of the first odometry event with finite position, orientation and velocity."""
     for event in events:
-        if isinstance(event, OdometrySample):
+        if isinstance(event, OdometrySample) and np.isfinite(
+                np.hstack([event.position, event.orientation, event.velocity])).all():
             return NominalState(
                 position=np.asarray(event.position, dtype=float).copy(),
                 velocity=np.asarray(event.velocity, dtype=float).copy(),
                 orientation=np.asarray(event.orientation, dtype=float).copy(),
                 time=event.time)
-    raise DataError("dataset contains no odometry events to initialize from")
+    raise DataError("dataset contains no odometry event with finite values to initialize from")
 
 
 def _collect_sensor_ids(events: list[Event]) -> list[str]:

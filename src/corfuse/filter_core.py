@@ -68,7 +68,10 @@ log = logging.getLogger(__name__)
 # Clamp for kernel exponents: exp(-700) is still a normal float, so weights
 # stay strictly positive without drifting into denormal territory.
 EXP_FLOOR = -700.0
-# The identity observation matrix whose products a correction skips.
+# The identity observation matrix whose products a correction skips, and the
+# Jacobian of every odometry correction of ``eskf``.  It is read-only, so a
+# write through a correction record or an adapter raises instead of
+# corrupting the corrections that follow.
 IDENTITY = np.eye(9)
 IDENTITY.setflags(write=False)
 

@@ -51,6 +51,10 @@ def psd_project(a: np.ndarray) -> np.ndarray:
     return symmetrize((v * np.maximum(w, 0.0)) @ v.T)
 
 
+# Smallest diagonal entry of an adapted noise covariance, Q or R.
+DIAG_FLOOR = 1e-12
+
+
 def floor_diagonal(a: np.ndarray, floor: float) -> np.ndarray:
     """Raise diagonal entries of ``a`` to at least ``floor`` (copies input)."""
     out = np.array(a, dtype=float, copy=True)

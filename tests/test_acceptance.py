@@ -132,7 +132,7 @@ def _run_scalar_identification(scheme: str, seed: int, steps: int = 2000):
     x, m, p = 0.0, 0.0, 1.0
     r_hat = 0.01
     if scheme == "vb":
-        adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=10,
+        adapter = VbNoiseAdapter(state_dim=1, window=10,
                                  forgetting=0.97)
     else:
         adapter = ResidualNoiseAdapter(["z"], window=10)
@@ -179,7 +179,7 @@ def test_acceptance_04_scalar_noise_identification_converges():
 
 def test_acceptance_05_dof_recursion_fixed_point():
     # 11 snapshots one predict step apart: every refresh covers 10 transitions.
-    adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=10, forgetting=0.97)
+    adapter = VbNoiseAdapter(state_dim=1, window=10, forgetting=0.97)
     cov = np.eye(1)
     for k in range(11):
         if k:

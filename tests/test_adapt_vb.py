@@ -25,7 +25,7 @@ from corfuse.adapt_vb import (SmootherWindow, VbNoiseAdapter, WindowSnapshot,
                               _ascending_sum, backward_smooth, window_statistics)
 from corfuse.errors import AdaptationNotReady
 from corfuse.experiments import RunConfig, run_experiment
-from corfuse.filter_core import CorrentropyWeights, InnovationRecord
+from corfuse.filter_core import IDENTITY, CorrentropyWeights, InnovationRecord
 from corfuse.linalg import floor_diagonal, psd_project, symmetrize
 
 UNIT = CorrentropyWeights(unweighted=np.array([1.0]), weighted=np.array([1.0]))
@@ -99,7 +99,7 @@ def test_empty_window_raises():
 
 
 def test_process_statistic_needs_a_transition():
-    adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
+    adapter = VbNoiseAdapter(state_dim=1, window=5)
     adapter.push(scalar_snapshot(1.0, 0.5, 1.0, residual=0.0))
     total, steps, _ = window_statistics(adapter.window, *backward_smooth(adapter.window))
     assert steps == [] and total[0, 0] == 0.0
@@ -433,10 +433,10 @@ def test_evicting_window_matches_a_fresh_window_of_its_snapshots_bitwise(pushes)
     compaction.
     """
     data = random_snapshot_data(np.random.default_rng(77), pushes)
-    rolled = VbNoiseAdapter(state_dim=9, obs_dim=3, window=4)
+    rolled = VbNoiseAdapter(state_dim=9, window=4)
     for fields in data:
         rolled.push(snapshot_from(fields))
-    fresh = VbNoiseAdapter(state_dim=9, obs_dim=3, window=4)
+    fresh = VbNoiseAdapter(state_dim=9, window=4)
     for fields in data[-5:]:
         fresh.push(snapshot_from(fields))
     assert len(rolled.window) == len(fresh.window) == 5
@@ -457,7 +457,7 @@ def test_evicting_window_matches_a_fresh_window_of_its_snapshots_bitwise(pushes)
 
 
 def test_smoother_ridge_warning_is_logged_once_per_snapshot(caplog):
-    adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
+    adapter = VbNoiseAdapter(state_dim=1, window=5)
     with caplog.at_level(logging.WARNING, logger="corfuse.adapt_vb"):
         adapter.push(scalar_snapshot(0.5, 0.5, 1.0, residual=0.1))
         adapter.push(scalar_snapshot(-0.25, 0.5, 0.0, residual=0.0, sensor="odo1"))
@@ -479,6 +479,96 @@ def test_measurement_statistic_filters_by_sensor():
     merged = hand_filtered_window()
     total, _ = window_statistics(merged, *backward_smooth(merged))[2]["s"]
     assert by_sensor["a"][0][0, 0] + by_sensor["b"][0][0, 0] == pytest.approx(total[0, 0])
+
+
+def with_signed_zeros(rng, values, share):
+    """``values`` with about ``share`` of its entries replaced by +0.0 or -0.0."""
+    zeros = np.where(rng.random(values.shape) < 0.5, 0.0, -0.0)
+    return np.where(rng.random(values.shape) < share, zeros, values)
+
+
+def exact_jacobian(rng, rows):
+    """A rows x 9 H with one +-2^k per row in distinct columns: H d and H P H^T are exact."""
+    obs = np.zeros((rows, 9))
+    obs[np.arange(rows), rng.permutation(9)[:rows]] = (
+        rng.choice([-1.0, 1.0], rows) * 2.0 ** rng.integers(-3, 4, rows))
+    return obs
+
+
+def signed_zero_window(rng, kind, sensors):
+    """A random window of 1-11 pushes and the smoothed pair to pass with it.
+
+    ``kind`` picks H: the shared IDENTITY, a 9x9 exact H mixed with
+    IDENTITY, or a 3x9 exact H.  The corrections and covariances are
+    unsymmetric, with exact +-0.0 entries, as are some residuals and
+    weights.  The last sensor's rows are all signed zeros when there are
+    several sensors, and a third of the rows otherwise; covariance zero
+    rows are -0.0 throughout.
+    """
+    dim = 3 if kind == "rows" else 9
+    window = SmootherWindow(length=5)
+    for _ in range(rng.integers(1, 12)):
+        obs = (IDENTITY if kind == "identity" or kind == "mixed" and rng.random() < 0.5
+               else exact_jacobian(rng, dim))
+        weights = with_signed_zeros(rng, rng.uniform(0.1, 1.0, dim), 0.3)
+        record = InnovationRecord(
+            innovation=np.zeros(dim),
+            residual=with_signed_zeros(rng, rng.standard_normal(dim), 0.3),
+            obs_jacobian=obs, cov_pred=random_spd9(rng), cov_post=random_spd9(rng),
+            gain=np.zeros((9, dim)),
+            weights=CorrentropyWeights(unweighted=weights, weighted=weights))
+        window.push(WindowSnapshot(
+            record=record, delta=rng.standard_normal(9),
+            transition=np.eye(9) + 0.1 * rng.standard_normal((9, 9)),
+            sensor_id=str(rng.choice(list(sensors)))))
+    count = len(window)
+    zero_rows = (np.array([snap.sensor_id == sensors[-1] for snap in window.snapshots])
+                 if len(sensors) > 1 else rng.random(count) < 1 / 3)
+    corrections = with_signed_zeros(rng, rng.standard_normal((count, 9)), 0.3)
+    corrections[zero_rows] = with_signed_zeros(rng, corrections[zero_rows], 1.0)
+    covs = with_signed_zeros(rng, rng.standard_normal((count, 9, 9)), 0.3)
+    covs[zero_rows] = -0.0
+    residuals = window.residuals[window.rows]
+    residuals[zero_rows] = with_signed_zeros(rng, residuals[zero_rows], 1.0)
+    return window, corrections, covs
+
+
+def test_measurement_sums_are_in_order_python_sums_bit_for_bit():
+    """Each sensor's sum is its terms added left to right, then symmetrized, sign bits included.
+
+    An exact H has products with the same bits in any order, so the
+    reference forms them one snapshot at a time.  Pushes past the window
+    length put its rows anywhere in the buffers.
+    """
+    rng = np.random.default_rng(2024)
+    negative_zeros = 0
+    for case in range(36):
+        window, corrections, covs = signed_zero_window(
+            rng, ("identity", "mixed", "rows")[case % 3], "abc"[:1 + case // 3 % 3])
+        ident = all(snap.record.obs_jacobian is IDENTITY for snap in window.snapshots)
+        terms: dict = {}
+        for j, snap in enumerate(window.snapshots):
+            obs = snap.record.obs_jacobian
+            residual = window.residuals[window.rows][j] - (
+                corrections[j] if ident else obs @ corrections[j])
+            weighted = snap.record.weights.unweighted * residual
+            terms.setdefault(snap.sensor_id, []).append(
+                np.outer(weighted, weighted) + (covs[j] if ident else obs @ covs[j] @ obs.T))
+        want = {}
+        for sid, sensor_terms in terms.items():
+            total = sensor_terms[0]
+            for term in sensor_terms[1:]:
+                total = total + term
+            want[sid] = (symmetrize(total), len(sensor_terms))
+
+        got = window_statistics(window, corrections, covs)[2]
+        assert list(got) == list(want)
+        for sid, (total, count) in got.items():
+            assert count == want[sid][1]
+            np.testing.assert_array_equal(total, want[sid][0])
+            np.testing.assert_array_equal(np.signbit(total), np.signbit(want[sid][0]))
+            negative_zeros += int((np.signbit(total) & (total == 0.0)).sum())
+    assert negative_zeros > 0  # the sign bits are tested on sums that are -0.0
 
 
 def test_suppressed_channel_contributes_only_covariance_floor():
@@ -531,7 +621,7 @@ def test_statistics_average_to_true_noise_on_matched_filter():
 
 def full_window_adapter(window, forgetting):
     """Adapter holding ``window + 1`` snapshots, so ``window`` real transitions."""
-    adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=window,
+    adapter = VbNoiseAdapter(state_dim=1, window=window,
                              forgetting=forgetting)
     for k in range(window + 1):
         adapter.push(scalar_snapshot(0.05, 0.5, 1.0, residual=0.2 * (-1) ** k))
@@ -555,7 +645,7 @@ def test_wishart_update_accumulates_and_discounts():
 
 
 def test_extract_noise_point_estimates_and_guard():
-    fresh = VbNoiseAdapter(state_dim=1, obs_dim=1, window=4)
+    fresh = VbNoiseAdapter(state_dim=1, window=4)
     with pytest.raises(AdaptationNotReady):
         fresh.refresh()
     adapter = full_window_adapter(4, forgetting=0.5)
@@ -593,7 +683,7 @@ def scalar_record(residual=0.0):
 
 def test_adapter_pushes_each_delta_with_the_composed_transition():
     """Scalar case worked by hand: transitions compose, step counts add."""
-    adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
+    adapter = VbNoiseAdapter(state_dim=1, window=5)
     record = scalar_record(residual=0.3)
     delta = np.array([1.0])
     adapter.correct("a", record, delta)
@@ -624,14 +714,14 @@ def test_adapter_pushes_each_delta_with_the_composed_transition():
 
 
 def test_adapter_reports_not_ready_until_two_snapshots():
-    adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
+    adapter = VbNoiseAdapter(state_dim=1, window=5)
     adapter.push(scalar_snapshot(0.5, 0.5, 1.0, residual=0.1))
     with pytest.raises(AdaptationNotReady):
         adapter.refresh()
 
 
 def test_adapter_withholds_process_estimate_without_real_transitions():
-    adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
+    adapter = VbNoiseAdapter(state_dim=1, window=5)
     adapter.push(scalar_snapshot(-0.2, 0.4, 0.6, residual=0.1))
     adapter.push(scalar_snapshot(-0.1, 0.3, 0.4, residual=0.0, steps=0.0))
     q, by_sensor = adapter.refresh()
@@ -640,7 +730,7 @@ def test_adapter_withholds_process_estimate_without_real_transitions():
 
 
 def test_adapter_tracks_measurement_noise_per_sensor():
-    adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=8, forgetting=0.9)
+    adapter = VbNoiseAdapter(state_dim=1, window=8, forgetting=0.9)
     rng = np.random.default_rng(55)
     for k in range(40):
         sensor = "a" if k % 2 == 0 else "b"
@@ -652,7 +742,7 @@ def test_adapter_tracks_measurement_noise_per_sensor():
 
 
 def test_adapter_mean_steps_ignores_instant_transitions():
-    adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=5)
+    adapter = VbNoiseAdapter(state_dim=1, window=5)
     adapter.push(scalar_snapshot(0.0, 0.5, 1.0, 0.0, steps=1.0))
     adapter.push(scalar_snapshot(0.0, 0.5, 1.0, 0.0, steps=4.0))
     adapter.push(scalar_snapshot(0.0, 0.5, 1.0, 0.0, steps=0.0))
@@ -667,7 +757,7 @@ def test_closed_loop_measurement_noise_identification():
     """R starts 100x small and must climb to the true value in the loop."""
     rng = np.random.default_rng(7)
     q_true, r_true = 0.1, 1.0
-    adapter = VbNoiseAdapter(state_dim=1, obs_dim=1, window=10, forgetting=0.97)
+    adapter = VbNoiseAdapter(state_dim=1, window=10, forgetting=0.97)
     x, m, p = 0.0, 0.0, 1.0
     r_hat = 0.01
     history = []

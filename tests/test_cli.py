@@ -7,6 +7,7 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import corfuse
@@ -239,6 +240,39 @@ def test_fuse_counts_a_refused_correction_and_exits_0(tmp_path, capsys):
     assert "dropped=1" in capsys.readouterr().out
 
 
+def test_fuse_starts_at_the_first_odometry_row_with_finite_values(tmp_path, capsys):
+    dataset, truth = simulate_hover(tmp_path / "sim", duration=2.0, sensors=2)
+    rows = dataset.read_text().splitlines(keepends=True)
+    first = next(i for i, row in enumerate(rows) if ",odom," in row)
+    fields = rows[first].split(",")
+    fields[3] = "nan"  # px
+    rows[first] = ",".join(fields)
+    broken = tmp_path / "broken.csv"
+    broken.write_text("".join(rows))
+    metrics = fuse_metrics(broken, truth, tmp_path / "fused", "vb-amcckf")
+    assert metrics["correction_count"] == sum(",odom," in row for row in rows) - 1
+    assert metrics["dropped"] == {"non_finite": 1, "out_of_order": 0, "rejected": 0}
+    assert metrics["rmse_position_total"] < 0.05
+    estimates = np.loadtxt(tmp_path / "fused" / "estimates.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(estimates).all()
+
+
+def test_fuse_exits_3_when_no_odometry_row_is_finite(tmp_path, capsys):
+    dataset, truth = simulate_hover(tmp_path / "sim", duration=1.0, sensors=1)
+    rows = dataset.read_text().splitlines(keepends=True)
+    for i, row in enumerate(rows):
+        if ",odom," in row:
+            fields = row.rstrip("\n").split(",")
+            fields[3 + i % 9] = "nan"  # one field per row, every field in turn
+            rows[i] = ",".join(fields) + "\n"
+    broken = tmp_path / "broken.csv"
+    broken.write_text("".join(rows))
+    capsys.readouterr()
+    rc = main(["fuse", "--dataset", str(broken), "--filter", "ekf"])
+    assert rc == 3
+    assert "finite" in capsys.readouterr().err
+
+
 def test_fuse_reports_corrections_the_truth_file_cannot_score(tmp_path, capsys):
     dataset, truth = simulate_hover(tmp_path / "sim", duration=2.0, sensors=1)
     lines = truth.read_text().splitlines(keepends=True)
@@ -291,6 +325,16 @@ def test_compare_rejects_unknown_variant(capsys):
     rc = main(["compare", "--scenario", "hover", "--filters", "ekf,ukf"])
     assert rc == 2
     assert "ukf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compare", "bench"])
+def test_an_empty_variant_list_exits_2(command, capsys):
+    rc = main([command, "--scenario", "hover", "--filters", ",",
+               "--set", "duration=1.0", "--set", "sensors=1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and "variant" in captured.err
+    assert "rmse_pos" not in captured.out
 
 
 def test_bench_reports_timing_rows(tmp_path, capsys):

@@ -311,6 +311,23 @@ def test_initialize_rejects_a_non_finite_or_misshapen_covariance(cov):
         engine.initialize(make_state(), cov)
 
 
+@pytest.mark.parametrize("field,index", [("position", 0), ("velocity", 2), ("orientation", 3),
+                                         ("time", None)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_initialize_refuses_a_non_finite_state(field, index, value):
+    """A NaN start would make every estimate NaN while the run still reports success."""
+    engine = FusionEngine(EngineConfig(variant="ekf"), {"odo0": 0.01})
+    state = make_state()
+    if index is None:
+        state.time = value
+    else:
+        getattr(state, field)[index] = value
+    with pytest.raises(ValueError, match="initial state"):
+        engine.initialize(state)
+    with pytest.raises(RuntimeError, match="initialize"):
+        engine.process(hover_imu(0.01))
+
+
 @pytest.mark.parametrize("variant", ["vb-amcckf", "akf", "r-amcckf"])
 def test_covariances_and_noise_scales_stay_exactly_symmetric(variant):
     """The VB window and recursions take filter_core's covariances as symmetric, bit for bit."""
