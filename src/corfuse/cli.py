@@ -7,9 +7,10 @@ Subcommands:
     compare    run several variants on the identical stream
     bench      per-event timing across variants and window lengths
 
-Configuration comes from an optional key=value text file (via --config)
-with command-line flags taking precedence.  Exit codes: 0 on success,
-2 for configuration/validation problems, 3 for data problems.
+Configuration comes from an optional key=value text file (via --config),
+then repeatable --set KEY=VALUE items, then the flags; a later source
+wins.  Exit codes: 0 on success, 2 for configuration/validation problems,
+3 for data problems (a covariance overflow included).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from .dataset import write_events, write_truth
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, PropagationError
 from .eskf import VARIANTS
 from .experiments import (
     RunConfig,
@@ -31,10 +32,18 @@ from .experiments import (
     run_experiment,
     write_json,
 )
-from .sim import generate_truth, sample_sensors
+from .sim import TRAJECTORIES, generate_truth, sample_sensors
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True,
                  "false": False, "0": False, "no": False}
+
+
+def _split(text: str, error: str) -> tuple[str, str]:
+    """``text`` split at its first '=' into a stripped key and value; ConfigError(error) if none."""
+    if "=" not in text:
+        raise ConfigError(error)
+    key, value = text.split("=", 1)
+    return key.strip(), value.strip()
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -45,13 +54,15 @@ def load_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     for line_num, raw in enumerate(file.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {line_num} of {path} is not 'key = value': {raw!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+        if line:
+            key, value = _split(line, f"line {line_num} of {path} is not 'key = value': {raw!r}")
+            entries[key] = value
     return entries
+
+
+def parse_assignments(items: list[str]) -> dict[str, str]:
+    """``--set`` arguments as config entries; a later KEY wins."""
+    return dict(_split(item, f"--set expects KEY=VALUE, got {item!r}") for item in items)
 
 
 def _coerce(name: str, value: str, target_type) -> object:
@@ -70,29 +81,11 @@ def _coerce(name: str, value: str, target_type) -> object:
         raise ConfigError(f"bad value for '{name}': {exc}") from None
 
 
-def _unwrap_optional(hint):
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is typing.Union and type(None) in args:
-        (hint,) = [arg for arg in args if arg is not type(None)]
-    return hint
-
-
-# Config key -> value type, read off RunConfig's annotations.  Per-sensor
-# noise overrides arrive as "r0.<sensor>" keys instead of r0_overrides.
-_SIMPLE_TYPES = {name: _unwrap_optional(hint)
-                 for name, hint in typing.get_type_hints(RunConfig).items()
+# Config key -> value type, read off RunConfig's annotations; every Optional
+# field is a str, which _coerce passes through.  Per-sensor noise overrides
+# arrive as "r0.<sensor>" keys instead of r0_overrides.
+_SIMPLE_TYPES = {name: hint for name, hint in typing.get_type_hints(RunConfig).items()
                  if name != "r0_overrides"}
-
-
-def parse_assignments(items: list[str]) -> dict[str, str]:
-    """``--set`` arguments as config entries; a later KEY wins."""
-    entries: dict[str, str] = {}
-    for item in items:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        entries[key.strip()] = value.strip()
-    return entries
 
 
 def apply_entries(config: RunConfig, entries: dict[str, str]) -> RunConfig:
@@ -108,21 +101,10 @@ def apply_entries(config: RunConfig, entries: dict[str, str]) -> RunConfig:
     return config
 
 
-def build_run_config(file_entries: dict[str, str],
-                     overrides: dict[str, object]) -> RunConfig:
-    """Merge defaults, config-file entries, and CLI overrides into a RunConfig."""
-    config = apply_entries(RunConfig(), file_entries)
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(config, key, value)
-    return config
-
-
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--scenario", choices=("hover", "waypoints", "figure8"),
-                        help="synthetic scenario name")
+    parser.add_argument("--scenario", choices=tuple(TRAJECTORIES), help="synthetic scenario name")
     parser.add_argument("--dataset", help="event CSV to fuse instead of a scenario")
     parser.add_argument("--truth", help="truth CSV for dataset-mode metrics")
     parser.add_argument("--out", help="output directory")
@@ -131,18 +113,12 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The run's settings: the --config file, then --set items, then the flags; later wins."""
     entries = load_config_file(args.config) if args.config else {}
     entries.update(parse_assignments(args.set))
-    overrides = {
-        "seed": args.seed,
-        "scenario": args.scenario,
-        "dataset": args.dataset,
-        "truth": args.truth,
-        "out": args.out,
-    }
-    if getattr(args, "filter", None):
-        overrides["filter"] = args.filter
-    return build_run_config(entries, overrides)
+    entries.update((key, str(value)) for key, value in vars(args).items()
+                   if key in _SIMPLE_TYPES and value is not None)
+    return apply_entries(RunConfig(), entries)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -267,7 +243,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, PropagationError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

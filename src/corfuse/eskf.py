@@ -164,8 +164,11 @@ def inject_and_reset(state: NominalState, delta: np.ndarray) -> NominalState:
 
     The returned nominal absorbs the correction; the caller zeroes the
     error mean (covariance is carried over unchanged, the reset Jacobian
-    being the identity to first order).
+    being the identity to first order).  Raises ValueError for a ``delta``
+    that is not finite or turns the attitude by half a turn or more.
     """
+    if not all(map(math.isfinite, delta.tolist())):
+        raise ValueError("non-finite correction")
     dtheta = delta[6:9]
     if math.sqrt(dtheta.dot(dtheta)) >= math.pi:
         raise ValueError("attitude correction of half a turn or more")
@@ -246,12 +249,15 @@ class FusionEngine:
         if config.sigma_mode not in SIGMA_MODES:
             raise ValueError(
                 f"unknown sigma_mode '{config.sigma_mode}'; expected one of {SIGMA_MODES}")
-        # Each check is written so that NaN fails it.
-        if not 0.0 < config.sigma_static < math.inf:
-            raise ValueError(f"sigma_static must be positive and finite, got {config.sigma_static}")
-        if not 0.0 < config.sigma_min < config.sigma_max:
+        # Each check is written so that NaN fails it.  A kernel size whose
+        # square underflows to 0 would make 0/0 weights of a zero innovation.
+        static, low = config.sigma_static, config.sigma_min
+        if not (0.0 < static < math.inf and static * static > 0.0):
+            raise ValueError(f"sigma_static must be positive and finite, sigma_static ** 2 > 0, "
+                             f"got {static}")
+        if not (0.0 < low < config.sigma_max and low * low > 0.0):
             raise ValueError("sigma_min and sigma_max must satisfy 0 < sigma_min < sigma_max, "
-                             f"got {config.sigma_min} and {config.sigma_max}")
+                             f"sigma_min ** 2 > 0, got {low} and {config.sigma_max}")
         if not sensor_noise:
             raise ValueError("at least one odometry sensor is required")
         self.config = config

@@ -25,10 +25,9 @@ from .eskf import (
     OdometrySample,
 )
 from .linalg import spd_solve
-from .sim import NoiseSpec, ScenarioSpec, SensorSpec, TruthTrajectory, generate_truth, sample_sensors
+from .sim import (TRAJECTORIES, NoiseSpec, ScenarioSpec, SensorSpec, TruthTrajectory,
+                  generate_truth, sample_sensors)
 from .so3 import quat_conjugate, quat_multiply, quat_to_rotvec
-
-SCENARIO_KINDS = ("hover", "waypoints", "figure8")
 
 
 @dataclass
@@ -81,11 +80,12 @@ class RunConfig:
             problems.append(f"beta must lie in (0, 1], got {self.beta}")
         if self.sigma_mode not in SIGMA_MODES:
             problems.append(f"sigma_mode must be one of {SIGMA_MODES}, got '{self.sigma_mode}'")
-        # Each check is written so that NaN fails it.
-        if not 0.0 < self.sigma_static < math.inf:
-            problems.append("sigma_static must be positive and finite")
-        if not 0.0 < self.sigma_min < self.sigma_max:
-            problems.append("sigma clamps must satisfy 0 < sigma_min < sigma_max")
+        # Each check is written so that NaN fails it.  A kernel size whose
+        # square underflows to 0 would make 0/0 weights of a zero innovation.
+        if not (0.0 < self.sigma_static < math.inf and self.sigma_static * self.sigma_static > 0.0):
+            problems.append("sigma_static must be positive and finite, sigma_static ** 2 > 0")
+        if not (0.0 < self.sigma_min < self.sigma_max and self.sigma_min * self.sigma_min > 0.0):
+            problems.append("sigma clamps need 0 < sigma_min < sigma_max and sigma_min ** 2 > 0")
         if not all(0.0 < v < math.inf for v in (self.r0, *self.r0_overrides.values())):
             problems.append("initial measurement noise scales must be positive and finite")
         if not 0.0 <= self.q0 < math.inf:
@@ -94,8 +94,10 @@ class RunConfig:
             problems.append(f"p0 must be positive and finite, got {self.p0}")
         if (self.scenario is None) == (self.dataset is None):
             problems.append("exactly one of scenario or dataset must be set")
-        if self.scenario is not None and self.scenario not in SCENARIO_KINDS:
-            problems.append(f"scenario must be one of {SCENARIO_KINDS}, got '{self.scenario}'")
+        if self.truth is not None and self.dataset is None:
+            problems.append("truth needs a dataset; a scenario is scored against its own truth")
+        if self.scenario is not None and self.scenario not in TRAJECTORIES:
+            problems.append(f"scenario must be one of {tuple(TRAJECTORIES)}, got '{self.scenario}'")
         if self.scenario is not None:
             if self.seed < 0:
                 problems.append(f"seed must be non-negative, got {self.seed}")

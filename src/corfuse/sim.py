@@ -53,7 +53,6 @@ class NoiseSpec:
     drift_rate: Union[float, np.ndarray] = 0.0  # m/s on position channels
     drift_start: float = 0.0
     drift_duration: float = math.inf
-    seed: Optional[int] = None
 
     def std_vector(self) -> np.ndarray:
         if np.isscalar(self.gaussian_std):
@@ -211,10 +210,11 @@ def _waypoint_trajectory(spec: ScenarioSpec, times: np.ndarray,
     return positions, velocities, np.tile([1.0, 0.0, 0.0, 0.0], (len(times), 1)), acc
 
 
-_TRAJECTORIES = {
+# The scenario kinds, in the order the command line lists them.
+TRAJECTORIES = {
     "hover": _hover_trajectory,
-    "figure8": _figure8_trajectory,
     "waypoints": _waypoint_trajectory,
+    "figure8": _figure8_trajectory,
 }
 
 
@@ -285,13 +285,13 @@ def _rotmats(q: np.ndarray) -> np.ndarray:
 
 def generate_truth(spec: ScenarioSpec) -> TruthTrajectory:
     """Evaluate the scenario's analytic trajectory on the IMU grid, all rows at once."""
-    if spec.kind not in _TRAJECTORIES:
+    if spec.kind not in TRAJECTORIES:
         raise ValueError(
-            f"unknown trajectory kind '{spec.kind}'; expected one of {sorted(_TRAJECTORIES)}")
+            f"unknown trajectory kind '{spec.kind}'; expected one of {sorted(TRAJECTORIES)}")
     dt = 1.0 / spec.imu_rate
     steps = int(round(spec.duration * spec.imu_rate))
     times = np.arange(steps + 1) * dt
-    positions, velocities, orientations, mid_acc = _TRAJECTORIES[spec.kind](
+    positions, velocities, orientations, mid_acc = TRAJECTORIES[spec.kind](
         spec, times, times[:-1] + 0.5 * dt)
 
     gyro_body = _rotvecs_from_quats(_relative_quats(orientations[:-1], orientations[1:]))
@@ -343,10 +343,10 @@ def sample_sensors(truth: TruthTrajectory, spec: ScenarioSpec) -> list[Event]:
     """Draw the corrupted IMU and odometry event stream for a scenario.
 
     Deterministic: the same (truth, spec) pair yields a bitwise-identical
-    stream.  Each sensor gets its own generator seeded from its NoiseSpec
-    seed, or derived from the scenario seed and the sensor's position in
-    the list.  Raises ValueError for a sensor rate that is not positive or
-    is above the IMU rate, which the IMU grid cannot carry.
+    stream.  Each sensor gets its own generator, seeded from the scenario
+    seed and the sensor's position in the list.  Raises ValueError for a
+    sensor rate that is not positive or is above the IMU rate, which the
+    IMU grid cannot carry.
     """
     for sensor in spec.sensors:
         if not 0.0 < sensor.rate <= spec.imu_rate:
@@ -363,8 +363,7 @@ def sample_sensors(truth: TruthTrajectory, spec: ScenarioSpec) -> list[Event]:
     events: list[Event] = list(map(ImuSample, accel, gyro, truth.times[1:].tolist()))
 
     for index, sensor in enumerate(spec.sensors):
-        seed = sensor.noise.seed if sensor.noise.seed is not None else spec.seed
-        rng = np.random.default_rng([seed, index + 1])
+        rng = np.random.default_rng([spec.seed, index + 1])
         events.extend(_sample_odometry(truth, sensor, spec.imu_rate, rng))
 
     events.sort(key=lambda e: (e.time, isinstance(e, OdometrySample),

@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, subcommands, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,10 +12,12 @@ import numpy as np
 import pytest
 
 import corfuse
-from corfuse.cli import _coerce, build_run_config, load_config_file, main
+from corfuse.cli import (_coerce, _config_from_args, apply_entries, build_parser,
+                         load_config_file, main)
 from corfuse.dataset import read_truth
 from corfuse.errors import ConfigError, DataError
 from corfuse.experiments import RunConfig
+from corfuse.sim import TRAJECTORIES
 
 
 def test_load_config_file_parses_keys_comments_and_blanks(tmp_path):
@@ -54,16 +57,15 @@ def test_coerce_types():
         _coerce("window", "ten", int)
 
 
-def test_build_run_config_merges_sources():
-    config = build_run_config(
-        {"filter": "ekf", "window": "15", "r0.odom0": "0.5"},
-        {"seed": 7, "scenario": "hover", "out": None})
+def test_apply_entries_merges_sources():
+    config = apply_entries(RunConfig(), {"filter": "ekf", "window": "15", "r0.odom0": "0.5",
+                                         "seed": "7", "scenario": "hover"})
     assert config.filter == "ekf"
     assert config.window == 15
     assert config.r0_overrides == {"odom0": 0.5}
     assert config.seed == 7
     assert config.scenario == "hover"
-    assert config.out is None  # None overrides are skipped
+    assert config.out is None  # a key no entry sets keeps its default
 
 
 def test_every_run_config_field_is_read_from_a_config_file(tmp_path):
@@ -78,15 +80,55 @@ def test_every_run_config_field_is_read_from_a_config_file(tmp_path):
         lines.append(f"{name} = {raw}")
     path = tmp_path / "all.cfg"
     path.write_text("\n".join(lines) + "\n")
-    config = build_run_config(load_config_file(str(path)), {})
+    config = apply_entries(RunConfig(), load_config_file(str(path)))
     for name, value in expected.items():
         got = getattr(config, name)
         assert type(got) is type(value) and got == value, name
 
 
-def test_build_run_config_rejects_unknown_keys():
+def test_apply_entries_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config key"):
-        build_run_config({"bandwidth": "2.0"}, {})
+        apply_entries(RunConfig(), {"bandwidth": "2.0"})
+
+
+# Each flag that sets a RunConfig field, with the value the config file, a
+# --set item and the flag itself give it.
+FLAG_VALUES = {
+    "seed": ("1", "2", "3"),
+    "scenario": ("hover", "waypoints", "figure8"),
+    "dataset": ("file.csv", "set.csv", "flag.csv"),
+    "truth": ("file_truth.csv", "set_truth.csv", "flag_truth.csv"),
+    "out": ("file_out", "set_out", "flag_out"),
+    "filter": ("ekf", "akf", "mcckf"),
+}
+
+
+@pytest.mark.parametrize("sources", [1, 2, 3], ids=["file", "file+set", "file+set+flag"])
+def test_a_flag_wins_over_set_which_wins_over_the_config_file(tmp_path, sources):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window = 5\nrho = 0.95\n"
+                   + "".join(f"{key} = {values[0]}\n" for key, values in FLAG_VALUES.items()))
+    argv = ["fuse", "--config", str(cfg), "--set", "window=7"]
+    if sources >= 2:
+        for key, values in FLAG_VALUES.items():
+            argv += ["--set", f"{key}={values[1]}"]
+    if sources == 3:
+        for key, values in FLAG_VALUES.items():
+            argv += [f"--{key}", values[2]]
+    config = _config_from_args(build_parser().parse_args(argv))
+    for key, values in FLAG_VALUES.items():
+        assert str(getattr(config, key)) == values[sources - 1], key
+    assert config.seed == int(FLAG_VALUES["seed"][sources - 1])
+    assert (config.window, config.rho) == (7, 0.95)  # --set over the file; the file alone
+
+
+def test_scenario_choices_are_the_simulator_kinds():
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    for command, parser in commands.choices.items():
+        (scenario,) = [action for action in parser._actions if action.dest == "scenario"]
+        assert tuple(scenario.choices) == tuple(TRAJECTORIES) == (
+            "hover", "waypoints", "figure8"), command
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +185,14 @@ def test_exit_code_2_on_config_problems(tmp_path, capsys):
     assert main(["fuse", "--scenario", "hover", "--set", "badkey"]) == 2
 
 
+def test_truth_without_a_dataset_exits_2(capsys):
+    # A scenario run is scored against its own truth, so a truth file would go unread.
+    assert main(["fuse", "--scenario", "hover", "--truth", "/nonexistent/truth.csv",
+                 "--set", "duration=1"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "truth needs a dataset" in err
+
+
 def test_odometry_faster_than_the_imu_exits_2(tmp_path, capsys):
     assert main(["simulate", "--scenario", "hover", "--out", str(tmp_path / "x"),
                  "--set", "imu_rate=100", "--set", "odom_rate=200"]) == 2
@@ -163,6 +213,28 @@ def test_exit_code_3_on_data_problems(tmp_path, capsys):
     mangled = tmp_path / "mangled.csv"
     mangled.write_text("time_s,kind\n")
     assert main(["fuse", "--dataset", str(mangled)]) == 3
+
+
+def test_a_covariance_overflow_exits_3(tmp_path, capsys):
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", "hover", "--seed", "1", "--out", str(sim_out),
+                 "--set", "duration=2.0"]) == 0
+    rows = (sim_out / "dataset.csv").read_text().splitlines(keepends=True)
+    first = next(i for i, row in enumerate(rows)
+                 if ",imu," in row and float(row.split(",", 1)[0]) > 0.5)
+    fields = rows[first].split(",")
+    fields[3] = "1e200"  # d0, the x specific force
+    rows[first] = ",".join(fields)
+    huge = tmp_path / "huge.csv"
+    huge.write_text("".join(rows))
+    capsys.readouterr()
+    # F P F^T overflows to inf, and symmetrizing inf + -inf makes a NaN.
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.warns(RuntimeWarning, match="invalid value"):
+        assert main(["fuse", "--dataset", str(huge)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: non-finite variance after propagation")
+    assert len(err.splitlines()) == 1
 
 
 def test_exit_code_3_on_truth_files_shorter_than_two_rows(tmp_path, capsys):

@@ -16,8 +16,8 @@ import pytest
 from corfuse.adapt_residual import DIAG_FLOOR, _mean, check_identity_gamma
 from corfuse.adapt_vb import backward_smooth, window_statistics
 from corfuse.errors import MeasurementRejected, PropagationError
-from corfuse.eskf import (GRAVITY, QUAT_NORM_TOLERANCE, STATE_DIM, VARIANTS, EngineConfig,
-                          FusionEngine, ImuSample, NominalState, OdometrySample,
+from corfuse.eskf import (GRAVITY, KERNEL_VARIANTS, QUAT_NORM_TOLERANCE, STATE_DIM, VARIANTS,
+                          EngineConfig, FusionEngine, ImuSample, NominalState, OdometrySample,
                           error_transition, inject_and_reset,
                           observation_residual, propagate_nominal)
 from corfuse.experiments import RunConfig, build_engine, build_scenario
@@ -210,6 +210,15 @@ def test_inject_rejects_half_turn_corrections():
         inject_and_reset(make_state(), delta)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("index", [0, 4, 7])
+def test_inject_refuses_a_non_finite_correction(index, value):
+    delta = np.zeros(STATE_DIM)
+    delta[index] = value
+    with pytest.raises(ValueError, match="non-finite correction"):
+        inject_and_reset(make_state(), delta)
+
+
 # ---------------------------------------------------------------------------
 # fusion engine
 
@@ -282,8 +291,10 @@ def test_engine_validates_construction():
     ("sigma_min", {"sigma_min": np.nan}),
     ("sigma_max", {"sigma_max": np.nan}),
     ("sigma_max", {"sigma_min": 2.0, "sigma_max": 1.0}),
+    ("sigma_static", {"sigma_static": 1e-200}),
+    ("sigma_min", {"sigma_min": 1e-200}),
 ], ids=["static-zero", "static-nan", "static-negative", "static-inf", "min-zero", "min-nan",
-        "max-nan", "min-above-max"])
+        "max-nan", "min-above-max", "static-square-zero", "min-square-zero"])
 def test_engine_refuses_bandwidths_that_poison_the_weights(field, settings):
     """A zero or NaN kernel size would make the first correction's state non-finite."""
     config = EngineConfig(variant="mcckf", sigma_mode="static", **settings)
@@ -567,6 +578,35 @@ def test_refused_correction_is_counted_and_leaves_the_filter_untouched(
             assert ours.noise_trace == theirs.noise_trace
     assert np.array_equal(engine.covariance, clean.covariance)
     assert np.array_equal(engine.process_noise, clean.process_noise)
+
+
+@pytest.mark.parametrize("variant", KERNEL_VARIANTS)
+def test_nan_weighted_correction_is_refused_and_leaves_the_filter_untouched(variant):
+    """A kernel size whose square underflows to 0 makes 0/0 weights of an exact zero innovation.
+
+    The engine refuses such a size, so one is set past its check here.  Every
+    correction is then refused, and the filter ends as if it had seen the IMU alone.
+    """
+    events = hover_events(duration=1.0, sensors=("odo0", "odo1"))
+    imu_events = [event for event in events if isinstance(event, ImuSample)]
+    engine, imu_only = (FusionEngine(EngineConfig(variant=variant, sigma_mode="static"),
+                                     {"odo0": 0.01, "odo1": 0.01}) for _ in range(2))
+    engine._bandwidth.sigma_static = 1e-200
+    for each in (engine, imu_only):
+        each.initialize(make_state(), 1e-4)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert [engine.process(event) for event in events] == [None] * len(events)
+    for event in imu_events:
+        imu_only.process(event)
+    assert engine.dropped == {"out_of_order": 0, "non_finite": 0,
+                              "rejected": len(events) - len(imu_events)}
+    for name in ("position", "velocity", "orientation"):
+        assert np.array_equal(getattr(engine.state, name), getattr(imu_only.state, name))
+    assert np.array_equal(engine.covariance, imu_only.covariance)
+    assert np.array_equal(engine.process_noise, imu_only.process_noise)
+    for sensor_id in ("odo0", "odo1"):
+        assert np.array_equal(engine.measurement_noise(sensor_id),
+                              imu_only.measurement_noise(sensor_id))
 
 
 @pytest.mark.parametrize("scale", [1.0 - 0.9 * QUAT_NORM_TOLERANCE,

@@ -91,6 +91,25 @@ def test_validate_requires_exactly_one_input_source():
         RunConfig(scenario="hover", dataset="events.csv").validate()
 
 
+@pytest.mark.parametrize("field,settings", [
+    ("sigma_static", {"sigma_mode": "static", "sigma_static": 1e-200}),
+    ("sigma_min", {"sigma_min": 1e-200}),
+])
+def test_validate_refuses_a_kernel_size_whose_square_is_zero(field, settings):
+    """Such a size made 0/0 weights of an exact zero innovation, and then a NaN state."""
+    config = RunConfig(scenario="hover", filter="mcckf", duration=1.0, noise_std=0.0,
+                       imu_accel_std=0.0, imu_gyro_std=0.0, **settings)
+    with pytest.raises(ConfigError, match=field):
+        config.validate()
+    assert dataclasses.replace(config, **{field: 1e-150}).validate() is None
+
+
+def test_validate_refuses_a_truth_file_without_a_dataset():
+    RunConfig(dataset="events.csv", truth="truth.csv").validate()
+    with pytest.raises(ConfigError, match="truth needs a dataset"):
+        RunConfig(scenario="hover", truth="truth.csv").validate()
+
+
 def test_validate_collects_multiple_problems():
     config = quick_config(filter="ukf", window=0)
     with pytest.raises(ConfigError, match="filter.*window|window.*filter"):

@@ -5,16 +5,22 @@ Each digest covers a run's full output in memory: every row of
 covariance, the final process noise Q and every sensor's final measurement
 noise R, as raw float64 bytes, and the run's ``MetricsReport`` as the
 key-sorted JSON text that ``metrics.json`` holds (per-correction times, R
-traces and mean inverse bandwidths included).  Per (workload, seed) one
-more line, with ``stream`` in the variant column, digests the synthesized
-input: every ``TruthTrajectory`` array and every event's time, sensor id
-and vectors.
+traces and mean inverse bandwidths included).  Per (workload, seed) two
+more lines come first.  The one with ``stream`` in the variant column
+digests the synthesized input: every ``TruthTrajectory`` array and every
+event's time, sensor id and vectors.  The one with ``cli`` digests a
+``corfuse simulate`` then ``corfuse fuse`` round trip through ``cli.main``
+in a temporary directory: the bytes of ``dataset.csv``, ``truth.csv``,
+``estimates.csv`` and ``metrics.json``.  That fuse reads the workload's
+settings from a ``--config`` file whose ``filter = ekf`` its ``--filter``
+flag overrides with the workload's filter, and its dataset from a
+``--set`` item, so the line moves if the settings merge does.
 Two checkouts synthesize and fuse bitwise-identically when the outputs of
 
     python tools/fingerprint.py > fingerprints.txt
 
 run in each are identical (``diff`` them).  Runs use the workload settings
-of ``perfbench/workloads.py`` in scenario mode, so no files are written.
+of ``perfbench/workloads.py``; only the ``cli`` line writes files.
 
 As in ``tools/sweep.py``, ``--seeds A-B`` picks the seeds (default 1-3),
 ``--workload`` and ``--variant`` may be repeated and default to every
@@ -36,10 +42,13 @@ covariance diagonal entry:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -48,6 +57,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
+from corfuse import cli  # noqa: E402
 from corfuse.dataset import ESTIMATE_HEADER  # noqa: E402
 from corfuse.eskf import VARIANTS, OdometrySample  # noqa: E402
 from corfuse.experiments import RunConfig, build_scenario, run_experiment  # noqa: E402
@@ -107,6 +117,32 @@ def stream_fingerprint(settings: dict, duration: float, seed: int) -> str:
     return digest.hexdigest()
 
 
+def cli_fingerprint(settings: dict, duration: float, seed: int) -> str:
+    """Digest of the four files of a ``simulate`` then ``fuse`` round trip through ``cli.main``."""
+    settings = dict(settings, duration=duration, seed=seed)
+    scenario, variant = settings.pop("scenario"), settings.pop("filter")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        config = work / "run.cfg"
+        config.write_text("filter = ekf\n" + "".join(f"{key} = {value}\n"
+                                                     for key, value in settings.items()))
+        runs = (["simulate", "--config", str(config), "--scenario", scenario,
+                 "--out", str(work / "sim")],
+                ["fuse", "--config", str(config), "--filter", variant,
+                 "--set", f"dataset={work / 'sim' / 'dataset.csv'}",
+                 "--truth", str(work / "sim" / "truth.csv"), "--out", str(work / "fused")])
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            if code != 0:
+                raise RuntimeError(f"corfuse {argv[0]} exited with {code}")
+        digest = hashlib.sha256()
+        for name in ("sim/dataset.csv", "sim/truth.csv", "fused/estimates.csv",
+                     "fused/metrics.json"):
+            digest.update((work / name).read_bytes())
+    return digest.hexdigest()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", action="append", choices=list(WORKLOADS))
@@ -128,6 +164,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         for seed in args.seeds:
             digest = stream_fingerprint(workload.settings, duration, seed)
             print(f"{name} stream seed={seed} {digest}", flush=True)
+            digest = cli_fingerprint(workload.settings, duration, seed)
+            print(f"{name} cli seed={seed} {digest}", flush=True)
         for variant in args.variant or VARIANTS:
             for seed in args.seeds:
                 digest, rows = fingerprint(workload.settings, duration, variant, seed)
