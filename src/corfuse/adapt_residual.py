@@ -8,11 +8,13 @@ and read the noise estimates directly:
     R = mean(L r r^T L) + H P+ H^T
     Q = K mean(L y y^T L) K^T
 
-with H, P+ and K from the newest correction.  The innovation form for Q is
-a deliberate approximation (it measures the state correction rather than
-the process noise itself) but it is O(window) per step with no backward
-pass.  With unit weights the window average of r r^T reduces to the
-classical residual-based adaptive update.
+with H, P+ and K from the newest correction.  An H that is
+``filter_core.IDENTITY`` skips its products: H P+ H^T is P+, as in
+``filter_core``.  The innovation form for Q is a deliberate approximation
+(it measures the state correction rather than the process noise itself)
+but it is O(window) per step with no backward pass.  With unit weights
+the window average of r r^T reduces to the classical residual-based
+adaptive update.
 
 ``check_identity_gamma`` verifies the algebraic identity
 
@@ -30,7 +32,7 @@ from typing import Deque, Iterable, Optional
 import numpy as np
 
 from .errors import AdaptationNotReady
-from .filter_core import InnovationRecord
+from .filter_core import IDENTITY, InnovationRecord
 from .linalg import DIAG_FLOOR, floor_diagonal, psd_project, spd_solve, symmetrize
 
 
@@ -126,8 +128,8 @@ class ResidualNoiseAdapter:
             raise AdaptationNotReady("no correction has been pushed")
         sensor_id, latest = self._newest
         h = latest.obs_jacobian
-        fresh = floor_diagonal(symmetrize(_mean(self._rr[sensor_id])
-                                          + h @ latest.cov_post @ h.T), DIAG_FLOOR)
+        hph = latest.cov_post if h is IDENTITY else h @ latest.cov_post @ h.T
+        fresh = floor_diagonal(symmetrize(_mean(self._rr[sensor_id]) + hph), DIAG_FLOOR)
         previous = self._noise.get(sensor_id)
         if previous is not None and self.smoothing < 1.0:
             fresh = (1.0 - self.smoothing) * previous + self.smoothing * fresh

@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import sys
 import typing
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -239,7 +240,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A covariance overflow is reported by its PropagationError alone, without
+        # the overflow and invalid-value warnings NumPy raises inside the
+        # propagation ahead of it; warnings from any other module still show.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", category=RuntimeWarning,
+                                    module=r"corfuse\.filter_core\Z")
+            return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

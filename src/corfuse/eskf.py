@@ -37,9 +37,12 @@ from .kernel_bandwidth import BandwidthState
 from .linalg import symmetrize
 from .so3 import (
     quat_from_rotvec,
+    quat_from_rotvec_floats,
     quat_multiply,
+    quat_multiply_floats,
     quat_normalize,
-    quat_to_rotmat,
+    quat_normalize_floats,
+    quat_to_rotmat_floats,
     quat_to_rotvec,
     skew,
 )
@@ -47,7 +50,14 @@ from .so3 import (
 log = logging.getLogger(__name__)
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
+_GRAVITY = GRAVITY.tolist()
 STATE_DIM = 9
+# The error transition's constant entries: an IMU step writes the rest into a copy.
+_TRANSITION = np.eye(STATE_DIM)
+_TRANSITION.setflags(write=False)
+# Flat indices of the transition's attitude block, column by column, so that
+# a rotation matrix given row by row lands there transposed.
+_ATTITUDE_COLUMNS = np.array([(6 + j) * STATE_DIM + 6 + i for i in range(3) for j in range(3)])
 # Seconds an event may lag the filter clock and still be fused at the clock's
 # time; larger lags are dropped as out of order.
 TIME_TOLERANCE = 1e-3
@@ -107,20 +117,39 @@ def imu_step(state: NominalState, imu: ImuSample, dt: float) -> tuple[NominalSta
     F is evaluated at the pre-propagation nominal state.  The velocity error
     couples to the attitude error through -R(q) [a]x dt (body-side error
     convention) and the attitude block is the exact adjoint R(w dt)^T,
-    which is the identity to first order.
+    which is the identity to first order.  Raises MeasurementRejected for
+    a sample that is not finite.
+
+    R(q), exp(w dt), the product q * exp(w dt) and its normalization,
+    R(w dt)^T and the position and velocity sums run on Python floats,
+    through the ``so3`` float forms, on the state read once with
+    ``tolist()``.  NumPy keeps the operands of BLAS, since a Python sum
+    does not reproduce ``@`` or ``.dot`` bit for bit: R for R a and R [a]x,
+    w dt for its own dot, and the unnormalized product for its norm.  F is
+    a copy of a read-only identity with the other entries written in.
     """
     if not all(map(math.isfinite, imu.accel.tolist() + imu.gyro.tolist())):
         raise MeasurementRejected("non-finite IMU sample")
-    rot = quat_to_rotmat(state.orientation)
-    delta = quat_from_rotvec(imu.gyro * dt)
-    position = state.position + state.velocity * dt
-    velocity = state.velocity + (rot @ imu.accel + GRAVITY) * dt
-    orientation = quat_normalize(quat_multiply(state.orientation, delta))
-    trans = np.eye(STATE_DIM)
+    return _imu_step(state, imu, dt)
+
+
+def _imu_step(state: NominalState, imu: ImuSample, dt: float) -> tuple[NominalState, np.ndarray]:
+    """:func:`imu_step` without the finiteness check, for a sample known to be finite."""
+    quat = state.orientation.tolist()
+    rot = np.array(quat_to_rotmat_floats(*quat)).reshape(3, 3)
+    omega = imu.gyro * dt
+    delta = quat_from_rotvec_floats(omega.tolist(), math.sqrt(omega.dot(omega)))
+    orientation = quat_normalize_floats(np.array(quat_multiply_floats(quat, delta)))
+    position, velocity = state.position.tolist(), state.velocity.tolist()
+    accel = (rot @ imu.accel).tolist()
+    trans = _TRANSITION.copy()
     trans[0, 3] = trans[1, 4] = trans[2, 5] = dt
-    trans[3:6, 6:9] = (rot @ skew(imu.accel)) * -dt
-    trans[6:9, 6:9] = quat_to_rotmat(delta).T
-    return NominalState(position, velocity, orientation, state.time + dt), trans
+    np.multiply(rot @ skew(imu.accel), -dt, out=trans[3:6, 6:9])
+    trans.put(_ATTITUDE_COLUMNS, quat_to_rotmat_floats(*delta))
+    return NominalState(
+        np.array([p + v * dt for p, v in zip(position, velocity)]),
+        np.array([v + (a + g) * dt for v, a, g in zip(velocity, accel, _GRAVITY)]),
+        np.array(orientation), state.time + dt), trans
 
 
 def propagate_nominal(state: NominalState, imu: ImuSample, dt: float) -> NominalState:
@@ -340,7 +369,7 @@ class FusionEngine:
 
     def _advance(self, dt: float, imu: ImuSample, period: Optional[float]) -> None:
         scale = dt / period if period else 1.0
-        nominal, trans = imu_step(self._nominal, imu, dt)
+        nominal, trans = _imu_step(self._nominal, imu, dt)
         self._cov = predict(self._cov, trans, self.process_noise * scale)
         self._nominal = nominal
         if self._adapter is not None:

@@ -114,10 +114,15 @@ def predict(cov: np.ndarray, trans: np.ndarray, noise: np.ndarray) -> np.ndarray
     overflow of F P F^T.
     """
     trans = np.asarray(trans, dtype=float)
-    out = symmetrize(trans @ cov @ trans.T + noise)
-    finite = np.isfinite(out.diagonal())
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
+    # symmetrize(F P F^T + Q) in place: a ufunc reads an overlapping operand
+    # as if copied first, so out + out^T is formed from the unchanged sum.
+    out = trans @ cov @ trans.T
+    out += noise
+    out += out.T
+    out *= 0.5
+    diagonal = out.diagonal().tolist()
+    if not all(map(math.isfinite, diagonal)):
+        bad = next(i for i, v in enumerate(diagonal) if not math.isfinite(v))
         raise PropagationError(f"non-finite variance after propagation at index {bad}")
     return out
 
@@ -128,12 +133,17 @@ def correntropy_weights(innovation: np.ndarray, noise: np.ndarray,
 
     Only the diagonal of ``noise`` enters the weighted variant; off-diagonal
     structure is handled by the gain itself.  Both outputs lie in (0, 1].
+    A zero innovation weighs exactly 1, however small the kernel size.
     """
     y = np.asarray(innovation, dtype=float)
     sigma = np.asarray(bandwidth, dtype=float)
     # y^2 / (-2 sigma^2 R) is -y^2 / (2 sigma^2 R) bit for bit: a sign flip is exact.
     scale = -2.0 * sigma * sigma
-    expo = np.divide(y * y, (scale, scale * np.asarray(noise, dtype=float).diagonal()))
+    denom = np.array((scale, scale * np.asarray(noise, dtype=float).diagonal()))
+    # Where -2 sigma^2 R_jj underflowed to 0 the exponent is its limit as the
+    # kernel size shrinks: 0 for a zero innovation (weight 1), else -inf.
+    expo = np.divide(y * y, denom, out=np.where(y != 0.0, -np.inf, denom),
+                     where=denom != 0.0)
     unweighted, weighted = np.exp(np.maximum(expo, EXP_FLOOR, out=expo), out=expo)
     return CorrentropyWeights(unweighted=unweighted, weighted=weighted)
 

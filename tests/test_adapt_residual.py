@@ -5,7 +5,7 @@ import pytest
 
 from corfuse.adapt_residual import ResidualNoiseAdapter, check_identity_gamma
 from corfuse.errors import AdaptationNotReady
-from corfuse.filter_core import (CorrentropyWeights, InnovationRecord, kf_update,
+from corfuse.filter_core import (IDENTITY, CorrentropyWeights, InnovationRecord, kf_update,
                                  mcckf_update)
 
 
@@ -62,6 +62,18 @@ def test_measurement_noise_adds_posterior_projection():
     adapter = ResidualNoiseAdapter(["z"], window=4)
     adapter.push("z", make_record([2.0], [2.0], [[1.0]], [[0.5]]))
     assert measurement_noise(adapter)[0, 0] == pytest.approx(4.5)
+
+
+def test_identity_observation_gives_the_general_products_estimate():
+    rng = np.random.default_rng(19)
+    skipping, general = (ResidualNoiseAdapter(["z"], window=4) for _ in range(2))
+    for _ in range(6):
+        r, y, p_post = rng.standard_normal(9), rng.standard_normal(9), random_spd(rng, 9)
+        record = make_record(r, y, IDENTITY, p_post)
+        assert record.obs_jacobian is IDENTITY
+        skipping.push("z", record)
+        general.push("z", make_record(r, y, np.eye(9), p_post))
+        np.testing.assert_array_equal(measurement_noise(skipping), measurement_noise(general))
 
 
 def test_zero_weight_gates_residual_out_of_estimate():

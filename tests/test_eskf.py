@@ -8,6 +8,7 @@ is tight.
 """
 
 import logging
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -582,20 +583,21 @@ def test_refused_correction_is_counted_and_leaves_the_filter_untouched(
 
 @pytest.mark.parametrize("variant", KERNEL_VARIANTS)
 def test_nan_weighted_correction_is_refused_and_leaves_the_filter_untouched(variant):
-    """A kernel size whose square underflows to 0 makes 0/0 weights of an exact zero innovation.
+    """A correction whose kernel weights are NaN is refused.
 
-    The engine refuses such a size, so one is set past its check here.  Every
-    correction is then refused, and the filter ends as if it had seen the IMU alone.
+    A kernel size that underflows no longer makes NaN weights (a zero
+    innovation weighs 1), so a NaN size is set past the engine's check here.
+    Every correction is then refused, and the filter ends as if it had seen
+    the IMU alone.
     """
     events = hover_events(duration=1.0, sensors=("odo0", "odo1"))
     imu_events = [event for event in events if isinstance(event, ImuSample)]
     engine, imu_only = (FusionEngine(EngineConfig(variant=variant, sigma_mode="static"),
                                      {"odo0": 0.01, "odo1": 0.01}) for _ in range(2))
-    engine._bandwidth.sigma_static = 1e-200
+    engine._bandwidth.sigma_static = math.nan
     for each in (engine, imu_only):
         each.initialize(make_state(), 1e-4)
-    with pytest.warns(RuntimeWarning, match="invalid value"):
-        assert [engine.process(event) for event in events] == [None] * len(events)
+    assert [engine.process(event) for event in events] == [None] * len(events)
     for event in imu_events:
         imu_only.process(event)
     assert engine.dropped == {"out_of_order": 0, "non_finite": 0,

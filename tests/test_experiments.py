@@ -104,6 +104,21 @@ def test_validate_refuses_a_kernel_size_whose_square_is_zero(field, settings):
     assert dataclasses.replace(config, **{field: 1e-150}).validate() is None
 
 
+def test_a_kernel_size_whose_scale_underflows_still_fuses_zero_innovations():
+    """2 sigma^2 R_jj is 0 for sigma_static = 1e-161 and R_jj = 0.01, although sigma^2 > 0.
+
+    Such a size made 0/0 weights of the noise-free hover run's zero
+    innovations, and every correction was refused.
+    """
+    config = RunConfig(scenario="hover", filter="mcckf", duration=1.0, noise_std=0.0,
+                       imu_accel_std=0.0, imu_gyro_std=0.0, sigma_mode="static",
+                       sigma_static=1e-161)
+    config.validate()
+    metrics = run_experiment(config).metrics
+    assert metrics.dropped == {"out_of_order": 0, "non_finite": 0, "rejected": 0}
+    assert metrics.correction_count == 20
+
+
 def test_validate_refuses_a_truth_file_without_a_dataset():
     RunConfig(dataset="events.csv", truth="truth.csv").validate()
     with pytest.raises(ConfigError, match="truth needs a dataset"):

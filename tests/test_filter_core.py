@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from corfuse.errors import MeasurementRejected, PropagationError
-from corfuse.filter_core import (CorrentropyWeights, correntropy_weights,
+from corfuse.filter_core import (EXP_FLOOR, CorrentropyWeights, correntropy_weights,
                                  kf_update, mcckf_update, predict)
+from corfuse.linalg import symmetrize
 
 
 def random_spd(rng, n, scale=1.0):
@@ -80,6 +81,29 @@ def test_predict_trace_never_shrinks_under_identity_dynamics():
         assert np.trace(out) >= np.trace(p)
 
 
+def test_predict_is_the_symmetric_part_of_the_propagated_sum_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        trans = rng.standard_normal((9, 9)) * 10.0 ** rng.uniform(-3, 3)
+        cov, noise = random_spd(rng, 9), symmetrize(rng.standard_normal((9, 9)))
+        cov[rng.random((9, 9)) < 0.1] = -0.0
+        cov = symmetrize(cov)
+        out = predict(cov, trans, noise)
+        want = symmetrize(trans @ cov @ trans.T + noise)
+        np.testing.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(out.view(np.uint64), out.T.view(np.uint64))
+
+
+@pytest.mark.parametrize("rows", [(4,), (4, 7), (0, 8)])
+def test_predict_names_the_first_non_finite_variance(rows):
+    trans = np.eye(9)
+    for row in rows:
+        trans[row, row] = 1e200
+    with pytest.raises(PropagationError, match=f"index {rows[0]}$"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        predict(np.eye(9), trans, np.zeros((9, 9)))
+
+
 def test_predict_rejects_non_finite_propagation():
     # NumPy flags the inf * 0 products of the propagation before predict refuses it.
     with pytest.raises(PropagationError) as err, pytest.warns(RuntimeWarning):
@@ -103,6 +127,19 @@ def test_weights_zero_innovation_is_all_ones():
     w = correntropy_weights(np.zeros(3), np.eye(3), np.ones(3))
     np.testing.assert_array_equal(w.weighted, np.ones(3))
     np.testing.assert_array_equal(w.unweighted, np.ones(3))
+
+
+def test_weights_where_the_kernel_scale_underflows_to_zero():
+    """-2 sigma^2 R_jj is 0 here: a zero innovation weighs 1, any other the floor, silently."""
+    y = np.array([0.0, -0.0, 1e-170, 1.0])  # 1e-170 squares to 0, yet is no zero innovation
+    w = correntropy_weights(y, 0.01 * np.eye(4), np.full(4, 1e-200))
+    expected = [1.0, 1.0, np.exp(EXP_FLOOR), np.exp(EXP_FLOOR)]
+    np.testing.assert_array_equal(w.weighted, expected)
+    np.testing.assert_array_equal(w.unweighted, expected)
+    # Only the weighted scale underflows: sigma^2 > 0, 2 sigma^2 R_jj rounds to 0.
+    w = correntropy_weights(np.zeros(2), 0.01 * np.eye(2), np.full(2, 1e-161))
+    np.testing.assert_array_equal(w.weighted, np.ones(2))
+    np.testing.assert_array_equal(w.unweighted, np.ones(2))
 
 
 def test_weights_hand_computed_two_channel_case():

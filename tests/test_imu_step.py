@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from corfuse import eskf, so3
-from corfuse.errors import PropagationError
+from corfuse.errors import MeasurementRejected, PropagationError
 from corfuse.eskf import (GRAVITY, STATE_DIM, EngineConfig, FusionEngine, ImuSample,
                           NominalState)
 from corfuse.filter_core import predict
@@ -193,16 +193,77 @@ def test_scalar_quat_multiply_is_bitwise_equal_to_numpy_form():
 
 
 # ---------------------------------------------------------------------------
+# the IMU step
+
+
+PERIOD = 0.0025
+
+
+def signed_zeros(rng, values, share=0.3):
+    """``values`` with about ``share`` of its entries replaced by 0.0 or -0.0."""
+    values = np.array(values, dtype=float)
+    zero = rng.random(values.shape) < share
+    values[zero] = np.where(rng.random(values.shape) < 0.5, 0.0, -0.0)[zero]
+    return values
+
+
+def step_inputs(rng, kind, quat):
+    """A state at orientation ``quat``, a sample and a dt; ``kind`` picks the rate, zeros or dt."""
+    state = NominalState(rng.standard_normal(3) * 10.0, rng.standard_normal(3), quat,
+                         float(rng.uniform(0.0, 60.0)))
+    accel = rng.standard_normal(3) * 10.0
+    gyro = rng.standard_normal(3)
+    dt = PERIOD
+    if kind == "small-angle":                 # |w dt| below SMALL_ANGLE
+        gyro = directions(rng, 1, 3)[0] * 10.0 ** rng.uniform(-12, np.log10(so3.SMALL_ANGLE / dt))
+    elif kind == "zero-rate":                 # w exactly 0, of either sign
+        gyro = signed_zeros(rng, np.zeros(3), share=1.0)
+    elif kind == "signed-zeros":
+        quat = signed_zeros(rng, quat)
+        quat[0] = quat[0] or 1.0              # a zero quaternion has no normalization
+        state = NominalState(signed_zeros(rng, state.position), signed_zeros(rng, state.velocity),
+                             quat, state.time)
+        accel, gyro = signed_zeros(rng, accel), signed_zeros(rng, gyro)
+    elif kind == "off-period":                # a lost or early sample: scale != 1
+        dt = PERIOD * float(rng.choice([0.5, 2.0, 3.0, rng.uniform(0.1, 4.0)]))
+    return state, ImuSample(accel=accel, gyro=gyro, time=state.time + dt), dt
+
+
+@pytest.mark.parametrize("kind", ["general", "small-angle", "zero-rate", "signed-zeros",
+                                  "off-period"])
+def test_imu_step_is_bitwise_equal_to_the_reference(kind):
+    rng = np.random.default_rng(len(kind))
+    for quat in quaternions(rng)[::5]:
+        state, imu, dt = step_inputs(rng, kind, quat)
+        nominal, trans = eskf.imu_step(state, imu, dt)
+        want = ref_propagate_nominal(state, imu, dt)
+        assert nominal.time == want.time
+        for name in ("position", "velocity", "orientation"):
+            assert_bitwise_equal(getattr(nominal, name), getattr(want, name))
+        assert_bitwise_equal(trans, ref_error_transition(state, imu, dt))
+
+
+@pytest.mark.parametrize("field", ["accel", "gyro"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_public_imu_step_refuses_a_non_finite_sample(field, value):
+    imu = ImuSample(accel=np.array([0.0, 0.0, 9.81]), gyro=np.zeros(3), time=PERIOD)
+    getattr(imu, field)[1] = value
+    with pytest.raises(MeasurementRejected, match="non-finite IMU sample"):
+        eskf.imu_step(initial_state(), imu, PERIOD)
+
+
+# ---------------------------------------------------------------------------
 # engine
 
 
-def figure8_imu(n=2000):
+def figure8_imu(n=2000, lost=()):
+    """``n`` figure-8 IMU samples less the ``lost`` indices, then one with w = 0."""
     spec = ScenarioSpec(kind="figure8", duration=n / 100.0 + 0.05, imu_rate=100.0, seed=8)
     imu = [e for e in sample_sensors(generate_truth(spec), spec)
            if isinstance(e, ImuSample)][:n]
     assert len(imu) == n
     still = ImuSample(accel=imu[-1].accel.copy(), gyro=np.zeros(3), time=imu[-1].time + 0.01)
-    return imu + [still]
+    return [sample for k, sample in enumerate(imu) if k not in lost] + [still]
 
 
 def initial_state():
@@ -212,7 +273,8 @@ def initial_state():
 
 @pytest.mark.parametrize("variant", ["mcckf", "vb-amcckf"])
 def test_engine_imu_step_is_bitwise_equal_to_the_two_call_composition(variant):
-    samples = figure8_imu()
+    # Lost samples make steps of two and three periods: process noise scales by dt / period.
+    samples = figure8_imu(lost=(500, 1200, 1201))
     config = EngineConfig(variant=variant)
     engine = FusionEngine(config, {"odo0": 0.01})
     engine.initialize(initial_state(), 1e-4)
