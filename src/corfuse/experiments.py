@@ -118,8 +118,9 @@ class RunConfig:
             if self.jump_duration < 1:
                 problems.append(f"jump_duration must be >= 1, got {self.jump_duration}")
             for name in ("noise_std", "imu_accel_std", "imu_gyro_std"):
-                if not getattr(self, name) >= 0.0:  # NaN fails too
-                    problems.append(f"{name} must be non-negative, got {getattr(self, name)}")
+                if not 0.0 <= getattr(self, name) < math.inf:
+                    problems.append(f"{name} must be non-negative and finite, "
+                                    f"got {getattr(self, name)}")
             if self.sensors < 1:
                 problems.append("at least one odometry sensor is required")
             elif self.faulty_sensor not in (None, *(f"odom{i}" for i in range(self.sensors))):

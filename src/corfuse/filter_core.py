@@ -68,6 +68,8 @@ log = logging.getLogger(__name__)
 # Clamp for kernel exponents: exp(-700) is still a normal float, so weights
 # stay strictly positive without drifting into denormal territory.
 EXP_FLOOR = -700.0
+# A finite y^2 / d can overflow only where y^2 * 2^-1023 >= |d|.
+_OVERFLOW_SCALE = 2.0 ** -1023
 # The identity observation matrix whose products a correction skips, and the
 # Jacobian of every odometry correction of ``eskf``.  It is read-only, so a
 # write through a correction record or an adapter raises instead of
@@ -133,17 +135,23 @@ def correntropy_weights(innovation: np.ndarray, noise: np.ndarray,
 
     Only the diagonal of ``noise`` enters the weighted variant; off-diagonal
     structure is handled by the gain itself.  Both outputs lie in (0, 1].
-    A zero innovation weighs exactly 1, however small the kernel size.
+    A zero innovation weighs exactly 1, however small the kernel size, and
+    one whose quotient y^2 / (-2 sigma^2 R_jj) would overflow weighs
+    exp(EXP_FLOOR) without a NumPy warning.  (An innovation of about 2^512 or
+    more in size still warns, as its square overflows; it too weighs the floor.)
     """
     y = np.asarray(innovation, dtype=float)
     sigma = np.asarray(bandwidth, dtype=float)
     # y^2 / (-2 sigma^2 R) is -y^2 / (2 sigma^2 R) bit for bit: a sign flip is exact.
     scale = -2.0 * sigma * sigma
     denom = np.array((scale, scale * np.asarray(noise, dtype=float).diagonal()))
+    y2 = y * y
     # Where -2 sigma^2 R_jj underflowed to 0 the exponent is its limit as the
-    # kernel size shrinks: 0 for a zero innovation (weight 1), else -inf.
-    expo = np.divide(y * y, denom, out=np.where(y != 0.0, -np.inf, denom),
-                     where=denom != 0.0)
+    # kernel size shrinks: 0 for a zero innovation (weight 1), else -inf.  A
+    # quotient of 2^1023 or more in size, which the floor would clamp if it did
+    # not overflow, is -inf too.  A NaN still divides, unless by 0.
+    expo = np.divide(y2, denom, out=np.where(y != 0.0, -np.inf, denom),
+                     where=(denom != 0.0) & ~(y2 * _OVERFLOW_SCALE >= np.abs(denom)))
     unweighted, weighted = np.exp(np.maximum(expo, EXP_FLOOR, out=expo), out=expo)
     return CorrentropyWeights(unweighted=unweighted, weighted=weighted)
 

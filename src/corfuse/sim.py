@@ -15,31 +15,52 @@ point with ``math`` and the ``so3`` helpers.  NumPy's elementwise
 ``+ - * /`` and ``sqrt`` round as Python floats do.  With NumPy 2.4 on
 x86-64 with AVX-512, array ``np.sin``, ``np.cos`` and ``np.arctan2`` equal
 ``math.sin``/``cos`` and scalar ``np.arctan2``, and a stacked ``np.matmul``
-equals a per-matrix ``@``.  Two forms are not equal.  ``np.power`` on arrays
-differs from ``**`` in the last ulp, so the waypoint polynomials run on
-Python floats.  ``x*x + y*y + z*z`` differs from the BLAS ``v.dot(v)`` of
-the ``so3`` norms unless two of the three components are zero, as they are
-for every rotation here (yaw only).  ``tests/test_sim.py`` keeps the
-per-point loops and checks the bits.
+equals a per-matrix ``@``; a stack of (1, 3) @ (3, 1) products is a
+per-row ``v.dot(v)``, the BLAS norm of the ``so3`` helpers, which
+``x*x + y*y + z*z`` is not.  ``np.power`` on arrays differs from ``**`` in
+the last ulp, so the waypoint polynomials run on Python floats.
+``tests/test_sim.py`` keeps the per-point loops and checks the bits.
 
 Odometry corruption is layered: Gaussian noise per channel, optional
 Bernoulli-triggered jumps held for a fixed number of steps, and an
 optional linear position drift confined to a time window (a cheap model
-of a visual tracker diverging).
+of a visual tracker diverging).  Each sensor's samples are built in a few
+array passes that give the bits of a per-sample loop:
+
+- the generator is called as the loop calls it: one ``random(n)`` for the
+  triggers, then ``standard_normal((k, 9))`` blocks between triggers, which
+  equal k consecutive 9-draws, with each trigger's six signs drawn ahead of
+  its sample's normals;
+- each trigger writes its jump over its hold, in trigger order, so a later
+  jump overwrites the rest of an earlier one; a sample outside every hold
+  adds an offset of +0.0, as the loop's zero offset did;
+- the drift is an ascending running sum (``np.cumsum``, sequential) from
+  zero of one step per sample inside the window, indexed by the count of
+  window samples so far;
+- orientation noise goes through the row forms of ``quat_from_rotvec``,
+  series branch below ``SMALL_ANGLE`` included, and ``quat_multiply``.
+
+The stream holds the IMU samples first and then each sensor's odometry in
+sensor-id order (equal ids in list order), and a stable sort on time then
+gives the order (time, IMU before odometry, sensor id).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from typing import Optional, Union
 
 import numpy as np
 
 from .eskf import GRAVITY, Event, ImuSample, NominalState, OdometrySample
-from .so3 import SMALL_ANGLE, quat_from_rotvec, quat_multiply
+from .so3 import SMALL_ANGLE
 
 # Odometry noise channels: position(3), orientation(3), velocity(3).
 ODOM_CHANNELS = 9
+# Multiplies a quaternion row into its conjugate.
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass
@@ -55,20 +76,28 @@ class NoiseSpec:
     drift_duration: float = math.inf
 
     def std_vector(self) -> np.ndarray:
-        if np.isscalar(self.gaussian_std):
-            return np.full(ODOM_CHANNELS, float(self.gaussian_std))
-        out = np.asarray(self.gaussian_std, dtype=float)
-        if out.shape != (ODOM_CHANNELS,):
-            raise ValueError("gaussian_std must be scalar or length-9")
+        """The nine channel stds; ValueError unless each is non-negative and finite."""
+        out = _channels(self.gaussian_std, ODOM_CHANNELS, "gaussian_std")
+        if not np.all((out >= 0.0) & (out < math.inf)):  # NaN fails too
+            raise ValueError(f"gaussian_std must be non-negative and finite, got {out}")
         return out
 
     def drift_vector(self) -> np.ndarray:
-        if np.isscalar(self.drift_rate):
-            return np.full(3, float(self.drift_rate))
-        out = np.asarray(self.drift_rate, dtype=float)
-        if out.shape != (3,):
-            raise ValueError("drift_rate must be scalar or length-3")
+        """The three position drift rates; ValueError unless each is finite."""
+        out = _channels(self.drift_rate, 3, "drift_rate")
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"drift_rate must be finite, got {out}")
         return out
+
+
+def _channels(value: Union[float, np.ndarray], size: int, name: str) -> np.ndarray:
+    """A scalar repeated over ``size`` channels, or the ``size`` entries given."""
+    if np.isscalar(value):
+        return np.full(size, float(value))
+    out = np.asarray(value, dtype=float)
+    if out.shape != (size,):
+        raise ValueError(f"{name} must be scalar or length-{size}")
+    return out
 
 
 @dataclass
@@ -221,27 +250,33 @@ TRAJECTORIES = {
 # Row forms of the so3 helpers, bitwise equal to them row by row; see the
 # module docstring for the rules.
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """``math.sqrt(r.dot(r))`` for each row r of an (N, 3) array."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
 def _quats_from_rotvecs(v: np.ndarray) -> np.ndarray:
     """``quat_from_rotvec`` on each row of an (N, 3) array."""
-    x, y, z = v.T
-    angle = np.sqrt(x * x + y * y + z * z)
+    angle = _row_norms(v)
+    if np.isinf(angle).any():  # math.sin refuses it in quat_from_rotvec
+        raise ValueError("rotation vector norm overflows")
     out = np.empty((len(v), 4))
-    big = angle >= SMALL_ANGLE
+    small = angle < SMALL_ANGLE
+    big = ~small
     half_angle = 0.5 * angle[big]
     out[big, 0] = np.cos(half_angle)
     out[big, 1:] = np.sin(half_angle)[:, None] * (v[big] / angle[big, None])
     # Series branch.  Below SMALL_ANGLE the series quaternion's norm rounds
     # to exactly 1, so quat_normalize leaves it as it is.
-    small = ~big
     angle_sq = angle[small] * angle[small]
     out[small, 0] = 1.0 - angle_sq / 8.0
     out[small, 1:] = (0.5 - angle_sq / 48.0)[:, None] * v[small]
     return out
 
 
-def _relative_quats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``quat_multiply(quat_conjugate(a), b)`` on each row pair of (N, 4) arrays."""
-    aw, ax, ay, az = a[:, 0], -a[:, 1], -a[:, 2], -a[:, 3]
+def _quat_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``quat_multiply(a, b)`` on each row pair of (N, 4) arrays."""
+    aw, ax, ay, az = a.T
     bw, bx, by, bz = b.T
     out = np.empty(b.shape)
     out[:, 0] = aw * bw - ax * bx - ay * by - az * bz
@@ -251,10 +286,14 @@ def _relative_quats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _relative_quats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``quat_multiply(quat_conjugate(a), b)`` on each row pair of (N, 4) arrays."""
+    return _quat_products(a * _CONJUGATE, b)
+
+
 def _rotvecs_from_quats(q: np.ndarray) -> np.ndarray:
     """``quat_to_rotvec`` on each row of an (N, 4) array."""
-    x, y, z = q[:, 1:].T
-    s = np.sqrt(x * x + y * y + z * z)
+    s = _row_norms(q[:, 1:])
     flip = q[:, 0] < 0.0
     w = np.minimum(np.where(flip, -q[:, 0], q[:, 0]), 1.0)
     vec = np.where(flip[:, None], -q[:, 1:], q[:, 1:])
@@ -307,36 +346,46 @@ def _sample_odometry(truth: TruthTrajectory, sensor: SensorSpec,
                      imu_rate: float, rng: np.random.Generator) -> list[OdometrySample]:
     stride = max(1, int(round(imu_rate / sensor.rate)))
     indices = np.arange(stride, len(truth), stride)
+    n = len(indices)
     noise = sensor.noise
     std = noise.std_vector()
-    drift_rate = noise.drift_vector()
-    dt_odom = stride * truth.dt
+    times = truth.times[indices]
 
-    triggers = rng.random(len(indices)) < noise.jump_probability
-    samples: list[OdometrySample] = []
-    hold = 0
-    jump = np.zeros(6)  # position(3) + velocity(3) jump
-    drift = np.zeros(3)
-    for i, grid_idx in enumerate(indices):
-        t = float(truth.times[grid_idx])
-        if triggers[i]:
-            signs = rng.integers(0, 2, size=6) * 2 - 1
-            jump = noise.jump_magnitude * np.concatenate([std[0:3], std[6:9]]) * signs
-            hold = noise.jump_duration
-        offset = jump if hold > 0 else np.zeros(6)
-        if hold > 0:
-            hold -= 1
-        if noise.drift_start <= t < noise.drift_start + noise.drift_duration:
-            drift = drift + drift_rate * dt_odom
-        gauss = rng.standard_normal(ODOM_CHANNELS) * std
-        position = truth.positions[grid_idx] + gauss[0:3] + offset[0:3] + drift
-        orientation = quat_multiply(truth.orientations[grid_idx],
-                                    quat_from_rotvec(gauss[3:6]))
-        velocity = truth.velocities[grid_idx] + gauss[6:9] + offset[3:6]
-        samples.append(OdometrySample(
-            sensor_id=sensor.sensor_id, position=position,
-            orientation=orientation, velocity=velocity, time=t))
-    return samples
+    # The draws of a per-sample loop, in its order: the triggers, then nine
+    # normals a sample, a trigger's six signs drawn ahead of its sample's.
+    triggers = np.flatnonzero(rng.random(n) < noise.jump_probability).tolist()
+    gauss = np.empty((n, ODOM_CHANNELS))
+    signs = np.empty((len(triggers), 6), dtype=np.int64)
+    start = 0
+    for row, index in zip(signs, triggers):
+        rng.standard_normal(out=gauss[start:index])
+        row[:] = rng.integers(0, 2, size=6)
+        start = index
+    rng.standard_normal(out=gauss[start:])
+    gauss *= std
+
+    # Each jump holds for jump_duration samples; a later trigger overwrites
+    # the rest of an earlier one's hold.
+    offset = np.zeros((n, 6))  # position(3) + velocity(3) jump
+    jumps = noise.jump_magnitude * np.concatenate([std[0:3], std[6:9]]) * (signs * 2 - 1)
+    for index, jump in zip(triggers, jumps):
+        offset[index:index + max(noise.jump_duration, 0)] = jump
+
+    # The drift after each sample: a running sum, from zero, of one step
+    # per sample inside the window, held once the window closes.
+    inside = (noise.drift_start <= times) & (times < noise.drift_start + noise.drift_duration)
+    steps = np.zeros((np.count_nonzero(inside) + 1, 3))
+    steps[1:] = noise.drift_vector() * (stride * truth.dt)
+
+    position = truth.positions[indices] + gauss[:, 0:3]
+    position += offset[:, 0:3]
+    position += np.cumsum(steps, axis=0)[np.cumsum(inside)]
+    orientation = _quat_products(truth.orientations[indices],
+                                 _quats_from_rotvecs(gauss[:, 3:6]))
+    velocity = truth.velocities[indices] + gauss[:, 6:9]
+    velocity += offset[:, 3:6]
+    return list(map(OdometrySample, repeat(sensor.sensor_id, n), position, orientation,
+                    velocity, times.tolist()))
 
 
 def sample_sensors(truth: TruthTrajectory, spec: ScenarioSpec) -> list[Event]:
@@ -362,10 +411,12 @@ def sample_sensors(truth: TruthTrajectory, spec: ScenarioSpec) -> list[Event]:
     del noise
     events: list[Event] = list(map(ImuSample, accel, gyro, truth.times[1:].tolist()))
 
-    for index, sensor in enumerate(spec.sensors):
+    # IMU first, then each sensor in sensor-id order (a stable sort keeps
+    # equal ids in list order): a stable sort on time then yields the order
+    # (time, IMU before odometry, sensor id).
+    by_id = sorted(range(len(spec.sensors)), key=lambda i: spec.sensors[i].sensor_id)
+    for index in by_id:
         rng = np.random.default_rng([spec.seed, index + 1])
-        events.extend(_sample_odometry(truth, sensor, spec.imu_rate, rng))
-
-    events.sort(key=lambda e: (e.time, isinstance(e, OdometrySample),
-                               getattr(e, "sensor_id", "")))
+        events.extend(_sample_odometry(truth, spec.sensors[index], spec.imu_rate, rng))
+    events.sort(key=attrgetter("time"))
     return events

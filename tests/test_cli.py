@@ -200,6 +200,15 @@ def test_odometry_faster_than_the_imu_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("setting", ["noise_std=inf", "imu_accel_std=inf",
+                                     "imu_gyro_std=inf"])
+def test_an_infinite_noise_std_exits_2(setting, tmp_path, capsys):
+    assert main(["simulate", "--scenario", "hover", "--out", str(tmp_path / "x"),
+                 "--set", setting]) == 2
+    assert "must be non-negative and finite, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("setting", ["q0=nan", "p0=inf"])
 def test_non_finite_noise_scale_is_a_config_error(setting, capsys):
     assert main(["fuse", "--scenario", "hover", "--filter", "mcckf",

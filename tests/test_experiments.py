@@ -67,6 +67,9 @@ def test_validate_accepts_reasonable_config():
     ("drift_duration", math.nan, "drift_duration"),
     ("drift_duration", -1.0, "drift_duration"),
     ("seed", -1, "seed"),
+    ("noise_std", math.inf, "noise_std"),
+    ("imu_accel_std", math.inf, "imu_accel_std"),
+    ("imu_gyro_std", math.inf, "imu_gyro_std"),
 ])
 def test_validate_rejects_bad_values(field, value, fragment):
     config = quick_config(**{field: value})

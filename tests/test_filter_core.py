@@ -142,6 +142,41 @@ def test_weights_where_the_kernel_scale_underflows_to_zero():
     np.testing.assert_array_equal(w.unweighted, np.ones(2))
 
 
+def test_weights_whose_quotient_would_overflow_take_the_floor_silently():
+    """-2 sigma^2 = -2e-322 is not 0, yet 1e-6 / -2e-322 overflows; the floor is its weight."""
+    w = correntropy_weights(np.array([1e-3]), 0.01 * np.eye(1), np.array([1e-161]))
+    np.testing.assert_array_equal(w.unweighted, [np.exp(EXP_FLOOR)])
+    np.testing.assert_array_equal(w.weighted, [np.exp(EXP_FLOOR)])
+
+
+def test_a_nan_operand_weighs_nan_except_over_a_zero_kernel_scale():
+    """A NaN divides to NaN, which a correction refuses; over a zero scale it takes the floor."""
+    w = correntropy_weights(np.array([np.nan, np.nan, 1.0]), np.eye(3),
+                            np.array([1e-200, 1.0, np.nan]))
+    expected = [np.exp(EXP_FLOOR), np.nan, np.nan]
+    np.testing.assert_array_equal(w.unweighted, expected)
+    np.testing.assert_array_equal(w.weighted, expected)
+
+
+def test_weights_near_the_overflow_edge_are_the_plain_divides_or_the_floor():
+    """Each exponent is the plain divide's wherever that raises nothing, else the floor."""
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        y = 10.0 ** rng.uniform(-160, 150, 6) * rng.choice([-1.0, 0.0, 1.0], 6)
+        r = np.diag(10.0 ** rng.uniform(-10, 10, 6))
+        sigma = 10.0 ** rng.uniform(-162, -150, 6)
+        got = correntropy_weights(y, r, sigma)
+        for scale, weights in ((1.0, got.unweighted), (r.diagonal(), got.weighted)):
+            denom = -2.0 * sigma * sigma * scale
+            for j in range(6):
+                try:
+                    with np.errstate(over="raise", divide="raise", invalid="raise"):
+                        expo = max(y[j] * y[j] / denom[j], EXP_FLOOR)
+                except FloatingPointError:
+                    expo = 0.0 if y[j] == 0.0 else EXP_FLOOR
+                assert weights[j] == np.exp(expo)
+
+
 def test_weights_hand_computed_two_channel_case():
     y = np.array([1.0, 2.0])
     r = np.diag([1.0, 4.0])

@@ -7,7 +7,7 @@ import pytest
 
 from corfuse.eskf import GRAVITY, ImuSample, OdometrySample, propagate_nominal
 from corfuse.sim import (NoiseSpec, ScenarioSpec, SensorSpec, TruthTrajectory,
-                         _sample_odometry, generate_truth, sample_sensors)
+                         generate_truth, sample_sensors)
 from corfuse.so3 import (quat_conjugate, quat_from_rotvec, quat_multiply, quat_to_rotmat,
                          quat_to_rotvec, rotation_angle)
 
@@ -88,16 +88,8 @@ def test_sampler_is_bitwise_deterministic():
                     jump_magnitude=10.0)
     truth = generate_truth(spec)
     first = sample_sensors(truth, spec)
-    second = sample_sensors(truth, spec)
-    assert len(first) == len(second)
-    for a, b in zip(first, second):
-        assert type(a) is type(b)
-        if isinstance(a, ImuSample):
-            assert np.array_equal(a.accel, b.accel)
-            assert np.array_equal(a.gyro, b.gyro)
-        else:
-            assert np.array_equal(a.position, b.position)
-            assert np.array_equal(a.orientation, b.orientation)
+    assert any(isinstance(e, OdometrySample) for e in first)
+    assert_same_stream(first, sample_sensors(truth, spec))
 
 
 def test_event_stream_is_time_sorted_with_imu_first():
@@ -195,10 +187,26 @@ def test_noise_spec_validation():
         NoiseSpec(drift_rate=np.ones(2)).drift_vector()
     np.testing.assert_allclose(NoiseSpec(gaussian_std=0.2).std_vector(),
                                np.full(9, 0.2))
+    # A negative drift rate is a direction, not an error.
+    np.testing.assert_array_equal(NoiseSpec(drift_rate=-0.1).drift_vector(), np.full(3, -0.1))
 
 
-# -- reference: the per-point evaluation that generate_truth and sample_sensors
-#    replaced by whole-grid arrays, kept here to pin their output bit for bit --
+@pytest.mark.parametrize("std", [-0.1, math.inf, math.nan,
+                                 np.r_[np.full(8, 0.1), -1e-9], np.r_[np.zeros(8), math.inf]])
+def test_noise_spec_refuses_a_negative_or_non_finite_std(std):
+    with pytest.raises(ValueError, match="gaussian_std must be non-negative and finite"):
+        NoiseSpec(gaussian_std=std).std_vector()
+
+
+@pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan, np.array([0.1, math.nan, 0.0])])
+def test_noise_spec_refuses_a_non_finite_drift(rate):
+    with pytest.raises(ValueError, match="drift_rate must be finite"):
+        NoiseSpec(drift_rate=rate).drift_vector()
+
+
+# -- reference: the per-point and per-sample evaluation that generate_truth and
+#    sample_sensors replaced by array passes, kept here to pin their output bit
+#    for bit --
 
 def reference_trajectory(spec):
     """(pos, vel, acc, quat) functions of one time point, for each kind."""
@@ -260,6 +268,41 @@ def reference_truth(spec):
                            accel_body, gyro_body)
 
 
+def reference_odometry(truth, sensor, imu_rate, rng):
+    stride = max(1, int(round(imu_rate / sensor.rate)))
+    indices = np.arange(stride, len(truth), stride)
+    noise = sensor.noise
+    std = noise.std_vector()
+    drift_rate = noise.drift_vector()
+    dt_odom = stride * truth.dt
+
+    triggers = rng.random(len(indices)) < noise.jump_probability
+    samples = []
+    hold = 0
+    jump = np.zeros(6)  # position(3) + velocity(3) jump
+    drift = np.zeros(3)
+    for i, grid_idx in enumerate(indices):
+        t = float(truth.times[grid_idx])
+        if triggers[i]:
+            signs = rng.integers(0, 2, size=6) * 2 - 1
+            jump = noise.jump_magnitude * np.concatenate([std[0:3], std[6:9]]) * signs
+            hold = noise.jump_duration
+        offset = jump if hold > 0 else np.zeros(6)
+        if hold > 0:
+            hold -= 1
+        if noise.drift_start <= t < noise.drift_start + noise.drift_duration:
+            drift = drift + drift_rate * dt_odom
+        gauss = rng.standard_normal(9) * std
+        position = truth.positions[grid_idx] + gauss[0:3] + offset[0:3] + drift
+        orientation = quat_multiply(truth.orientations[grid_idx],
+                                    quat_from_rotvec(gauss[3:6]))
+        velocity = truth.velocities[grid_idx] + gauss[6:9] + offset[3:6]
+        samples.append(OdometrySample(
+            sensor_id=sensor.sensor_id, position=position,
+            orientation=orientation, velocity=velocity, time=t))
+    return samples
+
+
 def reference_events(truth, spec):
     rng = np.random.default_rng([spec.seed, 0])
     events = []
@@ -268,8 +311,8 @@ def reference_events(truth, spec):
         gyro = truth.gyro_body[k] + rng.standard_normal(3) * spec.imu_gyro_std
         events.append(ImuSample(accel=accel, gyro=gyro, time=float(truth.times[k + 1])))
     for index, sensor in enumerate(spec.sensors):
-        events += _sample_odometry(truth, sensor, spec.imu_rate,
-                                   np.random.default_rng([spec.seed, index + 1]))
+        events += reference_odometry(truth, sensor, spec.imu_rate,
+                                     np.random.default_rng([spec.seed, index + 1]))
     events.sort(key=lambda e: (e.time, isinstance(e, OdometrySample),
                                getattr(e, "sensor_id", "")))
     return events
@@ -280,6 +323,21 @@ def assert_same_bits(actual, expected):
     assert actual.dtype == expected.dtype and actual.shape == expected.shape
     assert np.array_equal(actual, expected)
     assert actual.tobytes() == expected.tobytes()  # signed zeros too
+
+
+def assert_same_stream(events, expected):
+    """Same event types, times, sensor ids and vectors, bit for bit, in the same order."""
+    assert len(events) == len(expected)
+    for event, reference in zip(events, expected):
+        assert type(event) is type(reference)
+        assert_same_bits(event.time, reference.time)
+        if isinstance(event, OdometrySample):
+            assert_same_bits(event.sensor_id, reference.sensor_id)
+            fields = ("position", "orientation", "velocity")
+        else:
+            fields = ("accel", "gyro")
+        for name in fields:
+            assert_same_bits(getattr(event, name), getattr(reference, name))
 
 
 THREE_WAYPOINTS = np.array([[0.0, 0.0, 1.0], [1.5, -2.0, 0.5], [3.0, 1.0, 2.0]])
@@ -303,16 +361,87 @@ def test_grid_evaluation_is_bitwise_equal_to_the_per_point_loop(kind, waypoints,
                  "gyro_body"):
         assert_same_bits(getattr(truth, name), getattr(expected, name))
 
-    events, expected_events = sample_sensors(truth, spec), reference_events(expected, spec)
-    assert len(events) == len(expected_events)
+    events = sample_sensors(truth, spec)
     assert sum(isinstance(e, ImuSample) for e in events) == len(truth) - 1
-    for event, reference in zip(events, expected_events):
-        assert type(event) is type(reference)
-        assert_same_bits(event.time, reference.time)
-        if isinstance(event, OdometrySample):
-            assert event.sensor_id == reference.sensor_id
-            fields = ("position", "orientation", "velocity")
-        else:
-            fields = ("accel", "gyro")
-        for name in fields:
-            assert_same_bits(getattr(event, name), getattr(reference, name))
+    assert_same_stream(events, reference_events(expected, spec))
+
+
+def first_and_last_trigger_seed(probability, samples):
+    """A seed whose first sensor's triggers fire on its first and last sample, not on all."""
+    for seed in range(1000):
+        fired = np.random.default_rng([seed, 1]).random(samples) < probability
+        if fired[0] and fired[-1] and not fired.all():
+            return seed
+    raise AssertionError("no such seed")
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseSpec(gaussian_std=0.05, jump_probability=0.4, jump_magnitude=10.0, jump_duration=4),
+    NoiseSpec(gaussian_std=0.05, jump_probability=1.0, jump_magnitude=5.0, jump_duration=2),
+    NoiseSpec(gaussian_std=0.0, jump_probability=0.2, jump_magnitude=3.0),
+    NoiseSpec(gaussian_std=np.array([0.1, 0.2, 0.3, 0.0, 0.0, 0.0, 0.05, 0.0, 0.07]),
+              jump_probability=0.2, jump_magnitude=4.0, jump_duration=3),
+    NoiseSpec(gaussian_std=0.02, drift_rate=np.array([0.1, -0.05, 0.0])),
+    NoiseSpec(gaussian_std=0.02, drift_rate=-0.3, drift_start=1.05, drift_duration=0.6),
+], ids=["overlapping-holds", "always-jumping", "noise-free", "zero-rotation-channels",
+        "drift-from-zero-forever", "drift-window"])
+def test_odometry_sampler_is_bitwise_equal_to_the_per_sample_loop(noise):
+    spec = ScenarioSpec(kind="figure8", duration=4.0, seed=3,
+                        sensors=[SensorSpec("odo0", rate=20.0, noise=noise)])
+    truth = generate_truth(spec)
+    assert_same_stream(sample_sensors(truth, spec), reference_events(truth, spec))
+
+
+def test_orientation_noise_whose_norm_overflows_is_refused_as_by_the_loop():
+    spec = ScenarioSpec(kind="hover", duration=1.0, sensors=[
+        SensorSpec("odo0", rate=10.0, noise=NoiseSpec(gaussian_std=1e200))])
+    truth = generate_truth(spec)
+    # Both norms warn of the overflow first.
+    with (pytest.raises(ValueError, match="rotation vector norm overflows"),
+          pytest.warns(RuntimeWarning, match="overflow encountered in matmul")):
+        sample_sensors(truth, spec)
+    with (pytest.raises(ValueError, match="math domain error"),
+          pytest.warns(RuntimeWarning, match="overflow encountered in dot")):
+        reference_events(truth, spec)
+
+
+def test_triggers_on_the_first_and_last_sample_match_the_per_sample_loop():
+    noise = NoiseSpec(gaussian_std=0.05, jump_probability=0.3, jump_magnitude=8.0,
+                      jump_duration=3)
+    spec = ScenarioSpec(kind="figure8", duration=3.0, sensors=[SensorSpec("odo0", 10.0, noise)],
+                        seed=first_and_last_trigger_seed(0.3, 30))
+    truth = generate_truth(spec)
+    events = sample_sensors(truth, spec)
+    odometry = [e for e in events if isinstance(e, OdometrySample)]
+    moved = [np.linalg.norm(e.position - truth.positions[truth.index_at(e.time)]) > 0.2
+             for e in odometry]
+    assert len(odometry) == 30 and moved[0] and moved[-1]
+    assert_same_stream(events, reference_events(truth, spec))
+
+
+def test_eleven_sensors_at_a_shared_instant_come_in_sensor_id_order():
+    ids = [f"odom{i}" for i in range(12)]
+    spec = ScenarioSpec(kind="hover", duration=1.0, seed=9, sensors=[
+        SensorSpec(sensor_id, rate=10.0, noise=NoiseSpec(gaussian_std=0.01 * (i + 1)))
+        for i, sensor_id in enumerate(ids)])
+    truth = generate_truth(spec)
+    events = sample_sensors(truth, spec)
+    at_half = [e for e in events if e.time == truth.times[50]]
+    assert isinstance(at_half[0], ImuSample)
+    assert [e.sensor_id for e in at_half[1:]] == sorted(ids)
+    assert [e.sensor_id for e in at_half[1:4]] == ["odom0", "odom1", "odom10"]
+    assert_same_stream(events, reference_events(truth, spec))
+
+
+def test_two_sensors_with_one_id_keep_their_list_order():
+    spec = ScenarioSpec(kind="figure8", duration=2.0, seed=5, sensors=[
+        SensorSpec("b", rate=10.0, noise=NoiseSpec(gaussian_std=0.01)),
+        SensorSpec("a", rate=20.0, noise=NoiseSpec(gaussian_std=0.02)),
+        SensorSpec("b", rate=10.0, noise=NoiseSpec(gaussian_std=1.0))])
+    truth = generate_truth(spec)
+    events = sample_sensors(truth, spec)
+    at_one = [e for e in events if e.time == truth.times[100]]
+    assert [getattr(e, "sensor_id", None) for e in at_one] == [None, "a", "b", "b"]
+    errors = [np.linalg.norm(e.position - truth.positions[100]) for e in at_one[2:]]
+    assert errors[0] < 0.1 < errors[1]  # the quiet "b" first, as listed
+    assert_same_stream(events, reference_events(truth, spec))
