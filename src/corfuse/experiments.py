@@ -121,6 +121,11 @@ class RunConfig:
                 if not 0.0 <= getattr(self, name) < math.inf:
                     problems.append(f"{name} must be non-negative and finite, "
                                     f"got {getattr(self, name)}")
+            # The orientation noise is a rotation vector of three normal draws
+            # (each under 14 in size) times noise_std, whose norm is taken
+            # through its square: past about 5e152 that square can overflow.
+            if 1e150 < self.noise_std < math.inf:
+                problems.append(f"noise_std must be at most 1e+150, got {self.noise_std}")
             if self.sensors < 1:
                 problems.append("at least one odometry sensor is required")
             elif self.faulty_sensor not in (None, *(f"odom{i}" for i in range(self.sensors))):
@@ -279,6 +284,12 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     pos_err, vel_err, ori_err, nees_vals = [], [], [], []
 
     for i, event in enumerate(events):
+        # Fused events are let go a thousand at a time, so the stream and the
+        # estimate rows, which grow as it shrinks, are not held whole at once.
+        # Let go one by one, each would be freed inside process(), where the
+        # engine drops its last IMU sample.
+        if i % 1000 == 0 and i:
+            events[i - 1000:i] = [None] * 1000
         start = _time.perf_counter_ns()
         record = engine.process(event)
         timings[i] = _time.perf_counter_ns() - start
@@ -324,7 +335,7 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     if config.out:
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        dataset_io.write_rows(out_dir / "estimates.csv", dataset_io.ESTIMATE_HEADER, estimates)
+        dataset_io.write_table(out_dir / "estimates.csv", dataset_io.ESTIMATE_HEADER, estimates)
         write_json(out_dir / "metrics.json", dataclasses.asdict(metrics))
 
     return ExperimentResult(config=config, metrics=metrics, estimates=estimates,

@@ -137,15 +137,17 @@ def correntropy_weights(innovation: np.ndarray, noise: np.ndarray,
     structure is handled by the gain itself.  Both outputs lie in (0, 1].
     A zero innovation weighs exactly 1, however small the kernel size, and
     one whose quotient y^2 / (-2 sigma^2 R_jj) would overflow weighs
-    exp(EXP_FLOOR) without a NumPy warning.  (An innovation of about 2^512 or
-    more in size still warns, as its square overflows; it too weighs the floor.)
+    exp(EXP_FLOOR) without a NumPy warning, an innovation of 2^512 or more in
+    size included, whose square overflows to inf.
     """
     y = np.asarray(innovation, dtype=float)
     sigma = np.asarray(bandwidth, dtype=float)
     # y^2 / (-2 sigma^2 R) is -y^2 / (2 sigma^2 R) bit for bit: a sign flip is exact.
     scale = -2.0 * sigma * sigma
     denom = np.array((scale, scale * np.asarray(noise, dtype=float).diagonal()))
-    y2 = y * y
+    # y * y, bit for bit, on Python floats: a square of 2^512 or more overflows
+    # to inf there without NumPy's warning, and the mask below takes it.
+    y2 = np.array([v * v for v in y.tolist()])
     # Where -2 sigma^2 R_jj underflowed to 0 the exponent is its limit as the
     # kernel size shrinks: 0 for a zero innovation (weight 1), else -inf.  A
     # quotient of 2^1023 or more in size, which the floor would clamp if it did

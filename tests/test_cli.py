@@ -209,6 +209,17 @@ def test_an_infinite_noise_std_exits_2(setting, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_a_noise_std_whose_orientation_noise_overflows_exits_2(tmp_path, capsys):
+    # RunConfig.validate refuses it: the rotation vector's squared norm would overflow.
+    assert main(["simulate", "--scenario", "hover", "--out", str(tmp_path / "x"),
+                 "--set", "noise_std=1e200"]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: noise_std must be at most 1e+150, got 1e+200\n"
+    assert not (tmp_path / "x").exists()
+    assert main(["simulate", "--scenario", "hover", "--out", str(tmp_path / "y"),
+                 "--set", "noise_std=1e150", "--set", "duration=1"]) == 0
+
+
 @pytest.mark.parametrize("setting", ["q0=nan", "p0=inf"])
 def test_non_finite_noise_scale_is_a_config_error(setting, capsys):
     assert main(["fuse", "--scenario", "hover", "--filter", "mcckf",

@@ -202,6 +202,27 @@ def test_weights_equal_the_numpy_form_on_any_kernel_size(trials=10_000, seed=71)
     assert floored
 
 
+def test_an_innovation_whose_square_overflows_weighs_the_floor_silently():
+    """|y| >= 2^512 squares to inf: it weighs the floor, and every other weight keeps its bits."""
+    edge = 2.0 ** 512
+    y = np.array([1e160, -edge, np.nextafter(edge, 0.0), -1e154, 0.5, 0.0, 3.0, -1e-3, 1e160])
+    noise = np.diag(10.0 ** np.arange(-4.0, 5.0))
+    sigma = np.array([1.0, 2.0, 1e6, 1e6, 0.5, 1e-3, 1.0, 1.0, 1e6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = correntropy_weights(y, noise, sigma)
+    with np.errstate(over="ignore"):
+        want = ref_correntropy_weights(y, noise, sigma)
+    assert_same_bits(got.unweighted, want.unweighted)
+    assert_same_bits(got.weighted, want.weighted)
+    floor = np.exp(EXP_FLOOR)
+    assert got.unweighted[0] == got.weighted[0] == got.unweighted[1] == floor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = correntropy_weights(np.array([1e160]), np.eye(1), np.array([1.0]))
+    assert one.unweighted[0] == one.weighted[0] == floor
+
+
 # ---------------------------------------------------------------------------
 # residual and injection
 
