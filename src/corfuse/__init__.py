@@ -11,7 +11,7 @@ The package combines three ingredients into one online estimator:
 See :mod:`corfuse.eskf` for the fusion engine and :mod:`corfuse.cli`
 for the command-line interface.
 """
-from .adapt_residual import ResidualNoiseAdapter, check_identity_gamma
+from .adapt_residual import ResidualNoiseAdapter
 from .adapt_vb import VbNoiseAdapter, backward_smooth
 from .dataset import ingest_dataset, read_truth, write_events, write_truth
 from .errors import (
@@ -67,7 +67,6 @@ __all__ = [
     "adapt_bandwidth",
     "backward_smooth",
     "bench",
-    "check_identity_gamma",
     "compare",
     "correntropy_weights",
     "generate_truth",

@@ -5,23 +5,15 @@ Huang, IEEE PES GM 2017): buffer kernel-weighted outer products of the
 post-fit residual r and the innovation y, average them over the window,
 and read the noise estimates directly:
 
-    R = mean(L r r^T L) + H P+ H^T
+    R = mean(L r r^T L) + P+
     Q = K mean(L y y^T L) K^T
 
-with H, P+ and K from the newest correction.  An H that is
-``filter_core.IDENTITY`` skips its products: H P+ H^T is P+, as in
-``filter_core``.  The innovation form for Q is a deliberate approximation
-(it measures the state correction rather than the process noise itself)
-but it is O(window) per step with no backward pass.  With unit weights
-the window average of r r^T reduces to the classical residual-based
-adaptive update.
-
-``check_identity_gamma`` verifies the algebraic identity
-
-    Gamma^-1 y = R^-1 r      with  Gamma = H P- H^T + R
-
-which holds exactly for the optimal (unweighted) Kalman gain and is useful
-as a self-test of a correction implementation.
+with P+ and K from the newest correction, whose measurement observes the
+state (H = I, as in ``filter_core``).  The innovation form for Q is a
+deliberate approximation (it measures the state correction rather than the
+process noise itself) but it is O(window) per step with no backward pass.
+With unit weights the window average of r r^T reduces to the classical
+residual-based adaptive update.
 """
 from __future__ import annotations
 
@@ -32,8 +24,8 @@ from typing import Deque, Iterable, Optional
 import numpy as np
 
 from .errors import AdaptationNotReady
-from .filter_core import IDENTITY, InnovationRecord
-from .linalg import DIAG_FLOOR, floor_diagonal, psd_project, spd_solve, symmetrize
+from .filter_core import InnovationRecord
+from .linalg import DIAG_FLOOR, floor_diagonal, psd_project, symmetrize
 
 
 def _mean(values: Deque[np.ndarray]) -> np.ndarray:
@@ -42,19 +34,6 @@ def _mean(values: Deque[np.ndarray]) -> np.ndarray:
     for value in islice(values, 1, None):
         total = total + value
     return total / len(values)
-
-
-def check_identity_gamma(record: InnovationRecord, noise: np.ndarray) -> float:
-    """Max-norm deviation of Gamma^-1 y from R^-1 r for one correction.
-
-    Exact (up to round-off) when the record came from an unweighted update
-    with a linear observation model.
-    """
-    h = record.obs_jacobian
-    gamma = symmetrize(h @ record.cov_pred @ h.T + noise)
-    lhs, _ = spd_solve(gamma, record.innovation)
-    rhs, _ = spd_solve(np.asarray(noise, dtype=float), record.residual)
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 class ResidualNoiseAdapter:
@@ -127,9 +106,8 @@ class ResidualNoiseAdapter:
         if self._newest is None:
             raise AdaptationNotReady("no correction has been pushed")
         sensor_id, latest = self._newest
-        h = latest.obs_jacobian
-        hph = latest.cov_post if h is IDENTITY else h @ latest.cov_post @ h.T
-        fresh = floor_diagonal(symmetrize(_mean(self._rr[sensor_id]) + hph), DIAG_FLOOR)
+        fresh = floor_diagonal(symmetrize(_mean(self._rr[sensor_id]) + latest.cov_post),
+                               DIAG_FLOOR)
         previous = self._noise.get(sensor_id)
         if previous is not None and self.smoothing < 1.0:
             fresh = (1.0 - self.smoothing) * previous + self.smoothing * fresh

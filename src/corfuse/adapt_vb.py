@@ -15,7 +15,9 @@ whose snapshot-only terms are fixed at push (``SmootherWindow``); M_j is
 the kernel-weighted residual outer product plus the smoothed observation
 covariance,
 
-    M_j = L_j r_j r_j^T L_j + H_j P_j|k H_j^T.
+    M_j = L_j r_j r_j^T L_j + P_j|k,
+
+as the measurement observes the state (H = I, as in ``filter_core``).
 
 With unit weights (L = I) the recursions match the classical
 sliding-window variational adaptive filter, which is also how the plain
@@ -33,16 +35,14 @@ predict step's transition (``advance`` and ``correct``).
 Every term that depends on the buffered snapshots alone is computed once,
 when its snapshot is pushed: the smoother gain and conditional covariance
 on the snapshot, and the process statistic's terms in stacked buffers
-beside the snapshot's correction, residual, weights and step count.  No
-H is buffered: the statistics read each Jacobian from its record, which on
-the engine path is the shared identity.  A refresh then does the backward
-pass (``backward_smooth``), O(W) matrix products and no solves, which
-returns the smoothed corrections and covariances as two stacked arrays,
-and both window statistics as NumPy over those and the buffers
-(``window_statistics``), one ascending sum per sensor.  The process
-sum is certified positive definite by a Cholesky factorization and
-projected onto the PSD cone only when that fails, so ``refresh`` hands
-out the per-step Q without projecting it again.
+beside the snapshot's correction, residual, weights and step count.  A
+refresh then does the backward pass (``backward_smooth``), O(W) matrix
+products and no solves, which returns the smoothed corrections and
+covariances as two stacked arrays, and both window statistics as NumPy
+over those and the buffers (``window_statistics``), one ascending sum per
+sensor.  The process sum is certified positive definite by a Cholesky
+factorization and projected onto the PSD cone only when that fails, so
+``refresh`` hands out the per-step Q without projecting it again.
 
 Same-instant rule: a snapshot with zero predict steps, an identity
 transition, and the previous snapshot's posterior covariance as its prior
@@ -63,7 +63,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf
 
 from .errors import AdaptationNotReady
-from .filter_core import IDENTITY, InnovationRecord
+from .filter_core import InnovationRecord
 from .linalg import DIAG_FLOOR, floor_diagonal, psd_project, spd_solve, symmetrize
 
 log = logging.getLogger(__name__)
@@ -137,11 +137,11 @@ class SmootherWindow:
         self.snapshots: list[WindowSnapshot] = []
         self.start = 0
 
-    def _allocate(self, dim: int, obs_dim: int) -> None:
+    def _allocate(self, dim: int) -> None:
         rows = 2 * (self.length + 1)
         self.deltas = np.zeros((rows, dim))
-        self.residuals = np.zeros((rows, obs_dim))
-        self.weights = np.zeros((rows, obs_dim))
+        self.residuals = np.zeros((rows, dim))
+        self.weights = np.zeros((rows, dim))
         self.steps = np.zeros(rows)
         self.lifts = np.zeros((rows, dim, dim))
         self.consts = np.zeros((rows, dim, dim))
@@ -159,7 +159,7 @@ class SmootherWindow:
         """
         record = snapshot.record
         if not self.snapshots:
-            self._allocate(snapshot.delta.shape[0], record.residual.shape[0])
+            self._allocate(snapshot.delta.shape[0])
         elif len(self.snapshots) > self.length:
             del self.snapshots[0]
             self.start += 1
@@ -279,28 +279,18 @@ def window_statistics(window: SmootherWindow, corrections: np.ndarray, covs: np.
     (x_j|k - x_j|j-1) is the form above.  A transition of zero steps (two
     corrections at one instant) is a noiseless identity and carries no
     evidence; it is skipped.  Measurement: the residual re-anchored to the
-    smoothed mean, r_j|k = r_j - H_j d_j, gives
-    L r_j|k r_j|k^T L + H P_j|k H^T per snapshot, so a channel the kernel
-    suppressed adds only the covariance floor.  H_j is read from the
-    records: when every one is ``filter_core.IDENTITY``, H d_j is d_j and
-    H P H^T is P; otherwise the Jacobians are stacked for this call.  Per
-    sensor id, in order of first appearance, the dict holds the symmetrized
-    sum of that sensor's terms and its snapshot count.  Every sum runs in
-    ascending j: its round-off depends on the order.
+    smoothed mean, r_j|k = r_j - d_j, gives L r_j|k r_j|k^T L + P_j|k per
+    snapshot, so a channel the kernel suppressed adds only the covariance
+    floor.  Per sensor id, in order of first appearance, the dict holds the
+    symmetrized sum of that sensor's terms and its snapshot count.  Every
+    sum runs in ascending j: its round-off depends on the order.
     """
     snaps = window.snapshots
     if not snaps:
         raise AdaptationNotReady("window statistics need a non-empty window")
     live = window.rows
-
-    # With every H the shared identity, H d_j is d_j and H P H^T is P.
-    ident = all(snap.record.obs_jacobian is IDENTITY for snap in snaps)
-    obs = None if ident else np.array([snap.record.obs_jacobian for snap in snaps])
-    residual = window.residuals[live] - (
-        corrections if ident else (obs @ corrections[:, :, None])[:, :, 0])
-    weighted = window.weights[live] * residual
-    terms = (weighted[:, :, None] * weighted[:, None, :]
-             + (covs if ident else obs @ covs @ obs.transpose(0, 2, 1)))
+    weighted = window.weights[live] * (window.residuals[live] - corrections)
+    terms = weighted[:, :, None] * weighted[:, None, :] + covs
     rows: dict[str, list[int]] = {}
     for j, snap in enumerate(snaps):
         rows.setdefault(snap.sensor_id, []).append(j)

@@ -32,7 +32,7 @@ from scipy.linalg.lapack import dpotrf
 from .adapt_residual import ResidualNoiseAdapter
 from .adapt_vb import VbNoiseAdapter
 from .errors import AdaptationNotReady, MeasurementRejected
-from .filter_core import IDENTITY, InnovationRecord, kf_update, mcckf_update, predict
+from .filter_core import InnovationRecord, kf_update, mcckf_update, predict
 from .kernel_bandwidth import BandwidthState
 from .linalg import symmetrize
 from .so3 import (
@@ -162,15 +162,15 @@ def error_transition(state: NominalState, imu: ImuSample, dt: float) -> np.ndarr
     return imu_step(state, imu, dt)[1]
 
 
-def observation_residual(state: NominalState,
-                         z: OdometrySample) -> tuple[np.ndarray, np.ndarray]:
-    """Observation residual in error-state coordinates plus its Jacobian.
+def observation_residual(state: NominalState, z: OdometrySample) -> np.ndarray:
+    """Observation residual in error-state coordinates.
 
     Returns the 9-vector [z.p - p, z.v - v, log(q^-1 * z.q)], stacked in
     the same order as the error state so that H is the identity to first
-    order in the attitude error.  If the relative rotation, the norm of the
-    log map, is within 1e-9 of half a turn, the log-map branch is still
-    well defined but a warning is emitted since the sign is arbitrary.
+    order in the attitude error, the H that ``filter_core`` assumes.  If
+    the relative rotation, the norm of the log map, is within 1e-9 of half
+    a turn, the log-map branch is still well defined but a warning is
+    emitted since the sign is arbitrary.
     The relative rotation is quat_multiply(quat_conjugate(q), z.q) in one
     float expression, bit for bit: t - (-p) is t + p exactly.
     """
@@ -184,8 +184,7 @@ def observation_residual(state: NominalState,
     if abs(math.sqrt(rotvec.dot(rotvec)) - math.pi) < 1e-9:
         log.warning("antipodal orientation residual from sensor '%s' at t=%.6f",
                     z.sensor_id, z.time)
-    y = np.concatenate([z.position - state.position, z.velocity - state.velocity, rotvec])
-    return y, IDENTITY
+    return np.concatenate([z.position - state.position, z.velocity - state.velocity, rotvec])
 
 
 def inject_and_reset(state: NominalState, delta: np.ndarray) -> NominalState:
@@ -279,14 +278,16 @@ class FusionEngine:
             raise ValueError(
                 f"unknown sigma_mode '{config.sigma_mode}'; expected one of {SIGMA_MODES}")
         # Each check is written so that NaN fails it.  A kernel size whose
-        # square underflows to 0 would make 0/0 weights of a zero innovation.
-        static, low = config.sigma_static, config.sigma_min
-        if not (0.0 < static < math.inf and static * static > 0.0):
-            raise ValueError(f"sigma_static must be positive and finite, sigma_static ** 2 > 0, "
-                             f"got {static}")
-        if not (0.0 < low < config.sigma_max and low * low > 0.0):
+        # square underflows to 0 would make 0/0 weights of a zero innovation,
+        # and one whose 2 sigma^2 overflows would warn in every weight.
+        static, low, high = config.sigma_static, config.sigma_min, config.sigma_max
+        if not (0.0 < static and static * static > 0.0 and 2.0 * static * static < math.inf):
+            raise ValueError(f"sigma_static must be positive, sigma_static ** 2 > 0 and "
+                             f"2 sigma_static ** 2 finite, got {static}")
+        if not (0.0 < low < high and low * low > 0.0 and 2.0 * high * high < math.inf):
             raise ValueError("sigma_min and sigma_max must satisfy 0 < sigma_min < sigma_max, "
-                             f"sigma_min ** 2 > 0, got {low} and {config.sigma_max}")
+                             "sigma_min ** 2 > 0 and 2 sigma_max ** 2 finite, "
+                             f"got {low} and {high}")
         if not sensor_noise:
             raise ValueError("at least one odometry sensor is required")
         self.config = config
@@ -432,14 +433,14 @@ class FusionEngine:
         norm = math.sqrt(sample.orientation.dot(sample.orientation))
         if abs(norm - 1.0) > QUAT_NORM_TOLERANCE:
             return self._reject(sample, MeasurementRejected(f"quaternion norm {norm:.6g}, not 1"))
-        y, obs_jac = observation_residual(self._nominal, sample)
+        y = observation_residual(self._nominal, sample)
         # A refused correction leaves the state, covariance and adapter as they were.
         try:
             if self._uses_kernel:
-                sigma = self._bandwidth.update(y, noise, obs_jac, self._cov)
-                delta, record = mcckf_update(self._cov, y, obs_jac, noise, sigma, sensor_id)
+                sigma = self._bandwidth.update(y, noise, self._cov)
+                delta, record = mcckf_update(self._cov, y, noise, sigma, sensor_id)
             else:
-                delta, record = kf_update(self._cov, y, obs_jac, noise, sensor_id)
+                delta, record = kf_update(self._cov, y, noise, sensor_id)
         except MeasurementRejected as exc:
             return self._reject(sample, exc)
         try:

@@ -81,11 +81,15 @@ class RunConfig:
         if self.sigma_mode not in SIGMA_MODES:
             problems.append(f"sigma_mode must be one of {SIGMA_MODES}, got '{self.sigma_mode}'")
         # Each check is written so that NaN fails it.  A kernel size whose
-        # square underflows to 0 would make 0/0 weights of a zero innovation.
-        if not (0.0 < self.sigma_static < math.inf and self.sigma_static * self.sigma_static > 0.0):
-            problems.append("sigma_static must be positive and finite, sigma_static ** 2 > 0")
-        if not (0.0 < self.sigma_min < self.sigma_max and self.sigma_min * self.sigma_min > 0.0):
-            problems.append("sigma clamps need 0 < sigma_min < sigma_max and sigma_min ** 2 > 0")
+        # square underflows to 0 would make 0/0 weights of a zero innovation,
+        # and one whose 2 sigma^2 overflows would warn in every weight.
+        static, low, high = self.sigma_static, self.sigma_min, self.sigma_max
+        if not (0.0 < static and static * static > 0.0 and 2.0 * static * static < math.inf):
+            problems.append("sigma_static must be positive, sigma_static ** 2 > 0 and "
+                            f"2 sigma_static ** 2 finite, got {static}")
+        if not (0.0 < low < high and low * low > 0.0 and 2.0 * high * high < math.inf):
+            problems.append("sigma clamps need 0 < sigma_min < sigma_max, sigma_min ** 2 > 0 "
+                            f"and 2 sigma_max ** 2 finite, got {low} and {high}")
         if not all(0.0 < v < math.inf for v in (self.r0, *self.r0_overrides.values())):
             problems.append("initial measurement noise scales must be positive and finite")
         if not 0.0 <= self.q0 < math.inf:

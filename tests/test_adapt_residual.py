@@ -1,27 +1,28 @@
 """Window-averaged residual noise adaptation and the gain identity check."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from general_h import check_identity_gamma
 
-from corfuse.adapt_residual import ResidualNoiseAdapter, check_identity_gamma
+from corfuse.adapt_residual import ResidualNoiseAdapter, _mean
 from corfuse.errors import AdaptationNotReady
-from corfuse.filter_core import (IDENTITY, CorrentropyWeights, InnovationRecord, kf_update,
-                                 mcckf_update)
+from corfuse.filter_core import CorrentropyWeights, InnovationRecord, kf_update, mcckf_update
+from corfuse.linalg import DIAG_FLOOR, floor_diagonal, symmetrize
 
 
-def make_record(residual, innovation, h, p_post, p_pred=None, gain=None,
-                weight=1.0):
+def make_record(residual, innovation, p_post, p_pred=None, gain=None, weight=1.0):
+    """A record of a correction that observes the whole state (H = I)."""
     residual = np.atleast_1d(np.asarray(residual, dtype=float))
     innovation = np.atleast_1d(np.asarray(innovation, dtype=float))
-    m = residual.shape[0]
-    h = np.atleast_2d(np.asarray(h, dtype=float))
-    n = h.shape[1]
-    w = np.full(m, weight, dtype=float)
+    n = residual.shape[0]
+    w = np.full(n, weight, dtype=float)
     return InnovationRecord(
-        innovation=innovation, residual=residual, obs_jacobian=h,
+        innovation=innovation, residual=residual,
         cov_pred=np.atleast_2d(p_pred) if p_pred is not None else np.eye(n),
         cov_post=np.atleast_2d(np.asarray(p_post, dtype=float)),
-        gain=np.atleast_2d(gain) if gain is not None else np.eye(n, m),
+        gain=np.atleast_2d(gain) if gain is not None else np.eye(n),
         weights=CorrentropyWeights(unweighted=w, weighted=w.copy()))
 
 
@@ -42,7 +43,7 @@ def test_window_mean_matches_sequential_loop_bitwise():
     outers = []
     for k in range(8):
         r = rng.standard_normal(3)
-        adapter.push("z", make_record(r, r + 0.1, np.eye(3), np.zeros((3, 3))))
+        adapter.push("z", make_record(r, r + 0.1, np.zeros((3, 3))))
         outers.append(np.outer(r, r))
     total = outers[0].copy()
     for value in outers[1:]:
@@ -54,37 +55,38 @@ def test_window_mean_matches_sequential_loop_bitwise():
 def test_ring_buffer_keeps_newest_entries():
     adapter = ResidualNoiseAdapter(["z"], window=3)
     for k in range(6):
-        adapter.push("z", make_record([float(k)], [0.0], [[1.0]], [[0.0]]))
+        adapter.push("z", make_record([float(k)], [0.0], [[0.0]]))
     assert measurement_noise(adapter)[0, 0] == pytest.approx((9.0 + 16.0 + 25.0) / 3.0)
 
 
 def test_measurement_noise_adds_posterior_projection():
     adapter = ResidualNoiseAdapter(["z"], window=4)
-    adapter.push("z", make_record([2.0], [2.0], [[1.0]], [[0.5]]))
+    adapter.push("z", make_record([2.0], [2.0], [[0.5]]))
     assert measurement_noise(adapter)[0, 0] == pytest.approx(4.5)
 
 
 def test_identity_observation_gives_the_general_products_estimate():
+    """R is mean(L r r^T L) + H P+ H^T with a writable H = np.eye(9), bit for bit."""
     rng = np.random.default_rng(19)
-    skipping, general = (ResidualNoiseAdapter(["z"], window=4) for _ in range(2))
+    adapter = ResidualNoiseAdapter(["z"], window=4)
+    outers, eye = deque(maxlen=4), np.eye(9)
     for _ in range(6):
         r, y, p_post = rng.standard_normal(9), rng.standard_normal(9), random_spd(rng, 9)
-        record = make_record(r, y, IDENTITY, p_post)
-        assert record.obs_jacobian is IDENTITY
-        skipping.push("z", record)
-        general.push("z", make_record(r, y, np.eye(9), p_post))
-        np.testing.assert_array_equal(measurement_noise(skipping), measurement_noise(general))
+        adapter.push("z", make_record(r, y, p_post))
+        outers.append(np.outer(r, r))
+        general = floor_diagonal(symmetrize(_mean(outers) + eye @ p_post @ eye.T), DIAG_FLOOR)
+        np.testing.assert_array_equal(measurement_noise(adapter), general)
 
 
 def test_zero_weight_gates_residual_out_of_estimate():
     adapter = ResidualNoiseAdapter(["z"], window=4)
-    adapter.push("z", make_record([50.0], [50.0], [[1.0]], [[0.25]], weight=0.0))
+    adapter.push("z", make_record([50.0], [50.0], [[0.25]], weight=0.0))
     assert measurement_noise(adapter)[0, 0] == pytest.approx(0.25)
 
 
 def test_noise_floor_keeps_estimate_invertible():
     adapter = ResidualNoiseAdapter(["z"], window=4)
-    adapter.push("z", make_record([0.0, 0.0], [0.0, 0.0], np.eye(2), np.zeros((2, 2))))
+    adapter.push("z", make_record([0.0, 0.0], [0.0, 0.0], np.zeros((2, 2))))
     process, by_sensor = adapter.refresh()
     assert np.all(np.diag(by_sensor["z"]) == 1e-12)
     assert np.all(np.diag(process) == 1e-12)
@@ -95,10 +97,9 @@ def test_process_estimate_is_psd_and_uses_newest_gain():
     adapter = ResidualNoiseAdapter(["z"], window=6)
     outers = []
     for k in range(6):
-        gain = rng.standard_normal((4, 2))
-        innovation = rng.standard_normal(2)
-        adapter.push("z", make_record(rng.standard_normal(2), innovation,
-                                      rng.standard_normal((2, 4)), np.eye(4), gain=gain))
+        gain = rng.standard_normal((3, 3))
+        innovation = rng.standard_normal(3)
+        adapter.push("z", make_record(rng.standard_normal(3), innovation, np.eye(3), gain=gain))
         outers.append(np.outer(innovation, innovation))
     process, _ = adapter.refresh()
     assert np.min(np.linalg.eigvalsh(process)) >= -1e-12
@@ -126,7 +127,7 @@ def test_window_length_validation():
 
 
 def two_sensor_record(value):
-    return make_record([value], [value], [[1.0]], [[0.0]], gain=[[1.0]])
+    return make_record([value], [value], [[0.0]], gain=[[1.0]])
 
 
 def test_process_noise_follows_the_first_sensor_only():
@@ -174,12 +175,10 @@ def test_identity_holds_for_plain_kalman_corrections():
     worst = 0.0
     for _ in range(200):
         n = rng.integers(1, 7)
-        m = rng.integers(1, 5)
         mean, cov = rng.standard_normal(n), random_spd(rng, n)
-        h = rng.standard_normal((m, n))
-        noise = random_spd(rng, m, scale=0.5)
-        z = h @ mean + rng.standard_normal(m)
-        _, record = kf_update(cov, z - h @ mean, h, noise, sensor_id="fuzz")
+        noise = random_spd(rng, n, scale=0.5)
+        z = mean + rng.standard_normal(n)
+        _, record = kf_update(cov, z - mean, noise, sensor_id="fuzz")
         worst = max(worst, check_identity_gamma(record, noise))
     assert worst < 1e-8
 
@@ -187,8 +186,8 @@ def test_identity_holds_for_plain_kalman_corrections():
 def test_identity_detects_downweighted_gain():
     rng = np.random.default_rng(22)
     noise = 0.01 * np.eye(2)
-    _, record = mcckf_update(np.eye(2), np.array([3.0, -2.5]), np.eye(2), noise,
-                             np.full(2, 0.5), sensor_id="ctl")
+    _, record = mcckf_update(np.eye(2), np.array([3.0, -2.5]), noise, np.full(2, 0.5),
+                             sensor_id="ctl")
     assert check_identity_gamma(record, noise) > 1e-3
     del rng
 
@@ -206,17 +205,17 @@ def test_adapter_validates_smoothing():
 
 def test_adapter_smoothing_blends_measurement_noise():
     adapter = ResidualNoiseAdapter(["z"], window=1, smoothing=0.5)
-    adapter.push("z", make_record([2.0], [2.0], [[1.0]], [[0.0]]))
+    adapter.push("z", make_record([2.0], [2.0], [[0.0]]))
     assert measurement_noise(adapter)[0, 0] == pytest.approx(4.0)
-    adapter.push("z", make_record([0.0], [0.0], [[1.0]], [[0.0]]))
+    adapter.push("z", make_record([0.0], [0.0], [[0.0]]))
     assert measurement_noise(adapter)[0, 0] == pytest.approx(2.0)  # halfway toward the new 0
 
 
 def test_adapter_full_replacement_by_default():
     adapter = ResidualNoiseAdapter(["z"], window=1)
-    adapter.push("z", make_record([2.0], [2.0], [[1.0]], [[0.0]]))
+    adapter.push("z", make_record([2.0], [2.0], [[0.0]]))
     adapter.refresh()
-    adapter.push("z", make_record([1.0], [1.0], [[1.0]], [[0.0]]))
+    adapter.push("z", make_record([1.0], [1.0], [[0.0]]))
     assert measurement_noise(adapter)[0, 0] == pytest.approx(1.0)
 
 
@@ -231,8 +230,8 @@ def test_closed_loop_recovers_inflated_measurement_noise():
     for k in range(1500):
         x += rng.normal(0.0, np.sqrt(q_true))
         z = np.array([x + rng.normal(0.0, np.sqrt(r_true))])
-        delta, record = kf_update(np.array([[p + q_true]]), z - m, np.eye(1),
-                                  np.array([[r_hat]]), sensor_id="z")
+        delta, record = kf_update(np.array([[p + q_true]]), z - m, np.array([[r_hat]]),
+                                  sensor_id="z")
         m, p = m + delta[0], record.cov_post[0, 0]
         adapter.push("z", record)
         r_hat = measurement_noise(adapter)[0, 0]

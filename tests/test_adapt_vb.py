@@ -25,7 +25,7 @@ from corfuse.adapt_vb import (SmootherWindow, VbNoiseAdapter, WindowSnapshot,
                               _ascending_sum, backward_smooth, window_statistics)
 from corfuse.errors import AdaptationNotReady
 from corfuse.experiments import RunConfig, run_experiment
-from corfuse.filter_core import IDENTITY, CorrentropyWeights, InnovationRecord
+from corfuse.filter_core import CorrentropyWeights, InnovationRecord
 from corfuse.linalg import floor_diagonal, psd_project, symmetrize
 
 UNIT = CorrentropyWeights(unweighted=np.array([1.0]), weighted=np.array([1.0]))
@@ -35,8 +35,8 @@ def scalar_snapshot(delta, cov, cov_pred, residual,
                     trans=1.0, steps=1.0, sensor="s", weights=UNIT):
     record = InnovationRecord(
         innovation=np.array([residual]), residual=np.array([residual]),
-        obs_jacobian=np.eye(1), cov_pred=np.array([[cov_pred]]),
-        cov_post=np.array([[cov]]), gain=np.zeros((1, 1)), weights=weights)
+        cov_pred=np.array([[cov_pred]]), cov_post=np.array([[cov]]), gain=np.zeros((1, 1)),
+        weights=weights)
     return WindowSnapshot(
         record=record, delta=np.array([delta]), transition=np.array([[trans]]),
         steps=steps, sensor_id=sensor)
@@ -162,12 +162,11 @@ def test_certified_process_sum_has_the_bits_of_its_projection(monkeypatch):
 
 
 def two_state_snapshot(delta, cov, cov_pred, steps=1.0):
-    """Two uncoupled scalar states observed through their sum."""
-    weights = CorrentropyWeights(unweighted=np.ones(1), weighted=np.ones(1))
+    """Two uncoupled scalar states, each observed."""
+    weights = CorrentropyWeights(unweighted=np.ones(2), weighted=np.ones(2))
     record = InnovationRecord(
-        innovation=np.zeros(1), residual=np.zeros(1), obs_jacobian=np.ones((1, 2)),
-        cov_pred=np.diag(cov_pred), cov_post=np.diag(cov), gain=np.zeros((2, 1)),
-        weights=weights)
+        innovation=np.zeros(2), residual=np.zeros(2), cov_pred=np.diag(cov_pred),
+        cov_post=np.diag(cov), gain=np.zeros((2, 2)), weights=weights)
     return WindowSnapshot(record=record, delta=np.array(delta), transition=np.eye(2),
                           steps=steps)
 
@@ -304,7 +303,8 @@ def two_loop_statistics(snaps, reference):
     """The window statistics as separate process, measurement and step passes.
 
     ``reference`` is ``re_solving_smoother``'s output; the process statistic
-    takes the lag-one cross-covariances from it.
+    takes the lag-one cross-covariances from it.  The measurement statistic
+    is written for a general H, here a writable identity.
     """
     states, means, covs, _, crosses = reference
     dim = snaps[0].delta.shape[0]
@@ -322,14 +322,13 @@ def two_loop_statistics(snaps, reference):
         count += 1
     process = psd_project(total)
 
-    obs_dim = snaps[0].record.residual.shape[0]
+    h = np.eye(dim)
     totals, counts = {}, {}
     for j, snap in enumerate(snaps):
         sid = snap.sensor_id
         if sid not in totals:
-            totals[sid] = np.zeros((obs_dim, obs_dim))
+            totals[sid] = np.zeros((dim, dim))
             counts[sid] = 0
-        h = snap.record.obs_jacobian
         residual = snap.record.residual + h @ (states[j] - means[j])
         weighted = snap.record.weights.unweighted * residual
         totals[sid] += np.outer(weighted, weighted) + h @ covs[j] @ h.T
@@ -363,12 +362,12 @@ def test_gains_cached_at_push_match_re_solving_smoother_bitwise():
         delta = rng.standard_normal(9)
         cov = random_spd9(rng)
         trans = np.eye(9) if instant else np.eye(9) + 0.1 * rng.standard_normal((9, 9))
-        residual = rng.standard_normal(3)
+        residual = rng.standard_normal(9)
         record = InnovationRecord(
-            innovation=residual, residual=residual, obs_jacobian=np.eye(3, 9),
-            cov_pred=random_spd9(rng), cov_post=cov, gain=np.zeros((9, 3)),
-            weights=CorrentropyWeights(unweighted=rng.uniform(0.1, 1.0, 3),
-                                       weighted=np.ones(3)))
+            innovation=residual, residual=residual, cov_pred=random_spd9(rng), cov_post=cov,
+            gain=np.zeros((9, 9)),
+            weights=CorrentropyWeights(unweighted=rng.uniform(0.1, 1.0, 9),
+                                       weighted=np.ones(9)))
         pushed.append(WindowSnapshot(
             record=record, delta=delta, transition=trans,
             steps=0.0 if instant else 1.0 + k, sensor_id="ab"[k % 2]))
@@ -399,15 +398,14 @@ def test_gains_cached_at_push_match_re_solving_smoother_bitwise():
 
 
 def random_snapshot_data(rng, count):
-    """Field values of ``count`` 9-state snapshots: H is 3x9, sensors alternate."""
+    """Field values of ``count`` 9-state snapshots; sensors alternate."""
     data = []
     for k in range(count):
         instant = k % 3 == 2  # a second correction at the same instant
-        residual = rng.standard_normal(3)
+        residual = rng.standard_normal(9)
         data.append(dict(
-            residual=residual, obs=rng.standard_normal((3, 9)),
-            cov_pred=random_spd9(rng), cov_post=random_spd9(rng),
-            weights=rng.uniform(0.1, 1.0, 3), delta=rng.standard_normal(9),
+            residual=residual, cov_pred=random_spd9(rng), cov_post=random_spd9(rng),
+            weights=rng.uniform(0.1, 1.0, 9), delta=rng.standard_normal(9),
             trans=np.eye(9) if instant else np.eye(9) + 0.1 * rng.standard_normal((9, 9)),
             steps=0.0 if instant else 1.0 + k % 4, sensor="ab"[k % 2]))
     return data
@@ -416,9 +414,8 @@ def random_snapshot_data(rng, count):
 def snapshot_from(fields):
     record = InnovationRecord(
         innovation=fields["residual"], residual=fields["residual"],
-        obs_jacobian=fields["obs"], cov_pred=fields["cov_pred"],
-        cov_post=fields["cov_post"], gain=np.zeros((9, 3)),
-        weights=CorrentropyWeights(unweighted=fields["weights"], weighted=np.ones(3)))
+        cov_pred=fields["cov_pred"], cov_post=fields["cov_post"], gain=np.zeros((9, 9)),
+        weights=CorrentropyWeights(unweighted=fields["weights"], weighted=np.ones(9)))
     return WindowSnapshot(
         record=record, delta=fields["delta"], transition=fields["trans"],
         steps=fields["steps"], sensor_id=fields["sensor"])
@@ -487,35 +484,21 @@ def with_signed_zeros(rng, values, share):
     return np.where(rng.random(values.shape) < share, zeros, values)
 
 
-def exact_jacobian(rng, rows):
-    """A rows x 9 H with one +-2^k per row in distinct columns: H d and H P H^T are exact."""
-    obs = np.zeros((rows, 9))
-    obs[np.arange(rows), rng.permutation(9)[:rows]] = (
-        rng.choice([-1.0, 1.0], rows) * 2.0 ** rng.integers(-3, 4, rows))
-    return obs
-
-
-def signed_zero_window(rng, kind, sensors):
+def signed_zero_window(rng, sensors):
     """A random window of 1-11 pushes and the smoothed pair to pass with it.
 
-    ``kind`` picks H: the shared IDENTITY, a 9x9 exact H mixed with
-    IDENTITY, or a 3x9 exact H.  The corrections and covariances are
-    unsymmetric, with exact +-0.0 entries, as are some residuals and
-    weights.  The last sensor's rows are all signed zeros when there are
+    The corrections and covariances are unsymmetric, with exact +-0.0
+    entries, as are some residuals and weights.  The last sensor's rows are all signed zeros when there are
     several sensors, and a third of the rows otherwise; covariance zero
     rows are -0.0 throughout.
     """
-    dim = 3 if kind == "rows" else 9
     window = SmootherWindow(length=5)
     for _ in range(rng.integers(1, 12)):
-        obs = (IDENTITY if kind == "identity" or kind == "mixed" and rng.random() < 0.5
-               else exact_jacobian(rng, dim))
-        weights = with_signed_zeros(rng, rng.uniform(0.1, 1.0, dim), 0.3)
+        weights = with_signed_zeros(rng, rng.uniform(0.1, 1.0, 9), 0.3)
         record = InnovationRecord(
-            innovation=np.zeros(dim),
-            residual=with_signed_zeros(rng, rng.standard_normal(dim), 0.3),
-            obs_jacobian=obs, cov_pred=random_spd9(rng), cov_post=random_spd9(rng),
-            gain=np.zeros((9, dim)),
+            innovation=np.zeros(9),
+            residual=with_signed_zeros(rng, rng.standard_normal(9), 0.3),
+            cov_pred=random_spd9(rng), cov_post=random_spd9(rng), gain=np.zeros((9, 9)),
             weights=CorrentropyWeights(unweighted=weights, weighted=weights))
         window.push(WindowSnapshot(
             record=record, delta=rng.standard_normal(9),
@@ -536,24 +519,18 @@ def signed_zero_window(rng, kind, sensors):
 def test_measurement_sums_are_in_order_python_sums_bit_for_bit():
     """Each sensor's sum is its terms added left to right, then symmetrized, sign bits included.
 
-    An exact H has products with the same bits in any order, so the
-    reference forms them one snapshot at a time.  Pushes past the window
-    length put its rows anywhere in the buffers.
+    The reference forms the terms one snapshot at a time.  Pushes past the
+    window length put its rows anywhere in the buffers.
     """
     rng = np.random.default_rng(2024)
     negative_zeros = 0
     for case in range(36):
-        window, corrections, covs = signed_zero_window(
-            rng, ("identity", "mixed", "rows")[case % 3], "abc"[:1 + case // 3 % 3])
-        ident = all(snap.record.obs_jacobian is IDENTITY for snap in window.snapshots)
+        window, corrections, covs = signed_zero_window(rng, "abc"[:1 + case // 3 % 3])
         terms: dict = {}
         for j, snap in enumerate(window.snapshots):
-            obs = snap.record.obs_jacobian
-            residual = window.residuals[window.rows][j] - (
-                corrections[j] if ident else obs @ corrections[j])
-            weighted = snap.record.weights.unweighted * residual
-            terms.setdefault(snap.sensor_id, []).append(
-                np.outer(weighted, weighted) + (covs[j] if ident else obs @ covs[j] @ obs.T))
+            weighted = snap.record.weights.unweighted * (
+                window.residuals[window.rows][j] - corrections[j])
+            terms.setdefault(snap.sensor_id, []).append(np.outer(weighted, weighted) + covs[j])
         want = {}
         for sid, sensor_terms in terms.items():
             total = sensor_terms[0]
@@ -579,7 +556,7 @@ def test_suppressed_channel_contributes_only_covariance_floor():
     corrections, covs = backward_smooth(window)
     total, count = window_statistics(window, corrections, covs)[2]["s"]
     assert count == 1
-    assert total[0, 0] == pytest.approx(0.5)  # H P H^T alone, residual gated
+    assert total[0, 0] == pytest.approx(0.5)  # P alone, residual gated
 
 
 def run_matched_scalar_filter(rng, steps, q_true, r_true):
@@ -677,8 +654,7 @@ def test_degrees_of_freedom_converge_to_geometric_limit():
 def scalar_record(residual=0.0):
     return InnovationRecord(
         innovation=np.array([residual]), residual=np.array([residual]),
-        obs_jacobian=np.eye(1), cov_pred=np.eye(1), cov_post=0.5 * np.eye(1),
-        gain=0.5 * np.eye(1), weights=UNIT)
+        cov_pred=np.eye(1), cov_post=0.5 * np.eye(1), gain=0.5 * np.eye(1), weights=UNIT)
 
 
 def test_adapter_pushes_each_delta_with_the_composed_transition():

@@ -1,12 +1,13 @@
 """The odometry correction's shortcuts, bit for bit.
 
-An observation matrix that is ``filter_core.IDENTITY`` skips its products;
-the kernel bandwidth and the residual's relative quaternion run on Python
+The correction takes H to be the identity and skips its products; the
+kernel bandwidth and the residual's relative quaternion run on Python
 floats; the kernel weights evaluate both exponents in one array, in place;
 the injection takes its norm with ``math.sqrt``.  Each must give the very
 bits of the form it replaces, so that every estimate stays identical: the
-identity path those of the general path with a writable ``np.eye(9)``, and
-the other forms those of the NumPy bodies copied below as references.
+correction those of the textbook general-H correction with a writable
+``np.eye(9)`` (``general_h.general_update``), and the other forms those of
+the NumPy bodies copied below as references.
 
 The exponentials stay ``np.exp``: on 2,000,000 exponents drawn uniformly
 from [-700, 0] (``np.random.default_rng(0)``), ``math.exp`` differed from
@@ -20,10 +21,11 @@ import warnings
 
 import numpy as np
 import pytest
+from general_h import general_update
 
 from corfuse.eskf import NominalState, OdometrySample, inject_and_reset, observation_residual
-from corfuse.filter_core import (EXP_FLOOR, IDENTITY, CorrentropyWeights, correntropy_weights,
-                                 kf_update, mcckf_update)
+from corfuse.filter_core import (EXP_FLOOR, CorrentropyWeights, correntropy_weights, kf_update,
+                                 mcckf_update)
 from corfuse.kernel_bandwidth import adapt_bandwidth
 from corfuse.so3 import (quat_conjugate, quat_from_rotvec, quat_multiply, quat_normalize,
                          quat_to_rotvec)
@@ -125,6 +127,7 @@ def assert_same_correction(got, want):
 
 
 def test_identity_observation_path_equals_the_general_path(trials=600, seed=61):
+    """The library correction equals the general-H reference with a writable np.eye(9)."""
     rng = np.random.default_rng(seed)
     floored = 0
     for k in range(trials):
@@ -133,12 +136,12 @@ def test_identity_observation_path_equals_the_general_path(trials=600, seed=61):
         y = rng.standard_normal(DIM) * 10.0 ** rng.uniform(-3, 3)
         # Kernel sizes down to 1e-3 drive some weights to the exp(-700) floor.
         sigma = 10.0 ** rng.uniform(-3, 3, DIM)
-        eye = np.eye(DIM).copy()
-        assert eye is not IDENTITY
-        fast = mcckf_update(cov, y, IDENTITY, noise, sigma)
-        assert_same_correction(fast, mcckf_update(cov, y, eye, noise, sigma))
+        eye = np.eye(DIM)
+        assert eye.flags.writeable
+        fast = mcckf_update(cov, y, noise, sigma)
+        assert_same_correction(fast, general_update(cov, y, eye, noise, sigma))
         floored += int(np.sum(fast[1].weights.weighted == np.exp(EXP_FLOOR)))
-        assert_same_correction(kf_update(cov, y, IDENTITY, noise), kf_update(cov, y, eye, noise))
+        assert_same_correction(kf_update(cov, y, noise), general_update(cov, y, eye, noise))
     assert floored > 0
 
 
@@ -148,9 +151,9 @@ def test_identity_observation_path_equals_the_general_path_under_a_ridge(caplog)
     y = np.linspace(-1.0, 1.0, DIM)
     with caplog.at_level(logging.WARNING, logger="corfuse.filter_core"):
         for update, args in ((kf_update, ()), (mcckf_update, (np.full(DIM, 0.1),))):
-            fast = update(cov, y, IDENTITY, noise, *args)
+            fast = update(cov, y, noise, *args)
             assert fast[1].regularized
-            assert_same_correction(fast, update(cov, y, np.eye(DIM), noise, *args))
+            assert_same_correction(fast, general_update(cov, y, np.eye(DIM), noise, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +164,8 @@ def test_kernel_equals_the_numpy_forms(trials=10_000, seed=67):
     rng = np.random.default_rng(seed)
     sigma_min, sigma_max = 0.5, 1e6
     at_min = at_max = floored = 0
+    h = np.eye(DIM)
     for k in range(trials):
-        general = k % 4 == 0
-        h = rng.standard_normal((DIM, DIM)) if general else IDENTITY
         cov = random_psd(rng, rank=int(rng.integers(1, DIM + 1)))
         zero = rng.random(DIM) < 0.1
         cov[zero] = cov[:, zero] = 0.0                        # P_ii = 0
@@ -171,10 +173,9 @@ def test_kernel_equals_the_numpy_forms(trials=10_000, seed=67):
         y = random_vector(rng, DIM)
         if k % 10 == 0:
             y[0], cov[0], cov[:, 0] = 0.0, 0.0, 0.0           # y = 0 with P_ii = 0
-            h = IDENTITY
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sigma = adapt_bandwidth(y, noise, h, cov, sigma_min, sigma_max)
+            sigma = adapt_bandwidth(y, noise, cov, sigma_min, sigma_max)
             weights = correntropy_weights(y, noise, sigma)
         assert_same_bits(sigma, ref_adapt_bandwidth(y, noise, h, cov, sigma_min, sigma_max))
         want = ref_correntropy_weights(y, noise, sigma)
@@ -241,8 +242,7 @@ def test_residual_equals_the_numpy_form(trials=5_000, seed=73):
             position, velocity = state.position.copy(), state.velocity.copy()
         quat = random_quaternion(rng) if k % 7 else -state.orientation
         z = OdometrySample("odo", position, quat, velocity, time=state.time)
-        y, obs_jac = observation_residual(state, z)
-        assert obs_jac is IDENTITY
+        y = observation_residual(state, z)
         assert_same_bits(y, ref_observation_residual(state, z))
 
 

@@ -70,6 +70,8 @@ def test_validate_accepts_reasonable_config():
     ("noise_std", math.inf, "noise_std"),
     ("imu_accel_std", math.inf, "imu_accel_std"),
     ("imu_gyro_std", math.inf, "imu_gyro_std"),
+    ("sigma_static", 1e160, "2 sigma_static"),
+    ("sigma_max", 1e200, "2 sigma_max"),
 ])
 def test_validate_rejects_bad_values(field, value, fragment):
     config = quick_config(**{field: value})

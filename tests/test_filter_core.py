@@ -8,8 +8,9 @@ shares no code path with it: agreement checks the matrix inversion lemma
 as well as the implementation.
 
 The primitives take the covariance and the innovation y of a zero-mean
-error state.  The mean-form cases pass y = z - H m and check m + delta
-against the oracle, which stays in mean form.
+error state, whose whole is observed (H = I).  The mean-form cases pass
+y = z - m and check m + delta against the oracle, which stays in mean form
+with H = I.
 """
 
 import logging
@@ -210,16 +211,14 @@ def test_weights_always_in_unit_interval():
 
 
 def test_scalar_gain_with_unit_weights_is_half():
-    delta, record = mcckf_update(np.eye(1), np.array([1.0]), np.eye(1), np.eye(1),
-                                 np.full(1, 1e12))
+    delta, record = mcckf_update(np.eye(1), np.array([1.0]), np.eye(1), np.full(1, 1e12))
     assert record.gain[0, 0] == pytest.approx(0.5)
     assert delta[0] == pytest.approx(0.5)
 
 
 def test_zero_innovation_keeps_mean_but_contracts_covariance():
     mean, cov = np.array([2.0, -1.0]), np.eye(2)
-    delta, record = mcckf_update(cov, mean - np.eye(2) @ mean, np.eye(2), 0.5 * np.eye(2),
-                                 np.full(2, 1e12))
+    delta, record = mcckf_update(cov, mean - mean, 0.5 * np.eye(2), np.full(2, 1e12))
     np.testing.assert_allclose(mean + delta, mean)
     assert np.trace(record.cov_post) < np.trace(cov)
 
@@ -238,7 +237,7 @@ def test_zeroed_weight_column_removes_that_channel():
     np.testing.assert_array_equal(gain[:, 0], 0.0)
 
     bandwidth = np.array([1e-3, 1e6])
-    delta, record = mcckf_update(cov, z - h @ mean, h, r, bandwidth)
+    delta, record = mcckf_update(cov, z - mean, r, bandwidth)
     assert record.weights.weighted[0] < 1e-290
     np.testing.assert_allclose(record.gain[:, 0], 0.0, atol=1e-290)
     assert delta[0] == pytest.approx(0.0, abs=1e-12)
@@ -250,11 +249,11 @@ def test_singular_prior_is_corrected_without_a_ridge(update, caplog):
     """A state known exactly stays exactly known; no factor of P is needed."""
     cov = np.diag([1.0, 0.0, 2.0])
     y = np.array([0.3, -0.2, 0.5])
-    h, r = np.eye(3), 0.1 * np.eye(3)
+    r = 0.1 * np.eye(3)
     if update == "kf":
-        delta, record = kf_update(cov, y, h, r)
+        delta, record = kf_update(cov, y, r)
     else:
-        delta, record = mcckf_update(cov, y, h, r, np.ones(3))
+        delta, record = mcckf_update(cov, y, r, np.ones(3))
     assert not record.regularized
     assert not caplog.records
     np.testing.assert_array_equal(record.gain[1], 0.0)
@@ -267,8 +266,8 @@ def test_singular_prior_is_corrected_without_a_ridge(update, caplog):
 def test_ridge_warning_names_the_sensor(caplog):
     """A zero innovation covariance (P = 0, R = 0) is solved with a ridge, logged once."""
     with caplog.at_level(logging.WARNING, logger="corfuse.filter_core"):
-        delta, record = kf_update(np.zeros((2, 2)), np.array([0.1, -0.2]), np.eye(2),
-                                  np.zeros((2, 2)), sensor_id="odo3")
+        delta, record = kf_update(np.zeros((2, 2)), np.array([0.1, -0.2]), np.zeros((2, 2)),
+                                  sensor_id="odo3")
     assert record.regularized
     np.testing.assert_array_equal(delta, 0.0)
     assert [r.getMessage() for r in caplog.records] == [
@@ -279,13 +278,11 @@ def test_unit_weight_update_matches_kf_update_exactly():
     rng = np.random.default_rng(23)
     for _ in range(200):
         n = int(rng.integers(1, 7))
-        m = int(rng.integers(1, 5))
         mean, cov = rng.standard_normal(n), random_spd(rng, n)
-        h = rng.standard_normal((m, n))
-        r = random_spd(rng, m)
-        y = rng.standard_normal(m) - h @ mean
-        a_delta, a = mcckf_update(cov, y, h, r, np.full(m, 1e12))
-        b_delta, b = kf_update(cov, y, h, r)
+        r = random_spd(rng, n)
+        y = rng.standard_normal(n) - mean
+        a_delta, a = mcckf_update(cov, y, r, np.full(n, 1e12))
+        b_delta, b = kf_update(cov, y, r)
         np.testing.assert_allclose(mean + a_delta, mean + b_delta, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(a.cov_post, b.cov_post, rtol=1e-10, atol=1e-12)
 
@@ -294,33 +291,28 @@ def test_weighted_update_matches_dense_oracle():
     rng = np.random.default_rng(31)
     for _ in range(200):
         n = int(rng.integers(1, 7))
-        m = int(rng.integers(1, 5))
         mean = rng.standard_normal(n)
         cov = random_spd(rng, n)
-        h = rng.standard_normal((m, n))
-        r = random_spd(rng, m)
-        z = rng.standard_normal(m)
-        sigma = 10.0 ** rng.uniform(-0.5, 1.0, size=m)
-        delta, record = mcckf_update(cov, z - h @ mean, h, r, sigma)
+        r = random_spd(rng, n)
+        z = rng.standard_normal(n)
+        sigma = 10.0 ** rng.uniform(-0.5, 1.0, size=n)
+        delta, record = mcckf_update(cov, z - mean, r, sigma)
         c = record.weights.weighted
-        want_mean, want_cov, _ = textbook_weighted_update(mean, cov, z, h, r, c)
+        want_mean, want_cov, _ = textbook_weighted_update(mean, cov, z, np.eye(n), r, c)
         np.testing.assert_allclose(mean + delta, want_mean, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(record.cov_post, want_cov, rtol=1e-8, atol=1e-10)
-        np.testing.assert_allclose(record.residual, z - h @ want_mean, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(record.residual, z - want_mean, rtol=1e-8, atol=1e-10)
 
 
 def test_joseph_form_agrees_with_short_form_at_optimal_gain():
     rng = np.random.default_rng(41)
     for _ in range(100):
         n = int(rng.integers(1, 7))
-        m = int(rng.integers(1, 5))
         cov = random_spd(rng, n)
-        h = rng.standard_normal((m, n))
-        r = random_spd(rng, m)
+        r = random_spd(rng, n)
         mean = rng.standard_normal(n)
-        _, record = kf_update(cov, rng.standard_normal(m) - h @ mean, h, r)
-        k = record.gain
-        short = (np.eye(n) - k @ h) @ cov
+        _, record = kf_update(cov, rng.standard_normal(n) - mean, r)
+        short = (np.eye(n) - record.gain) @ cov
         np.testing.assert_allclose(record.cov_post, 0.5 * (short + short.T),
                                    rtol=1e-7, atol=1e-10)
 
@@ -329,14 +321,12 @@ def test_posterior_covariance_stays_psd_under_fuzz(trials=2000, seed=47):
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         n = int(rng.integers(1, 13))
-        m = int(rng.integers(1, 10))
         scale = 10.0 ** rng.uniform(-4, 4)
         mean, cov = rng.standard_normal(n), random_spd(rng, n, scale)
-        h = rng.standard_normal((m, n))
-        r = random_spd(rng, m, scale)
-        sigma = 10.0 ** rng.uniform(-2, 3, size=m)
-        z = rng.standard_normal(m) * np.sqrt(scale)
-        _, record = mcckf_update(cov, z - h @ mean, h, r, sigma)
+        r = random_spd(rng, n, scale)
+        sigma = 10.0 ** rng.uniform(-2, 3, size=n)
+        z = rng.standard_normal(n) * np.sqrt(scale)
+        _, record = mcckf_update(cov, z - mean, r, sigma)
         w = np.linalg.eigvalsh(record.cov_post)
         assert w.min() >= -1e-9 * max(1.0, w.max())
 
@@ -349,26 +339,25 @@ def test_monotone_damping_of_outlier_corrections():
     far tail is checked as an absolute no-influence bound instead.
     """
     cov = np.eye(3)
-    h = np.eye(3)
     r = np.eye(3)
     sigma = np.ones(3)
     norms = []
     for mag in (3.0, 10.0, 30.0):
         y = np.array([mag, 0.0, 0.0])
-        delta, _ = mcckf_update(cov, y, h, r, sigma)
+        delta, _ = mcckf_update(cov, y, r, sigma)
         norms.append(np.linalg.norm(delta))
     assert norms[0] > norms[1] > norms[2]
     for mag in (1e2, 1e4, 1e6):
         y = np.array([mag, 0.1, -0.1])
-        delta, _ = mcckf_update(cov, y, h, r, sigma)
-        reference, _ = mcckf_update(cov, np.array([0.0, 0.1, -0.1]), h, r, sigma)
+        delta, _ = mcckf_update(cov, y, r, sigma)
+        reference, _ = mcckf_update(cov, np.array([0.0, 0.1, -0.1]), r, sigma)
         assert abs(delta[0]) < 1e-290
         np.testing.assert_allclose(delta[1:], reference[1:], atol=1e-9)
 
 
 def test_non_finite_measurement_is_rejected_with_sensor_name():
     with pytest.raises(MeasurementRejected) as err:
-        mcckf_update(np.eye(1), np.array([np.nan]), np.eye(1), np.eye(1), np.full(1, 1e12),
+        mcckf_update(np.eye(1), np.array([np.nan]), np.eye(1), np.full(1, 1e12),
                      sensor_id="odomX")
     assert "odomX" in str(err.value)
 
@@ -376,8 +365,20 @@ def test_non_finite_measurement_is_rejected_with_sensor_name():
 def test_record_snapshot_fields_are_consistent():
     cov = np.eye(2)
     y = np.array([1.0, -1.0])
-    delta, record = mcckf_update(cov, y, np.eye(2), np.eye(2), np.full(2, 1e12))
+    delta, record = mcckf_update(cov, y, np.eye(2), np.full(2, 1e12))
     np.testing.assert_allclose(record.innovation, y)
     np.testing.assert_allclose(record.residual, y - delta)
     assert record.cov_pred is cov
 
+
+
+@pytest.mark.parametrize("update", ["kf", "mcckf"])
+@pytest.mark.parametrize("y_size,p_size", [(1, 2), (3, 2), (2, 3)])
+def test_an_innovation_whose_size_is_not_the_states_is_refused(update, y_size, p_size):
+    """H is the identity of y's size, so y must have P's size; a broadcast must not accept it."""
+    cov, y, noise = np.eye(p_size), np.full(y_size, 0.1), np.eye(y_size)
+    with pytest.raises(ValueError):
+        if update == "kf":
+            kf_update(cov, y, noise)
+        else:
+            mcckf_update(cov, y, noise, np.ones(y_size))
