@@ -239,7 +239,7 @@ def backward_smooth(window: SmootherWindow) -> tuple[np.ndarray, np.ndarray]:
         cur = snaps[j]
         gain = cur.gain
         if gain is window._eye:
-            corr = corrections[j - 1] = cur.delta + corr
+            corr = np.add(cur.delta, corr, out=corrections[j - 1])
             covs[j - 1] = cov
             continue
         corr = corrections[j - 1] = gain @ (cur.delta + corr)

@@ -42,6 +42,7 @@ from .so3 import (
     quat_multiply_floats,
     quat_normalize,
     quat_normalize_floats,
+    quat_relative_floats,
     quat_to_rotmat_floats,
     quat_to_rotvec,
     skew,
@@ -171,16 +172,9 @@ def observation_residual(state: NominalState, z: OdometrySample) -> np.ndarray:
     the relative rotation, the norm of the log map, is within 1e-9 of half
     a turn, the log-map branch is still well defined but a warning is
     emitted since the sign is arbitrary.
-    The relative rotation is quat_multiply(quat_conjugate(q), z.q) in one
-    float expression, bit for bit: t - (-p) is t + p exactly.
     """
-    (aw, ax, ay, az), (bw, bx, by, bz) = state.orientation.tolist(), z.orientation.tolist()
-    rotvec = quat_to_rotvec(np.array([
-        aw * bw + ax * bx + ay * by + az * bz,
-        aw * bx - ax * bw - ay * bz + az * by,
-        aw * by + ax * bz - ay * bw - az * bx,
-        aw * bz - ax * by + ay * bx - az * bw,
-    ]))
+    rotvec = quat_to_rotvec(np.array(
+        quat_relative_floats(state.orientation.tolist(), z.orientation.tolist())))
     if abs(math.sqrt(rotvec.dot(rotvec)) - math.pi) < 1e-9:
         log.warning("antipodal orientation residual from sensor '%s' at t=%.6f",
                     z.sensor_id, z.time)
@@ -229,6 +223,29 @@ def _as_covariance(value: Union[float, np.ndarray], name: str,
     return cov
 
 
+def filter_setting_problems(variant: str, sigma_mode: str, sigma_static: float,
+                            sigma_min: float, sigma_max: float) -> list[str]:
+    """What is wrong with a filter variant, sigma mode and kernel sizes, one message each.
+
+    Each size check is written so that NaN fails it.  A kernel size whose
+    square underflows to 0 would make 0/0 weights of a zero innovation, and
+    one whose 2 sigma^2 overflows would warn in every weight.
+    """
+    problems = []
+    if variant not in VARIANTS:
+        problems.append(f"filter variant must be one of {VARIANTS}, got '{variant}'")
+    if sigma_mode not in SIGMA_MODES:
+        problems.append(f"sigma_mode must be one of {SIGMA_MODES}, got '{sigma_mode}'")
+    static, low, high = sigma_static, sigma_min, sigma_max
+    if not (0.0 < static and static * static > 0.0 and 2.0 * static * static < math.inf):
+        problems.append("sigma_static must be positive, sigma_static ** 2 > 0 and "
+                        f"2 sigma_static ** 2 finite, got {static}")
+    if not (0.0 < low < high and low * low > 0.0 and 2.0 * high * high < math.inf):
+        problems.append("sigma_min and sigma_max must satisfy 0 < sigma_min < sigma_max, "
+                        f"sigma_min ** 2 > 0 and 2 sigma_max ** 2 finite, got {low} and {high}")
+    return problems
+
+
 @dataclass
 class EngineConfig:
     """Tunables for a fusion run.  Defaults mirror the intended field setup."""
@@ -271,23 +288,11 @@ class FusionEngine:
 
     def __init__(self, config: EngineConfig,
                  sensor_noise: dict[str, Union[float, np.ndarray]]) -> None:
-        if config.variant not in VARIANTS:
-            raise ValueError(
-                f"unknown filter variant '{config.variant}'; expected one of {VARIANTS}")
-        if config.sigma_mode not in SIGMA_MODES:
-            raise ValueError(
-                f"unknown sigma_mode '{config.sigma_mode}'; expected one of {SIGMA_MODES}")
-        # Each check is written so that NaN fails it.  A kernel size whose
-        # square underflows to 0 would make 0/0 weights of a zero innovation,
-        # and one whose 2 sigma^2 overflows would warn in every weight.
-        static, low, high = config.sigma_static, config.sigma_min, config.sigma_max
-        if not (0.0 < static and static * static > 0.0 and 2.0 * static * static < math.inf):
-            raise ValueError(f"sigma_static must be positive, sigma_static ** 2 > 0 and "
-                             f"2 sigma_static ** 2 finite, got {static}")
-        if not (0.0 < low < high and low * low > 0.0 and 2.0 * high * high < math.inf):
-            raise ValueError("sigma_min and sigma_max must satisfy 0 < sigma_min < sigma_max, "
-                             "sigma_min ** 2 > 0 and 2 sigma_max ** 2 finite, "
-                             f"got {low} and {high}")
+        problems = filter_setting_problems(config.variant, config.sigma_mode,
+                                           config.sigma_static, config.sigma_min,
+                                           config.sigma_max)
+        if problems:
+            raise ValueError("; ".join(problems))
         if not sensor_noise:
             raise ValueError("at least one odometry sensor is required")
         self.config = config

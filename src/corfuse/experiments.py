@@ -7,7 +7,7 @@ import math
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -15,19 +15,17 @@ from . import dataset as dataset_io
 from .errors import ConfigError, DataError
 from .eskf import (
     KERNEL_VARIANTS,
-    SIGMA_MODES,
-    VARIANTS,
     EngineConfig,
     Event,
     FusionEngine,
-    ImuSample,
     NominalState,
     OdometrySample,
+    filter_setting_problems,
 )
 from .linalg import spd_solve
 from .sim import (TRAJECTORIES, NoiseSpec, ScenarioSpec, SensorSpec, TruthTrajectory,
                   generate_truth, sample_sensors)
-from .so3 import quat_conjugate, quat_multiply, quat_to_rotvec
+from .so3 import quat_relative_floats, quat_to_rotvec
 
 
 @dataclass
@@ -69,27 +67,14 @@ class RunConfig:
     faulty_sensor: Optional[str] = None
 
     def validate(self) -> None:
-        problems = []
-        if self.filter not in VARIANTS:
-            problems.append(f"filter must be one of {VARIANTS}, got '{self.filter}'")
+        problems = filter_setting_problems(self.filter, self.sigma_mode, self.sigma_static,
+                                           self.sigma_min, self.sigma_max)
         if self.window < 1:
             problems.append(f"window must be >= 1, got {self.window}")
         if not 0.9 <= self.rho <= 1.0:
             problems.append(f"rho must lie in [0.9, 1.0], got {self.rho}")
         if not 0.0 < self.beta <= 1.0:
             problems.append(f"beta must lie in (0, 1], got {self.beta}")
-        if self.sigma_mode not in SIGMA_MODES:
-            problems.append(f"sigma_mode must be one of {SIGMA_MODES}, got '{self.sigma_mode}'")
-        # Each check is written so that NaN fails it.  A kernel size whose
-        # square underflows to 0 would make 0/0 weights of a zero innovation,
-        # and one whose 2 sigma^2 overflows would warn in every weight.
-        static, low, high = self.sigma_static, self.sigma_min, self.sigma_max
-        if not (0.0 < static and static * static > 0.0 and 2.0 * static * static < math.inf):
-            problems.append("sigma_static must be positive, sigma_static ** 2 > 0 and "
-                            f"2 sigma_static ** 2 finite, got {static}")
-        if not (0.0 < low < high and low * low > 0.0 and 2.0 * high * high < math.inf):
-            problems.append("sigma clamps need 0 < sigma_min < sigma_max, sigma_min ** 2 > 0 "
-                            f"and 2 sigma_max ** 2 finite, got {low} and {high}")
         if not all(0.0 < v < math.inf for v in (self.r0, *self.r0_overrides.values())):
             problems.append("initial measurement noise scales must be positive and finite")
         if not 0.0 <= self.q0 < math.inf:
@@ -236,7 +221,7 @@ def _collect_sensor_ids(events: list[Event]) -> list[str]:
 
 
 def _orientation_error(q_est: np.ndarray, q_true: np.ndarray) -> np.ndarray:
-    return quat_to_rotvec(quat_multiply(quat_conjugate(q_est), q_true))
+    return quat_to_rotvec(np.array(quat_relative_floats(q_est.tolist(), q_true.tolist())))
 
 
 def _rmse(errors: list[np.ndarray]) -> tuple[list[float], float]:

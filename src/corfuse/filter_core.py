@@ -51,6 +51,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -137,12 +138,14 @@ def correntropy_weights(innovation: np.ndarray, noise: np.ndarray,
     size included, whose square overflows to inf.
     """
     y = np.asarray(innovation, dtype=float)
-    sigma = np.asarray(bandwidth, dtype=float)
     # y^2 / (-2 sigma^2 R) is -y^2 / (2 sigma^2 R) bit for bit: a sign flip is exact.
-    scale = -2.0 * sigma * sigma
-    denom = np.array((scale, scale * np.asarray(noise, dtype=float).diagonal()))
-    # y * y, bit for bit, on Python floats: a square of 2^512 or more overflows
-    # to inf there without NumPy's warning, and the mask below takes it.
+    # The products run on Python floats, bit for bit, where an overflow gives
+    # inf without NumPy's warning: a square of 2^512 or more, which the mask
+    # below takes, and a -2 sigma^2 R_jj past the largest float, over which any
+    # finite y^2 divides to -0.0, weight 1, the limit as the kernel widens.
+    scale = [-2.0 * s * s for s in np.asarray(bandwidth, dtype=float).tolist()]
+    r_diag = np.asarray(noise, dtype=float).diagonal().tolist()
+    denom = np.array((scale, list(map(mul, scale, r_diag))))
     y2 = np.array([v * v for v in y.tolist()])
     # Where -2 sigma^2 R_jj underflowed to 0 the exponent is its limit as the
     # kernel size shrinks: 0 for a zero innovation (weight 1), else -inf.  A

@@ -37,8 +37,9 @@ array passes that give the bits of a per-sample loop:
 - the drift is an ascending running sum (``np.cumsum``, sequential) from
   zero of one step per sample inside the window, indexed by the count of
   window samples so far;
-- orientation noise goes through the row forms of ``quat_from_rotvec``,
-  series branch below ``SMALL_ANGLE`` included, and ``quat_multiply``.
+- orientation noise goes through the row form of ``quat_from_rotvec``,
+  series branch below ``SMALL_ANGLE`` included, and ``so3``'s Hamilton
+  product on the rows' columns.
 
 The stream holds the IMU samples first and then each sensor's odometry in
 sensor-id order (equal ids in list order), and a stable sort on time then
@@ -55,12 +56,11 @@ from typing import Optional, Union
 import numpy as np
 
 from .eskf import GRAVITY, Event, ImuSample, NominalState, OdometrySample
-from .so3 import SMALL_ANGLE
+from .so3 import (SMALL_ANGLE, quat_multiply_floats, quat_relative_floats,
+                  quat_to_rotmat_floats)
 
 # Odometry noise channels: position(3), orientation(3), velocity(3).
 ODOM_CHANNELS = 9
-# Multiplies a quaternion row into its conjugate.
-_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass
@@ -247,8 +247,7 @@ TRAJECTORIES = {
 }
 
 
-# Row forms of the so3 helpers, bitwise equal to them row by row; see the
-# module docstring for the rules.
+# Row forms of the so3 helpers that branch; the others are so3's float forms.
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """``math.sqrt(r.dot(r))`` for each row r of an (N, 3) array."""
@@ -274,23 +273,6 @@ def _quats_from_rotvecs(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quat_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``quat_multiply(a, b)`` on each row pair of (N, 4) arrays."""
-    aw, ax, ay, az = a.T
-    bw, bx, by, bz = b.T
-    out = np.empty(b.shape)
-    out[:, 0] = aw * bw - ax * bx - ay * by - az * bz
-    out[:, 1] = aw * bx + ax * bw + ay * bz - az * by
-    out[:, 2] = aw * by - ax * bz + ay * bw + az * bx
-    out[:, 3] = aw * bz + ax * by - ay * bx + az * bw
-    return out
-
-
-def _relative_quats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``quat_multiply(quat_conjugate(a), b)`` on each row pair of (N, 4) arrays."""
-    return _quat_products(a * _CONJUGATE, b)
-
-
 def _rotvecs_from_quats(q: np.ndarray) -> np.ndarray:
     """``quat_to_rotvec`` on each row of an (N, 4) array."""
     s = _row_norms(q[:, 1:])
@@ -306,22 +288,6 @@ def _rotvecs_from_quats(q: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _rotmats(q: np.ndarray) -> np.ndarray:
-    """``quat_to_rotmat`` on each row of an (N, 4) array, as (N, 3, 3)."""
-    w, x, y, z = q.T
-    rot = np.empty((len(q), 3, 3))
-    rot[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    rot[:, 0, 1] = 2 * (x * y - w * z)
-    rot[:, 0, 2] = 2 * (x * z + w * y)
-    rot[:, 1, 0] = 2 * (x * y + w * z)
-    rot[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    rot[:, 1, 2] = 2 * (y * z - w * x)
-    rot[:, 2, 0] = 2 * (x * z - w * y)
-    rot[:, 2, 1] = 2 * (y * z + w * x)
-    rot[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return rot
-
-
 def generate_truth(spec: ScenarioSpec) -> TruthTrajectory:
     """Evaluate the scenario's analytic trajectory on the IMU grid, all rows at once."""
     if spec.kind not in TRAJECTORIES:
@@ -333,11 +299,12 @@ def generate_truth(spec: ScenarioSpec) -> TruthTrajectory:
     positions, velocities, orientations, mid_acc = TRAJECTORIES[spec.kind](
         spec, times, times[:-1] + 0.5 * dt)
 
-    gyro_body = _rotvecs_from_quats(_relative_quats(orientations[:-1], orientations[1:]))
+    relative = quat_relative_floats(orientations[:-1].T, orientations[1:].T)
+    gyro_body = _rotvecs_from_quats(np.column_stack(relative))
     gyro_body /= dt
     mid_acc -= GRAVITY
-    accel_body = np.matmul(_rotmats(orientations[:-1]).transpose(0, 2, 1),
-                           mid_acc[:, :, None])[:, :, 0]
+    rotmats = np.column_stack(quat_to_rotmat_floats(*orientations[:-1].T)).reshape(-1, 3, 3)
+    accel_body = np.matmul(rotmats.transpose(0, 2, 1), mid_acc[:, :, None])[:, :, 0]
     return TruthTrajectory(times, positions, velocities, orientations,
                            accel_body, gyro_body)
 
@@ -380,8 +347,8 @@ def _sample_odometry(truth: TruthTrajectory, sensor: SensorSpec,
     position = truth.positions[indices] + gauss[:, 0:3]
     position += offset[:, 0:3]
     position += np.cumsum(steps, axis=0)[np.cumsum(inside)]
-    orientation = _quat_products(truth.orientations[indices],
-                                 _quats_from_rotvecs(gauss[:, 3:6]))
+    orientation = np.column_stack(quat_multiply_floats(
+        truth.orientations[indices].T, _quats_from_rotvecs(gauss[:, 3:6]).T))
     velocity = truth.velocities[indices] + gauss[:, 6:9]
     velocity += offset[:, 3:6]
     return list(map(OdometrySample, repeat(sensor.sensor_id, n), position, orientation,

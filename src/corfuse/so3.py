@@ -7,18 +7,22 @@ q_true = q_nominal * exp(delta_theta).
 
 Each helper computes on Python floats from ``tolist()`` and builds one
 ``np.array``, which costs less than NumPy calls on 3- and 4-vectors.  The
-formulas shared with ``eskf``'s IMU step are written once, as float forms
-that take and return Python floats: ``quat_multiply_floats``,
-``quat_to_rotmat_floats`` (row by row), ``quat_from_rotvec_floats`` and
-``quat_normalize_floats``.  The array helpers wrap them, and the IMU step
-calls them directly, building arrays only where it needs them.  The
-results are bitwise equal to the elementwise NumPy forms: Python and NumPy
-scalars round alike, ``math.sin``/``cos`` equal ``np.sin``/``cos``, and
-norms are ``math.sqrt(v.dot(v))`` as in ``np.linalg.norm``, so a float
-form that needs a norm takes the array whose ``dot`` gives it, or the
-norm itself.  A Python sum of products is not equal to BLAS ``dot`` or
-``@``, which fuse multiply and add, so matrix products stay ``@``; nor is
-``math.atan2`` to ``np.arctan2``.
+rotation formulas are written once, as float forms that take and return
+Python floats: ``quat_multiply_floats``, ``quat_relative_floats``
+(conj(a) * b), ``quat_to_rotmat_floats`` (row by row),
+``quat_from_rotvec_floats`` and ``quat_normalize_floats``.  The array
+helpers wrap them, and ``eskf``'s IMU step and odometry residual call them
+directly, building arrays only where they need them.  The branch-free
+forms (the two products and the rotation matrix) also serve row arrays:
+given the columns of (N, 4) arrays they return columns, each row with the
+bits of a per-row call, which is how ``sim`` rotates its truth and
+odometry rows.  The results are bitwise equal to the elementwise NumPy
+forms: Python and NumPy scalars round alike, ``math.sin``/``cos`` equal
+``np.sin``/``cos``, and norms are ``math.sqrt(v.dot(v))`` as in
+``np.linalg.norm``, so a float form that needs a norm takes the array whose
+``dot`` gives it, or the norm itself.  A Python sum of products is not
+equal to BLAS ``dot`` or ``@``, which fuse multiply and add, so matrix
+products stay ``@``; nor is ``math.atan2`` to ``np.arctan2``.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ SMALL_ANGLE = 1e-8
 
 
 def quat_multiply_floats(a: list[float], b: list[float]) -> list[float]:
-    """Hamilton product a * b of two [w, x, y, z] float lists."""
+    """Hamilton product a * b of two [w, x, y, z] float lists (or row columns)."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
     return [
@@ -39,6 +43,12 @@ def quat_multiply_floats(a: list[float], b: list[float]) -> list[float]:
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
     ]
+
+
+def quat_relative_floats(a: list[float], b: list[float]) -> list[float]:
+    """conj(a) * b, the rotation from a to b; -x is exact, so it equals the two steps."""
+    aw, ax, ay, az = a
+    return quat_multiply_floats([aw, -ax, -ay, -az], b)
 
 
 def quat_normalize_floats(q: np.ndarray) -> list[float]:

@@ -150,6 +150,18 @@ def test_weights_whose_quotient_would_overflow_take_the_floor_silently():
     np.testing.assert_array_equal(w.weighted, [np.exp(EXP_FLOOR)])
 
 
+def test_weights_where_the_scaled_noise_overflows_are_one_silently():
+    """-2 sigma^2 = -1.62e308 is finite at sigma = 9e153, yet -2 sigma^2 R_jj overflows.
+
+    Any finite y^2 over -inf is -0.0, so the weight is 1, its limit as the
+    kernel widens; the unweighted exponent divides by the finite scale.
+    """
+    y = np.array([0.0, 1.0, -1e150])
+    w = correntropy_weights(y, np.diag([100.0, 100.0, 1.5]), np.full(3, 9e153))
+    np.testing.assert_array_equal(w.weighted, np.ones(3))
+    np.testing.assert_array_equal(w.unweighted, np.exp(y * y / (-2.0 * 9e153 * 9e153)))
+
+
 def test_a_nan_operand_weighs_nan_except_over_a_zero_kernel_scale():
     """A NaN divides to NaN, which a correction refuses; over a zero scale it takes the floor."""
     w = correntropy_weights(np.array([np.nan, np.nan, 1.0]), np.eye(3),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from corfuse.so3 import (quat_conjugate, quat_from_rotvec, quat_multiply,
-                         quat_normalize, quat_to_rotmat, quat_to_rotvec,
+                         quat_multiply_floats, quat_normalize, quat_relative_floats,
+                         quat_to_rotmat, quat_to_rotmat_floats, quat_to_rotvec,
                          rotation_angle, rotvec_to_rotmat, skew)
 
 
@@ -96,3 +97,28 @@ def test_normalize_handles_denormalized_input():
     np.testing.assert_allclose(q, [1.0, 0.0, 0.0, 0.0])
     assert np.linalg.norm(quat_normalize(np.array([0.1, -0.4, 0.2, 0.9]))) == (
         pytest.approx(1.0, abs=1e-15))
+
+
+def quaternion_rows(rng, n=200):
+    """Unit quaternion rows, half with w < 0, led by the identity and signed-zero rows."""
+    rows = rng.standard_normal((n, 4))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    rows[:6] = [[1.0, 0.0, 0.0, 0.0], [1.0, -0.0, 0.0, -0.0], [-1.0, 0.0, -0.0, 0.0],
+                [0.0, -0.0, 1.0, 0.0], [-0.0, 0.0, 0.0, -1.0], [-0.6, 0.0, -0.8, -0.0]]
+    return rows
+
+
+def test_float_forms_on_row_columns_equal_the_per_row_helpers_bitwise():
+    """Given the columns of (N, 4) rows, each float form returns the bits of a per-row call."""
+    rng = np.random.default_rng(6)
+    a = quaternion_rows(rng)
+    b = np.roll(quaternion_rows(rng), 3, axis=0)  # leading rows meet random and leading rows
+    assert (a[:, 0] < 0.0).any() and np.signbit(a[:6]).any()
+    cases = [
+        (quat_multiply_floats(a.T, b.T), [quat_multiply(p, q) for p, q in zip(a, b)]),
+        (quat_relative_floats(a.T, b.T),
+         [quat_multiply(quat_conjugate(p), q) for p, q in zip(a, b)]),
+        (quat_to_rotmat_floats(*a.T), [quat_to_rotmat(p).ravel() for p in a]),
+    ]
+    for columns, per_row in cases:
+        assert np.column_stack(columns).tobytes() == np.array(per_row).tobytes()
