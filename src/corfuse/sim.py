@@ -18,7 +18,9 @@ x86-64 with AVX-512, array ``np.sin``, ``np.cos`` and ``np.arctan2`` equal
 equals a per-matrix ``@``; a stack of (1, 3) @ (3, 1) products is a
 per-row ``v.dot(v)``, the BLAS norm of the ``so3`` helpers, which
 ``x*x + y*y + z*z`` is not.  ``np.power`` on arrays differs from ``**`` in
-the last ulp, so the waypoint polynomials run on Python floats.
+the last ulp, but ``math.pow`` calls the same C ``pow`` as ``**`` on floats,
+so the waypoint polynomials take each power of the phase through a
+``math.pow`` map and combine the powers as arrays.
 ``tests/test_sim.py`` keeps the per-point loops and checks the bits.
 
 Odometry corruption is layered: Gaussian noise per channel, optional
@@ -43,10 +45,13 @@ array passes that give the bits of a per-sample loop:
 
 The stream holds the IMU samples first and then each sensor's odometry in
 sensor-id order (equal ids in list order), and a stable sort on time then
-gives the order (time, IMU before odometry, sensor id).
+gives the order (time, IMU before odometry, sensor id).  The events are
+built with the cyclic garbage collector paused: they hold no reference
+cycles, so its passes over them would free nothing.
 """
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -158,7 +163,7 @@ class TruthTrajectory:
         if index == len(self.times) or (
                 index > 0 and time - self.times[index - 1] <= self.times[index] - time):
             index -= 1
-        if abs(self.times[index] - time) > tol:
+        if not abs(self.times[index] - time) <= tol:  # NaN fails too
             raise ValueError(f"time {time} is not on the truth grid")
         return index
 
@@ -213,28 +218,38 @@ def _waypoint_trajectory(spec: ScenarioSpec, times: np.ndarray,
                          mid_times: np.ndarray) -> tuple[np.ndarray, ...]:
     points = np.asarray(
         spec.waypoints if spec.waypoints is not None else _DEFAULT_WAYPOINTS, dtype=float)
-    if points.shape[0] < 2:
-        raise ValueError("waypoint trajectory needs at least two waypoints")
+    if (points.ndim != 2 or points.shape[0] < 2 or points.shape[1] != 3
+            or not np.isfinite(points).all()):
+        raise ValueError("waypoints must be a finite (n, 3) array of at least two "
+                         f"waypoints, got {points.tolist()}")
     segments = points.shape[0] - 1
     seg_time = spec.duration / segments
     seg_time_sq = seg_time ** 2
 
-    def locate(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
-        """Segment start and span at each time, and the segment phase as Python floats."""
+    def locate(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Segment start and span at each time, and the segment phase."""
         idx = np.minimum((t / seg_time).astype(np.intp), segments - 1)
         start = points[idx]
-        return start, points[idx + 1] - start, ((t - idx * seg_time) / seg_time).tolist()
+        return start, points[idx + 1] - start, (t - idx * seg_time) / seg_time
 
-    # Quintic smoothstep s(tau) and its derivatives, in Python floats: ``**``
-    # on arrays is not bitwise equal to the scalar power.
+    def powers(tau: np.ndarray, *exponents: float) -> list[np.ndarray]:
+        """``tau ** k`` for each k, through ``math.pow``: the C ``pow`` that ``**`` calls."""
+        phases = tau.tolist()
+        return [np.fromiter(map(math.pow, phases, repeat(k)), float, len(phases))
+                for k in exponents]
+
+    # Quintic smoothstep s(tau) and its derivatives, in the per-point
+    # expressions' operation order.
     start, span, tau = locate(times)
-    s = np.array([10 * u ** 3 - 15 * u ** 4 + 6 * u ** 5 for u in tau])
-    ds = np.array([(30 * u ** 2 - 60 * u ** 3 + 30 * u ** 4) / seg_time for u in tau])
+    tau2, tau3, tau4, tau5 = powers(tau, 2.0, 3.0, 4.0, 5.0)
+    s = 10 * tau3 - 15 * tau4 + 6 * tau5
+    ds = (30 * tau2 - 60 * tau3 + 30 * tau4) / seg_time
     positions = start + span * s[:, None]
     velocities = span * ds[:, None]
 
     _, span, tau = locate(mid_times)
-    dds = np.array([(60 * u - 180 * u ** 2 + 120 * u ** 3) / seg_time_sq for u in tau])
+    tau2, tau3 = powers(tau, 2.0, 3.0)
+    dds = (60 * tau - 180 * tau2 + 120 * tau3) / seg_time_sq
     acc = span * dds[:, None]
     return positions, velocities, np.tile([1.0, 0.0, 0.0, 0.0], (len(times), 1)), acc
 
@@ -289,10 +304,19 @@ def _rotvecs_from_quats(q: np.ndarray) -> np.ndarray:
 
 
 def generate_truth(spec: ScenarioSpec) -> TruthTrajectory:
-    """Evaluate the scenario's analytic trajectory on the IMU grid, all rows at once."""
+    """Evaluate the scenario's analytic trajectory on the IMU grid, all rows at once.
+
+    Raises ValueError for an unknown kind, a duration or IMU rate that is
+    not positive and finite, or waypoints that are not a finite (n >= 2, 3)
+    array.
+    """
     if spec.kind not in TRAJECTORIES:
         raise ValueError(
             f"unknown trajectory kind '{spec.kind}'; expected one of {sorted(TRAJECTORIES)}")
+    for name in ("duration", "imu_rate"):
+        value = getattr(spec, name)
+        if not 0.0 < value < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     dt = 1.0 / spec.imu_rate
     steps = int(round(spec.duration * spec.imu_rate))
     times = np.arange(steps + 1) * dt
@@ -376,14 +400,19 @@ def sample_sensors(truth: TruthTrajectory, spec: ScenarioSpec) -> list[Event]:
     gyro = noise[:, 1] * spec.imu_gyro_std
     gyro += truth.gyro_body
     del noise
-    events: list[Event] = list(map(ImuSample, accel, gyro, truth.times[1:].tolist()))
-
-    # IMU first, then each sensor in sensor-id order (a stable sort keeps
-    # equal ids in list order): a stable sort on time then yields the order
-    # (time, IMU before odometry, sensor id).
-    by_id = sorted(range(len(spec.sensors)), key=lambda i: spec.sensors[i].sensor_id)
-    for index in by_id:
-        rng = np.random.default_rng([spec.seed, index + 1])
-        events.extend(_sample_odometry(truth, spec.sensors[index], spec.imu_rate, rng))
-    events.sort(key=attrgetter("time"))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        events: list[Event] = list(map(ImuSample, accel, gyro, truth.times[1:].tolist()))
+        # IMU first, then each sensor in sensor-id order (a stable sort keeps
+        # equal ids in list order): a stable sort on time then yields the
+        # order (time, IMU before odometry, sensor id).
+        by_id = sorted(range(len(spec.sensors)), key=lambda i: spec.sensors[i].sensor_id)
+        for index in by_id:
+            rng = np.random.default_rng([spec.seed, index + 1])
+            events.extend(_sample_odometry(truth, spec.sensors[index], spec.imu_rate, rng))
+        events.sort(key=attrgetter("time"))
+    finally:
+        if collecting:
+            gc.enable()
     return events

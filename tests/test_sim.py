@@ -1,5 +1,6 @@
 """Synthetic truth generation and sensor corruption."""
 
+import gc
 import math
 
 import numpy as np
@@ -37,7 +38,7 @@ def test_index_at_finds_the_nearest_row_on_an_uneven_grid():
     assert [truth.index_at(t) for t in times] == [0, 1, 2, 3, 4]
     assert truth.index_at(0.25 + 5e-7) == 2
     assert truth.index_at(1.0 - 5e-7) == 4
-    for time in (-0.01, 0.2, 0.5, 1.01):
+    for time in (-0.01, 0.2, 0.5, 1.01, -math.inf, math.inf, math.nan):
         with pytest.raises(ValueError, match="not on the truth grid"):
             truth.index_at(time)
 
@@ -80,6 +81,30 @@ def test_waypoints_need_two_points():
     spec = scenario(kind="waypoints")
     spec.waypoints = np.array([[0.0, 0.0, 1.0]])
     with pytest.raises(ValueError, match="two waypoints"):
+        generate_truth(spec)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("waypoints", np.zeros((2, 2))),
+    ("waypoints", np.array([[0.0, 0.0, 1.0], [2.0, 0.0, 1.5]]).T),
+    ("waypoints", np.zeros(3)),
+    ("waypoints", np.array([[0.0, 0.0, 1.0], [1.0, math.nan, 1.0]])),
+    ("waypoints", np.array([[0.0, 0.0, 1.0], [1.0, math.inf, 1.0]])),
+    ("imu_rate", 0.0),
+    ("imu_rate", -100.0),
+    ("imu_rate", math.inf),
+    ("imu_rate", math.nan),
+    ("duration", 0.0),
+    ("duration", -1.0),
+    ("duration", math.inf),
+    ("duration", math.nan),
+], ids=["2x2", "transposed", "flat", "nan-waypoint", "inf-waypoint",
+        "zero-rate", "negative-rate", "infinite-rate", "nan-rate",
+        "zero-duration", "negative-duration", "infinite-duration", "nan-duration"])
+def test_generate_truth_refuses_bad_scenario_fields(field, value):
+    spec = scenario(kind="waypoints", duration=2.0)
+    setattr(spec, field, value)
+    with pytest.raises(ValueError, match=field):
         generate_truth(spec)
 
 
@@ -343,13 +368,19 @@ def assert_same_stream(events, expected):
 THREE_WAYPOINTS = np.array([[0.0, 0.0, 1.0], [1.5, -2.0, 0.5], [3.0, 1.0, 2.0]])
 
 
-@pytest.mark.parametrize("kind,waypoints", [("hover", None), ("figure8", None),
-                                            ("waypoints", None),
-                                            ("waypoints", THREE_WAYPOINTS)],
-                         ids=["hover", "figure8", "waypoints", "three-waypoints"])
+# The last case's segments end on the grid: the phase is exactly 0 at each
+# interior waypoint, and the clamped last row has phase 1.
+@pytest.mark.parametrize("kind,waypoints,duration", [("hover", None, 7.3),
+                                                     ("figure8", None, 7.3),
+                                                     ("waypoints", None, 7.3),
+                                                     ("waypoints", THREE_WAYPOINTS, 7.3),
+                                                     ("waypoints", None, 6.0)],
+                         ids=["hover", "figure8", "waypoints", "three-waypoints",
+                              "waypoints-ending-on-the-grid"])
 @pytest.mark.parametrize("imu_rate", [50.0, 400.0])
-def test_grid_evaluation_is_bitwise_equal_to_the_per_point_loop(kind, waypoints, imu_rate):
-    spec = ScenarioSpec(kind=kind, duration=7.3, imu_rate=imu_rate, seed=4,
+def test_grid_evaluation_is_bitwise_equal_to_the_per_point_loop(kind, waypoints, duration,
+                                                                 imu_rate):
+    spec = ScenarioSpec(kind=kind, duration=duration, imu_rate=imu_rate, seed=4,
                         waypoints=waypoints, sensors=[
                             SensorSpec("odo0", rate=10.0, noise=NoiseSpec(gaussian_std=0.05)),
                             SensorSpec("odo1", rate=20.0, noise=NoiseSpec(
@@ -400,9 +431,50 @@ def test_orientation_noise_whose_norm_overflows_is_refused_as_by_the_loop():
     with (pytest.raises(ValueError, match="rotation vector norm overflows"),
           pytest.warns(RuntimeWarning, match="overflow encountered in matmul")):
         sample_sensors(truth, spec)
+    assert gc.isenabled()  # restored after the raise with the collector paused
     with (pytest.raises(ValueError, match="math domain error"),
           pytest.warns(RuntimeWarning, match="overflow encountered in dot")):
         reference_events(truth, spec)
+
+
+def test_waypoint_segments_ending_on_the_grid_reach_each_waypoint_at_rest():
+    spec = scenario(kind="waypoints", duration=6.0, imu_rate=50.0)
+    truth = generate_truth(spec)
+    rows = [0, 100, 200, 300]
+    assert truth.times[rows].tolist() == [0.0, 2.0, 4.0, 6.0]
+    assert_same_bits(truth.positions[rows], np.array(
+        [[0.0, 0.0, 1.0], [2.0, 0.0, 1.5], [2.0, 2.0, 1.0], [0.0, 2.0, 1.5]]))
+    assert not truth.velocities[rows].any()
+
+
+def test_sample_sensors_runs_no_collection_and_leaves_the_collector_enabled():
+    spec = scenario(kind="figure8", duration=10.0, imu_rate=400.0, gaussian_std=0.05)
+    truth = generate_truth(spec)
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(record)
+    try:
+        sample_sensors(truth, spec)
+    finally:
+        gc.callbacks.remove(record)
+    assert collections == []
+    assert gc.isenabled()
+
+
+def test_sample_sensors_leaves_a_disabled_collector_disabled():
+    spec = scenario(duration=2.0)
+    truth = generate_truth(spec)
+    gc.disable()
+    try:
+        sample_sensors(truth, spec)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_triggers_on_the_first_and_last_sample_match_the_per_sample_loop():
