@@ -36,6 +36,7 @@ from .filter_core import InnovationRecord, kf_update, mcckf_update, predict
 from .kernel_bandwidth import BandwidthState
 from .linalg import symmetrize
 from .so3 import (
+    cross_floats,
     quat_from_rotvec,
     quat_from_rotvec_floats,
     quat_multiply,
@@ -45,7 +46,8 @@ from .so3 import (
     quat_relative_floats,
     quat_to_rotmat_floats,
     quat_to_rotvec,
-    skew,
+    rotate_floats,
+    skew,  # noqa: F401 -- unused here; perfbench's tracer and its tests read eskf.skew
 )
 
 log = logging.getLogger(__name__)
@@ -56,9 +58,10 @@ STATE_DIM = 9
 # The error transition's constant entries: an IMU step writes the rest into a copy.
 _TRANSITION = np.eye(STATE_DIM)
 _TRANSITION.setflags(write=False)
-# Flat indices of the transition's attitude block, column by column, so that
-# a rotation matrix given row by row lands there transposed.
-_ATTITUDE_COLUMNS = np.array([(6 + j) * STATE_DIM + 6 + i for i in range(3) for j in range(3)])
+# Flat indices of the entries an IMU step computes: the three dt of the
+# position-velocity block, then the velocity-attitude and attitude blocks row by row.
+_COMPUTED = np.array([3, 13, 23] + [row * STATE_DIM + col for row in range(3, 9)
+                                     for col in range(6, 9)])
 # Seconds an event may lag the filter clock and still be fused at the clock's
 # time; larger lags are dropped as out of order.
 TIME_TOLERANCE = 1e-3
@@ -121,13 +124,17 @@ def imu_step(state: NominalState, imu: ImuSample, dt: float) -> tuple[NominalSta
     which is the identity to first order.  Raises MeasurementRejected for
     a sample that is not finite.
 
-    R(q), exp(w dt), the product q * exp(w dt) and its normalization,
-    R(w dt)^T and the position and velocity sums run on Python floats,
-    through the ``so3`` float forms, on the state read once with
-    ``tolist()``.  NumPy keeps the operands of BLAS, since a Python sum
-    does not reproduce ``@`` or ``.dot`` bit for bit: R for R a and R [a]x,
-    w dt for its own dot, and the unnormalized product for its norm.  F is
-    a copy of a read-only identity with the other entries written in.
+    The whole step runs on Python floats, through the ``so3`` float forms,
+    on the state and the sample read once with ``tolist()``: R(q), R a,
+    -R [a]x dt (row i is (a dt) x r_i, r_i the i-th row of R), |w dt| and
+    the norm of q * exp(w dt) (both ``math.hypot``), exp(w dt) and
+    R(w dt)^T, which is R(conj(exp(w dt))) bit for bit.  F is a copy of a
+    read-only identity with those 21 entries written by one ``put``;
+    ``predict`` keeps its BLAS products.
+    A Python sum of products rounds differently from BLAS ``@`` and ``dot``,
+    so the step differs from one on NumPy products by a few units of
+    round-off of each entry's terms, the budget ``tests/test_imu_step.py``
+    states and checks.
     """
     if not all(map(math.isfinite, imu.accel.tolist() + imu.gyro.tolist())):
         raise MeasurementRejected("non-finite IMU sample")
@@ -137,19 +144,22 @@ def imu_step(state: NominalState, imu: ImuSample, dt: float) -> tuple[NominalSta
 def _imu_step(state: NominalState, imu: ImuSample, dt: float) -> tuple[NominalState, np.ndarray]:
     """:func:`imu_step` without the finiteness check, for a sample known to be finite."""
     quat = state.orientation.tolist()
-    rot = np.array(quat_to_rotmat_floats(*quat)).reshape(3, 3)
-    omega = imu.gyro * dt
-    delta = quat_from_rotvec_floats(omega.tolist(), math.sqrt(omega.dot(omega)))
-    orientation = quat_normalize_floats(np.array(quat_multiply_floats(quat, delta)))
-    position, velocity = state.position.tolist(), state.velocity.tolist()
-    accel = (rot @ imu.accel).tolist()
+    rot = quat_to_rotmat_floats(*quat)
+    accel = imu.accel.tolist()
+    omega = [c * dt for c in imu.gyro.tolist()]
+    dw, dx, dy, dz = delta = quat_from_rotvec_floats(omega, math.hypot(*omega))
+    product = quat_multiply_floats(quat, delta)
+    orientation = quat_normalize_floats(product, math.hypot(*product))
+    step = [c * dt for c in accel]
     trans = _TRANSITION.copy()
-    trans[0, 3] = trans[1, 4] = trans[2, 5] = dt
-    np.multiply(rot @ skew(imu.accel), -dt, out=trans[3:6, 6:9])
-    trans.put(_ATTITUDE_COLUMNS, quat_to_rotmat_floats(*delta))
+    trans.put(_COMPUTED, [dt, dt, dt, *cross_floats(step, rot[0:3]),
+                          *cross_floats(step, rot[3:6]), *cross_floats(step, rot[6:9]),
+                          *quat_to_rotmat_floats(dw, -dx, -dy, -dz)])
+    position, velocity = state.position.tolist(), state.velocity.tolist()
     return NominalState(
         np.array([p + v * dt for p, v in zip(position, velocity)]),
-        np.array([v + (a + g) * dt for v, a, g in zip(velocity, accel, _GRAVITY)]),
+        np.array([v + (a + g) * dt
+                  for v, a, g in zip(velocity, rotate_floats(rot, accel), _GRAVITY)]),
         np.array(orientation), state.time + dt), trans
 
 

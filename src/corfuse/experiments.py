@@ -24,7 +24,7 @@ from .eskf import (
 )
 from .linalg import spd_solve
 from .sim import (TRAJECTORIES, NoiseSpec, ScenarioSpec, SensorSpec, TruthTrajectory,
-                  generate_truth, sample_sensors)
+                  generate_truth, imu_grid_problems, sample_sensors)
 from .so3 import quat_relative_floats, quat_to_rotvec
 
 
@@ -93,9 +93,11 @@ class RunConfig:
             if not all(0.0 < v < math.inf for v in (self.duration, self.imu_rate,
                                                      self.odom_rate)):
                 problems.append("duration and rates must be positive and finite")
-            elif self.odom_rate > self.imu_rate:
-                problems.append(f"odom_rate {self.odom_rate} must not exceed "
-                                f"imu_rate {self.imu_rate}: odometry lands on the IMU grid")
+            else:
+                problems.extend(imu_grid_problems(self.duration, self.imu_rate))
+                if self.odom_rate > self.imu_rate:
+                    problems.append(f"odom_rate {self.odom_rate} must not exceed imu_rate "
+                                    f"{self.imu_rate}: odometry lands on the IMU grid")
             for name in ("jump_magnitude", "drift_rate", "drift_start"):
                 if not math.isfinite(getattr(self, name)):
                     problems.append(f"{name} must be finite, got {getattr(self, name)}")

@@ -57,7 +57,7 @@ DIAG_FLOOR = 1e-12
 
 def floor_diagonal(a: np.ndarray, floor: float) -> np.ndarray:
     """Raise diagonal entries of ``a`` to at least ``floor`` (copies input)."""
-    out = np.array(a, dtype=float, copy=True)
-    idx = np.arange(out.shape[0])
-    out[idx, idx] = np.maximum(out[idx, idx], floor)
+    out = np.array(a, dtype=float, order="C")
+    diagonal = out.reshape(-1)[::out.shape[0] + 1]  # a view, as the copy is C-contiguous
+    np.maximum(diagonal, floor, out=diagonal)
     return out

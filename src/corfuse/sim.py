@@ -66,6 +66,8 @@ from .so3 import (SMALL_ANGLE, quat_multiply_floats, quat_relative_floats,
 
 # Odometry noise channels: position(3), orientation(3), velocity(3).
 ODOM_CHANNELS = 9
+# The most IMU steps a scenario may have; its truth rows alone take 136 bytes a step.
+MAX_IMU_STEPS = 10**9
 
 
 @dataclass
@@ -303,20 +305,35 @@ def _rotvecs_from_quats(q: np.ndarray) -> np.ndarray:
     return vec
 
 
+def imu_grid_problems(duration: float, imu_rate: float) -> list[str]:
+    """What is wrong with a scenario's duration and IMU rate, one message each.
+
+    Each must be positive and finite, and the grid's round(duration *
+    imu_rate) steps must number from 1 to MAX_IMU_STEPS, which also keeps
+    the product finite.
+    """
+    problems = [f"{name} must be positive and finite, got {value}"
+                for name, value in (("duration", duration), ("imu_rate", imu_rate))
+                if not 0.0 < value < math.inf]  # NaN fails too
+    if not problems and not 0.5 < duration * imu_rate <= MAX_IMU_STEPS:
+        problems.append(f"duration * imu_rate must give 1 to {MAX_IMU_STEPS:.0e} IMU steps, "
+                        f"got {duration} * {imu_rate} = {duration * imu_rate:g}")
+    return problems
+
+
 def generate_truth(spec: ScenarioSpec) -> TruthTrajectory:
     """Evaluate the scenario's analytic trajectory on the IMU grid, all rows at once.
 
-    Raises ValueError for an unknown kind, a duration or IMU rate that is
-    not positive and finite, or waypoints that are not a finite (n >= 2, 3)
-    array.
+    Raises ValueError for an unknown kind, a duration and IMU rate that
+    ``imu_grid_problems`` refuses, or waypoints that are not a finite
+    (n >= 2, 3) array.
     """
     if spec.kind not in TRAJECTORIES:
         raise ValueError(
             f"unknown trajectory kind '{spec.kind}'; expected one of {sorted(TRAJECTORIES)}")
-    for name in ("duration", "imu_rate"):
-        value = getattr(spec, name)
-        if not 0.0 < value < math.inf:  # NaN fails too
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    problems = imu_grid_problems(spec.duration, spec.imu_rate)
+    if problems:
+        raise ValueError("; ".join(problems))
     dt = 1.0 / spec.imu_rate
     steps = int(round(spec.duration * spec.imu_rate))
     times = np.arange(steps + 1) * dt

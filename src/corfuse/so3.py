@@ -9,20 +9,24 @@ Each helper computes on Python floats from ``tolist()`` and builds one
 ``np.array``, which costs less than NumPy calls on 3- and 4-vectors.  The
 rotation formulas are written once, as float forms that take and return
 Python floats: ``quat_multiply_floats``, ``quat_relative_floats``
-(conj(a) * b), ``quat_to_rotmat_floats`` (row by row),
-``quat_from_rotvec_floats`` and ``quat_normalize_floats``.  The array
-helpers wrap them, and ``eskf``'s IMU step and odometry residual call them
+(conj(a) * b), ``quat_to_rotmat_floats`` (row by row), ``rotate_floats``
+(R v), ``cross_floats``, ``quat_from_rotvec_floats`` and
+``quat_normalize_floats``, the last two given the norm.  The array helpers
+wrap them, and ``eskf``'s IMU step and odometry residual call them
 directly, building arrays only where they need them.  The branch-free
 forms (the two products and the rotation matrix) also serve row arrays:
 given the columns of (N, 4) arrays they return columns, each row with the
 bits of a per-row call, which is how ``sim`` rotates its truth and
-odometry rows.  The results are bitwise equal to the elementwise NumPy
-forms: Python and NumPy scalars round alike, ``math.sin``/``cos`` equal
-``np.sin``/``cos``, and norms are ``math.sqrt(v.dot(v))`` as in
-``np.linalg.norm``, so a float form that needs a norm takes the array whose
-``dot`` gives it, or the norm itself.  A Python sum of products is not
-equal to BLAS ``dot`` or ``@``, which fuse multiply and add, so matrix
-products stay ``@``; nor is ``math.atan2`` to ``np.arctan2``.
+odometry rows.  The array helpers are bitwise equal to the elementwise
+NumPy forms: Python and NumPy scalars round alike, ``math.sin``/``cos``
+equal ``np.sin``/``cos``, and their norms are ``math.sqrt(v.dot(v))`` as in
+``np.linalg.norm``.  ``math.atan2`` is not equal to ``np.arctan2``, so the
+log map keeps the latter.  A Python sum of products is not equal to BLAS
+``dot`` or ``@``, which may fuse multiply and add and order the sum
+differently, and neither is ``math.hypot`` to ``math.sqrt(v.dot(v))``.  So
+``rotate_floats``, ``cross_floats`` and ``math.hypot`` norms serve the IMU
+step, which ``eskf`` runs under a stated round-off budget, and no helper
+here that must match a NumPy form uses them.
 """
 from __future__ import annotations
 
@@ -51,10 +55,9 @@ def quat_relative_floats(a: list[float], b: list[float]) -> list[float]:
     return quat_multiply_floats([aw, -ax, -ay, -az], b)
 
 
-def quat_normalize_floats(q: np.ndarray) -> list[float]:
-    """The entries of q / |q| as floats."""
-    norm = math.sqrt(q.dot(q))
-    return [c / norm for c in q.tolist()]
+def quat_normalize_floats(q: list[float], norm: float) -> list[float]:
+    """The entries of q / |q|, given the norm |q|."""
+    return [c / norm for c in q]
 
 
 def quat_to_rotmat_floats(w: float, x: float, y: float, z: float) -> list[float]:
@@ -66,12 +69,28 @@ def quat_to_rotmat_floats(w: float, x: float, y: float, z: float) -> list[float]
     ]
 
 
+def rotate_floats(rot: list[float], v: list[float]) -> list[float]:
+    """R v for the 3x3 matrix R given row by row, as ``quat_to_rotmat_floats`` gives it."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = rot
+    x, y, z = v
+    return [r00 * x + r01 * y + r02 * z, r10 * x + r11 * y + r12 * z,
+            r20 * x + r21 * y + r22 * z]
+
+
+def cross_floats(a: list[float], b: list[float]) -> list[float]:
+    """The cross product a x b of two float triples, the product ``skew(a) @ b``."""
+    ax, ay, az = a
+    bx, by, bz = b
+    return [ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx]
+
+
 def quat_from_rotvec_floats(v: list[float], angle: float) -> list[float]:
     """Exponential map of the rotation vector ``v`` whose norm is ``angle``."""
     if angle < SMALL_ANGLE:
         # Second-order series keeps the map smooth through zero.
         half = 0.5 - angle * angle / 48.0
-        return quat_normalize_floats(np.array([1.0 - angle * angle / 8.0] + [half * c for c in v]))
+        q = np.array([1.0 - angle * angle / 8.0] + [half * c for c in v])
+        return quat_normalize_floats(q.tolist(), math.sqrt(q.dot(q)))
     half_angle = 0.5 * angle
     s = math.sin(half_angle)
     return [math.cos(half_angle)] + [s * (c / angle) for c in v]
@@ -93,7 +112,7 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    return np.array(quat_normalize_floats(q))
+    return np.array(quat_normalize_floats(q.tolist(), math.sqrt(q.dot(q))))
 
 
 def quat_to_rotmat(q: np.ndarray) -> np.ndarray:

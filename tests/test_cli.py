@@ -200,6 +200,15 @@ def test_odometry_faster_than_the_imu_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("settings", [["duration=1e300", "imu_rate=1e10"], ["duration=0.001"]],
+                         ids=["overflowing-steps", "under-half-a-step"])
+def test_an_imu_grid_of_no_step_or_of_overflowing_steps_exits_2(settings, tmp_path, capsys):
+    argv = ["simulate", "--scenario", "waypoints", "--out", str(tmp_path / "x")]
+    assert main(argv + [item for setting in settings for item in ("--set", setting)]) == 2
+    assert "configuration error: duration * imu_rate must give 1 to" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("setting", ["noise_std=inf", "imu_accel_std=inf",
                                      "imu_gyro_std=inf"])
 def test_an_infinite_noise_std_exits_2(setting, tmp_path, capsys):

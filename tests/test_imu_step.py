@@ -1,12 +1,21 @@
-"""The scalar ``so3`` helpers and the fused IMU step, bit for bit.
+"""The scalar ``so3`` helpers and the fused IMU step: bit for bit, and within a round-off budget.
 
 The references below are the elementwise NumPy forms of the ``so3``
 helpers and the two-call IMU step (the error transition F, then the
-nominal propagation, each building R(q) and exp(w dt) itself) that the
-scalar helpers and ``eskf.imu_step`` replace.  Both must agree to the last
-bit, so that every estimate stays identical; the engine's covariance must
-equal ``filter_core.predict`` of the reference F.
+nominal propagation, each building R(q) and exp(w dt) itself).  The scalar
+helpers must equal their NumPy forms to the last bit.
+
+The IMU step runs on Python floats, and a Python sum of products rounds
+differently from BLAS ``@`` and ``dot``.  So it is checked twice: bit for
+bit against the same two calls written out on Python floats (sums left to
+right, |w dt| and the quaternion norm by ``math.hypot``), which the
+engine's covariance must also reproduce through ``filter_core.predict``;
+and against the NumPy two-call step within the budget that
+``test_imu_step_is_within_the_round_off_budget_of_the_numpy_reference``
+states.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -108,6 +117,49 @@ def ref_error_transition(state, imu, dt):
     rot = ref_quat_to_rotmat(state.orientation)
     trans[3:6, 6:9] = -(rot @ ref_skew(imu.accel)) * dt
     trans[6:9, 6:9] = ref_rotvec_to_rotmat(imu.gyro * dt).T
+    return trans
+
+
+# ---------------------------------------------------------------------------
+# reference IMU step: the same two calls on Python floats
+
+
+def float_quat_from_rotvec(v):
+    """exp(v) on floats, its angle by ``math.hypot``; the series branch as in NumPy."""
+    angle = math.hypot(*v)
+    if angle < 1e-8:
+        return ref_quat_from_rotvec(np.array(v)).tolist()
+    s = math.sin(0.5 * angle)
+    return [math.cos(0.5 * angle)] + [s * (c / angle) for c in v]
+
+
+def float_rotmat(q):
+    """R(q) as nested float lists; the elementwise form on floats."""
+    return ref_quat_to_rotmat(list(q)).tolist()
+
+
+def float_propagate_nominal(state, imu, dt):
+    rot = float_rotmat(state.orientation.tolist())
+    ax, ay, az = imu.accel.tolist()
+    position = [p + v * dt for p, v in zip(state.position.tolist(), state.velocity.tolist())]
+    velocity = [v + (r0 * ax + r1 * ay + r2 * az + g) * dt
+                for v, (r0, r1, r2), g in zip(state.velocity.tolist(), rot, GRAVITY.tolist())]
+    delta = float_quat_from_rotvec([c * dt for c in imu.gyro.tolist()])
+    product = ref_quat_multiply(state.orientation.tolist(), delta).tolist()
+    norm = math.hypot(*product)
+    return NominalState(np.array(position), np.array(velocity),
+                        np.array([c / norm for c in product]), state.time + dt)
+
+
+def float_error_transition(state, imu, dt):
+    trans = np.eye(STATE_DIM)
+    trans[0:3, 3:6] = dt * np.eye(3)
+    ax, ay, az = (c * dt for c in imu.accel.tolist())
+    # Row i of -R [a]x dt is (a dt) x r_i, for r_i the i-th row of R.
+    for i, (r0, r1, r2) in enumerate(float_rotmat(state.orientation.tolist())):
+        trans[3 + i, 6:9] = [ay * r2 - az * r1, az * r0 - ax * r2, ax * r1 - ay * r0]
+    delta = float_quat_from_rotvec([c * dt for c in imu.gyro.tolist()])
+    trans[6:9, 6:9] = np.array(float_rotmat(delta)).T
     return trans
 
 
@@ -236,11 +288,59 @@ def test_imu_step_is_bitwise_equal_to_the_reference(kind):
     for quat in quaternions(rng)[::5]:
         state, imu, dt = step_inputs(rng, kind, quat)
         nominal, trans = eskf.imu_step(state, imu, dt)
-        want = ref_propagate_nominal(state, imu, dt)
+        want = float_propagate_nominal(state, imu, dt)
         assert nominal.time == want.time
         for name in ("position", "velocity", "orientation"):
             assert_bitwise_equal(getattr(nominal, name), getattr(want, name))
-        assert_bitwise_equal(trans, ref_error_transition(state, imu, dt))
+        assert_bitwise_equal(trans, float_error_transition(state, imu, dt))
+
+
+# Units of round-off allowed per entry, against the NumPy two-call step.
+BUDGET = 4.0 * np.finfo(float).eps
+
+
+def round_off_scales(state, imu, dt):
+    """Per entry of (position, velocity, orientation, F): the sum of the magnitudes
+    of the terms its formula adds, the scale its rounding error is measured in.
+
+    The constant entries of F (its 0s, 1s and dts) have scale 0, so must be
+    exact.  The orientation and the attitude block are built from unit
+    quaternions, whose product's terms sum to at most 1 in magnitude.
+    """
+    rot = np.abs(ref_quat_to_rotmat(state.orientation))
+    position = np.abs(state.position) + np.abs(state.velocity) * dt
+    velocity = np.abs(state.velocity) + (rot @ np.abs(imu.accel) + np.abs(GRAVITY)) * dt
+    trans = np.zeros((STATE_DIM, STATE_DIM))
+    trans[3:6, 6:9] = rot @ np.abs(ref_skew(imu.accel)) * dt
+    trans[6:9, 6:9] = 1.0
+    return position, velocity, np.ones(4), trans
+
+
+@pytest.mark.parametrize("kind", ["general", "small-angle", "zero-rate", "signed-zeros",
+                                  "off-period"])
+def test_imu_step_is_within_the_round_off_budget_of_the_numpy_reference(kind):
+    """Each entry within BUDGET times its scale of the NumPy step's entry.
+
+    0.0 and -0.0 count as equal: they are the same number, and the sums and
+    products that ``predict`` and the next step form from them take equal
+    values from either, at most a zero of the other sign.  The step does
+    give 0.0 where the NumPy step gives -0.0 in F, and the reverse, about
+    once a step on the signed-zero inputs.
+    """
+    rng = np.random.default_rng(len(kind))
+    worst = 0.0
+    for quat in quaternions(rng)[::5]:
+        state, imu, dt = step_inputs(rng, kind, quat)
+        nominal, trans = eskf.imu_step(state, imu, dt)
+        want = ref_propagate_nominal(state, imu, dt)
+        got = (nominal.position, nominal.velocity, nominal.orientation, trans)
+        wanted = (want.position, want.velocity, want.orientation,
+                  ref_error_transition(state, imu, dt))
+        for value, reference, scale in zip(got, wanted, round_off_scales(state, imu, dt)):
+            error = np.abs(value - reference)
+            assert (error <= BUDGET * scale).all(), (kind, value, reference)
+            worst = max(worst, float((error / np.where(scale > 0.0, scale, 1.0)).max()))
+    assert worst > 0.0  # the two steps do round differently
 
 
 @pytest.mark.parametrize("field", ["accel", "gyro"])
@@ -281,7 +381,7 @@ def test_engine_imu_step_is_bitwise_equal_to_the_two_call_composition(variant):
     for imu in samples:
         engine.process(imu)
 
-    # The engine's IMU handling, on the reference helpers.
+    # The engine's IMU handling, on the float reference step.
     nominal = initial_state()
     cov = 1e-4 * np.eye(STATE_DIM)
     frame = np.eye(STATE_DIM)
@@ -292,9 +392,9 @@ def test_engine_imu_step_is_bitwise_equal_to_the_two_call_composition(variant):
             if period is None and last is not None:
                 period = imu.time - last.time
             scale = dt / period if period else 1.0
-            trans = ref_error_transition(nominal, imu, dt)
+            trans = float_error_transition(nominal, imu, dt)
             cov = predict(cov, trans, config.process_noise * scale)
-            nominal = ref_propagate_nominal(nominal, imu, dt)
+            nominal = float_propagate_nominal(nominal, imu, dt)
             frame = trans @ frame
         last = imu
 

@@ -126,3 +126,7 @@ def test_floor_diagonal_only_touches_diagonal():
     assert out[1, 1] == 2.0
     assert out[0, 1] == 0.5
     assert a[0, 0] == 1e-20  # input untouched
+    # A Fortran-ordered input, such as a transpose, is floored and copied alike.
+    b = np.array([[1e-20, 0.25], [0.5, -3.0]])
+    np.testing.assert_array_equal(floor_diagonal(b.T, 1e-6), [[1e-6, 0.5], [0.25, 1e-6]])
+    assert b[1, 1] == -3.0

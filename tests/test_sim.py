@@ -98,9 +98,13 @@ def test_waypoints_need_two_points():
     ("duration", -1.0),
     ("duration", math.inf),
     ("duration", math.nan),
+    ("imu_rate", 1e308),    # duration * imu_rate overflows
+    ("duration", 1e12),     # more steps than MAX_IMU_STEPS
+    ("duration", 1e-3),     # under half an IMU step: no step at all
 ], ids=["2x2", "transposed", "flat", "nan-waypoint", "inf-waypoint",
         "zero-rate", "negative-rate", "infinite-rate", "nan-rate",
-        "zero-duration", "negative-duration", "infinite-duration", "nan-duration"])
+        "zero-duration", "negative-duration", "infinite-duration", "nan-duration",
+        "overflowing-steps", "too-many-steps", "no-step"])
 def test_generate_truth_refuses_bad_scenario_fields(field, value):
     spec = scenario(kind="waypoints", duration=2.0)
     setattr(spec, field, value)
