@@ -68,6 +68,10 @@ from .linalg import DIAG_FLOOR, floor_diagonal, psd_project, spd_solve, symmetri
 
 log = logging.getLogger(__name__)
 
+# The longest window: its buffers take 2 (W + 1) rows of about 1.5 KB, some
+# 30 MB here, where a window of 1e8 would ask for about 300 GB.
+MAX_WINDOW = 10_000
+
 
 @dataclass
 class WindowSnapshot:
@@ -329,8 +333,8 @@ class VbNoiseAdapter:
     """
 
     def __init__(self, state_dim: int, window: int = 10, forgetting: float = 0.97) -> None:
-        if window < 1:
-            raise ValueError("window must be at least 1")
+        if not 1 <= window <= MAX_WINDOW:
+            raise ValueError(f"window must lie in [1, {MAX_WINDOW}]")
         if not 0.0 < forgetting <= 1.0:
             raise ValueError("forgetting factor must lie in (0, 1]")
         self.window = SmootherWindow(length=window)

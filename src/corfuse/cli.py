@@ -5,7 +5,7 @@ Subcommands:
     simulate   synthesize a scenario and write dataset + truth CSVs
     fuse       run one filter variant over a scenario or dataset
     compare    run several variants on the identical stream
-    bench      per-event timing across variants and window lengths
+    bench      CPU time per correction across variants and window lengths
 
 Configuration comes from an optional key=value text file (via --config),
 then repeatable --set KEY=VALUE items, then the flags; a later source
@@ -25,15 +25,8 @@ from typing import Optional
 from .dataset import write_events, write_truth
 from .errors import ConfigError, DataError, PropagationError
 from .eskf import VARIANTS
-from .experiments import (
-    RunConfig,
-    bench,
-    build_scenario,
-    compare,
-    run_experiment,
-    write_json,
-)
-from .sim import TRAJECTORIES, generate_truth, sample_sensors
+from .experiments import RunConfig, bench, compare, load_stream, run_experiment, write_json
+from .sim import TRAJECTORIES
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True,
                  "false": False, "0": False, "no": False}
@@ -129,10 +122,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if config.out is None:
         raise ConfigError("simulate requires --out")
     config.dataset = None
-    config.validate()
-    scenario = build_scenario(config)
-    truth = generate_truth(scenario)
-    events = sample_sensors(truth, scenario)
+    events, truth, _, _ = load_stream(config)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_events(out_dir / "dataset.csv", events)
@@ -196,9 +186,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except ValueError:
         raise ConfigError(f"window lengths must be integers, got '{args.windows}'") from None
     rows = bench(config, variants, windows, repeats=args.repeats)
-    print(f"{'variant':<12}{'window':>7}{'repeat':>7}{'mean_us':>10}{'max_us':>10}")
+    print(f"{'variant':<12}{'window':>7}{'repeat':>7}{'odom':>6}{'mean_us':>10}{'max_us':>10}")
     for row in rows:
-        print(f"{row['variant']:<12}{row['window']:>7}{row['repeat']:>7}"
+        print(f"{row['variant']:<12}{row['window']:>7}{row['repeat']:>7}{row['odometry_events']:>6}"
               f"{row['mean_ns'] / 1e3:>10.1f}{row['max_ns'] / 1e3:>10.1f}")
     if config.out:
         write_json(Path(config.out) / "bench.json", rows)

@@ -352,7 +352,9 @@ def generate_truth(spec: ScenarioSpec) -> TruthTrajectory:
 
 def _sample_odometry(truth: TruthTrajectory, sensor: SensorSpec,
                      imu_rate: float, rng: np.random.Generator) -> list[OdometrySample]:
-    stride = max(1, int(round(imu_rate / sensor.rate)))
+    # Clamped to the grid's length, a stride past the end samples nothing,
+    # and an infinite or huge rate ratio still makes an index.
+    stride = max(1, round(min(imu_rate / sensor.rate, len(truth))))
     indices = np.arange(stride, len(truth), stride)
     n = len(indices)
     noise = sensor.noise

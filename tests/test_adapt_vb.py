@@ -752,3 +752,10 @@ def test_closed_loop_measurement_noise_identification():
             pass
         history.append(r_hat)
     assert 0.7 < np.mean(history[-100:]) < 1.4
+
+
+@pytest.mark.parametrize("window", [0, adapt_vb.MAX_WINDOW + 1])
+def test_adapter_refuses_a_window_outside_its_bounds(window):
+    VbNoiseAdapter(state_dim=9, window=adapt_vb.MAX_WINDOW)  # buffers wait for a push
+    with pytest.raises(ValueError, match=r"window must lie in \[1, 10000\]"):
+        VbNoiseAdapter(state_dim=9, window=window)

@@ -193,6 +193,20 @@ def test_truth_without_a_dataset_exits_2(capsys):
     assert "configuration error" in err and "truth needs a dataset" in err
 
 
+@pytest.mark.parametrize("rate", ["1e-17", "1e-320"])
+def test_odometry_slower_than_the_whole_run_fuses_nothing_and_exits_0(rate, capsys):
+    assert main(["fuse", "--scenario", "hover", "--set", "duration=1",
+                 "--set", f"odom_rate={rate}"]) == 0
+    assert capsys.readouterr().out.startswith("vb-amcckf: 0 corrections, dropped=0")
+
+
+def test_a_vb_window_too_long_to_buffer_exits_2(capsys):
+    assert main(["fuse", "--scenario", "hover", "--set", "duration=1",
+                 "--filter", "vb-amcckf", "--set", "window=100000000"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "window must lie in [1, 10000]" in err
+
+
 def test_odometry_faster_than_the_imu_exits_2(tmp_path, capsys):
     assert main(["simulate", "--scenario", "hover", "--out", str(tmp_path / "x"),
                  "--set", "imu_rate=100", "--set", "odom_rate=200"]) == 2
@@ -459,6 +473,14 @@ def test_bench_exits_2_on_bad_windows_or_repeats(capsys):
     assert "configuration error" in err and "repeats" in err
     assert main(base + ["--windows", ","]) == 2  # an empty table is no result
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_bench_exits_2_on_a_stream_without_odometry(capsys):
+    assert main(["bench", "--scenario", "hover", "--filters", "ekf",
+                 "--set", "duration=1.0", "--set", "odom_rate=1e-5"]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and "no odometry" in captured.err
+    assert captured.out == ""
 
 
 def test_simulate_outputs_are_deterministic(tmp_path):

@@ -162,6 +162,17 @@ def test_odometry_lands_on_the_imu_grid_and_is_never_faster(rate):
     assert [truth.index_at(e.time) for e in odo] == list(range(3, 301, 3))
 
 
+@pytest.mark.parametrize("rate", [1e-17, 1e-320])
+def test_a_stride_past_the_grid_samples_no_odometry(rate):
+    """round(100 / 1e-17) overflows an int64 index and 100 / 1e-320 is infinite.
+
+    Either stride lies past the grid's end, as that of 1e-5 Hz does: no sample.
+    """
+    spec = scenario(duration=1.0, sensors=[SensorSpec("odo0", rate=rate)])
+    events = sample_sensors(generate_truth(spec), spec)
+    assert len(events) == 100 and all(isinstance(e, ImuSample) for e in events)
+
+
 def test_jump_frequency_matches_probability():
     spec = scenario(duration=100.0, gaussian_std=0.01, jump_probability=0.05,
                     jump_magnitude=50.0, jump_duration=1)
