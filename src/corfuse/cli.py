@@ -25,7 +25,8 @@ from typing import Optional
 from .dataset import write_events, write_truth
 from .errors import ConfigError, DataError, PropagationError
 from .eskf import VARIANTS
-from .experiments import RunConfig, bench, compare, load_stream, run_experiment, write_json
+from .experiments import (RunConfig, bench, compare, load_stream, make_out_dir, run_experiment,
+                          write_json)
 from .sim import TRAJECTORIES
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True,
@@ -42,11 +43,14 @@ def _split(text: str, error: str) -> tuple[str, str]:
 
 def load_config_file(path: str) -> dict[str, str]:
     """Parse a key = value config file; '#' starts a comment."""
-    file = Path(path)
-    if not file.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     entries: dict[str, str] = {}
-    for line_num, raw in enumerate(file.read_text().splitlines(), start=1):
+    for line_num, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             key, value = _split(line, f"line {line_num} of {path} is not 'key = value': {raw!r}")
@@ -123,8 +127,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError("simulate requires --out")
     config.dataset = None
     events, truth, _, _ = load_stream(config)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(config.out)
     write_events(out_dir / "dataset.csv", events)
     write_truth(out_dir / "truth.csv", truth)
     print(f"wrote {len(events)} events to {out_dir / 'dataset.csv'}")

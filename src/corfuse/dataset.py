@@ -138,34 +138,38 @@ def read_chunks(path: Union[str, Path], header: list[str]
     """Yield the row numbers and cells (a 2-D object array of str) of the
     non-blank rows after ``header``, up to ``CHUNK`` rows at a time.
 
-    DataError for a missing file, another header or a row of another
-    length; the rows ahead of such a row are yielded first.
+    DataError for a missing or unreadable file (a directory, text that is
+    not UTF-8), another header or a row of another length; the rows ahead
+    of such a row are yielded first.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or [h.strip() for h in first] != header:
-            raise DataError(f"{path} does not start with the header {','.join(header)}")
-        nums: list[int] = []
-        rows: list[list[str]] = []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                if rows:
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None or [h.strip() for h in first] != header:
+                raise DataError(f"{path} does not start with the header {','.join(header)}")
+            nums: list[int] = []
+            rows: list[list[str]] = []
+            for row_num, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    if rows:
+                        yield nums, np.array(rows, dtype=object)
+                    raise DataError(f"row {row_num} of {path} has {len(row)} fields, "
+                                    f"expected {len(header)}")
+                nums.append(row_num)
+                rows.append(row)
+                if len(rows) == CHUNK:
                     yield nums, np.array(rows, dtype=object)
-                raise DataError(f"row {row_num} of {path} has {len(row)} fields, "
-                                f"expected {len(header)}")
-            nums.append(row_num)
-            rows.append(row)
-            if len(rows) == CHUNK:
+                    nums, rows = [], []
+            if rows:
                 yield nums, np.array(rows, dtype=object)
-                nums, rows = [], []
-        if rows:
-            yield nums, np.array(rows, dtype=object)
+    except FileNotFoundError:
+        raise DataError(f"file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
 
 
 def _floats(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

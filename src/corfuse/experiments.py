@@ -24,9 +24,14 @@ from .eskf import (
     filter_setting_problems,
 )
 from .linalg import spd_solve
-from .sim import (TRAJECTORIES, NoiseSpec, ScenarioSpec, SensorSpec, TruthTrajectory,
-                  generate_truth, imu_grid_problems, sample_sensors)
+from .sim import (NoiseSpec, ScenarioSpec, SensorSpec, TruthTrajectory, generate_truth,
+                  sample_sensors, scenario_problems)
 from .so3 import quat_relative_floats, quat_to_rotvec
+
+# The most odometry sensors a scenario may have.  Validation builds the
+# scenario, about 300 bytes and 10 us a sensor, so a mistyped count is
+# refused before it can hold gigabytes; the fused scenarios use one to three.
+MAX_SENSORS = 1_000
 
 
 @dataclass
@@ -86,43 +91,15 @@ class RunConfig:
             problems.append("exactly one of scenario or dataset must be set")
         if self.truth is not None and self.dataset is None:
             problems.append("truth needs a dataset; a scenario is scored against its own truth")
-        if self.scenario is not None and self.scenario not in TRAJECTORIES:
-            problems.append(f"scenario must be one of {tuple(TRAJECTORIES)}, got '{self.scenario}'")
         if self.scenario is not None:
-            if self.seed < 0:
-                problems.append(f"seed must be non-negative, got {self.seed}")
-            if not all(0.0 < v < math.inf for v in (self.duration, self.imu_rate,
-                                                     self.odom_rate)):
-                problems.append("duration and rates must be positive and finite")
+            if not 1 <= self.sensors <= MAX_SENSORS:
+                problems.append(f"sensors must lie in [1, {MAX_SENSORS}], got {self.sensors}")
             else:
-                problems.extend(imu_grid_problems(self.duration, self.imu_rate))
-                if self.odom_rate > self.imu_rate:
-                    problems.append(f"odom_rate {self.odom_rate} must not exceed imu_rate "
-                                    f"{self.imu_rate}: odometry lands on the IMU grid")
-            for name in ("jump_magnitude", "drift_rate", "drift_start"):
-                if not math.isfinite(getattr(self, name)):
-                    problems.append(f"{name} must be finite, got {getattr(self, name)}")
-            if not self.drift_duration >= 0.0:
-                problems.append(f"drift_duration must be non-negative, got {self.drift_duration}")
-            if not 0.0 <= self.jump_probability <= 1.0:
-                problems.append(f"jump_probability must lie in [0, 1], "
-                                f"got {self.jump_probability}")
-            if self.jump_duration < 1:
-                problems.append(f"jump_duration must be >= 1, got {self.jump_duration}")
-            for name in ("noise_std", "imu_accel_std", "imu_gyro_std"):
-                if not 0.0 <= getattr(self, name) < math.inf:
-                    problems.append(f"{name} must be non-negative and finite, "
-                                    f"got {getattr(self, name)}")
-            # The orientation noise is a rotation vector of three normal draws
-            # (each under 14 in size) times noise_std, whose norm is taken
-            # through its square: past about 5e152 that square can overflow.
-            if 1e150 < self.noise_std < math.inf:
-                problems.append(f"noise_std must be at most 1e+150, got {self.noise_std}")
-            if self.sensors < 1:
-                problems.append("at least one odometry sensor is required")
-            elif self.faulty_sensor not in (None, *(f"odom{i}" for i in range(self.sensors))):
-                problems.append(f"faulty_sensor must name a sensor odom0 to "
-                                f"odom{self.sensors - 1}, got '{self.faulty_sensor}'")
+                scenario = build_scenario(self)
+                if self.faulty_sensor not in (None, *(s.sensor_id for s in scenario.sensors)):
+                    problems.append(f"faulty_sensor must name a sensor odom0 to "
+                                    f"odom{self.sensors - 1}, got '{self.faulty_sensor}'")
+                problems += scenario_problems(scenario)
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -325,17 +302,25 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     metrics.dropped = dict(engine.dropped)
 
     if config.out:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = make_out_dir(config.out)
         dataset_io.write_table(out_dir / "estimates.csv", dataset_io.ESTIMATE_HEADER, estimates)
         write_json(out_dir / "metrics.json", dataclasses.asdict(metrics))
 
     return ExperimentResult(metrics=metrics, estimates=estimates, engine=engine)
 
 
+def make_out_dir(out: str | Path) -> Path:
+    """The output directory ``out``, made if missing; ConfigError if it cannot be."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc}") from None
+    return Path(out)
+
+
 def write_json(path: Path, data: object) -> None:
     """Write ``data`` as indented, key-sorted JSON ending in a newline."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_out_dir(path.parent)
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

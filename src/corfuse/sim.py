@@ -23,11 +23,15 @@ so the waypoint polynomials take each power of the phase through a
 ``math.pow`` map and combine the powers as arrays.
 ``tests/test_sim.py`` keeps the per-point loops and checks the bits.
 
-Odometry corruption is layered: Gaussian noise per channel, optional
-Bernoulli-triggered jumps held for a fixed number of steps, and an
-optional linear position drift confined to a time window (a cheap model
-of a visual tracker diverging).  Each sensor's samples are built in a few
-array passes that give the bits of a per-sample loop:
+Odometry corruption is layered: Gaussian noise of one std on every
+channel, optional Bernoulli-triggered jumps held for a fixed number of
+steps, and an optional linear position drift, one rate on every position
+channel, confined to a time window (a cheap model of a visual tracker
+diverging).  ``scenario_problems`` is the one list of what makes a
+scenario unusable: ``generate_truth`` and ``sample_sensors`` raise
+ValueError from it, and ``corfuse`` reports it with the same messages.
+Each sensor's samples are built in a few array passes that give the bits
+of a per-sample loop:
 
 - the generator is called as the loop calls it: one ``random(n)`` for the
   triggers, then ``standard_normal((k, 9))`` blocks between triggers, which
@@ -56,7 +60,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -72,39 +76,15 @@ MAX_IMU_STEPS = 10**9
 
 @dataclass
 class NoiseSpec:
-    """Corruption model for one odometry stream."""
+    """Corruption model for one odometry stream; ``scenario_problems`` bounds each field."""
 
-    gaussian_std: Union[float, np.ndarray] = 0.1
+    gaussian_std: float = 0.1       # every channel
     jump_probability: float = 0.0
     jump_magnitude: float = 0.0     # multiples of the channel std
     jump_duration: int = 1          # odometry steps each jump is held
-    drift_rate: Union[float, np.ndarray] = 0.0  # m/s on position channels
+    drift_rate: float = 0.0         # m/s on each position channel
     drift_start: float = 0.0
     drift_duration: float = math.inf
-
-    def std_vector(self) -> np.ndarray:
-        """The nine channel stds; ValueError unless each is non-negative and finite."""
-        out = _channels(self.gaussian_std, ODOM_CHANNELS, "gaussian_std")
-        if not np.all((out >= 0.0) & (out < math.inf)):  # NaN fails too
-            raise ValueError(f"gaussian_std must be non-negative and finite, got {out}")
-        return out
-
-    def drift_vector(self) -> np.ndarray:
-        """The three position drift rates; ValueError unless each is finite."""
-        out = _channels(self.drift_rate, 3, "drift_rate")
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"drift_rate must be finite, got {out}")
-        return out
-
-
-def _channels(value: Union[float, np.ndarray], size: int, name: str) -> np.ndarray:
-    """A scalar repeated over ``size`` channels, or the ``size`` entries given."""
-    if np.isscalar(value):
-        return np.full(size, float(value))
-    out = np.asarray(value, dtype=float)
-    if out.shape != (size,):
-        raise ValueError(f"{name} must be scalar or length-{size}")
-    return out
 
 
 @dataclass
@@ -274,8 +254,6 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 def _quats_from_rotvecs(v: np.ndarray) -> np.ndarray:
     """``quat_from_rotvec`` on each row of an (N, 3) array."""
     angle = _row_norms(v)
-    if np.isinf(angle).any():  # math.sin refuses it in quat_from_rotvec
-        raise ValueError("rotation vector norm overflows")
     out = np.empty((len(v), 4))
     small = angle < SMALL_ANGLE
     big = ~small
@@ -321,18 +299,55 @@ def imu_grid_problems(duration: float, imu_rate: float) -> list[str]:
     return problems
 
 
+def scenario_problems(spec: ScenarioSpec) -> list[str]:
+    """What makes ``spec`` unusable, one message each; empty if nothing does.
+
+    ``generate_truth`` and ``sample_sensors`` raise ValueError from this
+    list, and ``RunConfig.validate`` reports it.  A message names the
+    ``corfuse`` config key: ``scenario`` for the kind, ``odom_rate`` for a
+    sensor's rate and ``noise_std`` for its ``gaussian_std``.  Sensors with
+    the same problem share one message.
+    """
+    problems = imu_grid_problems(spec.duration, spec.imu_rate)
+    if spec.kind not in TRAJECTORIES:
+        problems.insert(0, f"scenario must be one of {tuple(TRAJECTORIES)}, got '{spec.kind}'")
+    if spec.seed < 0:
+        problems.append(f"seed must be non-negative, got {spec.seed}")
+    stds = [("imu_accel_std", spec.imu_accel_std), ("imu_gyro_std", spec.imu_gyro_std)]
+    for sensor in spec.sensors:
+        noise = sensor.noise
+        if not sensor.rate > 0.0:  # NaN fails too
+            problems.append(f"odom_rate must be positive, got {sensor.rate}")
+        elif sensor.rate > spec.imu_rate:
+            problems.append(f"odom_rate {sensor.rate} must not exceed imu_rate "
+                            f"{spec.imu_rate}: odometry lands on the IMU grid")
+        stds.append(("noise_std", noise.gaussian_std))
+        # The orientation noise is a rotation vector of three normal draws
+        # (each under 14 in size) times the std, whose norm is taken
+        # through its square: past about 5e152 that square can overflow.
+        if 1e150 < noise.gaussian_std < math.inf:
+            problems.append(f"noise_std must be at most 1e+150, got {noise.gaussian_std}")
+        problems += [f"{name} must be finite, got {getattr(noise, name)}"
+                     for name in ("jump_magnitude", "drift_rate", "drift_start")
+                     if not math.isfinite(getattr(noise, name))]
+        if not noise.drift_duration >= 0.0:
+            problems.append(f"drift_duration must be non-negative, got {noise.drift_duration}")
+        if not 0.0 <= noise.jump_probability <= 1.0:
+            problems.append(f"jump_probability must lie in [0, 1], got {noise.jump_probability}")
+        if noise.jump_duration < 1:
+            problems.append(f"jump_duration must be >= 1, got {noise.jump_duration}")
+    problems += [f"{name} must be non-negative and finite, got {value}"
+                 for name, value in stds if not 0.0 <= value < math.inf]
+    return list(dict.fromkeys(problems))
+
+
 def generate_truth(spec: ScenarioSpec) -> TruthTrajectory:
     """Evaluate the scenario's analytic trajectory on the IMU grid, all rows at once.
 
-    Raises ValueError for an unknown kind, a duration and IMU rate that
-    ``imu_grid_problems`` refuses, or waypoints that are not a finite
-    (n >= 2, 3) array.
+    Raises ValueError for what ``scenario_problems`` refuses, or waypoints
+    that are not a finite (n >= 2, 3) array.
     """
-    if spec.kind not in TRAJECTORIES:
-        raise ValueError(
-            f"unknown trajectory kind '{spec.kind}'; expected one of {sorted(TRAJECTORIES)}")
-    problems = imu_grid_problems(spec.duration, spec.imu_rate)
-    if problems:
+    if problems := scenario_problems(spec):
         raise ValueError("; ".join(problems))
     dt = 1.0 / spec.imu_rate
     steps = int(round(spec.duration * spec.imu_rate))
@@ -358,7 +373,7 @@ def _sample_odometry(truth: TruthTrajectory, sensor: SensorSpec,
     indices = np.arange(stride, len(truth), stride)
     n = len(indices)
     noise = sensor.noise
-    std = noise.std_vector()
+    std = noise.gaussian_std
     times = truth.times[indices]
 
     # The draws of a per-sample loop, in its order: the triggers, then nine
@@ -377,15 +392,15 @@ def _sample_odometry(truth: TruthTrajectory, sensor: SensorSpec,
     # Each jump holds for jump_duration samples; a later trigger overwrites
     # the rest of an earlier one's hold.
     offset = np.zeros((n, 6))  # position(3) + velocity(3) jump
-    jumps = noise.jump_magnitude * np.concatenate([std[0:3], std[6:9]]) * (signs * 2 - 1)
+    jumps = noise.jump_magnitude * std * (signs * 2 - 1)
     for index, jump in zip(triggers, jumps):
-        offset[index:index + max(noise.jump_duration, 0)] = jump
+        offset[index:index + noise.jump_duration] = jump
 
     # The drift after each sample: a running sum, from zero, of one step
     # per sample inside the window, held once the window closes.
     inside = (noise.drift_start <= times) & (times < noise.drift_start + noise.drift_duration)
     steps = np.zeros((np.count_nonzero(inside) + 1, 3))
-    steps[1:] = noise.drift_vector() * (stride * truth.dt)
+    steps[1:] = noise.drift_rate * (stride * truth.dt)
 
     position = truth.positions[indices] + gauss[:, 0:3]
     position += offset[:, 0:3]
@@ -403,14 +418,11 @@ def sample_sensors(truth: TruthTrajectory, spec: ScenarioSpec) -> list[Event]:
 
     Deterministic: the same (truth, spec) pair yields a bitwise-identical
     stream.  Each sensor gets its own generator, seeded from the scenario
-    seed and the sensor's position in the list.  Raises ValueError for a
-    sensor rate that is not positive or is above the IMU rate, which the
-    IMU grid cannot carry.
+    seed and the sensor's position in the list.  Raises ValueError for what
+    ``scenario_problems`` refuses.
     """
-    for sensor in spec.sensors:
-        if not 0.0 < sensor.rate <= spec.imu_rate:
-            raise ValueError(f"sensor '{sensor.sensor_id}' rate {sensor.rate} Hz must be "
-                             f"positive and at most the IMU rate {spec.imu_rate} Hz")
+    if problems := scenario_problems(spec):
+        raise ValueError("; ".join(problems))
     # One draw in the order of a per-step accel(3) then gyro(3) draw.  Each
     # sample's vectors are rows of one array per channel.
     noise = np.random.default_rng([spec.seed, 0]).standard_normal((len(truth) - 1, 2, 3))

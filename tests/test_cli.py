@@ -311,6 +311,36 @@ def simulate_hover(out, duration, sensors):
     return out / "dataset.csv", out / "truth.csv"
 
 
+@pytest.mark.parametrize("command,flag,content,code,error", [
+    ("fuse", "--config", None, 2, "configuration error: cannot read config file"),
+    ("fuse", "--config", b"scenario = \xff\n", 2, "configuration error: cannot read config file"),
+    ("fuse", "--dataset", None, 3, "data error: cannot read"),
+    ("fuse", "--dataset", b"\xfftime_s\n", 3, "data error: cannot read"),
+    ("fuse", "--truth", None, 3, "data error: cannot read"),
+    ("fuse", "--truth", b"time_s,\xff\n", 3, "data error: cannot read"),
+    ("fuse", "--out", b"", 2, "configuration error: cannot make output directory"),
+    ("simulate", "--out", b"", 2, "configuration error: cannot make output directory"),
+], ids=["config-directory", "config-not-utf8", "dataset-directory", "dataset-not-utf8",
+        "truth-directory", "truth-not-utf8", "fuse-out-file", "simulate-out-file"])
+def test_a_path_that_cannot_be_read_or_made_exits_with_its_code(command, flag, content, code,
+                                                                error, tmp_path, capsys):
+    """A directory (content None) or a file of the bytes given, named where it cannot serve."""
+    path = tmp_path / "given"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    argv = [command, flag, str(path), "--set", "duration=1"]
+    if flag == "--truth":
+        argv += ["--dataset", str(simulate_hover(tmp_path / "sim", 1.0, 1)[0])]
+    elif flag != "--dataset":
+        argv += ["--scenario", "hover"]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(error) and str(path) in err and "Traceback" not in err
+
+
 def fuse_metrics(dataset, truth, out, variant):
     assert main(["fuse", "--dataset", str(dataset), "--truth", str(truth),
                  "--filter", variant, "--out", str(out)]) == 0

@@ -13,7 +13,7 @@ from corfuse import dataset as dataset_io
 from corfuse import experiments
 from corfuse.errors import ConfigError, DataError
 from corfuse.eskf import EngineConfig, ImuSample, OdometrySample
-from corfuse.experiments import (RunConfig, bench, build_engine, build_scenario,
+from corfuse.experiments import (MAX_SENSORS, RunConfig, bench, build_engine, build_scenario,
                                  compare, load_stream, run_experiment)
 from corfuse.sim import TruthTrajectory, generate_truth, sample_sensors
 
@@ -33,7 +33,7 @@ def test_validate_accepts_reasonable_config():
     quick_config().validate()
 
 
-@pytest.mark.parametrize("field,value,fragment", [
+REJECTED = [
     ("filter", "ukf", "filter"),
     ("window", 0, "window"),
     ("rho", 0.5, "rho"),
@@ -60,8 +60,8 @@ def test_validate_accepts_reasonable_config():
     ("p0", math.nan, "p0"),
     ("p0", math.inf, "p0"),
     ("duration", math.nan, "duration"),
-    ("imu_rate", math.inf, "rates"),
-    ("odom_rate", math.nan, "rates"),
+    ("imu_rate", math.inf, "imu_rate"),
+    ("odom_rate", math.nan, "odom_rate"),
     ("jump_magnitude", math.nan, "jump_magnitude"),
     ("drift_rate", math.nan, "drift_rate"),
     ("drift_start", math.inf, "drift_start"),
@@ -75,11 +75,54 @@ def test_validate_accepts_reasonable_config():
     ("sigma_max", 1e200, "2 sigma_max"),
     ("window", 10_001, "window must lie in"),
     ("window", 100_000_000, "window"),
-])
+    ("noise_std", 1e200, r"noise_std must be at most 1e\+150"),
+    ("odom_rate", 200.0, "odom_rate 200.0 must not exceed imu_rate"),
+]
+
+
+@pytest.mark.parametrize("field,value,fragment", REJECTED)
 def test_validate_rejects_bad_values(field, value, fragment):
     config = quick_config(**{field: value})
     with pytest.raises(ConfigError, match=fragment):
         config.validate()
+
+
+# The RunConfig keys that build_scenario passes on to the scenario.
+SCENARIO_KEYS = {"scenario", "seed", "duration", "imu_rate", "odom_rate", "noise_std",
+                 "imu_accel_std", "imu_gyro_std", "jump_probability", "jump_magnitude",
+                 "jump_duration", "drift_rate", "drift_start", "drift_duration"}
+# generate_truth and sample_sensors once built a stream from each of these.
+ONCE_SAMPLED = [("jump_probability", 1.5), ("jump_probability", -1.0), ("jump_duration", 0),
+                ("jump_magnitude", math.nan), ("drift_start", math.inf),
+                ("drift_duration", -1.0), ("drift_duration", math.nan),
+                ("imu_accel_std", -1.0), ("imu_gyro_std", math.nan)]
+
+
+@pytest.mark.parametrize("field,value", list({
+    (field, str(value)): (field, value) for field, value in
+    [(field, value) for field, value, _ in REJECTED if field in SCENARIO_KEYS] + ONCE_SAMPLED
+}.values()))
+def test_sim_refuses_a_scenario_with_the_message_validate_reports(field, value):
+    config = quick_config(sensors=2, **{field: value})
+    with pytest.raises(ConfigError) as refused:
+        config.validate()
+    scenario = build_scenario(config)
+    truth = generate_truth(build_scenario(quick_config()))
+    for build in (lambda: generate_truth(scenario), lambda: sample_sensors(truth, scenario)):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == str(refused.value)
+
+
+def test_a_sensor_count_past_the_bound_is_refused_before_anything_is_built(monkeypatch):
+    def build(config):
+        raise AssertionError("build_scenario called")
+
+    monkeypatch.setattr(experiments, "build_scenario", build)
+    for count in (MAX_SENSORS + 1, 10**9, 0, -5):
+        with pytest.raises(ConfigError, match=rf"sensors must lie in \[1, {MAX_SENSORS}\], "
+                                              f"got {count}"):
+            quick_config(sensors=count).validate()
 
 
 def test_validate_refuses_odometry_faster_than_the_imu():

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from corfuse import sim
 from corfuse.eskf import GRAVITY, ImuSample, OdometrySample, propagate_nominal
 from corfuse.sim import (NoiseSpec, ScenarioSpec, SensorSpec, TruthTrajectory,
-                         generate_truth, sample_sensors)
+                         generate_truth, sample_sensors, scenario_problems)
 from corfuse.so3 import (quat_conjugate, quat_from_rotvec, quat_multiply, quat_to_rotmat,
                          quat_to_rotvec, rotation_angle)
 
@@ -150,12 +151,12 @@ def test_odometry_lands_on_the_imu_grid_and_is_never_faster(rate):
     A rate above the IMU's, or one that is not positive, is refused rather
     than sampled at the IMU rate (or divided by).
     """
-    spec = scenario(duration=3.0, sensors=[SensorSpec("odo0", rate=30.0),
-                                           SensorSpec("bad", rate=rate)])
+    spec = scenario(duration=3.0, sensors=[SensorSpec("odo0", rate=30.0)])
     truth = generate_truth(spec)
-    with pytest.raises(ValueError, match=f"'bad' rate {rate} Hz must be positive and at most "
-                                         "the IMU rate 100.0 Hz"):
-        sample_sensors(truth, spec)
+    spec.sensors.append(SensorSpec("bad", rate=rate))
+    message = (f"odom_rate {rate} must not exceed imu_rate 100.0: odometry lands on the IMU grid"
+               if rate > 0.0 else f"odom_rate must be positive, got {rate}")
+    assert refusal(spec, truth) == message
     spec.sensors.pop()
     odo = [e for e in sample_sensors(truth, spec) if isinstance(e, OdometrySample)]
     assert len(odo) == 100
@@ -220,28 +221,52 @@ def test_per_sensor_streams_are_independent():
     assert not np.allclose(a, b)
 
 
+def refusal(spec, truth):
+    """The message that both generate_truth(spec) and sample_sensors(truth, spec) raise."""
+    with pytest.raises(ValueError) as from_truth:
+        generate_truth(spec)
+    with pytest.raises(ValueError) as from_sampler:
+        sample_sensors(truth, spec)
+    assert str(from_truth.value) == str(from_sampler.value)
+    return str(from_truth.value)
+
+
 def test_noise_spec_validation():
-    with pytest.raises(ValueError, match="length-9"):
-        NoiseSpec(gaussian_std=np.ones(4)).std_vector()
-    with pytest.raises(ValueError, match="length-3"):
-        NoiseSpec(drift_rate=np.ones(2)).drift_vector()
-    np.testing.assert_allclose(NoiseSpec(gaussian_std=0.2).std_vector(),
-                               np.full(9, 0.2))
-    # A negative drift rate is a direction, not an error.
-    np.testing.assert_array_equal(NoiseSpec(drift_rate=-0.1).drift_vector(), np.full(3, -0.1))
+    """Each noise field is one number for every channel; a negative drift is a direction."""
+    spec = scenario(gaussian_std=0.2, drift_rate=-0.1, drift_start=1.0, drift_duration=0.0)
+    assert scenario_problems(spec) == []
+    spec.sensors[0].noise.jump_duration = 0
+    assert refusal(spec, generate_truth(scenario())) == "jump_duration must be >= 1, got 0"
 
 
-@pytest.mark.parametrize("std", [-0.1, math.inf, math.nan,
-                                 np.r_[np.full(8, 0.1), -1e-9], np.r_[np.zeros(8), math.inf]])
+@pytest.mark.parametrize("std", [-0.1, math.inf, math.nan, -5e-324])
 def test_noise_spec_refuses_a_negative_or_non_finite_std(std):
-    with pytest.raises(ValueError, match="gaussian_std must be non-negative and finite"):
-        NoiseSpec(gaussian_std=std).std_vector()
+    assert refusal(scenario(gaussian_std=std), generate_truth(scenario())) == (
+        f"noise_std must be non-negative and finite, got {std}")
 
 
-@pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan, np.array([0.1, math.nan, 0.0])])
+@pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
 def test_noise_spec_refuses_a_non_finite_drift(rate):
-    with pytest.raises(ValueError, match="drift_rate must be finite"):
-        NoiseSpec(drift_rate=rate).drift_vector()
+    assert refusal(scenario(drift_rate=rate), generate_truth(scenario())) == (
+        f"drift_rate must be finite, got {rate}")
+
+
+def test_sensors_with_one_problem_share_its_message():
+    spec = scenario(sensors=[SensorSpec(f"odo{i}", rate=10.0, noise=NoiseSpec(
+        gaussian_std=-1.0, jump_probability=2.0 if i else 0.5)) for i in range(3)])
+    assert scenario_problems(spec) == ["jump_probability must lie in [0, 1], got 2.0",
+                                       "noise_std must be non-negative and finite, got -1.0"]
+
+
+def test_scenario_problems_lists_every_problem():
+    spec = ScenarioSpec(kind="spiral", duration=-1.0, imu_gyro_std=math.nan, seed=-2,
+                        sensors=[SensorSpec("odo0", rate=0.0)])
+    assert scenario_problems(spec) == [
+        "scenario must be one of ('hover', 'waypoints', 'figure8'), got 'spiral'",
+        "duration must be positive and finite, got -1.0",
+        "seed must be non-negative, got -2",
+        "odom_rate must be positive, got 0.0",
+        "imu_gyro_std must be non-negative and finite, got nan"]
 
 
 # -- reference: the per-point and per-sample evaluation that generate_truth and
@@ -312,8 +337,8 @@ def reference_odometry(truth, sensor, imu_rate, rng):
     stride = max(1, int(round(imu_rate / sensor.rate)))
     indices = np.arange(stride, len(truth), stride)
     noise = sensor.noise
-    std = noise.std_vector()
-    drift_rate = noise.drift_vector()
+    std = np.full(9, noise.gaussian_std)
+    drift_rate = np.full(3, noise.drift_rate)
     dt_odom = stride * truth.dt
 
     triggers = rng.random(len(indices)) < noise.jump_probability
@@ -425,11 +450,11 @@ def first_and_last_trigger_seed(probability, samples):
     NoiseSpec(gaussian_std=0.05, jump_probability=0.4, jump_magnitude=10.0, jump_duration=4),
     NoiseSpec(gaussian_std=0.05, jump_probability=1.0, jump_magnitude=5.0, jump_duration=2),
     NoiseSpec(gaussian_std=0.0, jump_probability=0.2, jump_magnitude=3.0),
-    NoiseSpec(gaussian_std=np.array([0.1, 0.2, 0.3, 0.0, 0.0, 0.0, 0.05, 0.0, 0.07]),
-              jump_probability=0.2, jump_magnitude=4.0, jump_duration=3),
-    NoiseSpec(gaussian_std=0.02, drift_rate=np.array([0.1, -0.05, 0.0])),
+    # Rotation noise of about 1e-10 rad takes the series branch below SMALL_ANGLE.
+    NoiseSpec(gaussian_std=1e-10, jump_probability=0.2, jump_magnitude=4.0, jump_duration=3),
+    NoiseSpec(gaussian_std=0.02, drift_rate=0.1),
     NoiseSpec(gaussian_std=0.02, drift_rate=-0.3, drift_start=1.05, drift_duration=0.6),
-], ids=["overlapping-holds", "always-jumping", "noise-free", "zero-rotation-channels",
+], ids=["overlapping-holds", "always-jumping", "noise-free", "series-branch-rotation-noise",
         "drift-from-zero-forever", "drift-window"])
 def test_odometry_sampler_is_bitwise_equal_to_the_per_sample_loop(noise):
     spec = ScenarioSpec(kind="figure8", duration=4.0, seed=3,
@@ -439,17 +464,29 @@ def test_odometry_sampler_is_bitwise_equal_to_the_per_sample_loop(noise):
 
 
 def test_orientation_noise_whose_norm_overflows_is_refused_as_by_the_loop():
+    """The std bound refuses what would overflow the loop's rotation-vector norm."""
     spec = ScenarioSpec(kind="hover", duration=1.0, sensors=[
         SensorSpec("odo0", rate=10.0, noise=NoiseSpec(gaussian_std=1e200))])
-    truth = generate_truth(spec)
-    # Both norms warn of the overflow first.
-    with (pytest.raises(ValueError, match="rotation vector norm overflows"),
-          pytest.warns(RuntimeWarning, match="overflow encountered in matmul")):
-        sample_sensors(truth, spec)
-    assert gc.isenabled()  # restored after the raise with the collector paused
+    truth = generate_truth(ScenarioSpec(kind="hover", duration=1.0))
+    assert refusal(spec, truth) == "noise_std must be at most 1e+150, got 1e+200"
     with (pytest.raises(ValueError, match="math domain error"),
           pytest.warns(RuntimeWarning, match="overflow encountered in dot")):
         reference_events(truth, spec)
+    spec.sensors[0].noise.gaussian_std = 1e150  # the largest std allowed samples
+    assert all(np.isfinite(e.orientation).all() for e in sample_sensors(truth, spec)
+               if isinstance(e, OdometrySample))
+
+
+def test_a_raise_with_the_collector_paused_restores_it(monkeypatch):
+    def fail(*args):
+        assert not gc.isenabled()
+        raise RuntimeError("sampling failed")
+
+    monkeypatch.setattr(sim, "_sample_odometry", fail)
+    spec = scenario(duration=1.0)
+    with pytest.raises(RuntimeError, match="sampling failed"):
+        sample_sensors(generate_truth(spec), spec)
+    assert gc.isenabled()
 
 
 def test_waypoint_segments_ending_on_the_grid_reach_each_waypoint_at_rest():

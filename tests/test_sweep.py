@@ -71,3 +71,18 @@ def test_set_flag_rejects_own_flags_unknown_keys_and_bad_values(sweep, item, cap
         sweep.main(["--seeds", "1", "--set", item])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("item", ["odom_rate=200", "jump_probability=2"])
+def test_a_set_item_that_makes_any_run_invalid_exits_2_before_the_first_run(
+        sweep, item, monkeypatch, capsys):
+    """odom_rate=200 suits imu_dense's 400 Hz IMU but not the other two workloads."""
+    def run(config):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(sweep, "run_experiment", run)
+    with pytest.raises(SystemExit) as exc:
+        sweep.main(["--seeds", "1-2", "--set", item])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and item.partition("=")[0] in err

@@ -23,8 +23,10 @@ are echoed under ``"set"`` in each workload's entry:
     python tools/sweep.py --seeds 1-20 --variant akf --variant vb-amcckf --set r0=4e-4
 
 ``filter``, ``seed`` and ``duration`` have their own flags and cannot be
-set.  Everything runs in one process; seeds 1-20 over the three workloads
-and five variants take about 18 minutes on one core.
+set.  Every run's settings are validated before the first run, so a bad
+``--set`` exits 2 before any work is done.  Everything runs in one
+process; seeds 1-20 over the three workloads and five variants take about
+18 minutes on one core.
 """
 from __future__ import annotations
 
@@ -64,13 +66,18 @@ def _spread(values: list[float]) -> Optional[dict[str, float]]:
             "max": _round(max(values))}
 
 
+def run_config(settings: dict, duration: float, variant: str, seed: int,
+               entries: Optional[dict[str, str]] = None) -> RunConfig:
+    """A workload's settings for one run, with ``--set`` style ``entries`` applied."""
+    config = RunConfig(**{**settings, "filter": variant, "seed": seed, "duration": duration})
+    return apply_entries(config, entries or {})
+
+
 def sweep_variant(settings: dict, duration: float, variant: str, seeds: list[int],
                   entries: Optional[dict[str, str]] = None) -> dict:
     """Spread of each statistic over ``seeds``, with ``--set`` style ``entries`` applied."""
-    reports = []
-    for seed in seeds:
-        config = RunConfig(**{**settings, "filter": variant, "seed": seed, "duration": duration})
-        reports.append(run_experiment(apply_entries(config, entries or {})).metrics)
+    reports = [run_experiment(run_config(settings, duration, variant, seed, entries)).metrics
+               for seed in seeds]
     out = {name: _spread([getattr(m, field) for m in reports
                           if getattr(m, field) is not None])
            for name, field in STATS}
@@ -98,20 +105,29 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         entries = parse_assignments(args.set)
-        apply_entries(RunConfig(), entries)  # unknown keys and bad values fail here
     except ConfigError as exc:
         parser.error(str(exc))
     for key in entries:
         if key in OWN_FLAGS:
             parser.error(f"--set {key} is not allowed; use {OWN_FLAGS[key]}")
+    names, variants = args.workload or list(WORKLOADS), args.variant or VARIANTS
+    for name in names:
+        workload = WORKLOADS[name]
+        for variant in variants:
+            for seed in args.seeds:
+                try:
+                    run_config(workload.settings, args.duration or workload.duration, variant,
+                               seed, entries).validate()
+                except ConfigError as exc:
+                    parser.error(f"{name} with {variant}: {exc}")
     result = {}
-    for name in args.workload or list(WORKLOADS):
+    for name in names:
         workload = WORKLOADS[name]
         duration = args.duration or workload.duration
         result[name] = {"seeds": f"{args.seeds[0]}-{args.seeds[-1]}", "duration_s": duration}
         if entries:
             result[name]["set"] = entries
-        for variant in args.variant or VARIANTS:
+        for variant in variants:
             result[name][variant] = sweep_variant(workload.settings, duration, variant,
                                                   args.seeds, entries)
     print(json.dumps(result, indent=1))
