@@ -115,6 +115,6 @@ class ResidualNoiseAdapter:
         if sensor_id != self._q_sensor:
             return None, {sensor_id: fresh}
         gain = latest.gain
-        process = floor_diagonal(psd_project(gain @ _mean(self._yy) @ gain.T), DIAG_FLOOR)
+        process = floor_diagonal(psd_project(gain.dot(_mean(self._yy)).dot(gain.T)), DIAG_FLOOR)
         per_step = process / float(np.mean(self._intervals))
         return floor_diagonal(psd_project(per_step), DIAG_FLOOR), {sensor_id: fresh}

@@ -39,8 +39,12 @@ beside the snapshot's correction, residual, weights and step count.  A
 refresh then does the backward pass (``backward_smooth``), O(W) matrix
 products and no solves, which returns the smoothed corrections and
 covariances as two stacked arrays, and both window statistics as NumPy
-over those and the buffers (``window_statistics``), one ascending sum per
-sensor.  The process sum is certified positive definite by a Cholesky
+over those and the buffers (``window_statistics``).  The measurement
+statistic is one ascending sum per sensor, formed in one pass over the
+rows: each sensor's first term row takes its later rows by in-place adds.
+``np.add.reduceat`` would be shorter but, in a probe, did not add in
+ascending order from three rows up, so it would move the estimates' last
+bits.  The process sum is certified positive definite by a Cholesky
 factorization and projected onto the PSD cone only when that fails, so
 ``refresh`` hands out the per-step Q without projecting it again.
 
@@ -178,15 +182,15 @@ class SmootherWindow:
         elif j:
             prev = self.snapshots[-1]
             trans = snapshot.transition
-            gain_t, regularized = spd_solve(record.cov_pred, trans @ prev.record.cov_post)
+            gain_t, regularized = spd_solve(record.cov_pred, trans.dot(prev.record.cov_post))
             if regularized:
                 log.warning("smoother regularized a singular predicted covariance "
                             "from sensor '%s'", snapshot.sensor_id)
             gain = snapshot.gain = gain_t.T
             cond = snapshot.conditional_cov = (prev.record.cov_post
-                                               - gain @ record.cov_pred @ gain.T)
-            self.lifts[row] = self._eye - trans @ gain
-            self.consts[row] = trans @ cond @ trans.T
+                                               - gain.dot(record.cov_pred).dot(gain.T))
+            self.lifts[row] = self._eye - trans.dot(gain)
+            self.consts[row] = trans.dot(cond).dot(trans.T)
         self.deltas[row] = snapshot.delta
         self.residuals[row] = record.residual
         self.weights[row] = record.weights.unweighted
@@ -246,8 +250,8 @@ def backward_smooth(window: SmootherWindow) -> tuple[np.ndarray, np.ndarray]:
             corr = np.add(cur.delta, corr, out=corrections[j - 1])
             covs[j - 1] = cov
             continue
-        corr = corrections[j - 1] = gain @ (cur.delta + corr)
-        cov = covs[j - 1] = gain @ cov @ gain.T + cur.conditional_cov
+        corr = corrections[j - 1] = gain.dot(cur.delta + corr)
+        cov = covs[j - 1] = gain.dot(cov).dot(gain.T) + cur.conditional_cov
     return corrections, 0.5 * (covs + covs.transpose(0, 2, 1))
 
 
@@ -295,11 +299,16 @@ def window_statistics(window: SmootherWindow, corrections: np.ndarray, covs: np.
     live = window.rows
     weighted = window.weights[live] * (window.residuals[live] - corrections)
     terms = weighted[:, :, None] * weighted[:, None, :] + covs
-    rows: dict[str, list[int]] = {}
-    for j, snap in enumerate(snaps):
-        rows.setdefault(snap.sensor_id, []).append(j)
-    measurement = {sid: (symmetrize(_ascending_sum(terms[idx])), len(idx))
-                   for sid, idx in rows.items()}
+    # One pass: each sensor's first term row takes its later rows in place.
+    sums: dict[str, list] = {}
+    for term, snap in zip(terms, snaps):
+        entry = sums.get(snap.sensor_id)
+        if entry is None:
+            sums[snap.sensor_id] = [term, 1]
+        else:
+            entry[0] += term
+            entry[1] += 1
+    measurement = {sid: (symmetrize(total), count) for sid, (total, count) in sums.items()}
 
     steps = window.steps[live]
     moving = np.flatnonzero(steps[1:] > 0.0) + 1
@@ -348,7 +357,7 @@ class VbNoiseAdapter:
 
     def advance(self, trans: np.ndarray, steps: float) -> None:
         """Fold one predict step (transition ``trans``, ``steps`` nominal steps) in."""
-        self._trans = trans @ self._trans
+        self._trans = trans.dot(self._trans)
         self._steps += steps
 
     def correct(self, sensor_id: str, record: InnovationRecord, delta: np.ndarray) -> None:

@@ -126,8 +126,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if config.out is None:
         raise ConfigError("simulate requires --out")
     config.dataset = None
-    events, truth, _, _ = load_stream(config)
+    config.validate()
     out_dir = make_out_dir(config.out)
+    events, truth, _, _ = load_stream(config)
     write_events(out_dir / "dataset.csv", events)
     write_truth(out_dir / "truth.csv", truth)
     print(f"wrote {len(events)} events to {out_dir / 'dataset.csv'}")

@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .eskf import TIME_TOLERANCE, Event, ImuSample, OdometrySample
 from .sim import TruthTrajectory
 
@@ -76,11 +76,19 @@ def _odom_row(sensor_id: str) -> str:
     return f"%r,odom,{quoted},{_cells(9)}\r\n"
 
 
+def open_output(path: Union[str, Path]):
+    """``path`` opened for text, line ends untranslated; ConfigError naming it if it cannot be."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _write(path: Union[str, Path], header: list[str], items: Iterable,
            text: Callable[[list], str]) -> None:
     """Write ``header``, then ``text`` of each run of ``CHUNK`` items."""
     items = iter(items)
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         fh.write(",".join(header) + "\r\n")
         while chunk := list(islice(items, CHUNK)):
             fh.write(text(chunk))

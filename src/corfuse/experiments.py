@@ -237,8 +237,11 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     """Fuse the stream ``load_stream`` gives for one configuration and aggregate metrics.
 
     Output files, when requested, contain no wall-clock data and are
-    therefore bitwise reproducible for a fixed configuration.
+    therefore bitwise reproducible for a fixed configuration.  Their
+    directory is made once the settings are valid, before the stream loads.
     """
+    config.validate()
+    out_dir = make_out_dir(config.out) if config.out else None
     events, truth, sensor_ids, init_state = load_stream(config)
     engine = build_engine(config, sensor_ids)
     engine.initialize(init_state, config.p0)
@@ -291,7 +294,7 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
             ori_err.append(e_q)
             e9 = np.concatenate([e_p, e_v, e_q])  # matches the error-state order
             sol, _ = spd_solve(record.cov_post, e9)
-            nees_vals.append(float(e9 @ sol))
+            nees_vals.append(float(e9.dot(sol)))
 
     if pos_err:
         metrics.rmse_position, metrics.rmse_position_total = _rmse(pos_err)
@@ -301,8 +304,7 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
 
     metrics.dropped = dict(engine.dropped)
 
-    if config.out:
-        out_dir = make_out_dir(config.out)
+    if out_dir is not None:
         dataset_io.write_table(out_dir / "estimates.csv", dataset_io.ESTIMATE_HEADER, estimates)
         write_json(out_dir / "metrics.json", dataclasses.asdict(metrics))
 
@@ -321,20 +323,25 @@ def make_out_dir(out: str | Path) -> Path:
 def write_json(path: Path, data: object) -> None:
     """Write ``data`` as indented, key-sorted JSON ending in a newline."""
     make_out_dir(path.parent)
-    with open(path, "w") as fh:
+    with dataset_io.open_output(path) as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def compare(config: RunConfig, variants: list[str]) -> dict[str, ExperimentResult]:
-    """Run several filter variants on the identical event stream."""
-    results: dict[str, ExperimentResult] = {}
-    for variant in variants:
-        sub = dataclasses.replace(config, filter=variant)
-        if config.out:
-            sub = dataclasses.replace(sub, out=str(Path(config.out) / variant))
-        results[variant] = run_experiment(sub)
-    return results
+    """Run several filter variants on the identical event stream.
+
+    Every variant's settings are checked, and its output directory made,
+    before the first one runs.
+    """
+    subs = {variant: dataclasses.replace(
+        config, filter=variant, out=str(Path(config.out) / variant) if config.out else None)
+        for variant in variants}
+    for sub in subs.values():
+        sub.validate()
+        if sub.out:
+            make_out_dir(sub.out)
+    return {variant: run_experiment(sub) for variant, sub in subs.items()}
 
 
 def bench(config: RunConfig, variants: list[str], windows: list[int],
@@ -345,7 +352,8 @@ def bench(config: RunConfig, variants: list[str], windows: list[int],
     only the odometry events, the corrections, are timed.  Each repeat goes
     round every (variant, window) cell, so a slow spell of the host falls on
     one repeat of several cells, not on every repeat of one.  Host noise
-    only adds time: read a cell as its minimum over the repeats.
+    only adds time: read a cell as its minimum over the repeats.  The
+    output directory ``config.out``, if set, is made before the stream loads.
     """
     if repeats < 1 or not variants or not windows:
         raise ConfigError(f"bench needs variants, window lengths and repeats >= 1, "
@@ -354,6 +362,8 @@ def bench(config: RunConfig, variants: list[str], windows: list[int],
             for variant in variants for window in windows]
     for sub in subs:
         sub.validate()
+    if config.out:
+        make_out_dir(config.out)
     events, _, sensor_ids, init_state = load_stream(subs[0])
     if not any(isinstance(event, OdometrySample) for event in events):
         raise ConfigError("the stream has no odometry event to time")

@@ -48,7 +48,7 @@ def psd_project(a: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(sym)
     if w.min() >= 0.0:
         return sym
-    return symmetrize((v * np.maximum(w, 0.0)) @ v.T)
+    return symmetrize((v * np.maximum(w, 0.0)).dot(v.T))
 
 
 # Smallest diagonal entry of an adapted noise covariance, Q or R.

@@ -484,16 +484,17 @@ def with_signed_zeros(rng, values, share):
     return np.where(rng.random(values.shape) < share, zeros, values)
 
 
-def signed_zero_window(rng, sensors):
+def signed_zero_window(rng, sensors, order=None):
     """A random window of 1-11 pushes and the smoothed pair to pass with it.
 
     The corrections and covariances are unsymmetric, with exact +-0.0
     entries, as are some residuals and weights.  The last sensor's rows are all signed zeros when there are
     several sensors, and a third of the rows otherwise; covariance zero
-    rows are -0.0 throughout.
+    rows are -0.0 throughout.  Given ``order``, a sequence of sensor ids,
+    the window holds exactly one push per id, in that order.
     """
-    window = SmootherWindow(length=5)
-    for _ in range(rng.integers(1, 12)):
+    window = SmootherWindow(length=5 if order is None else len(order))
+    for k in range(rng.integers(1, 12) if order is None else len(order)):
         weights = with_signed_zeros(rng, rng.uniform(0.1, 1.0, 9), 0.3)
         record = InnovationRecord(
             innovation=np.zeros(9),
@@ -503,7 +504,7 @@ def signed_zero_window(rng, sensors):
         window.push(WindowSnapshot(
             record=record, delta=rng.standard_normal(9),
             transition=np.eye(9) + 0.1 * rng.standard_normal((9, 9)),
-            sensor_id=str(rng.choice(list(sensors)))))
+            sensor_id=str(rng.choice(list(sensors))) if order is None else order[k]))
     count = len(window)
     zero_rows = (np.array([snap.sensor_id == sensors[-1] for snap in window.snapshots])
                  if len(sensors) > 1 else rng.random(count) < 1 / 3)
@@ -546,6 +547,31 @@ def test_measurement_sums_are_in_order_python_sums_bit_for_bit():
             np.testing.assert_array_equal(np.signbit(total), np.signbit(want[sid][0]))
             negative_zeros += int((np.signbit(total) & (total == 0.0)).sum())
     assert negative_zeros > 0  # the sign bits are tested on sums that are -0.0
+
+
+@pytest.mark.parametrize("order", [None, "a", "ab", "aab", "abacbba", "baaaaaac", "cabbbbbbbbb",
+                                   "abcabcabcd", "aaaaaaaaaab"])
+def test_one_pass_sums_equal_the_ascending_sum_of_each_sensors_rows(order):
+    """Each sensor's sum is ``_ascending_sum`` over its term rows, byte for byte.
+
+    On random ``signed_zero_window`` windows (``order`` None) and on fixed
+    interleavings: uneven per-sensor counts, and sensors that appear once,
+    first, last or in between.
+    """
+    rng = np.random.default_rng(7 if order is None else len(order))
+    for case in range(12 if order is None else 4):
+        sensors = "abc"[:1 + case % 3] if order is None else "".join(dict.fromkeys(order))
+        window, corrections, covs = signed_zero_window(rng, sensors, order)
+        ids = [snap.sensor_id for snap in window.snapshots]
+        live = window.rows
+        weighted = window.weights[live] * (window.residuals[live] - corrections)
+        terms = weighted[:, :, None] * weighted[:, None, :] + covs
+        got = window_statistics(window, corrections, covs)[2]
+        assert list(got) == list(dict.fromkeys(ids))
+        for sid, (total, count) in got.items():
+            rows = [j for j, other in enumerate(ids) if other == sid]
+            assert count == len(rows)
+            assert total.tobytes() == symmetrize(_ascending_sum(terms[rows])).tobytes()
 
 
 def test_suppressed_channel_contributes_only_covariance_floor():

@@ -341,6 +341,44 @@ def test_a_path_that_cannot_be_read_or_made_exits_with_its_code(command, flag, c
     assert err.startswith(error) and str(path) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["fuse", "compare", "bench", "simulate"])
+def test_an_out_that_names_a_file_exits_2_before_the_stream_loads(command, tmp_path, capsys,
+                                                                    monkeypatch):
+    """Nothing is loaded, fused or printed: the output directory is made first."""
+    def refuse(config):
+        raise AssertionError("the stream was loaded")
+
+    monkeypatch.setattr("corfuse.experiments.load_stream", refuse)
+    monkeypatch.setattr("corfuse.cli.load_stream", refuse)
+    path = tmp_path / "given"
+    path.write_bytes(b"")
+    assert main([command, "--scenario", "hover", "--set", "duration=1",
+                 "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: cannot make output directory")
+    assert str(path) in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command,blocked", [
+    ("fuse", "estimates.csv"), ("fuse", "metrics.json"), ("compare", "ekf/estimates.csv"),
+    ("compare", "comparison.json"), ("bench", "bench.json"), ("simulate", "dataset.csv"),
+    ("simulate", "truth.csv")])
+def test_an_output_file_that_cannot_be_opened_exits_2_with_its_path(command, blocked,
+                                                                    tmp_path, capsys):
+    """A directory where an output file goes is a configuration error, not a traceback."""
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    argv = [command, "--scenario", "hover", "--set", "duration=1", "--set", "sensors=1",
+            "--out", str(out)]
+    if command in ("compare", "bench"):
+        argv += ["--filters", "ekf"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write {out / blocked}")
+    assert "Traceback" not in err
+
+
 def fuse_metrics(dataset, truth, out, variant):
     assert main(["fuse", "--dataset", str(dataset), "--truth", str(truth),
                  "--filter", variant, "--out", str(out)]) == 0

@@ -2,8 +2,10 @@
 
 The correction takes H to be the identity and skips its products; the
 kernel bandwidth and the residual's relative quaternion run on Python
-floats; the kernel weights evaluate both exponents in one array, in place;
-the injection takes its norm with ``math.sqrt``.  Each must give the very
+floats; the kernel weights evaluate both exponents in one array, in place,
+by a plain divide unless a guard could fire; the matrix products go through
+``ndarray.dot`` rather than ``@``; the injection takes its norm with
+``math.sqrt``.  Each must give the very
 bits of the form it replaces, so that every estimate stays identical: the
 correction those of the textbook general-H correction with a writable
 ``np.eye(9)`` (``general_h.general_update``), and the other forms those of
@@ -22,8 +24,11 @@ import warnings
 import numpy as np
 import pytest
 from general_h import general_update
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corfuse.eskf import NominalState, OdometrySample, inject_and_reset, observation_residual
+from corfuse import filter_core
 from corfuse.filter_core import (EXP_FLOOR, CorrentropyWeights, correntropy_weights, kf_update,
                                  mcckf_update)
 from corfuse.kernel_bandwidth import adapt_bandwidth
@@ -222,6 +227,124 @@ def test_an_innovation_whose_square_overflows_weighs_the_floor_silently():
         warnings.simplefilter("error")
         one = correntropy_weights(np.array([1e160]), np.eye(1), np.array([1.0]))
     assert one.unweighted[0] == one.weighted[0] == floor
+
+
+def guarded_correntropy_weights(innovation, noise, bandwidth):
+    """The weights with the guarded divide on every input, as before the plain-divide path."""
+    y = np.asarray(innovation, dtype=float)
+    scale = [-2.0 * s * s for s in np.asarray(bandwidth, dtype=float).tolist()]
+    r_diag = np.asarray(noise, dtype=float).diagonal().tolist()
+    denom = np.array((scale, [a * b for a, b in zip(scale, r_diag)]))
+    y2 = np.array([v * v for v in y.tolist()])
+    expo = np.divide(y2, denom, out=np.where(y != 0.0, -np.inf, denom),
+                     where=(denom != 0.0) & ~(y2 * 2.0 ** -1023 >= np.abs(denom)))
+    unweighted, weighted = np.exp(np.maximum(expo, EXP_FLOOR, out=expo), out=expo)
+    return CorrentropyWeights(unweighted=unweighted, weighted=weighted)
+
+
+# With a kernel size of 2^-500 and R_jj = 1 both denominators are -2^-999, and
+# y^2 2^-1023 meets them at y = 2^12.
+EDGE = 4096.0
+BELOW, ABOVE = np.nextafter(EDGE, 0.0), np.nextafter(EDGE, np.inf)
+# (y, R_jj, kernel size, whether the guarded divide runs)
+GUARD_CASES = [
+    (BELOW, 1.0, 2.0 ** -500, False),   # y^2 2^-1023 just below |d|
+    (EDGE, 1.0, 2.0 ** -500, True),     # equal to it
+    (ABOVE, 1.0, 2.0 ** -500, True),    # just above it
+    (3.0, 1.0, 1e200, False),           # d overflows to -inf: weight 1
+    (3.0, 1e10, 1e150, False),          # only the weighted d overflows
+    (3.0, 1.0, 1e-200, True),           # d underflows to -0.0
+    (0.0, 1.0, 1e-200, True),           # a zero y over a zero d: weight 1
+    (0.0, 1.0, 2.0, False),             # y = 0
+    (-0.0, 1e-4, 0.5, False),
+    (2.0 ** 512, 1.0, 2.0, True),       # y^2 overflows to inf
+    (-1e300, 1.0, 1e6, True),
+]
+
+
+@pytest.mark.parametrize("y,r_jj,sigma,guarded", GUARD_CASES)
+def test_the_guarded_divide_runs_only_where_a_guard_could_fire(y, r_jj, sigma, guarded,
+                                                               monkeypatch):
+    """Eight ordinary channels beside one edge channel; the guard runs for the edge alone."""
+    calls = []
+    divide = np.divide
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return divide(*args, **kwargs)
+
+    innovation = np.array([y, 0.3, -1.0, 2e-3, 0.0, 5.0, -7.0, 1e-6, 0.1])
+    noise = np.diag([r_jj, 1.0, 0.5, 2.0, 1e-3, 1.0, 1.0, 0.1, 10.0])
+    bandwidth = np.array([sigma, 1.0, 2.0, 0.5, 1.0, 3.0, 1e3, 1.0, 1.0])
+    with monkeypatch.context() as patch:
+        patch.setattr(filter_core.np, "divide", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = correntropy_weights(innovation, noise, bandwidth)
+    assert bool(calls) == guarded
+    with np.errstate(all="ignore"):
+        want = guarded_correntropy_weights(innovation, noise, bandwidth)
+    assert got.unweighted.tobytes() == want.unweighted.tobytes()
+    assert got.weighted.tobytes() == want.weighted.tobytes()
+
+
+def test_an_empty_innovation_has_empty_weights():
+    weights = correntropy_weights(np.zeros(0), np.zeros((0, 0)), np.zeros(0))
+    assert weights.unweighted.shape == weights.weighted.shape == (0,)
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT), min_size=1, max_size=9))
+@example([(case[0], case[1], case[2]) for case in GUARD_CASES[:9]])
+@example([(BELOW, 1.0, 2.0 ** -500), (ABOVE, 1.0, 2.0 ** -500)])
+@example([(2.0 ** 512, 1.0, 2.0), (0.0, 1.0, 1e-200), (3.0, 1.0, 1e200)])
+@example([(float("nan"), 1.0, 1.0), (1.0, 1.0, 1.0)])
+@example([(1.0, 1.0, 1.0), (float("nan"), 1.0, 1.0), (1.0, 1.0, 1e-200)])
+@example([(1.0, 1.0, 1.0), (1.0, float("nan"), 1.0), (1.0, 1.0, float("nan"))])
+def test_weights_equal_the_guarded_form_byte_for_byte(channels):
+    """On any (y, R_jj, kernel size) per channel, NaN and the infinities included."""
+    y, r_diag, sigma = (np.array(column) for column in zip(*channels))
+    with np.errstate(all="ignore"):
+        got = correntropy_weights(y, np.diag(r_diag), sigma)
+        want = guarded_correntropy_weights(y, np.diag(r_diag), sigma)
+    assert got.unweighted.tobytes() == want.unweighted.tobytes()
+    assert got.weighted.tobytes() == want.weighted.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# matrix products
+
+
+def signed_entries(rng, shape):
+    """Entries of either sign over 1e-150..1e150 in scale, about a fifth exactly +-0.0."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.choice([-150, -12, 0, 12, 150], shape)
+    zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    return np.where(rng.random(shape) < 0.2, zeros, values)
+
+
+def test_dot_equals_matmul_byte_for_byte_on_the_correction_shapes(trials=2_000, seed=83):
+    """``a.dot(b)`` makes the BLAS call ``a @ b`` makes, for every shape the filter uses.
+
+    9x9 by 9x9 with either operand transposed (a product of a matrix and its
+    own transpose included), 9x9 by 9, 9 by 9, and 3x3 by 3x3.  Should a
+    NumPy or BLAS upgrade part them, this fails before any estimate moves.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        a, b, c = (signed_entries(rng, (DIM, DIM)) for _ in range(3))
+        v, w = signed_entries(rng, DIM), signed_entries(rng, DIM)
+        m, n = signed_entries(rng, (3, 3)), signed_entries(rng, (3, 3))
+        pairs = [(a, b), (a.T, b), (a, b.T), (a.T, b.T), (a, a.T), (a.T, a), (a, v), (a.T, v),
+                 (v, w), (v, a), (m, n), (m, n.T), (m.T, n), (m, m.T)]
+        with np.errstate(all="ignore"):
+            for left, right in pairs:
+                assert left.dot(right).tobytes() == (left @ right).tobytes()
+            assert a.dot(b).dot(a.T).tobytes() == (a @ b @ a.T).tobytes()
+            assert (a.dot(b).dot(a.T) + c.dot(b).dot(c.T)).tobytes() == (
+                a @ b @ a.T + c @ b @ c.T).tobytes()
 
 
 # ---------------------------------------------------------------------------

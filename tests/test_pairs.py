@@ -70,3 +70,29 @@ def test_pairs_alternate_and_pair_i_runs_seed_i(pairs, monkeypatch, capsys, tmp_
     assert "parent: reference step median 1 us; 1 run(s) not correct" in out
     assert "events_per_s (events/s, higher is better)" in out
     assert "change won 3, tied 0, lost 0 of 3" in out
+
+
+def test_a_repeated_workload_runs_each_in_turn_with_its_own_summary(pairs, monkeypatch, capsys,
+                                                                     tmp_path):
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((workload, checkout.name, seed))
+        value = {"imu_dense": 3.0, "replay_csv": 5.0}[workload]
+        return {"correct": True, "metrics": {m["name"]: value
+                                             for m in pairs.end_to_end_metrics()},
+                "step_us": 1.0}
+
+    monkeypatch.setattr(pairs, "run_once", fake_run)
+    assert pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                       str(tmp_path / "change"), "--workload", "imu_dense",
+                       "--workload", "replay_csv", "--pairs", "2", "--seconds", "1"]) == 0
+    assert calls == [(workload, side, seed) for workload in ("imu_dense", "replay_csv")
+                     for side, seed in (("parent", 1), ("change", 1), ("change", 2),
+                                        ("parent", 2))]
+    out = capsys.readouterr().out
+    first, second = out.split("replay_csv pair 1 ")  # the first workload's summary comes first
+    assert "imu_dense: 2 pairs of 1 s" in first and "parent 3 [3, 3], change 3 [3, 3]" in first
+    assert "replay_csv: 2 pairs of 1 s" in second and "parent 5 [5, 5], change 5 [5, 5]" in second
+    assert "imu_dense" not in second and "replay_csv" not in first
+    assert out.count("change won 0, tied 2, lost 0 of 2") == 2 * len(pairs.end_to_end_metrics())

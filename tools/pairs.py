@@ -1,12 +1,13 @@
-"""Alternating before/after benchmark pairs: two checkouts, one workload, N seeds.
+"""Alternating before/after benchmark pairs: two checkouts, some workloads, N seeds.
 
 Runs ``perfbench/run.py --trace 0`` in a parent checkout and a change
 checkout, alternately: pair i runs seed ``--first-seed + i - 1`` in both,
 the parent first in odd pairs and the change first in even ones, so a slow
-or fast phase of the host falls on both sides alike.
+or fast phase of the host falls on both sides alike.  ``--workload`` may be
+repeated; the workloads run in turn, each with its own pairs and summary.
 
     python tools/pairs.py --parent ../before --change . --workload vb_outliers \\
-        --pairs 10 --seconds 30
+        --workload imu_dense --workload replay_csv --pairs 10 --seconds 30
 
 Every pair is printed as it finishes.  Then, for each end-to-end metric of
 ``BENCHMARK.json`` (read for names, units and directions; never written):
@@ -83,11 +84,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout measured first")
     parser.add_argument("--change", type=Path, required=True, help="checkout compared to it")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="workload to run (repeatable; run in turn)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
+    for workload in args.workload:
+        compare_workload(args, workload)
+    return 0
+
+
+def compare_workload(args: argparse.Namespace, workload: str) -> None:
+    """Run one workload's pairs, printing each, then its summary block."""
     metrics = end_to_end_metrics()
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(1, args.pairs + 1):
@@ -95,7 +104,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for side in order:
             checkout = args.parent if side == "parent" else args.change
-            runs[side].append(run_once(checkout, args.workload, seed, args.seconds))
+            runs[side].append(run_once(checkout, workload, seed, args.seconds))
         cells = []
         for m in metrics:
             p, c = (runs[side][-1]["metrics"].get(m["name"]) for side in ("parent", "change"))
@@ -103,10 +112,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                          else f"{m['name']} {p} -> {c}")
         flags = [f"{side} NOT CORRECT" for side in ("parent", "change")
                  if not runs[side][-1]["correct"]]
-        print(f"pair {i} seed {seed} ({order[0]} first): " + "; ".join(cells + flags),
-              flush=True)
+        print(f"{workload} pair {i} seed {seed} ({order[0]} first): "
+              + "; ".join(cells + flags), flush=True)
 
-    print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
+    print(f"\n{workload}: {args.pairs} pairs of {args.seconds:g} s, "
           f"seeds {args.first_seed}-{args.first_seed + args.pairs - 1}")
     for side in ("parent", "change"):
         steps = [r["step_us"] for r in runs[side] if r["step_us"] is not None]
@@ -127,7 +136,7 @@ def main(argv: Optional[list[str]] = None) -> int:
               f"change {c_med:.6g} [{c_q1:.6g}, {c_q3:.6g}], median {s['median_pct']:+.1f} %; "
               f"change won {s['wins']}, tied {s['ties']}, lost {s['losses']} of {s['pairs']}; "
               f"beyond the parent's IQR: {verdict}")
-    return 0
+    sys.stdout.flush()
 
 
 if __name__ == "__main__":
